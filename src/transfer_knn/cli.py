@@ -21,14 +21,7 @@ from . import __version__
 from .distributions import family_from_spec, local_mass_check
 from .errors import ConfigError, NumericError
 from .estimator import fit, write_labeled_csv, write_predictions_csv
-from .harness import (
-    estimator_from_spec,
-    experiment_from_spec,
-    generate_data,
-    holder_from_spec,
-    noise_from_spec,
-    sweep,
-)
+from .harness import experiment_from_spec, generate_data, problem_from_spec, sweep
 from .rates import RateParams, phase_grid, theoretical_rate
 from .transfer import transfer_value
 
@@ -307,13 +300,7 @@ def _cmd_simulate(args, stager: OutputStager) -> None:
     for key in cfg:
         if key not in allowed:
             raise ConfigError(key, "unknown field")
-    target = family_from_spec(_require(cfg, "target", dict), "target")
-    source = None
-    if cfg.get("source") is not None:
-        source = family_from_spec(cfg["source"], "source")
-    f_star = holder_from_spec(_require(cfg, "f_star", dict))
-    noise = noise_from_spec(_require(cfg, "noise", dict))
-    est_cfg = estimator_from_spec(_require(cfg, "estimator", dict))
+    source, target, f_star, noise, est_cfg = problem_from_spec(cfg)
     n = _require(cfg, "n", int)
     m = _require(cfg, "m", int)
     n_test = _require(cfg, "n_test", int)
@@ -326,7 +313,7 @@ def _cmd_simulate(args, stager: OutputStager) -> None:
     tgt_data = generate_data(target, f_star, noise, m, rng_tgt) if m > 0 else None
     est = fit(src_data, tgt_data, est_cfg)
     Xq = target.sample_array(rng_test, n_test)
-    values, k_p, k_q, p_hat, q_hat = est.predict_batch(Xq)
+    values, k_p, k_q, p_hat, q_hat = est.predict_batch(Xq, workers=_threads(args))
     d = est_cfg.d
     write_labeled_csv(
         stager.path("train_source.csv"),

@@ -230,16 +230,24 @@ class TrainedEstimator:
         return k, p_hat
 
     def _label_sums_exact(self, X, k, which, rows, workers=1):
-        """Index-path label sums for the given rows (tie-rule exact)."""
+        """Index-path label sums for the given rows (tie-rule exact).
+
+        Rows are grouped by ceil(log2 k) and each group is queried at its
+        own largest k, so no row fetches more than twice its neighbours.
+        The sequential per-row cumsum makes a row's sum independent of how
+        many extra neighbours its group fetched.
+        """
         index, _, labels, _, _ = self._side(which)
         out = np.zeros(len(X))
         sub = np.nonzero(rows)[0]
-        if len(sub) == 0:
-            return out
-        kmax = int(k[sub].max())
-        _, idx = index.query_batch(X[sub], kmax, workers=workers)
-        csums = np.cumsum(labels[idx], axis=1)
-        out[sub] = csums[np.arange(len(sub)), k[sub] - 1]
+        # frexp's exponent of k - 1 is ceil(log2 k), exactly, for k >= 1.
+        bucket = np.frexp(k[sub] - 1)[1]
+        for b in np.unique(bucket):
+            group = sub[bucket == b]
+            kg = k[group]
+            _, idx = index.query_batch(X[group], int(kg.max()), workers=workers)
+            csums = np.cumsum(labels[idx], axis=1)
+            out[group] = csums[np.arange(len(group)), kg - 1]
         return out
 
     def _label_sums(self, X: np.ndarray, k: np.ndarray, which: str, workers=1):

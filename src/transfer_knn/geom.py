@@ -2,8 +2,8 @@
 
 Distances are Euclidean.  Ties in distance are broken by ascending
 original index so that results are reproducible across runs and
-platforms.  The index is immutable after construction; concurrent
-read-only queries are safe.
+platforms.  An index never changes what it answers; its k-d tree is
+built on the first query, and concurrent read-only queries are safe.
 """
 
 from __future__ import annotations
@@ -63,7 +63,16 @@ class NeighborIndex:
         if len(source) == 0:
             raise ValueError("cannot index an empty point set")
         self.source = source
-        self._tree = cKDTree(source.points)
+        self._tree = None
+
+    def _kdtree(self) -> cKDTree:
+        # Built on first use: the 1-D estimator path holds an index per
+        # sample but rarely queries it.  No lock: threads racing here may
+        # each build an identical tree, and whichever assignment lands
+        # last is as good as the other, so the duplicate build is benign.
+        if self._tree is None:
+            self._tree = cKDTree(self.source.points)
+        return self._tree
 
     def __len__(self) -> int:
         return len(self.source)
@@ -92,12 +101,16 @@ class NeighborIndex:
             raise ValueError("query coordinates must be finite")
 
         kq = min(n, k + _TIE_PAD)
-        dist, idx = self._tree.query(q, k=kq, workers=workers)
+        dist, idx = self._kdtree().query(q, k=kq, workers=workers)
         dist = dist.reshape(len(q), kq)
         idx = idx.reshape(len(q), kq)
-        order = np.lexsort((idx, dist), axis=-1)
-        dist = np.take_along_axis(dist, order, axis=-1)
-        idx = np.take_along_axis(idx, order, axis=-1)
+        # Rows come back sorted by distance; only a row holding an exactly
+        # equal adjacent pair can be out of (distance, index) order.
+        tied = np.nonzero(np.any(dist[:, 1:] == dist[:, :-1], axis=1))[0]
+        if len(tied):
+            order = np.lexsort((idx[tied], dist[tied]), axis=-1)
+            dist[tied] = np.take_along_axis(dist[tied], order, axis=-1)
+            idx[tied] = np.take_along_axis(idx[tied], order, axis=-1)
 
         if kq < n:
             # A tie block truncated by the padding cannot be reordered from

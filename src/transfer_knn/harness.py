@@ -417,6 +417,33 @@ _EXPERIMENT_FIELDS = {
 }
 
 
+def problem_from_spec(obj: dict):
+    """Parse the fields a sweep and a simulate config share.
+
+    Returns (source, target, f_star, noise, estimator), with source None
+    when absent, after checking that every part lives in estimator.d
+    dimensions.
+    """
+    for key in ("target", "f_star", "noise", "estimator"):
+        if key not in obj:
+            raise ConfigError(key, "missing")
+    source = None
+    if obj.get("source") is not None:
+        source = family_from_spec(obj["source"], "source")
+    target = family_from_spec(obj["target"], "target")
+    f_star = holder_from_spec(obj["f_star"])
+    noise = noise_from_spec(obj["noise"])
+    estimator = estimator_from_spec(obj["estimator"])
+    for field, part in (("source", source), ("target", target), ("f_star", f_star)):
+        if part is not None and part.dimension != estimator.d:
+            raise ConfigError(
+                field,
+                f"dimension {part.dimension} does not match "
+                f"estimator.d = {estimator.d}",
+            )
+    return source, target, f_star, noise, estimator
+
+
 def experiment_from_spec(obj: dict) -> ExperimentConfig:
     """Parse an ExperimentConfig from its JSON mirror."""
     if not isinstance(obj, dict):
@@ -428,23 +455,19 @@ def experiment_from_spec(obj: dict) -> ExperimentConfig:
                 "reps", "n_test", "seed"):
         if key not in obj:
             raise ConfigError(key, "missing")
-    source = None
-    if obj.get("source") is not None:
-        source = family_from_spec(obj["source"], "source")
+    source, target, f_star, noise, estimator = problem_from_spec(obj)
     try:
         return ExperimentConfig(
             source=source,
-            target=family_from_spec(obj["target"], "target"),
-            f_star=holder_from_spec(obj["f_star"]),
-            noise=noise_from_spec(obj["noise"]),
-            estimator=estimator_from_spec(obj["estimator"]),
+            target=target,
+            f_star=f_star,
+            noise=noise,
+            estimator=estimator,
             n_grid=tuple(int(v) for v in obj["n_grid"]),
             m_grid=tuple(int(v) for v in obj["m_grid"]),
             reps=int(obj["reps"]),
             n_test=int(obj["n_test"]),
             seed=int(obj["seed"]),
         )
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError("config", str(exc)) from None

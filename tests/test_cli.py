@@ -242,6 +242,70 @@ class TestSimulateCommand:
         assert X.shape == (64, 1) and y.shape == (64,)
 
 
+class TestSimulateThreads:
+    CONFIG = {
+        "source": {"family": "product_pareto", "alpha": 1.0, "sigma": 1.0, "d": 2},
+        "target": {"family": "product_pareto", "alpha": 2.0, "sigma": 1.0, "d": 2},
+        "f_star": {"name": "constant", "value": 0.25, "d": 2},
+        "noise": {"type": "gaussian", "sigma_e": 0.5},
+        "estimator": {"beta": 1.0, "d": 2},
+        "n": 512,
+        "m": 128,
+        "n_test": 200,
+        "seed": 9,
+    }
+
+    def test_predictions_identical_across_threads(self, tmp_path):
+        cfg = write_json(tmp_path / "sim.json", self.CONFIG)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run(["simulate", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
+        assert run(["simulate", "--config", cfg, "--out", str(out2), "--threads", "2"]) == 0
+        assert (out1 / "predictions.csv").read_bytes() == (
+            out2 / "predictions.csv"
+        ).read_bytes()
+
+
+class TestDimensionMismatch:
+    """estimator.d must match source, target and f_star at parse time."""
+
+    PRODUCT_PAIR = {
+        "source": {"family": "product_pareto", "alpha": 1.0, "sigma": 1.0, "d": 2},
+        "target": {"family": "product_pareto", "alpha": 2.0, "sigma": 1.0, "d": 2},
+    }
+    CASES = {
+        # a 1-D regression function on a 2-D problem
+        "f_star": dict(
+            PRODUCT_PAIR,
+            f_star={"name": "parabola"},
+            estimator={"beta": 1.0, "d": 2},
+        ),
+        # a 1-D estimator on a 2-D pair
+        "source": dict(
+            PRODUCT_PAIR,
+            f_star={"name": "constant", "value": 0.25, "d": 2},
+            estimator={"beta": 1.0, "d": 1},
+        ),
+    }
+
+    @staticmethod
+    def config_for(command, case):
+        body = dict(TestDimensionMismatch.CASES[case], noise={"sigma_e": 0.5}, seed=3)
+        if command == "sweep":
+            return dict(body, n_grid=[64], m_grid=[64], reps=1, n_test=16)
+        return dict(body, n=64, m=64, n_test=16)
+
+    @pytest.mark.parametrize("command", ["sweep", "simulate"])
+    @pytest.mark.parametrize("case", ["f_star", "source"])
+    def test_exits_one_naming_field(self, tmp_path, capsys, command, case):
+        cfg = write_json(tmp_path / "c.json", self.config_for(command, case))
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"field '{case}'" in err and "estimator.d" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*"))
+
+
 class TestCheckRegularityCommand:
     def test_pass_report(self, tmp_path):
         cfg = write_json(

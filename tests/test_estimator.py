@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_knn
+from transfer_knn.distributions import ProductPareto
 from transfer_knn.estimator import (
     NeighborFunctionConfig,
     fit,
@@ -17,37 +18,52 @@ from transfer_knn.estimator import (
     write_labeled_csv,
     write_predictions_csv,
 )
-from transfer_knn.geom import PointSet, build_index
+from transfer_knn.geom import _TIE_PAD, NeighborIndex, PointSet, build_index
 
 CFG = NeighborFunctionConfig(beta=1.0, d=1)
 
 
-def reference_one_sample_predict(X, y, x, beta, d, kappa=1.0, ell_factor=1.0):
-    """Stand-alone one-sample local k-NN, built only on the brute-force oracle.
+def oracle_label_sum(X, y, x, k):
+    """Labels of the k brute-force neighbours of x, summed one by one in
+    (distance, index) order, as a sequential cumsum does."""
+    acc = 0.0
+    for i, _ in brute_force_knn(X, x, k):
+        acc += y[i]
+    return acc
 
-    Recomputes ell, the plug-in density, and the clipped neighbour count
-    from scratch; shares no code with the estimator under test.
+
+def oracle_side(X, y, x, ell, joint_log, kappa, beta, d):
+    """(k, p_hat, label sum) of one sample at x.
+
+    Recomputes the plug-in density and the clipped neighbour count from
+    scratch on the brute-force oracle; shares no code with the estimator
+    under test.
     """
     n = len(y)
-    joint_log = math.log(n)  # missing second sample contributes factor 1
-    ell = int(math.ceil(ell_factor * joint_log))
     lower = max(int(math.ceil(joint_log)), 1)
+    p_hat = math.inf
+    k = min(n, lower)
     if 1 <= ell <= n:
         r_ell = brute_force_knn(X, x, ell)[-1][1]
-        p_hat = math.inf if r_ell == 0 else ell / (n * r_ell**d)
-        if math.isinf(p_hat):
+        if r_ell == 0:
             k = n
         else:
+            p_hat = ell / (n * r_ell**d)
             core = (
                 kappa
                 * joint_log ** (d / (2 * beta + d))
                 * (n * p_hat) ** (2 * beta / (2 * beta + d))
             )
             k = min(n, max(int(math.ceil(core)), lower))
-    else:
-        k = min(n, lower)
-    neighbours = brute_force_knn(X, x, k)
-    return sum(y[i] for i, _ in neighbours) / k
+    return k, p_hat, oracle_label_sum(X, y, x, k)
+
+
+def reference_one_sample_predict(X, y, x, beta, d, kappa=1.0, ell_factor=1.0):
+    """Stand-alone one-sample local k-NN, built only on the brute-force oracle."""
+    joint_log = math.log(len(y))  # missing second sample contributes factor 1
+    ell = int(math.ceil(ell_factor * joint_log))
+    k, _, total = oracle_side(X, y, x, ell, joint_log, kappa, beta, d)
+    return total / k
 
 
 class TestKnnDensity:
@@ -314,6 +330,122 @@ class TestFastPathConsistency:
         np.testing.assert_allclose(va[0], vb[0], rtol=1e-12, atol=1e-14)
         assert np.array_equal(va[1], vb[1])
         np.testing.assert_allclose(va[3], vb[3], rtol=1e-12)
+
+
+def k_buckets(k):
+    return np.unique(np.ceil(np.log2(k)))
+
+
+def tied_at_cut(X, x, k):
+    """Whether the k-th and (k+1)-th nearest points of x are equally far."""
+    if k >= len(X):
+        return False
+    near = brute_force_knn(X, x, k + 1)
+    return near[-1][1] == near[-2][1]
+
+
+class TestBucketedLabelSums:
+    """d = 2 index-path label sums against the brute-force oracle.
+
+    Integer coordinates give exact distance ties and duplicated points;
+    a dense cluster, a sparse spread and a 12-fold duplicate give per-row
+    k over several power-of-two buckets, up to k = n.
+    """
+
+    CFG = NeighborFunctionConfig(beta=1.0, d=2, kappa_p=8.0, kappa_q=8.0)
+
+    @staticmethod
+    def samples():
+        rng = np.random.default_rng(61)
+        X = np.concatenate(
+            [
+                rng.integers(0, 4, (120, 2)),
+                rng.integers(0, 30, (80, 2)),
+                np.full((12, 2), 17),
+            ]
+        ).astype(float)
+        Xt = np.concatenate(
+            [
+                rng.integers(0, 6, (60, 2)),
+                rng.integers(0, 30, (30, 2)),
+                np.full((12, 2), 17),
+            ]
+        ).astype(float)
+        queries = np.concatenate(
+            [
+                rng.integers(0, 30, (60, 2)).astype(float),
+                rng.integers(0, 30, (30, 2)) + 0.5,
+                [[17.0, 17.0], [1.0, 1.0]],
+            ]
+        )
+        return (
+            (X, rng.standard_normal(len(X))),
+            (Xt, rng.standard_normal(len(Xt))),
+            queries,
+        )
+
+    def test_label_sums_exact_match_oracle(self):
+        (X, y), target, queries = self.samples()
+        est = fit((X, y), target, self.CFG)
+        n = len(y)
+        rng = np.random.default_rng(67)
+        k = rng.integers(1, n + 1, size=len(queries))
+        k[::9] = n
+        rows = rng.random(len(queries)) < 0.8
+        assert len(k_buckets(k[rows])) >= 3 and np.any(k[rows] == n)
+        assert any(tied_at_cut(X, x, ki) for x, ki in zip(queries[rows], k[rows]))
+        got = est._label_sums_exact(queries, k, "p", rows)
+        want = [
+            oracle_label_sum(X, y, x, ki) if live else 0.0
+            for x, ki, live in zip(queries, k, rows)
+        ]
+        assert got.tolist() == want
+
+    def test_predict_batch_matches_oracle(self):
+        (X, y), (Xt, yt), queries = self.samples()
+        est = fit((X, y), (Xt, yt), self.CFG)
+        values, k_p, k_q, p_hat, q_hat = est.predict_batch(queries)
+        for k, n_own in ((k_p, len(y)), (k_q, len(yt))):
+            assert len(k_buckets(k)) >= 3 and np.any(k == n_own)
+        assert any(tied_at_cut(X, x, k) for x, k in zip(queries, k_p))
+        cfg = self.CFG
+        for i, x in enumerate(queries):
+            consts = (est.ell, est.joint_log, cfg.kappa_p, cfg.beta, cfg.d)
+            kp, ph, sp = oracle_side(X, y, x, *consts)
+            kq, qh, sq = oracle_side(Xt, yt, x, *consts)
+            assert (k_p[i], k_q[i], p_hat[i], q_hat[i]) == (kp, kq, ph, qh)
+            assert values[i] == (sp + sq) / (kp + kq)
+
+    def test_duplicate_point_batch_fetch_follows_k(self, monkeypatch):
+        # 64 copies of one point: the query there gets p_hat = inf and
+        # k = n, which must not make every other row fetch n neighbours.
+        rng = np.random.default_rng(71)
+        n, m, q = 4096, 256, 400
+        X = ProductPareto(1.0, 1.0, 2).sample_array(rng, n)
+        X[:64] = X[0]
+        Xt = ProductPareto(2.0, 1.0, 2).sample_array(rng, m)
+        est = fit(
+            (X, rng.standard_normal(n)),
+            (Xt, rng.standard_normal(m)),
+            NeighborFunctionConfig(beta=1.0, d=2),
+        )
+        queries = ProductPareto(2.0, 1.0, 2).sample_array(rng, q)
+        queries[0] = X[0]
+        values, k_p, k_q, p_hat, _ = est.predict_batch(queries)
+        assert p_hat[0] == math.inf and k_p[0] == n
+
+        fetched = []
+        original = NeighborIndex.query_batch
+
+        def counting(self, batch, k, workers=1):
+            fetched.append(len(batch) * min(len(self), k + _TIE_PAD))
+            return original(self, batch, k, workers)
+
+        monkeypatch.setattr(NeighborIndex, "query_batch", counting)
+        sums = est._label_sums(queries, k_p, "p") + est._label_sums(queries, k_q, "q")
+        assert np.array_equal(sums / (k_p + k_q), values)
+        bound = 2 * (int(k_p.sum()) + int(k_q.sum())) + (_TIE_PAD + 1) * 2 * q
+        assert sum(fetched) <= bound
 
 
 class TestCsvInterfaces:

@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.spatial import cKDTree
+
 from conftest import brute_force_knn
 from transfer_knn.geom import (
+    _TIE_PAD,
     PointSet,
     build_index,
     kth_distance,
@@ -166,3 +169,50 @@ class TestInvariants:
             results = list(pool.map(work, queries))
         for q, res in zip(queries, results):
             assert [(r.index, r.distance) for r in res] == brute_force_knn(pts, q, 5)
+
+    def test_concurrent_first_queries_race_the_tree_build(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        rng = np.random.default_rng(79)
+        pts = rng.random((2000, 2))
+        queries = rng.random((16, 2))
+        want = [brute_force_knn(pts, q, 5) for q in queries]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                idx = build_index(PointSet(pts))  # tree not built yet
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(query_knn, idx, q, 5) for q in queries]
+                    got = [f.result(timeout=60) for f in futures]
+                for res, w in zip(got, want):
+                    assert [(r.index, r.distance) for r in res] == w
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestTieOnlyReordering:
+    def test_untied_rows_kept_tied_rows_index_ordered(self):
+        rng = np.random.default_rng(0)
+        base = rng.random((200, 2))
+        # points 200..207 repeat points 0..7: queries near them see ties
+        pts = np.concatenate([base, base[:8]])
+        idx = build_index(PointSet(pts))
+        queries = np.concatenate([base[:8], rng.random((40, 2))])
+        k = 5
+        dist, ind = idx.query_batch(queries, k)
+        raw_d, raw_i = cKDTree(pts).query(queries, k=k + _TIE_PAD)
+        tied = np.any(raw_d[:, 1:] == raw_d[:, :-1], axis=1)
+        assert 0 < tied.sum() < len(queries)
+        reordered = 0
+        for row, x in enumerate(queries):
+            want = brute_force_knn(pts, x, k)
+            assert list(ind[row]) == [w[0] for w in want]
+            assert list(dist[row]) == [w[1] for w in want]
+            if tied[row]:
+                reordered += list(raw_i[row, :k]) != list(ind[row])
+            else:
+                assert np.array_equal(ind[row], raw_i[row, :k])
+                assert np.array_equal(dist[row], raw_d[row, :k])
+        assert reordered > 0  # the tree's own order was not index order
