@@ -50,6 +50,12 @@ class DistributionFamily:
         d = float(d) if np.ndim(d) == 0 else float(np.asarray(d))
         return math.log(d) if d > 0.0 else -math.inf
 
+    def log_density_rows(self, X) -> np.ndarray:
+        """log_density at each row of an (n, d) array."""
+        X = np.asarray(X, dtype=np.float64)
+        pts = X[:, 0].tolist() if self.dimension == 1 else X
+        return np.fromiter(map(self.log_density, pts), dtype=np.float64, count=len(X))
+
     # -- 1-D distribution functions ------------------------------------
     def cdf(self, x):
         raise NotImplementedError(f"{type(self).__name__} has no 1-D CDF")
@@ -69,6 +75,10 @@ class DistributionFamily:
                     raise RadiusSearchError("quantile bracket exceeded cap")
             for _ in range(200):
                 mid = 0.5 * (a + b)
+                # cdf(a) < ui <= cdf(b) holds, so from here on every step
+                # would reassign a or b to itself.
+                if mid <= a or mid >= b:
+                    break
                 if self.cdf(mid) < ui:
                     a = mid
                 else:
@@ -276,9 +286,30 @@ class ProductPareto(DistributionFamily):
         vals = np.prod(self._factor.density(pts), axis=1)
         return float(vals[0]) if pts.shape[0] == 1 and xs.ndim <= 1 else vals
 
-    def log_density(self, x) -> float:
-        xs = np.asarray(x, dtype=np.float64).reshape(self.d)
-        return sum(self._factor.log_density(xi) for xi in xs)
+    def log_density(self, x):
+        """log density at one point, or at each row of an (n, d) array.
+
+        Evaluates Pareto.log_density's formula on every coordinate in one
+        pass, with libm's log1p (numpy's SIMD log1p can differ in the last
+        ulp), then adds the coordinates left to right from 0, so each row
+        is bit-identical to adding the scalar factor log densities in that
+        order.
+        """
+        xs = np.asarray(x, dtype=np.float64)
+        pts = xs.reshape(-1, self.d)
+        f = self._factor
+        scaled = (np.maximum(pts, 0.0) / f.sigma).ravel()
+        log1p = np.fromiter(map(math.log1p, scaled), np.float64, len(scaled))
+        log1p = log1p.reshape(pts.shape)
+        coords = math.log(f.alpha / f.sigma) - (f.alpha + 1.0) * log1p
+        coords[pts < 0.0] = -math.inf
+        out = np.zeros(len(pts))
+        for column in coords.T:
+            out += column
+        return out if xs.ndim == 2 else float(out[0])
+
+    def log_density_rows(self, X) -> np.ndarray:
+        return self.log_density(np.asarray(X, dtype=np.float64).reshape(-1, self.d))
 
     def sample_array(self, rng, n):
         return np.asarray(
@@ -430,16 +461,22 @@ _BALL_MC_DRAWS = 100_000
 _BALL_MC_SEED = 0x5EED_BA11
 
 
-def ball_mass_with_error(
-    dist: DistributionFamily, x, r: float, rng=None, n_draws: int = _BALL_MC_DRAWS
-) -> tuple[float, float]:
-    """Monte Carlo ball mass with its standard error (any dimension)."""
+def _sample_distances(
+    dist: DistributionFamily, x, rng=None, n_draws: int = _BALL_MC_DRAWS
+) -> np.ndarray:
+    """Distances from x to n_draws points of dist (fixed seed by default)."""
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(_BALL_MC_SEED))
     pts = dist.sample_array(rng, n_draws)
     center = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    hit = np.linalg.norm(pts - center[None, :], axis=1) <= r
-    p = float(np.mean(hit))
+    return np.linalg.norm(pts - center[None, :], axis=1)
+
+
+def ball_mass_with_error(
+    dist: DistributionFamily, x, r: float, rng=None, n_draws: int = _BALL_MC_DRAWS
+) -> tuple[float, float]:
+    """Monte Carlo ball mass with its standard error (any dimension)."""
+    p = float(np.mean(_sample_distances(dist, x, rng, n_draws) <= r))
     return p, math.sqrt(max(p * (1.0 - p), 0.0) / n_draws)
 
 
@@ -463,24 +500,38 @@ def zeta(dist: DistributionFamily, x, h: float) -> float:
 
     Bisection refined until the radius bracket collapses in relative
     terms and the mass overshoot is below 1e-9; the initial bracket
-    doubles from r = 1 up to 2^40 before declaring failure.
+    doubles from r = 1 up to 2^40 before declaring failure.  In d >= 2
+    every step reads the same fixed-seed Monte Carlo sample as
+    ball_mass, drawn and sorted once.
     """
     if not 0.0 < h <= 1.0:
         raise ValueError("h must lie in (0, 1]")
+    if dist.dimension == 1:
+
+        def mass(r):
+            return ball_mass(dist, x, r)
+
+    else:
+        dists = np.sort(_sample_distances(dist, x))
+
+        def mass(r):
+            # The count of distances <= r, as ball_mass's mean of hits.
+            return int(np.searchsorted(dists, r, side="right")) / len(dists)
+
     lo, hi = 0.0, 1.0
-    while ball_mass(dist, x, hi) < h:
+    while mass(hi) < h:
         hi *= 2.0
         if hi > ZETA_BRACKET_CAP:
             raise RadiusSearchError(
                 f"no radius <= {ZETA_BRACKET_CAP:g} reaches mass {h}"
             )
     for _ in range(200):
-        if hi - lo <= 1e-13 * hi and ball_mass(dist, x, hi) - h <= 1e-9:
+        if hi - lo <= 1e-13 * hi and mass(hi) - h <= 1e-9:
             break
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if ball_mass(dist, x, mid) >= h:
+        if mass(mid) >= h:
             hi = mid
         else:
             lo = mid

@@ -24,7 +24,7 @@ from .distributions import (
     noise_from_spec,
     zeta,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .estimator import NeighborFunctionConfig, TrainedEstimator, fit
 from .geom import NeighborIndex, PointSet
 from .rates import RateParams, theoretical_rate
@@ -142,7 +142,7 @@ def _run_rep(config: ExperimentConfig, cell_idx: int, n: int, m: int, rep: int):
         est = fit(source, target, config.estimator)
         risk = mc_excess_risk(est, config.f_star, config.target, config.n_test, rng_test)
     except Exception as exc:
-        raise RuntimeError(f"estimator failed at cell (n={n}, m={m}), rep {rep}") from exc
+        raise NumericError(f"estimator failed at cell (n={n}, m={m}), rep {rep}") from exc
     return RepRecord(n=n, m=m, rep=rep, risk=risk, seed=seed_id)
 
 

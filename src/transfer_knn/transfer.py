@@ -76,14 +76,25 @@ def _log_integrand(P, Q, gamma):
     return log_g
 
 
+def _uncovered(P, Q) -> bool:
+    """Whether Q's support reaches outside P's, where p vanishes."""
+    (p_lo, p_hi), (q_lo, q_hi) = P.support, Q.support
+    return q_lo < p_lo or q_hi > p_hi
+
+
 def _quadrature_value(P, Q, gamma: float) -> tuple[float, float, bool]:
     lo, hi = Q.support
     log_g = _log_integrand(P, Q, gamma)
     if math.isinf(hi):
         res = improper_quad(log_g, lo)
         return res.value, res.error, res.converged
+    # On a bounded support divergence comes from the supports alone: the
+    # families' densities are bounded away from 0 on compact parts of
+    # their support, so a large value is still a finite one.
+    if gamma > 0 and _uncovered(P, Q):
+        return math.inf, math.inf, False
     value, err = bounded_quad(lambda x: math.exp(min(log_g(x), 700.0)), lo, hi)
-    if not math.isfinite(value) or value > 1.0e6:
+    if not math.isfinite(value):
         return math.inf, math.inf, False
     return value, err, True
 
@@ -124,7 +135,7 @@ def transfer_value(
     if P.dimension != Q.dimension:
         raise ValueError("P and Q must share a dimension")
     draws = Q.sample_array(rng, n_draws)
-    logs = np.array([-gamma * P.log_density(x) for x in draws])
+    logs = -gamma * P.log_density_rows(draws)
     if np.any(np.isinf(logs)):
         return TransferEvaluation(gamma, math.inf, "monte_carlo", math.inf, False)
     vals = np.exp(logs)
@@ -143,10 +154,12 @@ def estimate_index(
     if any(g < 0 for g in grid) or sorted(grid) != grid:
         raise ValueError("gamma grid must be nonnegative and increasing")
     evals = tuple(transfer_value(P, Q, g) for g in grid)
-    converged = [e.gamma for e in evals if e.converged]
     diverged = [e.gamma for e in evals if not e.converged]
-    lower = max(converged) if converged else 0.0
     upper = min(diverged) if diverged else math.inf
+    # A non-monotone grid (numeric noise) must not confirm a finite value
+    # above the first divergent one.
+    converged = [e.gamma for e in evals if e.converged and e.gamma < upper]
+    lower = max(converged) if converged else 0.0
     hat = 0.5 * (lower + upper) if math.isfinite(upper) else upper
     return IndexEstimate(
         gamma_star_hat=hat,
@@ -182,7 +195,7 @@ def _mass_below_density(P, Q, t: float) -> float:
         return float(Q.cdf(x0) + 1.0 - Q.cdf(hi))
     rng = np.random.default_rng(np.random.SeedSequence(_MC_SEED))
     draws = Q.sample_array(rng, _MC_DRAWS)
-    return float(np.mean([P.log_density(x) <= math.log(t) for x in draws]))
+    return float(np.mean(P.log_density_rows(draws) <= math.log(t)))
 
 
 def markov_mass_bound(
@@ -227,9 +240,11 @@ def renyi_divergence(
     if math.isinf(hi):
         res = improper_quad(log_g, lo)
         integral, ok = res.value, res.converged
+    elif alpha > 1 and _uncovered(P, Q):
+        integral, ok = math.inf, False
     else:
         integral, _ = bounded_quad(lambda x: math.exp(min(log_g(x), 700.0)), lo, hi)
-        ok = math.isfinite(integral) and integral <= 1.0e6
+        ok = math.isfinite(integral)
     if not ok:
         return math.inf if alpha > 1 else -math.inf
     return math.log(integral) / (alpha - 1.0)

@@ -1,6 +1,10 @@
 """Shared test oracles, independent of the library's query paths."""
 
+import math
+
 import numpy as np
+
+from transfer_knn.distributions import Pareto, ProductPareto, ball_mass
 
 
 def brute_force_knn(points: np.ndarray, x, k: int):
@@ -32,3 +36,73 @@ def holder_budget(f, rng, n_pairs: int = 10_000, grid: int = 2_000):
     grid_pts = lo + (hi - lo) * rng.random((grid, d))
     sup = float(np.max(np.abs(f(grid_pts))))
     return sup + seminorm
+
+
+def log_density_loop(P, X) -> np.ndarray:
+    """Row-by-row log density through the scalar per-point path.
+
+    A ProductPareto row is the sum, left to right from 0, of its scalar
+    Pareto factor log densities; a 1-D family's row is its one coordinate.
+    """
+    rows = np.asarray(X, dtype=np.float64).reshape(len(X), -1)
+    if not isinstance(P, ProductPareto):
+        return np.array([P.log_density(float(row[0])) for row in rows])
+    factor = Pareto(P.alpha, P.sigma)
+    out = []
+    for row in rows:
+        acc = 0
+        for xi in row:
+            acc = acc + factor.log_density(float(xi))
+        out.append(acc)
+    return np.array(out, dtype=np.float64)
+
+
+def monte_carlo_transfer_loop(P, Q, gamma: float, n_draws: int, seed: int):
+    """(value, stderr) of the Monte Carlo T(P, Q, gamma), one row at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    draws = Q.sample_array(rng, n_draws)
+    logs = np.array([-gamma * lp for lp in log_density_loop(P, draws)])
+    if np.any(np.isinf(logs)):
+        return math.inf, math.inf
+    vals = np.exp(logs)
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n_draws))
+
+
+def mass_below_density_loop(P, Q, t: float, n_draws: int, seed: int) -> float:
+    """Monte Carlo Q{p <= t}, one row at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    draws = Q.sample_array(rng, n_draws)
+    return float(np.mean([lp <= math.log(t) for lp in log_density_loop(P, draws)]))
+
+
+def zeta_per_step(dist, x, h: float) -> float:
+    """zeta's bisection with a fresh ball_mass evaluation at every step."""
+    lo, hi = 0.0, 1.0
+    while ball_mass(dist, x, hi) < h:
+        hi *= 2.0
+    for _ in range(200):
+        if hi - lo <= 1e-13 * hi and ball_mass(dist, x, hi) - h <= 1e-9:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if ball_mass(dist, x, mid) >= h:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def ppf_bisection(dist, u: float, steps: int = 200) -> float:
+    """Quantile by a fixed number of bisection steps on the CDF."""
+    lo, hi = dist.support
+    a, b = lo, min(hi, lo + 1.0)
+    while dist.cdf(b) < u:
+        b = lo + 2.0 * (b - lo)
+    for _ in range(steps):
+        mid = 0.5 * (a + b)
+        if dist.cdf(mid) < u:
+            a = mid
+        else:
+            b = mid
+    return b

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from transfer_knn import harness
 from transfer_knn.cli import parse_grid, run
 from transfer_knn.errors import ConfigError
 
@@ -198,6 +199,19 @@ class TestSweepCommand:
         out = tmp_path / "out"
         assert run(["sweep", "--config", cfg, "--out", str(out)]) == 1
         assert "typo_field" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
+    def test_rep_failure_exits_two_naming_cell(self, tmp_path, capsys, monkeypatch):
+        def failing_fit(*args, **kwargs):
+            raise FloatingPointError("overflow in the density step")
+
+        monkeypatch.setattr(harness, "fit", failing_fit)
+        cfg = write_json(tmp_path / "e.json", EXPERIMENT)
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", cfg, "--out", str(out), "--threads", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "cell (n=0, m=32), rep 0" in err
+        assert "Traceback" not in err
         assert not list(out.glob("*"))
 
     def test_threads_env_fallback(self, tmp_path, monkeypatch):

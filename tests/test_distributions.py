@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import holder_budget
+from conftest import holder_budget, log_density_loop, ppf_bisection, zeta_per_step
 from transfer_knn.distributions import (
     Exponential,
     LogPareto,
@@ -83,6 +83,29 @@ class TestDensity:
             assert math.isclose(
                 dist.log_density(x), math.log(dist.density(x)), rel_tol=1e-12
             )
+
+
+class TestLogDensityRows:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_product_pareto_rows_match_scalar_loop(self, d):
+        P = ProductPareto(1.5, 0.7, d)
+        X = P.sample_array(np.random.default_rng(d), 5000)
+        X[0, 0] = 0.0
+        X[1, d - 1] = -0.25  # outside the support: -inf
+        X[2, :] = -1.0e-300
+        want = log_density_loop(P, X)
+        assert want[1] == -math.inf and want[2] == -math.inf
+        assert np.array_equal(P.log_density(X), want)
+        assert np.array_equal(P.log_density_rows(X), want)
+        for i in range(4):
+            got = P.log_density(X[i])
+            assert isinstance(got, float) and got == want[i]
+
+    @pytest.mark.parametrize("dist", ONE_D_VARIANTS, ids=str)
+    def test_base_rows_map_the_scalar_path(self, dist):
+        lo, _ = dist.support
+        X = (lo - 1.0 + np.arange(40.0) / 4.0).reshape(-1, 1)
+        assert np.array_equal(dist.log_density_rows(X), log_density_loop(dist, X))
 
 
 class TestSampling:
@@ -185,6 +208,40 @@ class TestZeta:
             assert ball_mass(dist, x, r) >= h
             assert ball_mass(dist, x, r) <= h + 1e-9
             assert ball_mass(dist, x, r * (1 - 1e-6)) < h
+
+    # The benchmark's d = 2 points, plus a 1-D point on the exact CDF path.
+    CASES = [
+        (ProductPareto(1.0, 1.0, 2), (0.5, 0.5), 0.01),
+        (ProductPareto(1.0, 1.0, 2), (1.0, 2.0), 0.01),
+        (ProductPareto(1.0, 1.0, 2), (3.0, 0.25), 0.01),
+        (ProductPareto(1.0, 1.0, 2), (5.0, 5.0), 0.01),
+        (LogPareto(1.0, 1.0, 2.0), (2.5,), 0.3),
+    ]
+
+    @pytest.mark.parametrize("dist,x,h", CASES)
+    def test_equals_per_step_ball_mass(self, dist, x, h):
+        point = np.array(x) if dist.dimension > 1 else x[0]
+        assert zeta(dist, point, h) == zeta_per_step(dist, point, h)
+
+    def test_draws_one_sample_in_two_dimensions(self, monkeypatch):
+        draws = []
+        original = ProductPareto.sample_array
+
+        def counting(self, rng, n):
+            draws.append(n)
+            return original(self, rng, n)
+
+        monkeypatch.setattr(ProductPareto, "sample_array", counting)
+        zeta(ProductPareto(1.0, 1.0, 2), np.array([1.0, 2.0]), 0.01)
+        assert len(draws) == 1
+
+
+class TestBisectionPpf:
+    def test_log_pareto_regularity_grid(self):
+        dist = LogPareto(1.0, 1.0, 2.0)
+        for i in range(50):
+            u = (i + 0.5) / 50
+            assert dist.ppf(u) == ppf_bisection(dist, u)
 
 
 class TestLocalMass:

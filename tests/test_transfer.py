@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import mass_below_density_loop, monte_carlo_transfer_loop
+from transfer_knn import transfer
 from transfer_knn.distributions import (
     Exponential,
     LogPareto,
@@ -13,6 +15,10 @@ from transfer_knn.distributions import (
 )
 from transfer_knn.errors import NumericError
 from transfer_knn.transfer import (
+    _MC_DRAWS,
+    _MC_SEED,
+    TransferEvaluation,
+    _mass_below_density,
     estimate_index,
     index_lower_bounds,
     markov_mass_bound,
@@ -95,6 +101,13 @@ class TestTransferValue:
         # target mass where the source density vanishes
         ev = transfer_value(Uniform(0.0, 1.0), Uniform(0.0, 2.0), 0.3)
         assert not ev.converged
+        assert transfer_value(Uniform(0, 1), Uniform(0, 2), 1.0).value == math.inf
+
+    def test_large_finite_value_on_bounded_support(self):
+        # p = 1e-7 on Q's whole support, so T = 1e7 exactly.
+        ev = transfer_value(Uniform(0, 1e7), Uniform(0, 1e6), 1.0)
+        assert ev.method == "quadrature" and ev.converged
+        assert math.isclose(ev.value, 1e7, rel_tol=1e-9)
 
     def test_monte_carlo_product_pair(self):
         P = ProductPareto(1.0, 1.0, 2)
@@ -105,6 +118,28 @@ class TestTransferValue:
         # the integral factorises: T_2d = (T_1d)^2
         want = pareto_equal_scale_value(1.0, 1.0, 1.0, gamma) ** 2
         assert abs(ev.value - want) <= 5 * ev.error_estimate
+
+
+class TestMonteCarloRows:
+    """The row-form Monte Carlo paths equal a per-row loop bit for bit."""
+
+    PAIRS = [
+        (ProductPareto(1.0, 1.0, 2), ProductPareto(2.0, 1.0, 2)),
+        (Pareto(1.0, 2.0), Pareto(1.0, 1.0)),
+    ]
+
+    @pytest.mark.parametrize("P,Q", PAIRS, ids=["product_d2", "pareto"])
+    def test_transfer_value_equals_loop(self, P, Q):
+        for gamma in (0.15, 0.45, 0.9):
+            ev = transfer_value(P, Q, gamma, method="monte_carlo", n_draws=20_000)
+            want = monte_carlo_transfer_loop(P, Q, gamma, 20_000, _MC_SEED)
+            assert (ev.value, ev.error_estimate) == want
+
+    def test_mass_below_density_equals_loop(self):
+        P, Q = self.PAIRS[0]
+        for t in (0.05, 0.3):
+            want = mass_below_density_loop(P, Q, t, _MC_DRAWS, _MC_SEED)
+            assert _mass_below_density(P, Q, t) == want
 
 
 class TestTransferProperties:
@@ -157,6 +192,19 @@ class TestEstimateIndex:
         assert est.upper_confirmed == math.inf
         assert est.gamma_star_hat == math.inf
         assert est.lower_confirmed == 2.0
+
+    def test_lower_never_above_upper(self, monkeypatch):
+        # A non-monotone grid: finite again above the first divergence.
+        finite = {0.1: True, 0.2: False, 0.3: True, 0.4: False}
+
+        def stub(P, Q, gamma):
+            value = 1.0 if finite[gamma] else math.inf
+            return TransferEvaluation(gamma, value, "quadrature", 0.0, finite[gamma])
+
+        monkeypatch.setattr(transfer, "transfer_value", stub)
+        est = estimate_index(PAR, PAR, [0.1, 0.2, 0.3, 0.4])
+        assert (est.lower_confirmed, est.upper_confirmed) == (0.1, 0.2)
+        assert len(est.evaluations) == 4
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -212,6 +260,14 @@ class TestRenyi:
     def test_small_alpha_branch(self):
         val = renyi_divergence(EXP2, EXP1, 0.5)
         assert math.isfinite(val) and val >= 0
+
+    def test_large_finite_bounded_integral(self):
+        # q^5 p^-4 = 1e10 on [0, 0.01]: the integral is 1e8, D = log(1e8) / 4.
+        d = renyi_divergence(Uniform(0.0, 0.01), Uniform(0.0, 1.0), 5.0)
+        assert math.isclose(d, math.log(1e8) / 4.0, rel_tol=1e-9)
+
+    def test_uncovered_support_diverges(self):
+        assert renyi_divergence(Uniform(0.0, 2.0), Uniform(0.0, 1.0), 2.0) == math.inf
 
 
 class TestIndexLowerBounds:
