@@ -133,6 +133,16 @@ def _require(obj: dict, key: str, caster, where: str = ""):
         raise ConfigError(label, "invalid value") from None
 
 
+def _count(obj: dict, key: str, least: int, default: int | None = None) -> int:
+    """obj[key] as an integer >= least; default when given and absent."""
+    if default is not None and key not in obj:
+        return default
+    value = _require(obj, key, int)
+    if value < least:
+        raise ConfigError(key, f"must be at least {least}, got {value}")
+    return value
+
+
 def _threads(args) -> int:
     if args.threads is not None:
         return max(1, args.threads)
@@ -301,9 +311,11 @@ def _cmd_simulate(args, stager: OutputStager) -> None:
         if key not in allowed:
             raise ConfigError(key, "unknown field")
     source, target, f_star, noise, est_cfg = problem_from_spec(cfg)
-    n = _require(cfg, "n", int)
-    m = _require(cfg, "m", int)
-    n_test = _require(cfg, "n_test", int)
+    n = _count(cfg, "n", 0)
+    m = _count(cfg, "m", 0)
+    if n + m < 1:
+        raise ConfigError("n, m", "at least one of the two samples must be nonempty")
+    n_test = _count(cfg, "n_test", 1)
     seed = args.seed if args.seed is not None else _require(cfg, "seed", int)
     if n > 0 and source is None:
         raise ConfigError("source", "required when n > 0")
@@ -363,12 +375,13 @@ def _cmd_check_regularity(args, stager: OutputStager) -> None:
         if key not in allowed:
             raise ConfigError(key, "unknown field")
     dist = family_from_spec(_require(cfg, "distribution", dict), "distribution")
-    theta = cfg.get("theta", dist.local_mass_theta)
+    theta = _require(cfg, "theta", float) if "theta" in cfg else dist.local_mass_theta
     if theta is None:
         raise ConfigError("theta", "missing and no built-in value for this family")
-    theta = float(theta)
-    nx = int(cfg.get("x_points", 50))
-    nr = int(cfg.get("r_points", 20))
+    if not 0.0 < theta < math.inf:
+        raise ConfigError("theta", f"must be a positive number, got {theta}")
+    nx = _count(cfg, "x_points", 1, default=50)
+    nr = _count(cfg, "r_points", 1, default=20)
     if dist.dimension != 1:
         raise ConfigError("distribution", "regularity grid check requires 1-D")
     x_grid = [float(dist.ppf((i + 0.5) / nx)) for i in range(nx)]

@@ -21,7 +21,6 @@ import numpy as np
 
 from ._integrate import improper_quad
 from .errors import ConfigError, NoClosedFormError, RadiusSearchError
-from .geom import PointSet
 
 # zeta() doubles its bracket up to this radius before giving up.
 ZETA_BRACKET_CAP = 2.0**40
@@ -445,18 +444,6 @@ class LogPareto(DistributionFamily):
 # ---------------------------------------------------------------------------
 
 
-def density(dist: DistributionFamily, x):
-    """Density of `dist` at x (0 outside the support)."""
-    return dist.density(x)
-
-
-def sample(dist: DistributionFamily, rng: np.random.Generator, n: int) -> PointSet:
-    """n i.i.d. draws as a PointSet; deterministic for a given rng state."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return PointSet(dist.sample_array(rng, n), allow_empty=True)
-
-
 _BALL_MC_DRAWS = 100_000
 _BALL_MC_SEED = 0x5EED_BA11
 
@@ -696,15 +683,9 @@ _BUILTIN_HOLDER = {
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Centred observation noise; Gaussian is the only variant.
-
-    alpha_se and nu are the nominal sub-exponential parameters carried
-    as metadata only.
-    """
+    """Centred observation noise; Gaussian is the only variant."""
 
     sigma_e: float
-    alpha_se: float | None = None
-    nu: float | None = None
 
     def __post_init__(self):
         if self.sigma_e < 0:
@@ -785,17 +766,13 @@ def noise_from_spec(obj: dict, where: str = "noise") -> NoiseSpec:
     kind = obj.get("type", "gaussian")
     if kind != "gaussian":
         raise ConfigError(f"{where}.type", f"unknown noise type '{kind}'")
-    allowed = {"type", "sigma_e", "alpha_se", "nu"}
+    allowed = {"type", "sigma_e"}
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"{where}.{key}", "unknown field")
     if "sigma_e" not in obj:
         raise ConfigError(f"{where}.sigma_e", "missing")
     try:
-        return NoiseSpec(
-            sigma_e=float(obj["sigma_e"]),
-            alpha_se=obj.get("alpha_se"),
-            nu=obj.get("nu"),
-        )
-    except ValueError as exc:
+        return NoiseSpec(sigma_e=float(obj["sigma_e"]))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(where, str(exc)) from None

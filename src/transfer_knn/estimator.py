@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import NeighborIndex, PointSet, kth_distance
+from .geom import NeighborIndex, PointSet
 
 # Neighbour counts never drop below 1 on a nonempty sample, so tiny
 # datasets (where log(nm) rounds to 0) still yield a prediction.
@@ -39,15 +39,14 @@ class NeighborFunctionConfig:
     kappa_p: float = 1.0
     kappa_q: float = 1.0
     ell_factor: float = 1.0
-    tau: float = 2.0  # nominal confidence exponent; metadata only
 
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must lie in (0, 1]")
         if self.d < 1:
             raise ValueError("d must be a positive integer")
-        if min(self.kappa_p, self.kappa_q, self.ell_factor, self.tau) <= 0:
-            raise ValueError("kappa_p, kappa_q, ell_factor, tau must be positive")
+        if min(self.kappa_p, self.kappa_q, self.ell_factor) <= 0:
+            raise ValueError("kappa_p, kappa_q, ell_factor must be positive")
 
     @property
     def density_exponent(self) -> float:
@@ -67,37 +66,28 @@ class Prediction:
     q_hat: float
 
 
-def knn_density(
-    index: NeighborIndex, x, ell: int, n: int, d: int
-) -> float:
-    """ell-NN density estimate ell/(n R_ell(x)^d); +inf when R_ell = 0."""
-    if not 1 <= ell <= n:
-        raise ValueError(f"ell={ell} out of range [1, {n}]")
-    r = kth_distance(index, x, ell)
-    if r == 0.0:
-        return math.inf
-    return ell / (n * r**d)
-
-
-def neighbor_count(
-    p_hat: float,
+def neighbor_counts(
+    p_hat,
     n_own: int,
     joint_log: float,
     config: NeighborFunctionConfig,
     kappa: float,
-) -> int:
-    """Clipped bias-variance-balancing neighbour count for one sample."""
-    if n_own < 1:
-        return 0
+) -> np.ndarray:
+    """Clipped bias-variance-balancing neighbour counts for one sample.
+
+    p_hat holds one plug-in density per query; +inf (R_ell = 0) takes
+    the whole sample.
+    """
+    p_hat = np.asarray(p_hat, dtype=np.float64)
     lower = max(int(math.ceil(joint_log)), _MIN_K)
-    if math.isinf(p_hat):
-        return n_own
-    core = (
-        kappa
-        * joint_log**config.log_exponent
-        * (n_own * p_hat) ** config.density_exponent
-    )
-    return min(n_own, max(int(math.ceil(core)), lower))
+    with np.errstate(invalid="ignore"):
+        core = (
+            kappa
+            * joint_log**config.log_exponent
+            * (n_own * p_hat) ** config.density_exponent
+        )
+    k = np.minimum(n_own, np.maximum(np.ceil(core), lower))
+    return np.where(np.isinf(p_hat), n_own, k).astype(np.int64)
 
 
 class _SortedSample1D:
@@ -195,38 +185,27 @@ class TrainedEstimator:
     def _density_enabled(self, n_own: int) -> bool:
         return n_own >= 1 and 1 <= self.ell <= n_own
 
-    def _kth_distances(self, X, k: np.ndarray, which: str, workers=1) -> np.ndarray:
-        index, sorted1d, _, n_own, _ = self._side(which)
+    def _ell_distances(self, X, which: str, workers=1) -> np.ndarray:
+        """R_ell(x) from one sample at each row of X."""
+        index, sorted1d, _, _, _ = self._side(which)
         if sorted1d is not None:
-            starts = sorted1d.window_starts(X[:, 0], k)
-            return sorted1d.window_radius(X[:, 0], k, starts)
-        kmax = int(k.max())
-        dist, _ = index.query_batch(X, kmax, workers=workers)
-        return dist[np.arange(len(X)), k - 1]
+            starts = sorted1d.window_starts(X[:, 0], self.ell)
+            return sorted1d.window_radius(X[:, 0], self.ell, starts)
+        dist, _ = index.query_batch(X, self.ell, workers=workers)
+        return dist[:, -1]
 
     def _counts_batch(self, X: np.ndarray, which: str, workers: int = 1):
         _, _, _, n_own, kappa = self._side(which)
         q = len(X)
         if n_own == 0:
             return np.zeros(q, dtype=np.int64), np.full(q, math.inf)
-        cfg = self.config
-        lower = max(int(math.ceil(self.joint_log)), _MIN_K)
         if not self._density_enabled(n_own):
-            k = min(n_own, lower)
+            k = min(n_own, max(int(math.ceil(self.joint_log)), _MIN_K))
             return np.full(q, k, dtype=np.int64), np.full(q, math.inf)
-        r = self._kth_distances(
-            X, np.full(q, self.ell, dtype=np.int64), which, workers
-        )
+        r = self._ell_distances(X, which, workers)
         with np.errstate(divide="ignore"):
-            p_hat = np.where(r > 0.0, self.ell / (n_own * r**cfg.d), math.inf)
-        with np.errstate(invalid="ignore"):
-            core = (
-                kappa
-                * self.joint_log**cfg.log_exponent
-                * (n_own * p_hat) ** cfg.density_exponent
-            )
-        k = np.minimum(n_own, np.maximum(np.ceil(core), lower))
-        k = np.where(np.isinf(p_hat), n_own, k).astype(np.int64)
+            p_hat = np.where(r > 0.0, self.ell / (n_own * r**self.config.d), math.inf)
+        k = neighbor_counts(p_hat, n_own, self.joint_log, self.config, kappa)
         return k, p_hat
 
     def _label_sums_exact(self, X, k, which, rows, workers=1):
@@ -270,15 +249,22 @@ class TrainedEstimator:
         return sums
 
     # -- public API -------------------------------------------------------
+    def side_terms(self, X, side: str, workers: int = 1):
+        """One sample's (k, density estimate, label sum) at each row of X.
+
+        side is "p" for the source sample and "q" for the target sample.
+        """
+        if side not in ("p", "q"):
+            raise ValueError(f"side must be 'p' or 'q', got {side!r}")
+        X = _coerce_points(X, self.config.d)
+        k, density = self._counts_batch(X, side, workers)
+        return k, density, self._label_sums(X, k, side, workers)
+
     def predict_batch(self, X, workers: int = 1):
         """Vectorised predictions; returns (values, k_p, k_q, p_hat, q_hat)."""
-        X = _coerce_points(X, self.config.d)
-        k_p, p_hat = self._counts_batch(X, "p", workers)
-        k_q, q_hat = self._counts_batch(X, "q", workers)
-        sums = self._label_sums(X, k_p, "p", workers) + self._label_sums(
-            X, k_q, "q", workers
-        )
-        values = sums / (k_p + k_q)
+        k_p, p_hat, sum_p = self.side_terms(X, "p", workers)
+        k_q, q_hat, sum_q = self.side_terms(X, "q", workers)
+        values = (sum_p + sum_q) / (k_p + k_q)
         return values, k_p, k_q, p_hat, q_hat
 
     def predict(self, x) -> Prediction:
@@ -325,10 +311,6 @@ def fit(source, target, config: NeighborFunctionConfig) -> TrainedEstimator:
     return TrainedEstimator(source, target, config)
 
 
-def predict(est: TrainedEstimator, x) -> Prediction:
-    return est.predict(x)
-
-
 def pointwise_error_split(est: TrainedEstimator, x, f_star) -> tuple[float, float]:
     """Squared error at x and its convex-combination upper bound.
 
@@ -336,10 +318,8 @@ def pointwise_error_split(est: TrainedEstimator, x, f_star) -> tuple[float, floa
     shares; the first component never exceeds the second (Jensen).
     """
     X = np.atleast_1d(np.asarray(x, dtype=np.float64))[None, :]
-    k_p, _ = est._counts_batch(X, "p")
-    k_q, _ = est._counts_batch(X, "q")
-    sum_p = est._label_sums(X, k_p, "p")
-    sum_q = est._label_sums(X, k_q, "q")
+    k_p, _, sum_p = est.side_terms(X, "p")
+    k_q, _, sum_q = est.side_terms(X, "q")
     kp, kq = int(k_p[0]), int(k_q[0])
     total = (sum_p[0] + sum_q[0]) / (kp + kq)
     fx = float(np.asarray(f_star(X), dtype=np.float64).reshape(-1)[0])

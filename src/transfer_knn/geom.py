@@ -8,8 +8,6 @@ built on the first query, and concurrent read-only queries are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -21,13 +19,13 @@ _TIE_PAD = 8
 class PointSet:
     """An immutable set of points in R^d (duplicates retained)."""
 
-    def __init__(self, points, allow_empty: bool = False):
+    def __init__(self, points):
         pts = np.ascontiguousarray(points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2:
             raise ValueError("points must be a 2-D array of shape (n, d)")
-        if pts.shape[0] == 0 and not allow_empty:
+        if pts.shape[0] == 0:
             raise ValueError("point set must be nonempty")
         if pts.shape[1] < 1:
             raise ValueError("dimension must be >= 1")
@@ -48,20 +46,10 @@ class PointSet:
         return self._points.shape[0]
 
 
-@dataclass(frozen=True)
-class NeighborResult:
-    """One neighbour: index into the source PointSet and its distance."""
-
-    index: int
-    distance: float
-
-
 class NeighborIndex:
     """Exact nearest-neighbour index over a fixed PointSet."""
 
     def __init__(self, source: PointSet):
-        if len(source) == 0:
-            raise ValueError("cannot index an empty point set")
         self.source = source
         self._tree = None
 
@@ -122,30 +110,3 @@ class NeighborIndex:
                 dist[row] = d_all[full]
                 idx[row] = full
         return dist[:, :k], idx[:, :k]
-
-    def query(self, x, k: int) -> list[NeighborResult]:
-        dist, idx = self.query_batch(_as_query_row(x), k)
-        return [NeighborResult(int(i), float(d)) for i, d in zip(idx[0], dist[0])]
-
-
-def _as_query_row(x) -> np.ndarray:
-    """Coerce a single point (scalar, sequence, or array) to shape (1, d)."""
-    return np.atleast_1d(np.asarray(x, dtype=np.float64))[None, :]
-
-
-def build_index(points: PointSet) -> NeighborIndex:
-    """Build an immutable exact-kNN index over the given points."""
-    if not isinstance(points, PointSet):
-        points = PointSet(points)
-    return NeighborIndex(points)
-
-
-def query_knn(index: NeighborIndex, x, k: int) -> list[NeighborResult]:
-    """The k nearest stored points to x, sorted by distance then index."""
-    return index.query(x, k)
-
-
-def kth_distance(index: NeighborIndex, x, k: int) -> float:
-    """Distance from x to its k-th nearest stored point (R_k(x))."""
-    dist, _ = index.query_batch(_as_query_row(x), k)
-    return float(dist[0, -1])

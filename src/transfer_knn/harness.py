@@ -378,7 +378,7 @@ def neighbor_radius_concentration(
 # JSON configuration
 # ---------------------------------------------------------------------------
 
-_ESTIMATOR_FIELDS = {"beta", "d", "kappa_p", "kappa_q", "ell_factor", "tau"}
+_ESTIMATOR_FIELDS = {"beta", "d", "kappa_p", "kappa_q", "ell_factor"}
 
 
 def estimator_from_spec(obj: dict, where: str = "estimator") -> NeighborFunctionConfig:
@@ -397,9 +397,8 @@ def estimator_from_spec(obj: dict, where: str = "estimator") -> NeighborFunction
             kappa_p=float(obj.get("kappa_p", 1.0)),
             kappa_q=float(obj.get("kappa_q", 1.0)),
             ell_factor=float(obj.get("ell_factor", 1.0)),
-            tau=float(obj.get("tau", 2.0)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(where, str(exc)) from None
 
 

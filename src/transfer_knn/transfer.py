@@ -62,36 +62,36 @@ def _closed_form(P, Q, gamma: float) -> float | None:
     return None
 
 
-def _log_integrand(P, Q, gamma):
-    def log_g(x: float) -> float:
-        lq = Q.log_density(x)
-        if lq == -math.inf:
-            return -math.inf
-        lp = P.log_density(x)
-        if lp == -math.inf:
-            # Q puts mass where P has none: p^-gamma is infinite.
-            return math.inf if gamma > 0 else lq
-        return lq - gamma * lp
-
-    return log_g
-
-
 def _uncovered(P, Q) -> bool:
     """Whether Q's support reaches outside P's, where p vanishes."""
     (p_lo, p_hi), (q_lo, q_hi) = P.support, Q.support
     return q_lo < p_lo or q_hi > p_hi
 
 
-def _quadrature_value(P, Q, gamma: float) -> tuple[float, float, bool]:
-    lo, hi = Q.support
-    log_g = _log_integrand(P, Q, gamma)
+def _power_integral(
+    P, Q, a: float, b: float, lo: float, hi: float
+) -> tuple[float, float, bool]:
+    """int q^a p^b over [lo, hi] as (value, error, converged); b != 0.
+
+    Where q > 0 = p the integrand is infinite for b < 0 and zero for
+    b > 0.  On a bounded interval only that can make the integral
+    diverge: the families' densities are bounded away from 0 on compact
+    parts of their support, so a large value is still a finite one.
+    """
+
+    def log_g(x: float) -> float:
+        lq = Q.log_density(x)
+        if lq == -math.inf:
+            return -math.inf
+        lp = P.log_density(x)
+        if lp == -math.inf:
+            return math.inf if b < 0 else -math.inf
+        return a * lq + b * lp
+
     if math.isinf(hi):
         res = improper_quad(log_g, lo)
         return res.value, res.error, res.converged
-    # On a bounded support divergence comes from the supports alone: the
-    # families' densities are bounded away from 0 on compact parts of
-    # their support, so a large value is still a finite one.
-    if gamma > 0 and _uncovered(P, Q):
+    if b < 0 and _uncovered(P, Q):
         return math.inf, math.inf, False
     value, err = bounded_quad(lambda x: math.exp(min(log_g(x), 700.0)), lo, hi)
     if not math.isfinite(value):
@@ -125,7 +125,7 @@ def transfer_value(
             raise NumericError("no closed form for this pair")
 
     if method in ("auto", "quadrature") and P.dimension == 1 and Q.dimension == 1:
-        value, err, ok = _quadrature_value(P, Q, gamma)
+        value, err, ok = _power_integral(P, Q, 1.0, -gamma, *Q.support)
         return TransferEvaluation(gamma, value, "quadrature", err, ok)
     if method == "quadrature":
         raise NumericError("quadrature requires a 1-D pair")
@@ -225,28 +225,14 @@ def renyi_divergence(
         raise ValueError("alpha = 1 is excluded")
     if P.dimension != 1 or Q.dimension != 1:
         raise ValueError("Renyi divergence is implemented for 1-D pairs")
-
-    def log_g(x: float) -> float:
-        lq = Q.log_density(x)
-        if lq == -math.inf:
-            return -math.inf
-        lp = P.log_density(x)
-        if lp == -math.inf:
-            return math.inf if alpha > 1 else -math.inf
-        return alpha * lq + (1.0 - alpha) * lp
-
     lo = min(Q.support[0], P.support[0]) if alpha < 1 else Q.support[0]
     hi = max(Q.support[1], P.support[1])
-    if math.isinf(hi):
-        res = improper_quad(log_g, lo)
-        integral, ok = res.value, res.converged
-    elif alpha > 1 and _uncovered(P, Q):
-        integral, ok = math.inf, False
-    else:
-        integral, _ = bounded_quad(lambda x: math.exp(min(log_g(x), 700.0)), lo, hi)
-        ok = math.isfinite(integral)
+    integral, _, ok = _power_integral(P, Q, alpha, 1.0 - alpha, lo, hi)
     if not ok:
         return math.inf if alpha > 1 else -math.inf
+    if integral == 0.0:
+        # Q and P share no mass: the divergence is infinite for every alpha.
+        return math.inf
     return math.log(integral) / (alpha - 1.0)
 
 

@@ -24,7 +24,7 @@ from transfer_knn.distributions import (
     local_mass_check,
 )
 from transfer_knn.estimator import NeighborFunctionConfig, fit, pointwise_error_split
-from transfer_knn.geom import PointSet, build_index
+from transfer_knn.geom import NeighborIndex, PointSet
 from transfer_knn.harness import (
     ExperimentConfig,
     fit_slope,
@@ -184,13 +184,14 @@ def test_criterion_5_estimator_oracles():
         # index kNN agrees exactly with the brute-force oracle
         for d in (1, 2, 3):
             pts = rng.standard_normal((500, d))
-            index = build_index(PointSet(pts))
+            index = NeighborIndex(PointSet(pts))
             queries = rng.standard_normal((340, d))
             ks = rng.integers(1, 40, size=len(queries))
             for x, k in zip(queries, ks):
-                got = index.query(x, int(k))
+                dist, ind = index.query_batch(x[None, :], int(k))
+                got = list(zip(ind[0].tolist(), dist[0].tolist()))
                 want = brute_force_knn(pts, x, int(k))
-                assert [(r.index, r.distance) for r in got] == want
+                assert got == want
 
         # clamp envelope at 10^4 queries
         n, m = 800, 600

@@ -255,6 +255,33 @@ class TestSimulateCommand:
         X, y = read_labeled_csv(out / "train_source.csv")
         assert X.shape == (64, 1) and y.shape == (64,)
 
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            pytest.param({"n_test": -3}, "n_test", id="n_test=-3"),
+            pytest.param({"n_test": 0}, "n_test", id="n_test=0"),
+            pytest.param({"m": -5}, "m", id="m=-5"),
+            pytest.param({"n": 0, "m": 0}, "n, m", id="n=m=0"),
+            pytest.param(
+                {"estimator": {"beta": 1.0, "d": 1, "tau": 2.0}}, "estimator.tau", id="tau"
+            ),
+            pytest.param({"estimator": {"beta": None, "d": 1}}, "estimator", id="beta=null"),
+            pytest.param(
+                {"noise": {"sigma_e": 0.25, "alpha_se": 1.0}}, "noise.alpha_se", id="alpha_se"
+            ),
+            pytest.param({"noise": {"sigma_e": 0.25, "nu": 1.0}}, "noise.nu", id="nu"),
+            pytest.param({"noise": {"sigma_e": None}}, "noise", id="sigma_e=null"),
+        ],
+    )
+    def test_bad_field_exits_one_naming_it(self, tmp_path, capsys, override, field):
+        cfg = write_json(tmp_path / "sim.json", dict(self.CONFIG, **override))
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"field '{field}'" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*"))
+
 
 class TestSimulateThreads:
     CONFIG = {
@@ -348,6 +375,26 @@ class TestCheckRegularityCommand:
         assert "passed,false" in body
         failures = (out / "regularity_failures.csv").read_text().splitlines()
         assert len(failures) > 1
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            pytest.param({"x_points": "abc"}, "x_points", id="x_points=abc"),
+            pytest.param({"x_points": 0}, "x_points", id="x_points=0"),
+            pytest.param({"r_points": 0}, "r_points", id="r_points=0"),
+            pytest.param({"theta": "x"}, "theta", id="theta=x"),
+            pytest.param({"theta": -1}, "theta", id="theta=-1"),
+        ],
+    )
+    def test_bad_field_exits_one_naming_it(self, tmp_path, capsys, override, field):
+        body = {"distribution": {"family": "pareto", "alpha": 1.0, "sigma": 1.0}}
+        cfg = write_json(tmp_path / "reg.json", dict(body, **override))
+        out = tmp_path / "out"
+        assert run(["check-regularity", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"field '{field}'" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*"))
 
 
 class TestArgvHandling:

@@ -10,15 +10,13 @@ from transfer_knn.distributions import ProductPareto
 from transfer_knn.estimator import (
     NeighborFunctionConfig,
     fit,
-    knn_density,
-    neighbor_count,
+    neighbor_counts,
     pointwise_error_split,
-    predict,
     read_labeled_csv,
     write_labeled_csv,
     write_predictions_csv,
 )
-from transfer_knn.geom import _TIE_PAD, NeighborIndex, PointSet, build_index
+from transfer_knn.geom import _TIE_PAD, NeighborIndex
 
 CFG = NeighborFunctionConfig(beta=1.0, d=1)
 
@@ -66,37 +64,47 @@ def reference_one_sample_predict(X, y, x, beta, d, kappa=1.0, ell_factor=1.0):
     return total / k
 
 
+def one_sample_p_hat(coords, x, cfg=CFG):
+    """ell and the source density estimate p_hat(x) of a one-sample fit."""
+    X = np.asarray(coords, dtype=np.float64)[:, None]
+    est = fit((X, np.zeros(len(X))), None, cfg)
+    return est.ell, est.predict_batch([[x]])[3][0]
+
+
 class TestKnnDensity:
     def test_four_point_example(self):
-        idx = build_index(PointSet(np.array([[0.0], [1.0], [2.0], [3.0]])))
-        assert knn_density(idx, [0.0], 2, 4, 1) == 0.5
+        # ell = ceil(log 4) = 2, R_2(0) = 1
+        assert one_sample_p_hat([0.0, 1.0, 2.0, 3.0], 0.0) == (2, 0.5)
 
     def test_grid_example(self):
-        idx = build_index(PointSet((np.arange(10) / 10.0)[:, None]))
-        assert math.isclose(knn_density(idx, [0.45], 2, 10, 1), 4.0, rel_tol=1e-12)
+        # ell = ceil(0.8 log 10) = 2, R_2(0.45) = 0.05
+        cfg = NeighborFunctionConfig(beta=1.0, d=1, ell_factor=0.8)
+        ell, p_hat = one_sample_p_hat(np.arange(10) / 10.0, 0.45, cfg)
+        assert ell == 2
+        assert math.isclose(p_hat, 4.0, rel_tol=1e-12)
 
     def test_duplicates_give_infinity(self):
-        idx = build_index(PointSet(np.array([[1.0], [1.0], [2.0]])))
-        assert knn_density(idx, [1.0], 2, 3, 1) == math.inf
+        # ell = ceil(log 3) = 2, R_2(1) = 0
+        assert one_sample_p_hat([1.0, 1.0, 2.0], 1.0) == (2, math.inf)
 
-    def test_ell_out_of_range(self):
-        idx = build_index(PointSet(np.array([[0.0], [1.0]])))
-        with pytest.raises(ValueError):
-            knn_density(idx, [0.0], 3, 2, 1)
+
+def count_at(p_hat, n_own, joint_log, config, kappa):
+    """neighbor_counts at a single density value."""
+    return int(neighbor_counts([p_hat], n_own, joint_log, config, kappa)[0])
 
 
 class TestNeighborCount:
     def test_hand_example(self):
-        assert neighbor_count(0.5, 100, math.log(100), CFG, 1.0) == 23
+        assert count_at(0.5, 100, math.log(100), CFG, 1.0) == 23
 
     def test_zero_density_hits_lower_clamp(self):
-        assert neighbor_count(0.0, 100, math.log(100), CFG, 1.0) == 5
+        assert count_at(0.0, 100, math.log(100), CFG, 1.0) == 5
 
     def test_infinite_density_hits_upper_clamp(self):
-        assert neighbor_count(math.inf, 100, math.log(100), CFG, 1.0) == 100
+        assert count_at(math.inf, 100, math.log(100), CFG, 1.0) == 100
 
     def test_huge_density_clamps_at_n(self):
-        assert neighbor_count(1e12, 100, math.log(100), CFG, 1.0) == 100
+        assert count_at(1e12, 100, math.log(100), CFG, 1.0) == 100
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -107,7 +115,8 @@ class TestNeighborCount:
     def test_monotone_in_density(self, p1, p2, n):
         lo, hi = sorted((p1, p2))
         jl = math.log(n * 7)
-        assert neighbor_count(lo, n, jl, CFG, 1.0) <= neighbor_count(hi, n, jl, CFG, 1.0)
+        k_lo, k_hi = neighbor_counts([lo, hi], n, jl, CFG, 1.0)
+        assert k_lo <= k_hi
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -118,7 +127,7 @@ class TestNeighborCount:
     def test_monotone_in_sample_size(self, p, n1, n2):
         lo, hi = sorted((n1, n2))
         jl = math.log(hi * 3)
-        assert neighbor_count(p, lo, jl, CFG, 1.0) <= neighbor_count(p, hi, jl, CFG, 1.0)
+        assert count_at(p, lo, jl, CFG, 1.0) <= count_at(p, hi, jl, CFG, 1.0)
 
 
 class TestFit:
@@ -160,14 +169,14 @@ class TestPredict:
             CFG,
         )
         for x in rng.random(10):
-            assert predict(est, [x]).value == 2.5
+            assert est.predict([x]).value == 2.5
 
     def test_two_point_clamp_average(self):
         # huge kappa drives the count into the upper clamp k = n = 2
         cfg = NeighborFunctionConfig(beta=1.0, d=1, kappa_p=1e6)
         est = fit((np.array([[0.0], [1.0]]), np.array([0.0, 1.0])), None, cfg)
         for x in (-1.0, 0.2, 0.7, 3.0):
-            p = predict(est, [x])
+            p = est.predict([x])
             assert p.k_p_used == 2 and p.value == 0.5
 
     def test_m_zero_reduces_to_one_sample(self):
@@ -179,7 +188,7 @@ class TestPredict:
             two = fit((X, y), (np.empty((0, 1)), np.empty(0)), CFG)
             one = fit((X, y), None, CFG)
             x = rng.standard_normal(1)
-            assert predict(two, x).value == predict(one, x).value
+            assert two.predict(x).value == one.predict(x).value
 
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(11)
@@ -190,7 +199,7 @@ class TestPredict:
             est = fit((X, y), None, CFG)
             x = rng.random(1)
             want = reference_one_sample_predict(X, y, x, beta=1.0, d=1)
-            assert math.isclose(predict(est, x).value, want, rel_tol=1e-12, abs_tol=1e-12)
+            assert math.isclose(est.predict(x).value, want, rel_tol=1e-12, abs_tol=1e-12)
 
     def test_clamp_envelope(self):
         rng = np.random.default_rng(13)
@@ -213,13 +222,13 @@ class TestPredict:
         y = rng.standard_normal(n)
         est = fit((X, y), None, CFG)
         x = [0.1]
-        base = predict(est, x)
+        base = est.predict(x)
         # perturb the label of the farthest point from x
         far = int(np.argmax(np.abs(X[:, 0] - x[0])))
         y2 = y.copy()
         y2[far] += 100.0
         est2 = fit((X, y2), None, CFG)
-        after = predict(est2, x)
+        after = est2.predict(x)
         assert base.k_p_used < n  # otherwise the far point participates
         assert after.value == base.value
 
@@ -230,14 +239,14 @@ class TestPredict:
             (rng.random((32, 1)), rng.standard_normal(32)),
             CFG,
         )
-        p = predict(est, [0.4])
+        p = est.predict([0.4])
         assert p.k_p_used <= 64 and p.k_q_used <= 32
         assert p.p_hat > 0 and p.q_hat > 0
 
     def test_tiny_sample_degenerate_ell(self):
         # n = 1, m = 0: log(nm) = 0, density step disabled, k floors at 1
         est = fit((np.array([[0.5]]), np.array([4.0])), None, CFG)
-        p = predict(est, [0.9])
+        p = est.predict([0.9])
         assert p.value == 4.0 and p.k_p_used == 1
         assert p.p_hat == math.inf
 
@@ -245,7 +254,7 @@ class TestPredict:
         cfg = NeighborFunctionConfig(beta=0.5, d=2)
         rng = np.random.default_rng(23)
         est = fit((rng.random((80, 2)), rng.standard_normal(80)), None, cfg)
-        p = predict(est, [0.5, 0.5])
+        p = est.predict([0.5, 0.5])
         assert math.isfinite(p.value) and 1 <= p.k_p_used <= 80
 
     def test_concurrent_predicts(self):
@@ -258,9 +267,9 @@ class TestPredict:
             CFG,
         )
         queries = rng.random(100)
-        serial = [predict(est, [x]).value for x in queries]
+        serial = [est.predict([x]).value for x in queries]
         with ThreadPoolExecutor(max_workers=8) as pool:
-            threaded = list(pool.map(lambda x: predict(est, [x]).value, queries))
+            threaded = list(pool.map(lambda x: est.predict([x]).value, queries))
         assert threaded == serial
 
 
@@ -292,6 +301,50 @@ class TestErrorSplit:
         for x in rng.random(1000):
             lhs, rhs = pointwise_error_split(est, [x], f)
             assert lhs <= rhs + 1e-12
+
+
+class TestSideTerms:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_predict_batch_is_built_from_both_sides(self, d):
+        rng = np.random.default_rng(73)
+        cfg = NeighborFunctionConfig(beta=1.0, d=d)
+        est = fit(
+            (rng.random((120, d)), rng.standard_normal(120)),
+            (rng.random((40, d)), rng.standard_normal(40)),
+            cfg,
+        )
+        X = rng.random((50, d))
+        k_p, p_hat, sum_p = est.side_terms(X, "p")
+        k_q, q_hat, sum_q = est.side_terms(X, "q")
+        values, *rest = est.predict_batch(X)
+        for got, want in zip(rest, (k_p, k_q, p_hat, q_hat)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(values, (sum_p + sum_q) / (k_p + k_q))
+
+    def test_empty_side_contributes_nothing(self):
+        rng = np.random.default_rng(79)
+        est = fit((rng.random((30, 1)), rng.standard_normal(30)), None, CFG)
+        k, density, sums = est.side_terms(rng.random((5, 1)), "q")
+        assert k.tolist() == [0] * 5 and sums.tolist() == [0.0] * 5
+        assert np.all(np.isinf(density))
+
+    def test_unknown_side_rejected(self):
+        est = fit((np.zeros((3, 1)), np.zeros(3)), None, CFG)
+        with pytest.raises(ValueError):
+            est.side_terms([[0.0]], "source")
+
+    def test_error_split_uses_the_prediction(self):
+        rng = np.random.default_rng(83)
+        est = fit(
+            (rng.random((90, 1)), rng.standard_normal(90)),
+            (rng.random((60, 1)), rng.standard_normal(60)),
+            CFG,
+        )
+        f = lambda X: np.sin(3 * X[:, 0])
+        for x in rng.random(20):
+            value = est.predict_batch([[x]])[0][0]
+            lhs, _ = pointwise_error_split(est, [x], f)
+            assert lhs == (value - f(np.array([[x]]))[0]) ** 2
 
 
 class TestFastPathConsistency:

@@ -6,20 +6,25 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from conftest import brute_force_knn
-from transfer_knn.geom import (
-    _TIE_PAD,
-    PointSet,
-    build_index,
-    kth_distance,
-    query_knn,
-)
+from transfer_knn.geom import _TIE_PAD, NeighborIndex, PointSet
 
 
 def index_of(coords):
     pts = np.asarray(coords, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
-    return build_index(PointSet(pts))
+    return NeighborIndex(PointSet(pts))
+
+
+def nearest(idx, x, k):
+    """(index, distance) pairs of one query's k nearest points."""
+    dist, ind = idx.query_batch(np.reshape(np.asarray(x, dtype=np.float64), (1, -1)), k)
+    return list(zip(ind[0].tolist(), dist[0].tolist()))
+
+
+def kth(idx, x, k):
+    """R_k(x): the last distance of one query's k nearest points."""
+    return nearest(idx, x, k)[-1][1]
 
 
 class TestConstruction:
@@ -33,7 +38,7 @@ class TestConstruction:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            build_index(PointSet(np.empty((0, 1)), allow_empty=True))
+            PointSet(np.empty((0, 1)))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -48,68 +53,68 @@ class TestConstruction:
 class TestQueryKnn:
     def test_basic_order(self):
         idx = index_of([0.0, 1.0, 3.0])
-        res = query_knn(idx, [0.0], 2)
-        assert [r.index for r in res] == [0, 1]
-        assert [r.distance for r in res] == [0.0, 1.0]
+        res = nearest(idx, [0.0], 2)
+        assert [i for i, _ in res] == [0, 1]
+        assert [d for _, d in res] == [0.0, 1.0]
 
     def test_self_distance_zero(self):
         idx = index_of([0.0, 1.0, 3.0])
-        assert query_knn(idx, [1.0], 1)[0].distance == 0.0
+        assert nearest(idx, [1.0], 1)[0][1] == 0.0
 
     def test_tie_lower_index_wins(self):
         idx = index_of([-1.0, 1.0])
-        res = query_knn(idx, [0.0], 1)
-        assert res[0].index == 0
-        assert res[0].distance == 1.0
+        res = nearest(idx, [0.0], 1)
+        assert res[0][0] == 0
+        assert res[0][1] == 1.0
 
     def test_k_out_of_range(self):
         idx = index_of([0.0, 1.0])
         with pytest.raises(ValueError):
-            query_knn(idx, [0.0], 3)
+            nearest(idx, [0.0], 3)
         with pytest.raises(ValueError):
-            query_knn(idx, [0.0], 0)
+            nearest(idx, [0.0], 0)
 
     def test_deep_tie_blocks(self):
         # 12 points at the same coordinate exceed the query padding.
         pts = np.zeros(12)
         idx = index_of(pts)
-        res = query_knn(idx, [0.0], 5)
-        assert [r.index for r in res] == [0, 1, 2, 3, 4]
+        res = nearest(idx, [0.0], 5)
+        assert [i for i, _ in res] == [0, 1, 2, 3, 4]
 
     def test_matches_brute_force_2d(self):
         rng = np.random.default_rng(2024)
         pts = rng.random((500, 2))
-        idx = build_index(PointSet(pts))
+        idx = NeighborIndex(PointSet(pts))
         for _ in range(100):
             x = rng.random(2)
             k = int(rng.integers(1, 20))
-            got = query_knn(idx, x, k)
+            got = nearest(idx, x, k)
             want = brute_force_knn(pts, x, k)
-            assert [(r.index, r.distance) for r in got] == want
+            assert got == want
 
 
 class TestKthDistance:
     def test_examples(self):
         idx = index_of([0.0, 1.0, 3.0])
-        assert kth_distance(idx, [0.0], 1) == 0.0
-        assert kth_distance(idx, [0.0], 2) == 1.0
-        assert kth_distance(idx, [0.0], 3) == 3.0
+        assert kth(idx, [0.0], 1) == 0.0
+        assert kth(idx, [0.0], 2) == 1.0
+        assert kth(idx, [0.0], 3) == 3.0
 
     def test_singleton(self):
         idx = index_of([5.0])
-        assert kth_distance(idx, [5.0], 1) == 0.0
+        assert kth(idx, [5.0], 1) == 0.0
 
     def test_tied_pair(self):
         idx = index_of([0.0, 2.0])
-        assert kth_distance(idx, [1.0], 2) == 1.0
+        assert kth(idx, [1.0], 2) == 1.0
 
     def test_nondecreasing_in_k(self):
         rng = np.random.default_rng(5)
         pts = rng.random((60, 3))
-        idx = build_index(PointSet(pts))
+        idx = NeighborIndex(PointSet(pts))
         for _ in range(20):
             x = rng.random(3)
-            dists = [kth_distance(idx, x, k) for k in range(1, 61)]
+            dists = [kth(idx, x, k) for k in range(1, 61)]
             assert dists == sorted(dists)
 
 
@@ -118,7 +123,7 @@ class TestInvariants:
     def test_index_equals_brute_force(self, d):
         rng = np.random.default_rng(100 + d)
         pts = rng.standard_normal((200, d))
-        idx = build_index(PointSet(pts))
+        idx = NeighborIndex(PointSet(pts))
         queries = rng.standard_normal((150, d))
         dist, ind = idx.query_batch(queries, 7)
         for row, x in enumerate(queries):
@@ -143,15 +148,15 @@ class TestInvariants:
         shuffled = index_of([coords[p] for p in perm])
         x = [0.25]
         k = len(coords) // 2 + 1
-        res_a = query_knn(base, x, k)
-        res_b = query_knn(shuffled, x, k)
-        assert [r.distance for r in res_a] == [r.distance for r in res_b]
+        res_a = nearest(base, x, k)
+        res_b = nearest(shuffled, x, k)
+        assert [d for _, d in res_a] == [d for _, d in res_b]
         # indices map through the permutation whenever no distances tie
         # (ties re-break by original index, which permutes differently)
         all_dists = sorted(abs(c - x[0]) for c in coords)
         if len(set(all_dists)) == len(all_dists):
-            assert [coords[perm[r.index]] for r in res_b] == [
-                coords[r.index] for r in res_a
+            assert [coords[perm[i]] for i, _ in res_b] == [
+                coords[i] for i, _ in res_a
             ]
 
     def test_concurrent_reads_safe(self):
@@ -159,16 +164,16 @@ class TestInvariants:
 
         rng = np.random.default_rng(77)
         pts = rng.random((300, 2))
-        idx = build_index(PointSet(pts))
+        idx = NeighborIndex(PointSet(pts))
         queries = rng.random((64, 2))
 
         def work(q):
-            return query_knn(idx, q, 5)
+            return nearest(idx, q, 5)
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(work, queries))
         for q, res in zip(queries, results):
-            assert [(r.index, r.distance) for r in res] == brute_force_knn(pts, q, 5)
+            assert res == brute_force_knn(pts, q, 5)
 
     def test_concurrent_first_queries_race_the_tree_build(self):
         import sys
@@ -182,12 +187,12 @@ class TestInvariants:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                idx = build_index(PointSet(pts))  # tree not built yet
+                idx = NeighborIndex(PointSet(pts))  # tree not built yet
                 with ThreadPoolExecutor(max_workers=8) as pool:
-                    futures = [pool.submit(query_knn, idx, q, 5) for q in queries]
+                    futures = [pool.submit(nearest, idx, q, 5) for q in queries]
                     got = [f.result(timeout=60) for f in futures]
                 for res, w in zip(got, want):
-                    assert [(r.index, r.distance) for r in res] == w
+                    assert res == w
         finally:
             sys.setswitchinterval(interval)
 
@@ -198,7 +203,7 @@ class TestTieOnlyReordering:
         base = rng.random((200, 2))
         # points 200..207 repeat points 0..7: queries near them see ties
         pts = np.concatenate([base, base[:8]])
-        idx = build_index(PointSet(pts))
+        idx = NeighborIndex(PointSet(pts))
         queries = np.concatenate([base[:8], rng.random((40, 2))])
         k = 5
         dist, ind = idx.query_batch(queries, k)

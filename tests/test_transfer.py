@@ -269,6 +269,15 @@ class TestRenyi:
     def test_uncovered_support_diverges(self):
         assert renyi_divergence(Uniform(0.0, 2.0), Uniform(0.0, 1.0), 2.0) == math.inf
 
+    def test_disjoint_supports_small_alpha_diverge(self):
+        # For alpha < 1 the integrand q^a p^(1-a) vanishes everywhere.
+        assert renyi_divergence(Uniform(2.0, 3.0), Uniform(0.0, 1.0), 0.5) == math.inf
+
+    def test_small_alpha_partial_overlap(self):
+        # int q^0.5 p^0.5 = 2^-0.5 over [0, 1], so D = log 2.
+        d = renyi_divergence(Uniform(0.0, 2.0), Uniform(0.0, 1.0), 0.5)
+        assert math.isclose(d, math.log(2.0), rel_tol=1e-9)
+
 
 class TestIndexLowerBounds:
     def test_renyi_bound(self):
