@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import family_from_spec, local_mass_check
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, config_integer
 from .estimator import fit, write_labeled_csv, write_predictions_csv
 from .harness import experiment_from_spec, generate_data, problem_from_spec, sweep
 from .rates import RateParams, phase_grid, theoretical_rate
@@ -127,6 +127,8 @@ def _require(obj: dict, key: str, caster, where: str = ""):
     label = f"{where}.{key}" if where else key
     if key not in obj:
         raise ConfigError(label, "missing")
+    if caster is int:
+        return config_integer(obj[key], label)
     try:
         return caster(obj[key])
     except (TypeError, ValueError):
@@ -317,6 +319,8 @@ def _cmd_simulate(args, stager: OutputStager) -> None:
         raise ConfigError("n, m", "at least one of the two samples must be nonempty")
     n_test = _count(cfg, "n_test", 1)
     seed = args.seed if args.seed is not None else _require(cfg, "seed", int)
+    if seed < 0:
+        raise ConfigError("seed", f"must be at least 0, got {seed}")
     if n > 0 and source is None:
         raise ConfigError("source", "required when n > 0")
     ss = np.random.SeedSequence(seed)

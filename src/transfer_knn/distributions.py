@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from ._integrate import improper_quad
-from .errors import ConfigError, NoClosedFormError, RadiusSearchError
+from .errors import ConfigError, NoClosedFormError, RadiusSearchError, config_integer
 
 # zeta() doubles its bracket up to this radius before giving up.
 ZETA_BRACKET_CAP = 2.0**40
@@ -675,9 +675,9 @@ def holder_parabola() -> HolderFunction:
 
 
 _BUILTIN_HOLDER = {
-    "zero": lambda obj: holder_zero(int(obj.get("d", 1))),
-    "constant": lambda obj: holder_constant(obj["value"], int(obj.get("d", 1))),
-    "parabola": lambda obj: holder_parabola(),
+    "zero": lambda obj, d: holder_zero(d),
+    "constant": lambda obj, d: holder_constant(obj["value"], d),
+    "parabola": lambda obj, d: holder_parabola(),
 }
 
 
@@ -728,8 +728,11 @@ def family_from_spec(obj: dict, where: str = "distribution") -> DistributionFami
     for key in required:
         if key not in obj:
             raise ConfigError(f"{where}.{key}", "missing")
+        if key == "d":
+            vals[key] = config_integer(obj[key], f"{where}.d")
+            continue
         try:
-            vals[key] = float(obj[key]) if key != "d" else int(obj[key])
+            vals[key] = float(obj[key])
         except (TypeError, ValueError):
             raise ConfigError(f"{where}.{key}", "not a number") from None
     try:
@@ -754,8 +757,9 @@ def holder_from_spec(obj: dict, where: str = "f_star") -> HolderFunction:
         raise ConfigError(f"{where}.name", "missing")
     if name not in _BUILTIN_HOLDER:
         raise ConfigError(f"{where}.name", f"unknown function '{name}'")
+    d = config_integer(obj.get("d", 1), f"{where}.d")
     try:
-        return _BUILTIN_HOLDER[name](obj)
+        return _BUILTIN_HOLDER[name](obj, d)
     except KeyError as exc:
         raise ConfigError(f"{where}.{exc.args[0]}", "missing") from None
 

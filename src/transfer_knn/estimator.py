@@ -91,41 +91,61 @@ def neighbor_counts(
 
 
 class _SortedSample1D:
-    """Coordinate-sorted view of a 1-D sample for O(log n) kNN windows.
+    """Coordinate-sorted view of a 1-D sample for O(log k) kNN windows.
 
     In one dimension the k nearest neighbours of x occupy a contiguous
-    window of the sorted coordinates, located by bisecting the monotone
-    "shift right" predicate x - a[i] > a[i+k] - x.  Label sums come from
-    a prefix-sum array.  A window whose boundary distance is exactly
-    tied with the next point outside is ambiguous under the
-    original-index tie rule and is resolved through the exact index
-    path instead.
+    window of the sorted coordinates a.  With pos the insertion point of
+    x, the window start lies in [max(pos - k, 0), min(pos, n - k)], and
+    the "shift right" predicate x - a[i] > a[i+k] - x holds on a prefix
+    of that range; the start is the length of that prefix past its low
+    end.  window_starts finds it for every query at once with one fixed
+    descending power-of-two step per round, about log2 k rounds, each a
+    few array operations and no per-row bookkeeping.  positions runs one
+    searchsorted on the queries in sorted order, and its result is
+    shared by the ell-distance and label-sum steps of a batch.
+
+    The sample is sorted once per fit by the default argsort, whose
+    order is the unique one when all coordinates differ; a sample with
+    an equal adjacent pair is re-sorted stably, so tied points keep
+    ascending-index order.  Label sums come from a prefix-sum array.  A
+    window whose boundary distance is exactly tied with the next point
+    outside is ambiguous under the original-index tie rule and is
+    resolved through the exact index path instead.
     """
 
     def __init__(self, X: np.ndarray, labels: np.ndarray):
-        order = np.argsort(X[:, 0], kind="stable")
-        self.coords = X[order, 0]
+        x = X[:, 0]
+        order = np.argsort(x)
+        coords = x[order]
+        if np.any(coords[1:] == coords[:-1]):
+            order = np.argsort(x, kind="stable")
+            coords = x[order]
+        self.coords = coords
         self.labels = labels[order]
         self.prefix = np.concatenate([[0.0], np.cumsum(self.labels)])
         self.n = len(order)
 
-    def window_starts(self, x: np.ndarray, k: np.ndarray) -> np.ndarray:
-        n, a = self.n, self.coords
-        pos = np.searchsorted(a, x)
-        lo = np.maximum(pos - k, 0)
-        hi = np.minimum(pos, n - k)
-        lo = np.minimum(lo, hi)
-        while True:
-            open_rows = lo < hi
-            if not np.any(open_rows):
-                return lo
-            mid = (lo + hi) // 2
-            probe = np.where(open_rows, mid, 0)
-            shift = open_rows & (
-                x - a[probe] > a[np.minimum(probe + k, n - 1)] - x
-            )
-            lo = np.where(shift, mid + 1, lo)
-            hi = np.where(open_rows & ~shift, mid, hi)
+    def positions(self, x: np.ndarray) -> np.ndarray:
+        """searchsorted(coords, x), searched in ascending order of x."""
+        order = np.argsort(x)
+        pos = np.empty(len(x), dtype=np.intp)
+        pos[order] = np.searchsorted(self.coords, x[order])
+        return pos
+
+    def window_starts(self, x: np.ndarray, k, pos: np.ndarray) -> np.ndarray:
+        a = self.coords
+        hi = np.minimum(pos, self.n - k)
+        s = np.minimum(np.maximum(pos - k, 0), hi)
+        span = int((hi - s).max(initial=0))
+        step = 1 << (span.bit_length() - 1) if span else 0
+        while step:
+            # Rows with t == s (no room left) test an arbitrary in-range
+            # pair and keep s whatever the outcome.
+            t = np.minimum(s + step, hi)
+            left = t - 1
+            s = np.where(x - a[left] > a[left + k] - x, t, s)
+            step >>= 1
+        return s
 
     def window_radius(self, x, k, starts) -> np.ndarray:
         left = x - self.coords[starts]
@@ -185,16 +205,19 @@ class TrainedEstimator:
     def _density_enabled(self, n_own: int) -> bool:
         return n_own >= 1 and 1 <= self.ell <= n_own
 
-    def _ell_distances(self, X, which: str, workers=1) -> np.ndarray:
-        """R_ell(x) from one sample at each row of X."""
+    def _ell_distances(self, X, which: str, workers=1, pos=None) -> np.ndarray:
+        """R_ell(x) from one sample at each row of X.
+
+        pos is the 1-D path's positions of X in the sorted sample.
+        """
         index, sorted1d, _, _, _ = self._side(which)
         if sorted1d is not None:
-            starts = sorted1d.window_starts(X[:, 0], self.ell)
+            starts = sorted1d.window_starts(X[:, 0], self.ell, pos)
             return sorted1d.window_radius(X[:, 0], self.ell, starts)
         dist, _ = index.query_batch(X, self.ell, workers=workers)
         return dist[:, -1]
 
-    def _counts_batch(self, X: np.ndarray, which: str, workers: int = 1):
+    def _counts_batch(self, X: np.ndarray, which: str, workers: int = 1, pos=None):
         _, _, _, n_own, kappa = self._side(which)
         q = len(X)
         if n_own == 0:
@@ -202,7 +225,7 @@ class TrainedEstimator:
         if not self._density_enabled(n_own):
             k = min(n_own, max(int(math.ceil(self.joint_log)), _MIN_K))
             return np.full(q, k, dtype=np.int64), np.full(q, math.inf)
-        r = self._ell_distances(X, which, workers)
+        r = self._ell_distances(X, which, workers, pos)
         with np.errstate(divide="ignore"):
             p_hat = np.where(r > 0.0, self.ell / (n_own * r**self.config.d), math.inf)
         k = neighbor_counts(p_hat, n_own, self.joint_log, self.config, kappa)
@@ -229,8 +252,11 @@ class TrainedEstimator:
             out[group] = csums[np.arange(len(group)), kg - 1]
         return out
 
-    def _label_sums(self, X: np.ndarray, k: np.ndarray, which: str, workers=1):
-        """Sum of the labels of each row's first k_i neighbours."""
+    def _label_sums(self, X, k: np.ndarray, which: str, workers=1, pos=None):
+        """Sum of the labels of each row's first k_i neighbours.
+
+        pos is the 1-D path's positions of X in the sorted sample.
+        """
         _, sorted1d, _, n_own, _ = self._side(which)
         sums = np.zeros(len(X))
         if n_own == 0 or len(k) == 0 or int(k.max()) == 0:
@@ -240,7 +266,7 @@ class TrainedEstimator:
             return self._label_sums_exact(X, k, which, live, workers)
         x = X[:, 0]
         ks = np.maximum(k, 1)
-        starts = sorted1d.window_starts(x, ks)
+        starts = sorted1d.window_starts(x, ks, pos)
         ambiguous = live & sorted1d.boundary_ties(x, ks, starts)
         clean = live & ~ambiguous
         sums[clean] = sorted1d.label_sums(x[clean], ks[clean], starts[clean])
@@ -257,8 +283,10 @@ class TrainedEstimator:
         if side not in ("p", "q"):
             raise ValueError(f"side must be 'p' or 'q', got {side!r}")
         X = _coerce_points(X, self.config.d)
-        k, density = self._counts_batch(X, side, workers)
-        return k, density, self._label_sums(X, k, side, workers)
+        sorted1d = self._side(side)[1]
+        pos = None if sorted1d is None else sorted1d.positions(X[:, 0])
+        k, density = self._counts_batch(X, side, workers, pos)
+        return k, density, self._label_sums(X, k, side, workers, pos)
 
     def predict_batch(self, X, workers: int = 1):
         """Vectorised predictions; returns (values, k_p, k_q, p_hat, q_hat)."""

@@ -14,6 +14,9 @@ from scipy.spatial import cKDTree
 # Extra neighbours fetched beyond k so that ties straddling the cut can be
 # reordered deterministically without a second tree query in the common case.
 _TIE_PAD = 8
+# Largest rows x depth block of one re-query of rows whose tie block runs
+# past their fetch (16 MiB of distances and indices).
+_REFETCH_CELLS = 1 << 20
 
 
 class PointSet:
@@ -89,6 +92,27 @@ class NeighborIndex:
             raise ValueError("query coordinates must be finite")
 
         kq = min(n, k + _TIE_PAD)
+        dist, idx = self._fetch(q, kq, workers)
+        reach = dist[:, -1].copy()
+        dist, idx = dist[:, :k], idx[:, :k]
+        # A tie block cut off at the end of a fetch cannot be ordered from
+        # what the tree returned.  Those rows are fetched again at twice
+        # the depth, at most _REFETCH_CELLS cells per query, until each
+        # block ends inside its fetch or the fetch holds every point.
+        rows = np.arange(len(q))
+        while kq < n:
+            rows = rows[dist[rows, k - 1] >= reach[rows]]
+            if not len(rows):
+                break
+            kq = min(n, 2 * kq)
+            for part in np.array_split(rows, -(-len(rows) * kq // _REFETCH_CELLS)):
+                wide_d, wide_i = self._fetch(q[part], kq, workers)
+                dist[part], idx[part] = wide_d[:, :k], wide_i[:, :k]
+                reach[part] = wide_d[:, -1]
+        return dist, idx
+
+    def _fetch(self, q, kq: int, workers: int):
+        """The tree's kq nearest points of each row, in (distance, index) order."""
         dist, idx = self._kdtree().query(q, k=kq, workers=workers)
         dist = dist.reshape(len(q), kq)
         idx = idx.reshape(len(q), kq)
@@ -99,14 +123,4 @@ class NeighborIndex:
             order = np.lexsort((idx[tied], dist[tied]), axis=-1)
             dist[tied] = np.take_along_axis(dist[tied], order, axis=-1)
             idx[tied] = np.take_along_axis(idx[tied], order, axis=-1)
-
-        if kq < n:
-            # A tie block truncated by the padding cannot be reordered from
-            # what the tree returned; redo those rows exhaustively.
-            stale = dist[:, k - 1] >= dist[:, kq - 1]
-            for row in np.nonzero(stale)[0]:
-                d_all = np.linalg.norm(self.source.points - q[row], axis=1)
-                full = np.lexsort((np.arange(n), d_all))[:kq]
-                dist[row] = d_all[full]
-                idx[row] = full
-        return dist[:, :k], idx[:, :k]
+        return dist, idx

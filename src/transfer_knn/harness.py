@@ -24,7 +24,7 @@ from .distributions import (
     noise_from_spec,
     zeta,
 )
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, config_integer
 from .estimator import NeighborFunctionConfig, TrainedEstimator, fit
 from .geom import NeighborIndex, PointSet
 from .rates import RateParams, theoretical_rate
@@ -51,10 +51,16 @@ class ExperimentConfig:
                 raise ValueError(f"{name} entries must be nonnegative")
             if list(grid) != sorted(set(grid)):
                 raise ValueError(f"{name} must be strictly increasing")
+        if 0 in self.n_grid and 0 in self.m_grid:
+            raise ConfigError(
+                "n_grid, m_grid", "both contain 0, so the (0, 0) cell has no sample"
+            )
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         if self.n_test < 1:
             raise ValueError("n_test must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be at least 0, got {self.seed}")
         if self.source is None and any(g > 0 for g in self.n_grid):
             raise ValueError("n_grid > 0 requires a source distribution")
 
@@ -390,10 +396,11 @@ def estimator_from_spec(obj: dict, where: str = "estimator") -> NeighborFunction
     for key in ("beta", "d"):
         if key not in obj:
             raise ConfigError(f"{where}.{key}", "missing")
+    d = config_integer(obj["d"], f"{where}.d")
     try:
         return NeighborFunctionConfig(
             beta=float(obj["beta"]),
-            d=int(obj["d"]),
+            d=d,
             kappa_p=float(obj.get("kappa_p", 1.0)),
             kappa_q=float(obj.get("kappa_q", 1.0)),
             ell_factor=float(obj.get("ell_factor", 1.0)),
@@ -455,6 +462,11 @@ def experiment_from_spec(obj: dict) -> ExperimentConfig:
         if key not in obj:
             raise ConfigError(key, "missing")
     source, target, f_star, noise, estimator = problem_from_spec(obj)
+    grids = {}
+    for key in ("n_grid", "m_grid"):
+        if not isinstance(obj[key], list):
+            raise ConfigError(key, "expected a JSON list of integers")
+        grids[key] = tuple(config_integer(v, key) for v in obj[key])
     try:
         return ExperimentConfig(
             source=source,
@@ -462,11 +474,12 @@ def experiment_from_spec(obj: dict) -> ExperimentConfig:
             f_star=f_star,
             noise=noise,
             estimator=estimator,
-            n_grid=tuple(int(v) for v in obj["n_grid"]),
-            m_grid=tuple(int(v) for v in obj["m_grid"]),
-            reps=int(obj["reps"]),
-            n_test=int(obj["n_test"]),
-            seed=int(obj["seed"]),
+            **grids,
+            reps=config_integer(obj["reps"], "reps"),
+            n_test=config_integer(obj["n_test"], "n_test"),
+            seed=config_integer(obj["seed"], "seed"),
         )
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError("config", str(exc)) from None

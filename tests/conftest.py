@@ -21,6 +21,47 @@ def brute_force_knn(points: np.ndarray, x, k: int):
     return [(i, float(dists[i])) for i in chosen]
 
 
+def brute_force_knn_rows(points: np.ndarray, queries: np.ndarray, k: int):
+    """(distances, indices) of each query row's k nearest points.
+
+    The same full (distance, original index) sort as brute_force_knn,
+    vectorised over blocks of query rows.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    dist, idx = [], []
+    for block in np.array_split(queries, max(1, len(queries) // 100)):
+        d_all = np.linalg.norm(pts[None, :, :] - block[:, None, :], axis=2)
+        ties = np.broadcast_to(np.arange(len(pts)), d_all.shape)
+        order = np.lexsort((ties, d_all), axis=-1)[:, :k]
+        dist.append(np.take_along_axis(d_all, order, axis=-1))
+        idx.append(order)
+    return np.concatenate(dist), np.concatenate(idx)
+
+
+def window_starts_bisection(coords: np.ndarray, x: np.ndarray, k) -> np.ndarray:
+    """Start of each query's k-nearest window in the sorted coords.
+
+    A masked bisection on the "shift right" predicate
+    x - a[i] > a[i+k] - x over [max(pos - k, 0), min(pos, n - k)], where
+    pos is the insertion point of x, one row-masked halving per round.
+    """
+    a = np.asarray(coords, dtype=np.float64)
+    n = len(a)
+    pos = np.searchsorted(a, x)
+    lo = np.maximum(pos - k, 0)
+    hi = np.minimum(pos, n - k)
+    lo = np.minimum(lo, hi)
+    while True:
+        open_rows = lo < hi
+        if not np.any(open_rows):
+            return lo
+        mid = (lo + hi) // 2
+        probe = np.where(open_rows, mid, 0)
+        shift = open_rows & (x - a[probe] > a[np.minimum(probe + k, n - 1)] - x)
+        lo = np.where(shift, mid + 1, lo)
+        hi = np.where(open_rows & ~shift, mid, hi)
+
+
 def holder_budget(f, rng, n_pairs: int = 10_000, grid: int = 2_000):
     """Empirical sup-norm plus beta-Holder seminorm over f's domain."""
     lo = np.asarray(f.domain[0], dtype=np.float64)

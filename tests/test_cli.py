@@ -214,6 +214,65 @@ class TestSweepCommand:
         assert "Traceback" not in err
         assert not list(out.glob("*"))
 
+    def test_zero_cell_rejected_at_parse_time(self, tmp_path, capsys):
+        grids = dict(
+            EXPERIMENT,
+            source={"family": "uniform", "a": 0.0, "b": 1.0},
+            n_grid=[0, 8],
+            m_grid=[0, 8],
+        )
+        cfg = write_json(tmp_path / "e.json", grids)
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "field 'n_grid, m_grid'" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            pytest.param({"reps": 2.5}, "reps", id="reps=2.5"),
+            pytest.param({"reps": True}, "reps", id="reps=true"),
+            pytest.param({"n_test": "64"}, "n_test", id="n_test=str"),
+            pytest.param({"seed": 7.5}, "seed", id="seed=7.5"),
+            pytest.param({"seed": -1}, "seed", id="seed=-1"),
+            pytest.param({"m_grid": [32, 64.5]}, "m_grid", id="m_grid=64.5"),
+            pytest.param({"m_grid": [32, True]}, "m_grid", id="m_grid=true"),
+            pytest.param({"m_grid": 32}, "m_grid", id="m_grid=scalar"),
+            pytest.param({"n_grid": [0.5]}, "n_grid", id="n_grid=0.5"),
+            pytest.param({"estimator": {"beta": 1.0, "d": 1.5}}, "estimator.d", id="d=1.5"),
+            pytest.param(
+                {"f_star": {"name": "zero", "d": 1.5}}, "f_star.d", id="f_star.d=1.5"
+            ),
+            pytest.param(
+                {"target": {"family": "product_pareto", "alpha": 1.0, "sigma": 1.0,
+                            "d": "2"}},
+                "target.d",
+                id="target.d=str",
+            ),
+        ],
+    )
+    def test_non_integer_field_exits_one_naming_it(self, tmp_path, capsys, override, field):
+        cfg = write_json(tmp_path / "e.json", dict(EXPERIMENT, **override))
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"field '{field}'" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*"))
+
+    def test_integral_floats_read_as_integers(self, tmp_path):
+        floats = dict(EXPERIMENT, m_grid=[32.0, 64.0], reps=2.0, n_test=64.0, seed=77.0)
+        outs = []
+        for name, body in (("ints", EXPERIMENT), ("floats", floats)):
+            out = tmp_path / name
+            assert run(["sweep", "--config", write_json(tmp_path / f"{name}.json", body),
+                        "--out", str(out)]) == 0
+            outs.append(out)
+        for name in ("sweep_reps.csv", "sweep_aggregate.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         cfg = write_json(tmp_path / "e.json", EXPERIMENT)
         out = tmp_path / "out"
@@ -271,6 +330,12 @@ class TestSimulateCommand:
             ),
             pytest.param({"noise": {"sigma_e": 0.25, "nu": 1.0}}, "noise.nu", id="nu"),
             pytest.param({"noise": {"sigma_e": None}}, "noise", id="sigma_e=null"),
+            pytest.param({"m": 20.7}, "m", id="m=20.7"),
+            pytest.param({"n_test": True}, "n_test", id="n_test=true"),
+            pytest.param({"n": "64"}, "n", id="n=str"),
+            pytest.param({"seed": 5.5}, "seed", id="seed=5.5"),
+            pytest.param({"seed": -1}, "seed", id="seed=-1"),
+            pytest.param({"estimator": {"beta": 1.0, "d": True}}, "estimator.d", id="d=true"),
         ],
     )
     def test_bad_field_exits_one_naming_it(self, tmp_path, capsys, override, field):
@@ -281,6 +346,17 @@ class TestSimulateCommand:
         assert f"field '{field}'" in err
         assert "Traceback" not in err
         assert not list(out.glob("*"))
+
+    def test_integral_floats_read_as_integers(self, tmp_path):
+        floats = dict(self.CONFIG, n=64.0, m=32.0, n_test=16.0, seed=5.0)
+        outs = []
+        for name, body in (("ints", self.CONFIG), ("floats", floats)):
+            out = tmp_path / name
+            assert run(["simulate", "--config", write_json(tmp_path / f"{name}.json", body),
+                        "--out", str(out)]) == 0
+            outs.append(out)
+        for name in ("train_source.csv", "train_target.csv", "predictions.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 class TestSimulateThreads:

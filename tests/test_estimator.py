@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_knn
+from conftest import brute_force_knn, window_starts_bisection
 from transfer_knn.distributions import ProductPareto
 from transfer_knn.estimator import (
     NeighborFunctionConfig,
+    _SortedSample1D,
     fit,
     neighbor_counts,
     pointwise_error_split,
@@ -383,6 +384,101 @@ class TestFastPathConsistency:
         np.testing.assert_allclose(va[0], vb[0], rtol=1e-12, atol=1e-14)
         assert np.array_equal(va[1], vb[1])
         np.testing.assert_allclose(va[3], vb[3], rtol=1e-12)
+
+
+class TestSortedWindow1D:
+    """The 1-D window search and fit sort against the bisection oracle."""
+
+    @staticmethod
+    def sample(coords):
+        X = np.asarray(coords, dtype=np.float64)[:, None]
+        return _SortedSample1D(X, np.arange(len(X), dtype=np.float64))
+
+    @staticmethod
+    def starts(s, x, k):
+        return s.window_starts(x, k, s.positions(x))
+
+    @staticmethod
+    def queries(a, rng):
+        """Left of, right of, on, and between the sorted coords a."""
+        return np.concatenate(
+            [
+                a[0] - np.array([0.5, 3.0, 1e3]),
+                a[-1] + np.array([0.5, 3.0, 1e3]),
+                a[rng.integers(0, len(a), 60)],
+                (a[:-1] + a[1:])[rng.integers(0, len(a) - 1, 60)] / 2,
+                rng.uniform(a[0], a[-1], 60),
+            ]
+        )
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "duplicates"])
+    def test_matches_bisection(self, tied):
+        rng = np.random.default_rng(83)
+        n = 300
+        coords = rng.integers(0, 40, n) if tied else rng.standard_normal(n)
+        s = self.sample(coords)
+        assert (len(np.unique(s.coords)) < n) == tied
+        x = self.queries(s.coords, rng)
+        k = rng.integers(1, n + 1, len(x))
+        k[::5], k[1::5] = 1, n
+        want = window_starts_bisection(s.coords, x, k)
+        assert np.array_equal(self.starts(s, x, k), want)
+        for kk in (1, 2, 17, n - 1, n):
+            want = window_starts_bisection(s.coords, x, kk)
+            assert np.array_equal(self.starts(s, x, kk), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-20, 20), min_size=1, max_size=40), st.data())
+    def test_matches_bisection_property(self, coords, data):
+        s = self.sample(np.array(coords) / 2)
+        n = len(coords)
+        ints = st.lists(st.integers(-50, 50), min_size=1, max_size=20)
+        x = np.array(data.draw(ints)) / 4
+        k = np.array(
+            data.draw(st.lists(st.integers(1, n), min_size=len(x), max_size=len(x)))
+        )
+        want = window_starts_bisection(s.coords, x, k)
+        assert np.array_equal(self.starts(s, x, k), want)
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            np.random.default_rng(89).integers(0, 50, 5000).astype(float),
+            np.array([0.0, -0.0, 1.0, -0.0, 0.0, 1.0, -1.0]),
+            np.random.default_rng(89).standard_normal(5000),
+        ],
+        ids=["duplicates", "signed-zeros", "distinct"],
+    )
+    def test_fit_order_is_the_stable_order(self, coords):
+        # labels are the original indices, so they spell out the order
+        s = self.sample(coords)
+        order = np.argsort(coords, kind="stable")
+        assert np.array_equal(s.labels, order.astype(float))
+        assert np.array_equal(s.coords, coords[order])
+
+    def test_tied_sample_predict_batch_matches_oracle(self):
+        # Integer labels make every summation order exact, so the
+        # prefix-sum path and the oracle's sequential sums agree bit for
+        # bit; integer coordinates tie distances at window boundaries.
+        rng = np.random.default_rng(97)
+        X = rng.integers(0, 60, (400, 1)).astype(float)
+        y = rng.integers(-8, 9, 400).astype(float)
+        Xt = rng.integers(0, 60, (150, 1)).astype(float)
+        yt = rng.integers(-8, 9, 150).astype(float)
+        queries = np.concatenate(
+            [rng.integers(-3, 63, (60, 1)), rng.integers(-3, 63, (60, 1)) + 0.5]
+        ).astype(float)
+        cfg = NeighborFunctionConfig(beta=1.0, d=1, kappa_p=2.0, kappa_q=2.0)
+        est = fit((X, y), (Xt, yt), cfg)
+        values, k_p, k_q, p_hat, q_hat = est.predict_batch(queries)
+        assert np.any(np.isinf(p_hat)) and np.any(np.isfinite(p_hat))
+        assert any(tied_at_cut(X, x, k) for x, k in zip(queries, k_p))
+        for i, x in enumerate(queries):
+            consts = (est.ell, est.joint_log)
+            kp, ph, sp = oracle_side(X, y, x, *consts, cfg.kappa_p, cfg.beta, 1)
+            kq, qh, sq = oracle_side(Xt, yt, x, *consts, cfg.kappa_q, cfg.beta, 1)
+            assert (k_p[i], k_q[i], p_hat[i], q_hat[i]) == (kp, kq, ph, qh)
+            assert values[i] == (sp + sq) / (kp + kq)
 
 
 def k_buckets(k):

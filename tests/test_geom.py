@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from scipy.spatial import cKDTree
 
-from conftest import brute_force_knn
+from conftest import brute_force_knn, brute_force_knn_rows
+from transfer_knn import geom
 from transfer_knn.geom import _TIE_PAD, NeighborIndex, PointSet
 
 
@@ -221,3 +222,59 @@ class TestTieOnlyReordering:
                 assert np.array_equal(ind[row], raw_i[row, :k])
                 assert np.array_equal(dist[row], raw_d[row, :k])
         assert reordered > 0  # the tree's own order was not index order
+
+
+class TestStaleTieRows:
+    """Rows whose tie block at k runs past the k + _TIE_PAD fetch."""
+
+    @staticmethod
+    def grid_case():
+        # n/100 copies per cell of a 10 x 10 integer grid.  At k = 17 an
+        # on-grid query's distance-0 block (about 41 copies) and a mid-cell
+        # query's shell (about 164 points) both outrun the fetch.
+        rng = np.random.default_rng(101)
+        n = 4096
+        pts = rng.integers(0, 10, (n, 2)).astype(float)
+        queries = np.concatenate(
+            [rng.integers(0, 10, (1000, 2)), rng.integers(0, 10, (1000, 2)) + 0.5]
+        ).astype(float)
+        return pts, queries, 17
+
+    def test_integer_grid_matches_oracle(self, monkeypatch):
+        pts, queries, k = self.grid_case()
+        raw_d, _ = cKDTree(pts).query(queries, k=k + _TIE_PAD)
+        stale = raw_d[:, k - 1] == raw_d[:, -1]
+        assert stale.mean() > 0.9
+        fetched = []
+        original = NeighborIndex._fetch
+
+        def counting(self, q, kq, workers):
+            fetched.append(len(q) * kq)
+            return original(self, q, kq, workers)
+
+        monkeypatch.setattr(NeighborIndex, "_fetch", counting)
+        dist, ind = NeighborIndex(PointSet(pts)).query_batch(queries, k)
+        want_d, want_i = brute_force_knn_rows(pts, queries, k)
+        assert np.array_equal(ind, want_i) and np.array_equal(dist, want_d)
+        # Doubling fetches each row to less than twice the end of its tie
+        # block, and the depths before that sum to less than the last one.
+        block_end = cKDTree(pts).query_ball_point(
+            queries, want_d[:, -1], return_length=True
+        )
+        assert sum(fetched) <= len(queries) * (k + _TIE_PAD) + 4 * block_end.sum()
+        assert sum(fetched) < len(queries) * len(pts) // 10
+
+    def test_blocks_reaching_every_point(self):
+        pts = np.concatenate([np.zeros((50, 2)), np.ones((3, 2))])
+        queries = np.array([[0.0, 0.0], [0.5, 0.5], [0.0, 1.0], [1.0, 1.0]])
+        for k in (1, 5, 50, 52):
+            dist, ind = NeighborIndex(PointSet(pts)).query_batch(queries, k)
+            want_d, want_i = brute_force_knn_rows(pts, queries, k)
+            assert np.array_equal(ind, want_i) and np.array_equal(dist, want_d)
+
+    def test_refetch_split_into_parts(self, monkeypatch):
+        pts, queries, k = self.grid_case()
+        whole = NeighborIndex(PointSet(pts)).query_batch(queries, k)
+        monkeypatch.setattr(geom, "_REFETCH_CELLS", 1000)
+        parts = NeighborIndex(PointSet(pts)).query_batch(queries, k)
+        assert np.array_equal(whole[0], parts[0]) and np.array_equal(whole[1], parts[1])

@@ -303,3 +303,18 @@ class TestExperimentSpec:
         bad = dict(self.SPEC, source=None)
         with pytest.raises(ConfigError):
             experiment_from_spec(bad)
+
+    def test_zero_cell_rejected(self):
+        bad = dict(self.SPEC, n_grid=[0, 32], m_grid=[0, 8])
+        with pytest.raises(ConfigError) as err:
+            experiment_from_spec(bad)
+        assert err.value.field == "n_grid, m_grid"
+
+    def test_integer_fields_not_truncated(self):
+        cfg = experiment_from_spec(dict(self.SPEC, n_grid=[32.0, 64], reps=2.0))
+        assert cfg.n_grid == (32, 64) and cfg.reps == 2
+        assert all(type(v) is int for v in cfg.n_grid + (cfg.reps,))
+        for key, value in (("n_grid", [32, 64.5]), ("reps", True), ("n_test", "64")):
+            with pytest.raises(ConfigError) as err:
+                experiment_from_spec(dict(self.SPEC, **{key: value}))
+            assert err.value.field == key
