@@ -19,7 +19,14 @@ import numpy as np
 
 from . import __version__
 from .distributions import family_from_spec, local_mass_check
-from .errors import ConfigError, NumericError, config_integer
+from .errors import (
+    ConfigError,
+    NumericError,
+    config_choice,
+    config_integer,
+    config_number,
+    config_object,
+)
 from .estimator import fit, write_labeled_csv, write_predictions_csv
 from .harness import experiment_from_spec, generate_data, problem_from_spec, sweep
 from .rates import RateParams, phase_grid, theoretical_rate
@@ -81,17 +88,25 @@ class OutputStager:
         self._staged = []
 
 
+def _float_arg(text: str, field: str) -> float:
+    """A finite number written in a command-line argument."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(field, f"non-numeric value '{text}'") from None
+    if not math.isfinite(value):
+        raise ConfigError(field, f"must be finite, got '{text}'")
+    return value
+
+
 def parse_grid(text: str, field: str):
     """Parse start:end:step (end included when on-step within 1e-12)."""
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise ConfigError(field, f"expected start:end[:step], got '{text}'")
-    try:
-        start = float(parts[0])
-        end = float(parts[1])
-        step = float(parts[2]) if len(parts) == 3 else 1.0
-    except ValueError:
-        raise ConfigError(field, f"non-numeric grid bound in '{text}'") from None
+    if len(parts) == 2:
+        parts.append("1")
+    start, end, step = (_float_arg(part, field) for part in parts)
     if step <= 0:
         raise ConfigError(field, "step must be positive")
     if end < start:
@@ -106,43 +121,27 @@ def _parse_assignments(text: str, field: str) -> dict:
         if "=" not in item:
             raise ConfigError(field, f"expected key=value, got '{item}'")
         key, _, val = item.partition("=")
-        try:
-            out[key.strip()] = float(val)
-        except ValueError:
-            raise ConfigError(field, f"non-numeric value in '{item}'") from None
+        out[key.strip()] = _float_arg(val, field)
     return out
 
 
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError("config", f"file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"malformed JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError("config", "the top level must be a JSON object")
+    return cfg
 
 
-def _require(obj: dict, key: str, caster, where: str = ""):
-    label = f"{where}.{key}" if where else key
-    if key not in obj:
-        raise ConfigError(label, "missing")
-    if caster is int:
-        return config_integer(obj[key], label)
-    try:
-        return caster(obj[key])
-    except (TypeError, ValueError):
-        raise ConfigError(label, "invalid value") from None
-
-
-def _count(obj: dict, key: str, least: int, default: int | None = None) -> int:
-    """obj[key] as an integer >= least; default when given and absent."""
-    if default is not None and key not in obj:
-        return default
-    value = _require(obj, key, int)
-    if value < least:
-        raise ConfigError(key, f"must be at least {least}, got {value}")
-    return value
+def _seeded_config(args) -> dict:
+    """The config file, with its seed replaced by --seed when given."""
+    cfg = _load_json(args.config)
+    return cfg if args.seed is None else dict(cfg, seed=args.seed)
 
 
 def _threads(args) -> int:
@@ -163,13 +162,9 @@ def _threads(args) -> int:
 
 
 def _cmd_transfer(args, stager: OutputStager) -> None:
-    cfg = _load_json(args.config)
-    allowed = {"source", "target"}
-    for key in cfg:
-        if key not in allowed:
-            raise ConfigError(key, "unknown field")
-    P = family_from_spec(cfg.get("source"), "source")
-    Q = family_from_spec(cfg.get("target"), "target")
+    cfg = config_object(_load_json(args.config), "", ("source", "target"))
+    P = family_from_spec(cfg["source"], "source")
+    Q = family_from_spec(cfg["target"], "target")
     grid = parse_grid(args.gamma_grid, "--gamma-grid")
     evals = [transfer_value(P, Q, g) for g in grid]
     header = ["gamma", "value", "method", "error_estimate", "converged"]
@@ -184,39 +179,24 @@ def _cmd_transfer(args, stager: OutputStager) -> None:
         stager.write_rows("transfer.csv", header, rows)
 
 
-def _rate_params_from(cfg: dict) -> tuple[RateParams, str]:
-    allowed = {"gamma", "s", "beta", "d", "n", "m", "transfer_p", "transfer_q", "mode"}
-    for key in cfg:
-        if key not in allowed:
-            raise ConfigError(key, "unknown field")
-    mode = cfg.get("mode", "exponents_only")
-    if mode not in ("exponents_only", "full"):
-        raise ConfigError("mode", f"unknown mode '{mode}'")
-    try:
-        params = RateParams(
-            gamma=_require(cfg, "gamma", float),
-            s=_require(cfg, "s", float),
-            beta=_require(cfg, "beta", float),
-            d=_require(cfg, "d", int),
-            n=_require(cfg, "n", float),
-            m=_require(cfg, "m", float),
-            transfer_p=None if cfg.get("transfer_p") is None else float(cfg["transfer_p"]),
-            transfer_q=None if cfg.get("transfer_q") is None else float(cfg["transfer_q"]),
-        )
-    except ValueError as exc:
-        raise ConfigError("config", str(exc)) from None
-    return params, mode
-
-
 def _cmd_rates(args, stager: OutputStager) -> None:
-    cfg = _load_json(args.config)
-    params, mode = _rate_params_from(cfg)
+    cfg = config_object(
+        _load_json(args.config),
+        "",
+        ("gamma", "s", "beta", "d", "n", "m"),
+        ("transfer_p", "transfer_q", "mode"),
+    )
+    mode = config_choice(
+        cfg.get("mode", "exponents_only"), "mode", ("exponents_only", "full")
+    )
     if args.mode is not None:
         mode = args.mode
-    try:
-        report = theoretical_rate(params, mode=mode)
-    except ValueError as exc:
-        raise ConfigError("config", str(exc)) from None
+    numbers = {k: config_number(cfg[k], k) for k in ("gamma", "s", "beta", "n", "m")}
+    for key in ("transfer_p", "transfer_q"):
+        if cfg.get(key) is not None:
+            numbers[key] = config_number(cfg[key], key)
+    params = RateParams(d=config_integer(cfg["d"], "d"), **numbers)
+    report = theoretical_rate(params, mode=mode)
     payload = {
         "gamma": params.gamma,
         "s": params.s,
@@ -246,22 +226,26 @@ def _cmd_rates(args, stager: OutputStager) -> None:
 def _cmd_phase(args, stager: OutputStager) -> None:
     fixed = _parse_assignments(args.fix, "--fix")
     keys = set(fixed)
+    # The flag each RateParams field of a grid cell comes from.
+    flags = {"beta": "--beta", "d": "--d"}
     if keys == {"gamma", "s"}:
         if args.log_n is None or args.log_m is None:
             raise ConfigError("--log-n", "required when fixing gamma and s")
         axis1 = [10.0**v for v in parse_grid(args.log_n, "--log-n")]
         axis2 = [10.0**v for v in parse_grid(args.log_m, "--log-m")]
+        flags.update(n="--log-n", m="--log-m")
     elif keys == {"n", "m"}:
         if args.gamma_axis is None or args.s_axis is None:
             raise ConfigError("--gamma-axis", "required when fixing n and m")
         axis1 = parse_grid(args.gamma_axis, "--gamma-axis")
         axis2 = parse_grid(args.s_axis, "--s-axis")
+        flags.update(gamma="--gamma-axis", s="--s-axis")
     else:
         raise ConfigError("--fix", "must fix exactly gamma,s or n,m")
     try:
         grid = phase_grid(args.beta, args.d, fixed, axis1, axis2)
-    except ValueError as exc:
-        raise ConfigError("--fix", str(exc)) from None
+    except ConfigError as exc:
+        raise ConfigError(flags.get(exc.field, "--fix"), exc.message) from None
     header = [
         grid.axis1_name,
         grid.axis2_name,
@@ -306,21 +290,19 @@ def _cmd_phase(args, stager: OutputStager) -> None:
 
 
 def _cmd_simulate(args, stager: OutputStager) -> None:
-    cfg = _load_json(args.config)
-    allowed = {"source", "target", "f_star", "noise", "estimator", "n", "m",
-               "n_test", "seed"}
-    for key in cfg:
-        if key not in allowed:
-            raise ConfigError(key, "unknown field")
+    cfg = config_object(
+        _seeded_config(args),
+        "",
+        ("target", "f_star", "noise", "estimator", "n", "m", "n_test", "seed"),
+        ("source",),
+    )
     source, target, f_star, noise, est_cfg = problem_from_spec(cfg)
-    n = _count(cfg, "n", 0)
-    m = _count(cfg, "m", 0)
+    n = config_integer(cfg["n"], "n", least=0)
+    m = config_integer(cfg["m"], "m", least=0)
     if n + m < 1:
         raise ConfigError("n, m", "at least one of the two samples must be nonempty")
-    n_test = _count(cfg, "n_test", 1)
-    seed = args.seed if args.seed is not None else _require(cfg, "seed", int)
-    if seed < 0:
-        raise ConfigError("seed", f"must be at least 0, got {seed}")
+    n_test = config_integer(cfg["n_test"], "n_test", least=1)
+    seed = config_integer(cfg["seed"], "seed", least=0)
     if n > 0 and source is None:
         raise ConfigError("source", "required when n > 0")
     ss = np.random.SeedSequence(seed)
@@ -347,11 +329,7 @@ def _cmd_simulate(args, stager: OutputStager) -> None:
 
 
 def _cmd_sweep(args, stager: OutputStager) -> None:
-    cfg = _load_json(args.config)
-    if args.seed is not None:
-        cfg = dict(cfg)
-        cfg["seed"] = args.seed
-    config = experiment_from_spec(cfg)
+    config = experiment_from_spec(_seeded_config(args))
     result = sweep(config, threads=_threads(args))
     rep_header = ["n", "m", "rep", "risk", "seed"]
     rep_rows = [(r.n, r.m, r.rep, r.risk, r.seed) for r in result.records]
@@ -373,19 +351,18 @@ def _cmd_sweep(args, stager: OutputStager) -> None:
 
 
 def _cmd_check_regularity(args, stager: OutputStager) -> None:
-    cfg = _load_json(args.config)
-    allowed = {"distribution", "theta", "x_points", "r_points"}
-    for key in cfg:
-        if key not in allowed:
-            raise ConfigError(key, "unknown field")
-    dist = family_from_spec(_require(cfg, "distribution", dict), "distribution")
-    theta = _require(cfg, "theta", float) if "theta" in cfg else dist.local_mass_theta
+    optional = ("theta", "x_points", "r_points")
+    cfg = config_object(_load_json(args.config), "", ("distribution",), optional)
+    dist = family_from_spec(cfg["distribution"], "distribution")
+    theta = dist.local_mass_theta
+    if "theta" in cfg:
+        theta = config_number(cfg["theta"], "theta")
     if theta is None:
         raise ConfigError("theta", "missing and no built-in value for this family")
-    if not 0.0 < theta < math.inf:
-        raise ConfigError("theta", f"must be a positive number, got {theta}")
-    nx = _count(cfg, "x_points", 1, default=50)
-    nr = _count(cfg, "r_points", 1, default=20)
+    if theta <= 0.0:
+        raise ConfigError("theta", f"must be positive, got {theta}")
+    nx = config_integer(cfg.get("x_points", 50), "x_points", least=1)
+    nr = config_integer(cfg.get("r_points", 20), "r_points", least=1)
     if dist.dimension != 1:
         raise ConfigError("distribution", "regularity grid check requires 1-D")
     x_grid = [float(dist.ppf((i + 0.5) / nx)) for i in range(nx)]
@@ -425,9 +402,11 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    def seeded(p):
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("transfer", help="evaluate the transfer function on a grid")
     p.add_argument("--config", required=True)
@@ -452,10 +431,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="one train/predict cycle with CSV artifacts")
     p.add_argument("--config", required=True)
     common(p)
+    seeded(p)
 
     p = sub.add_parser("sweep", help="Monte Carlo risk sweep over (n, m) cells")
     p.add_argument("--config", required=True)
     common(p)
+    seeded(p)
 
     p = sub.add_parser("check-regularity", help="verify the local mass property")
     p.add_argument("--config", required=True)

@@ -20,7 +20,15 @@ from functools import cached_property
 import numpy as np
 
 from ._integrate import improper_quad
-from .errors import ConfigError, NoClosedFormError, RadiusSearchError, config_integer
+from .errors import (
+    ConfigError,
+    NoClosedFormError,
+    RadiusSearchError,
+    config_choice,
+    config_integer,
+    config_number,
+    config_object,
+)
 
 # zeta() doubles its bracket up to this radius before giving up.
 ZETA_BRACKET_CAP = 2.0**40
@@ -87,7 +95,8 @@ class DistributionFamily:
 
     # -- sampling --------------------------------------------------------
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        raise NotImplementedError
+        """n inverse-CDF draws as an (n, 1) array."""
+        return self.ppf(rng.random(n)).reshape(n, 1)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -145,9 +154,6 @@ class Pareto(DistributionFamily):
             self.sigma * (np.power(1.0 - us, -1.0 / self.alpha) - 1.0), u
         )
 
-    def sample_array(self, rng, n):
-        return np.asarray(self.ppf(rng.random(n)), dtype=np.float64).reshape(n, 1)
-
     @property
     def support(self):
         return (0.0, math.inf)
@@ -195,9 +201,6 @@ class Exponential(DistributionFamily):
         us = np.asarray(u, dtype=np.float64)
         return _maybe_scalar(-np.log1p(-us) / self.lam, u)
 
-    def sample_array(self, rng, n):
-        return np.asarray(self.ppf(rng.random(n)), dtype=np.float64).reshape(n, 1)
-
     @property
     def support(self):
         return (0.0, math.inf)
@@ -237,9 +240,6 @@ class Uniform(DistributionFamily):
     def ppf(self, u):
         us = np.asarray(u, dtype=np.float64)
         return _maybe_scalar(self.a + us * (self.b - self.a), u)
-
-    def sample_array(self, rng, n):
-        return rng.uniform(self.a, self.b, size=n).reshape(n, 1)
 
     @property
     def support(self):
@@ -674,13 +674,6 @@ def holder_parabola() -> HolderFunction:
     )
 
 
-_BUILTIN_HOLDER = {
-    "zero": lambda obj, d: holder_zero(d),
-    "constant": lambda obj, d: holder_constant(obj["value"], d),
-    "parabola": lambda obj, d: holder_parabola(),
-}
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """Centred observation noise; Gaussian is the only variant."""
@@ -702,81 +695,57 @@ class NoiseSpec:
 # JSON specifications
 # ---------------------------------------------------------------------------
 
-_FAMILY_FIELDS = {
-    "pareto": ("alpha", "sigma"),
-    "exponential": ("lambda",),
-    "uniform": ("a", "b"),
-    "product_pareto": ("alpha", "sigma", "d"),
-    "log_pareto": ("a", "b", "c"),
+# family name -> (class, fields in constructor order); "d" is an integer.
+_FAMILIES = {
+    "pareto": (Pareto, ("alpha", "sigma")),
+    "exponential": (Exponential, ("lambda",)),
+    "uniform": (Uniform, ("a", "b")),
+    "product_pareto": (ProductPareto, ("alpha", "sigma", "d")),
+    "log_pareto": (LogPareto, ("a", "b", "c")),
 }
+_FAMILY_KEYS = {key for _, fields in _FAMILIES.values() for key in fields}
 
 
 def family_from_spec(obj: dict, where: str = "distribution") -> DistributionFamily:
     """Build a DistributionFamily from its JSON object representation."""
-    if not isinstance(obj, dict):
-        raise ConfigError(where, "expected a JSON object")
-    fam = obj.get("family")
-    if fam is None:
-        raise ConfigError(f"{where}.family", "missing")
-    if fam not in _FAMILY_FIELDS:
-        raise ConfigError(f"{where}.family", f"unknown family '{fam}'")
-    required = _FAMILY_FIELDS[fam]
-    for key in obj:
-        if key != "family" and key not in required:
-            raise ConfigError(f"{where}.{key}", f"unknown field for family '{fam}'")
-    vals = {}
-    for key in required:
-        if key not in obj:
-            raise ConfigError(f"{where}.{key}", "missing")
-        if key == "d":
-            vals[key] = config_integer(obj[key], f"{where}.d")
-            continue
-        try:
-            vals[key] = float(obj[key])
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}.{key}", "not a number") from None
+    config_object(obj, where, ("family",), _FAMILY_KEYS)
+    family = config_choice(obj["family"], f"{where}.family", _FAMILIES)
+    cls, fields = _FAMILIES[family]
+    config_object(obj, where, ("family",) + fields)
+    args = [
+        (config_integer if key == "d" else config_number)(obj[key], f"{where}.{key}")
+        for key in fields
+    ]
     try:
-        if fam == "pareto":
-            return Pareto(vals["alpha"], vals["sigma"])
-        if fam == "exponential":
-            return Exponential(vals["lambda"])
-        if fam == "uniform":
-            return Uniform(vals["a"], vals["b"])
-        if fam == "product_pareto":
-            return ProductPareto(vals["alpha"], vals["sigma"], vals["d"])
-        return LogPareto(vals["a"], vals["b"], vals["c"])
+        return cls(*args)
     except ValueError as exc:
         raise ConfigError(where, str(exc)) from None
 
 
 def holder_from_spec(obj: dict, where: str = "f_star") -> HolderFunction:
-    if not isinstance(obj, dict):
-        raise ConfigError(where, "expected a JSON object")
-    name = obj.get("name")
-    if name is None:
-        raise ConfigError(f"{where}.name", "missing")
-    if name not in _BUILTIN_HOLDER:
-        raise ConfigError(f"{where}.name", f"unknown function '{name}'")
+    """Build a built-in HolderFunction: zero, constant (value) or parabola.
+
+    zero and constant take an optional integer d (default 1); parabola
+    is 1-D only.
+    """
+    config_object(obj, where, ("name",), ("value", "d"))
+    name = config_choice(obj["name"], f"{where}.name", ("zero", "constant", "parabola"))
+    if name == "parabola":
+        config_object(obj, where, ("name",))
+        return holder_parabola()
+    value = ("value",) if name == "constant" else ()
+    config_object(obj, where, ("name",) + value, ("d",))
     d = config_integer(obj.get("d", 1), f"{where}.d")
-    try:
-        return _BUILTIN_HOLDER[name](obj, d)
-    except KeyError as exc:
-        raise ConfigError(f"{where}.{exc.args[0]}", "missing") from None
+    if name == "zero":
+        return holder_zero(d)
+    return holder_constant(config_number(obj["value"], f"{where}.value"), d)
 
 
 def noise_from_spec(obj: dict, where: str = "noise") -> NoiseSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(where, "expected a JSON object")
-    kind = obj.get("type", "gaussian")
-    if kind != "gaussian":
-        raise ConfigError(f"{where}.type", f"unknown noise type '{kind}'")
-    allowed = {"type", "sigma_e"}
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{where}.{key}", "unknown field")
-    if "sigma_e" not in obj:
-        raise ConfigError(f"{where}.sigma_e", "missing")
+    config_object(obj, where, ("sigma_e",), ("type",))
+    config_choice(obj.get("type", "gaussian"), f"{where}.type", ("gaussian",))
+    sigma_e = config_number(obj["sigma_e"], f"{where}.sigma_e")
     try:
-        return NoiseSpec(sigma_e=float(obj["sigma_e"]))
-    except (TypeError, ValueError) as exc:
+        return NoiseSpec(sigma_e)
+    except ValueError as exc:
         raise ConfigError(where, str(exc)) from None

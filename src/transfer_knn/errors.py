@@ -1,4 +1,13 @@
-"""Exception types shared across the package, and the config integer check."""
+"""Exception types shared across the package, and the JSON config field readers.
+
+Every config parser reads its objects with config_object and its values
+with config_number, config_integer and config_choice, so a malformed
+field always raises a ConfigError naming it.
+"""
+
+from __future__ import annotations
+
+import sys
 
 
 class ConfigError(ValueError):
@@ -6,20 +15,66 @@ class ConfigError(ValueError):
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.message = message
         super().__init__(f"config field '{field}': {message}")
 
 
-def config_integer(value, field: str) -> int:
+def config_object(obj, where: str, required=(), optional=()) -> dict:
+    """obj, once it is a JSON object with every required key and no other
+    key than those in required and optional.
+
+    where names the object ("" for a file's top level); an offending key
+    is reported as where.key.
+    """
+    if not isinstance(obj, dict):
+        kind = "null" if obj is None else type(obj).__name__
+        raise ConfigError(where or "config", f"expected a JSON object, got {kind}")
+    prefix = f"{where}." if where else ""
+    for key in obj:
+        if key not in required and key not in optional:
+            raise ConfigError(prefix + key, "unknown field")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(prefix + key, "missing")
+    return obj
+
+
+def config_number(value, field: str) -> float:
+    """A finite JSON number as a float.
+
+    A bool, a string (even a numeric one), null, a list, NaN or an
+    infinity raises a ConfigError naming field.
+    """
+    if (
+        not isinstance(value, bool)
+        and isinstance(value, (int, float))
+        and abs(value) <= sys.float_info.max  # False for NaN
+    ):
+        return float(value)
+    raise ConfigError(field, f"expected a finite number, got {value!r}")
+
+
+def config_integer(value, field: str, least: int | None = None) -> int:
     """A JSON integer, or a float with an integral value, as an int.
 
-    A bool, a fractional or nonfinite number, or any other type raises a
-    ConfigError naming field, where int() would truncate or convert it.
+    A bool, a fractional or nonfinite number, any other type, or a value
+    below least (when given) raises a ConfigError naming field, where
+    int() would truncate or convert it.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(field, f"expected an integer, got {value!r}")
     if isinstance(value, float) and not value.is_integer():
         raise ConfigError(field, f"expected an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(field, f"must be at least {least}, got {int(value)}")
     return int(value)
+
+
+def config_choice(value, field: str, choices) -> str:
+    """value, once it is one of the strings in choices."""
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(field, f"expected one of {', '.join(choices)}; got {value!r}")
+    return value
 
 
 class NumericError(RuntimeError):

@@ -24,7 +24,13 @@ from .distributions import (
     noise_from_spec,
     zeta,
 )
-from .errors import ConfigError, NumericError, config_integer
+from .errors import (
+    ConfigError,
+    NumericError,
+    config_integer,
+    config_number,
+    config_object,
+)
 from .estimator import NeighborFunctionConfig, TrainedEstimator, fit
 from .geom import NeighborIndex, PointSet
 from .rates import RateParams, theoretical_rate
@@ -46,23 +52,24 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, grid in (("n_grid", self.n_grid), ("m_grid", self.m_grid)):
             if len(grid) == 0:
-                raise ValueError(f"{name} must be nonempty")
+                raise ConfigError(name, "must be nonempty")
             if any(g < 0 for g in grid):
-                raise ValueError(f"{name} entries must be nonnegative")
+                raise ConfigError(name, "entries must be nonnegative")
             if list(grid) != sorted(set(grid)):
-                raise ValueError(f"{name} must be strictly increasing")
+                raise ConfigError(name, "must be strictly increasing")
         if 0 in self.n_grid and 0 in self.m_grid:
             raise ConfigError(
                 "n_grid, m_grid", "both contain 0, so the (0, 0) cell has no sample"
             )
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
-        if self.n_test < 1:
-            raise ValueError("n_test must be at least 1")
-        if self.seed < 0:
-            raise ConfigError("seed", f"must be at least 0, got {self.seed}")
+        for name, value, least in (
+            ("reps", self.reps, 1),
+            ("n_test", self.n_test, 1),
+            ("seed", self.seed, 0),
+        ):
+            if value < least:
+                raise ConfigError(name, f"must be at least {least}, got {value}")
         if self.source is None and any(g > 0 for g in self.n_grid):
-            raise ValueError("n_grid > 0 requires a source distribution")
+            raise ConfigError("source", "required when n_grid has an entry > 0")
 
     def cells(self):
         return [(n, m) for n in self.n_grid for m in self.m_grid]
@@ -166,18 +173,13 @@ def sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     ]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda t: _run_rep(config, *t), tasks)
-            )
+            records = tuple(pool.map(lambda t: _run_rep(config, *t), tasks))
     else:
-        results = [_run_rep(config, *t) for t in tasks]
-    by_key = {(r.n, r.m, r.rep): r for r in results}
-    records = tuple(
-        by_key[(n, m, rep)] for (n, m) in cells for rep in range(config.reps)
-    )
+        records = tuple(_run_rep(config, *t) for t in tasks)
     estimates = []
-    for n, m in cells:
-        risks = np.array([r.risk for r in records if (r.n, r.m) == (n, m)])
+    reps = config.reps
+    for ci, (n, m) in enumerate(cells):
+        risks = np.array([r.risk for r in records[ci * reps : (ci + 1) * reps]])
         stderr = (
             float(np.std(risks, ddof=1) / math.sqrt(len(risks)))
             if len(risks) > 1
@@ -187,7 +189,7 @@ def sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
             RiskEstimate(
                 mean=float(np.mean(risks)),
                 stderr=stderr,
-                reps=config.reps,
+                reps=reps,
                 n=n,
                 m=m,
                 q50=float(np.quantile(risks, 0.5)),
@@ -384,55 +386,28 @@ def neighbor_radius_concentration(
 # JSON configuration
 # ---------------------------------------------------------------------------
 
-_ESTIMATOR_FIELDS = {"beta", "d", "kappa_p", "kappa_q", "ell_factor"}
-
-
 def estimator_from_spec(obj: dict, where: str = "estimator") -> NeighborFunctionConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError(where, "expected a JSON object")
-    for key in obj:
-        if key not in _ESTIMATOR_FIELDS:
-            raise ConfigError(f"{where}.{key}", "unknown field")
-    for key in ("beta", "d"):
-        if key not in obj:
-            raise ConfigError(f"{where}.{key}", "missing")
+    config_object(obj, where, ("beta", "d"), ("kappa_p", "kappa_q", "ell_factor"))
+    numbers = {
+        key: config_number(obj[key], f"{where}.{key}")
+        for key in ("beta", "kappa_p", "kappa_q", "ell_factor")
+        if key in obj
+    }
     d = config_integer(obj["d"], f"{where}.d")
     try:
-        return NeighborFunctionConfig(
-            beta=float(obj["beta"]),
-            d=d,
-            kappa_p=float(obj.get("kappa_p", 1.0)),
-            kappa_q=float(obj.get("kappa_q", 1.0)),
-            ell_factor=float(obj.get("ell_factor", 1.0)),
-        )
-    except (TypeError, ValueError) as exc:
+        return NeighborFunctionConfig(d=d, **numbers)
+    except ValueError as exc:
         raise ConfigError(where, str(exc)) from None
-
-
-_EXPERIMENT_FIELDS = {
-    "source",
-    "target",
-    "f_star",
-    "noise",
-    "estimator",
-    "n_grid",
-    "m_grid",
-    "reps",
-    "n_test",
-    "seed",
-}
 
 
 def problem_from_spec(obj: dict):
     """Parse the fields a sweep and a simulate config share.
 
-    Returns (source, target, f_star, noise, estimator), with source None
-    when absent, after checking that every part lives in estimator.d
-    dimensions.
+    obj is a config whose keys the caller has checked with
+    config_object.  Returns (source, target, f_star, noise, estimator),
+    with source None when absent or null, after checking that every
+    part lives in estimator.d dimensions.
     """
-    for key in ("target", "f_star", "noise", "estimator"):
-        if key not in obj:
-            raise ConfigError(key, "missing")
     source = None
     if obj.get("source") is not None:
         source = family_from_spec(obj["source"], "source")
@@ -452,34 +427,27 @@ def problem_from_spec(obj: dict):
 
 def experiment_from_spec(obj: dict) -> ExperimentConfig:
     """Parse an ExperimentConfig from its JSON mirror."""
-    if not isinstance(obj, dict):
-        raise ConfigError("config", "expected a JSON object")
-    for key in obj:
-        if key not in _EXPERIMENT_FIELDS:
-            raise ConfigError(key, "unknown field")
-    for key in ("target", "f_star", "noise", "estimator", "n_grid", "m_grid",
-                "reps", "n_test", "seed"):
-        if key not in obj:
-            raise ConfigError(key, "missing")
+    config_object(
+        obj,
+        "",
+        ("target", "f_star", "noise", "estimator", "n_grid", "m_grid", "reps",
+         "n_test", "seed"),
+        ("source",),
+    )
     source, target, f_star, noise, estimator = problem_from_spec(obj)
     grids = {}
     for key in ("n_grid", "m_grid"):
         if not isinstance(obj[key], list):
             raise ConfigError(key, "expected a JSON list of integers")
         grids[key] = tuple(config_integer(v, key) for v in obj[key])
-    try:
-        return ExperimentConfig(
-            source=source,
-            target=target,
-            f_star=f_star,
-            noise=noise,
-            estimator=estimator,
-            **grids,
-            reps=config_integer(obj["reps"], "reps"),
-            n_test=config_integer(obj["n_test"], "n_test"),
-            seed=config_integer(obj["seed"], "seed"),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("config", str(exc)) from None
+    return ExperimentConfig(
+        source=source,
+        target=target,
+        f_star=f_star,
+        noise=noise,
+        estimator=estimator,
+        **grids,
+        reps=config_integer(obj["reps"], "reps"),
+        n_test=config_integer(obj["n_test"], "n_test"),
+        seed=config_integer(obj["seed"], "seed"),
+    )

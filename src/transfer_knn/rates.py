@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import ConfigError
+
 SUBCRITICAL = "subcritical"
 CRITICAL = "critical"
 SUPERCRITICAL = "supercritical"
@@ -45,18 +47,15 @@ class RateParams:
     transfer_q: float | None = None  # T value multiplying the target factor
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.s <= 0:
-            raise ValueError("s must be positive")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError("beta must lie in (0, 1]")
-        if self.d < 1:
-            raise ValueError("d must be a positive integer")
-        if self.n < 0 or self.m < 0:
-            raise ValueError("n and m must be nonnegative")
+        for name, value in (("gamma", self.gamma), ("s", self.s)):
+            if not value > 0:
+                raise ConfigError(name, f"must be positive, got {value}")
+        r_beta(self.beta, self.d)
+        for name, value in (("n", self.n), ("m", self.m)):
+            if not value >= 0:
+                raise ConfigError(name, f"must be nonnegative, got {value}")
         if self.n == 0 and self.m == 0:
-            raise ValueError("n and m cannot both vanish")
+            raise ConfigError("n, m", "cannot both vanish")
 
 
 @dataclass(frozen=True)
@@ -75,9 +74,9 @@ class RegimeReport:
 def r_beta(beta: float, d: int) -> float:
     """The nonparametric exponent 2 beta / (2 beta + d)."""
     if not 0.0 < beta <= 1.0:
-        raise ValueError("beta must lie in (0, 1]")
+        raise ConfigError("beta", f"must lie in (0, 1], got {beta}")
     if d < 1:
-        raise ValueError("d must be a positive integer")
+        raise ConfigError("d", f"must be a positive integer, got {d}")
     return 2.0 * beta / (2.0 * beta + d)
 
 
@@ -126,7 +125,7 @@ def theoretical_rate(params: RateParams, mode: str = "exponents_only") -> Regime
 
     if mode == "full":
         if not max(n, m) >= 2:
-            raise ValueError("full mode requires n or m >= 2 for the log factors")
+            raise ConfigError("n, m", "full mode needs n or m >= 2 for the log factors")
         log_nm = math.log(max(n, 1.0) * max(m, 1.0))
 
     if accelerated:
@@ -137,7 +136,10 @@ def theoretical_rate(params: RateParams, mode: str = "exponents_only") -> Regime
             rate = _pow_rate(n, src_exp) * _pow_rate(m, tgt_exp)
         else:
             if params.transfer_p is None or params.transfer_q is None:
-                raise ValueError("full mode needs both transfer values here")
+                raise ConfigError(
+                    "transfer_p, transfer_q",
+                    "full mode needs both transfer values in the accelerated regime",
+                )
             rate = (
                 params.transfer_p**a
                 * params.transfer_q ** (1.0 - a)
@@ -179,7 +181,9 @@ def theoretical_rate(params: RateParams, mode: str = "exponents_only") -> Regime
                 params.transfer_q * (log_nm / m) ** r_t if m > 0 else math.inf
             )
         if src_term == math.inf and tgt_term == math.inf:
-            raise ValueError("full-mode wedge needs at least one transfer value")
+            raise ConfigError(
+                "transfer_p, transfer_q", "full-mode wedge needs at least one of them"
+            )
     return RegimeReport(
         r_beta=r_b,
         configuration=config,

@@ -324,12 +324,12 @@ class TestSimulateCommand:
             pytest.param(
                 {"estimator": {"beta": 1.0, "d": 1, "tau": 2.0}}, "estimator.tau", id="tau"
             ),
-            pytest.param({"estimator": {"beta": None, "d": 1}}, "estimator", id="beta=null"),
+            pytest.param({"estimator": {"beta": None, "d": 1}}, "estimator.beta", id="beta=null"),
             pytest.param(
                 {"noise": {"sigma_e": 0.25, "alpha_se": 1.0}}, "noise.alpha_se", id="alpha_se"
             ),
             pytest.param({"noise": {"sigma_e": 0.25, "nu": 1.0}}, "noise.nu", id="nu"),
-            pytest.param({"noise": {"sigma_e": None}}, "noise", id="sigma_e=null"),
+            pytest.param({"noise": {"sigma_e": None}}, "noise.sigma_e", id="sigma_e=null"),
             pytest.param({"m": 20.7}, "m", id="m=20.7"),
             pytest.param({"n_test": True}, "n_test", id="n_test=true"),
             pytest.param({"n": "64"}, "n", id="n=str"),
@@ -479,3 +479,134 @@ class TestArgvHandling:
 
     def test_unknown_command_exits_one(self):
         assert run(["explode"]) == 1
+
+
+RATES = {"gamma": 1.0, "s": 0.2, "beta": 1.0, "d": 1, "n": 1e4, "m": 1e5}
+REGULARITY = {
+    "distribution": {"family": "pareto", "alpha": 1.0, "sigma": 1.0},
+    "x_points": 4,
+    "r_points": 3,
+}
+# A valid config per config-reading subcommand, with its other arguments.
+CONFIG_COMMANDS = {
+    "transfer": (PAIR, ["--gamma-grid", "0:0.2:0.1"]),
+    "rates": (RATES, []),
+    "simulate": (TestSimulateCommand.CONFIG, []),
+    "sweep": (EXPERIMENT, ["--seed", "3"]),
+    "check-regularity": (REGULARITY, []),
+}
+# A float field of each config, as a dotted path.
+FLOAT_FIELDS = {
+    "transfer": "source.alpha",
+    "rates": "gamma",
+    "simulate": "noise.sigma_e",
+    "sweep": "estimator.beta",
+    "check-regularity": "theta",
+}
+
+
+def with_field(body, path, value):
+    """A deep copy of body with the dotted path set to value."""
+    body = json.loads(json.dumps(body))
+    *parents, leaf = path.split(".")
+    obj = body
+    for key in parents:
+        obj = obj[key]
+    obj[leaf] = value
+    return body
+
+
+def short(value):
+    text = repr(value)
+    return text if len(text) <= 24 else text[:21] + "..."
+
+
+def bad_config_cases():
+    cases = []
+    for command in CONFIG_COMMANDS:
+        for top in (3, [1], None):
+            cases.append(
+                pytest.param(command, top, "config", id=f"{command}-top={top!r}")
+            )
+        base, field = CONFIG_COMMANDS[command][0], FLOAT_FIELDS[command]
+        for value in (True, "1.0", math.nan, math.inf):
+            cases.append(
+                pytest.param(
+                    command,
+                    with_field(base, field, value),
+                    field,
+                    id=f"{command}-{field}={value!r}",
+                )
+            )
+    edits = [
+        ("sweep", "f_star.foo", 1, "f_star.foo"),
+        ("simulate", "f_star.foo", 1, "f_star.foo"),
+        ("sweep", "f_star", {"name": "constant", "value": "abc"}, "f_star.value"),
+        ("simulate", "f_star", {"name": "constant", "value": "abc"}, "f_star.value"),
+        ("sweep", "f_star.name", ["zero"], "f_star.name"),
+        ("transfer", "source.family", ["pareto"], "source.family"),
+        ("rates", "transfer_p", [1], "transfer_p"),
+        ("rates", "mode", ["full"], "mode"),
+        ("rates", "n", 10**400, "n"),
+        # ExperimentConfig range checks
+        ("sweep", "reps", 0, "reps"),
+        ("sweep", "n_test", 0, "n_test"),
+        ("sweep", "m_grid", [64, 32], "m_grid"),
+        ("sweep", "m_grid", [], "m_grid"),
+        ("sweep", "n_grid", [5], "source"),
+        # RateParams range checks
+        ("rates", "gamma", -1, "gamma"),
+        ("rates", "s", 0, "s"),
+        ("rates", "beta", 2, "beta"),
+        ("rates", "d", 0, "d"),
+        ("rates", "m", -1, "m"),
+    ]
+    for command, path, value, field in edits:
+        body = with_field(CONFIG_COMMANDS[command][0], path, value)
+        cases.append(
+            pytest.param(command, body, field, id=f"{command}-{path}={short(value)}")
+        )
+    return cases
+
+
+class TestBadConfig:
+    """Every config-reading subcommand names the leaf field at fault."""
+
+    @pytest.mark.parametrize("command, body, field", bad_config_cases())
+    def test_exits_one_naming_field(self, tmp_path, capsys, command, body, field):
+        cfg = write_json(tmp_path / "c.json", body)
+        out = tmp_path / "out"
+        extra = CONFIG_COMMANDS[command][1]
+        assert run([command, "--config", cfg, "--out", str(out)] + extra) == 1
+        err = capsys.readouterr().err
+        assert f"config field '{field}'" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*"))
+
+
+class TestFlags:
+    PHASE = ["phase", "--fix", "gamma=1,s=0.2", "--log-n", "2:3", "--log-m", "2:3"]
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--d", "0"), ("--beta", "2"), ("--log-n", "nan:3")]
+    )
+    def test_phase_names_the_flag(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        assert run(self.PHASE + [flag, value, "--out", str(out)]) == 1
+        assert f"config field '{flag}'" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("flag", ["--seed", "--threads"])
+    @pytest.mark.parametrize("command", ["transfer", "rates", "phase", "check-regularity"])
+    def test_seed_and_threads_only_where_read(self, tmp_path, capsys, command, flag):
+        if command == "phase":
+            argv = list(self.PHASE)
+        else:
+            body, extra = CONFIG_COMMANDS[command]
+            argv = [command, "--config", write_json(tmp_path / "c.json", body)] + extra
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert run(argv + ["--out", str(tmp_path / "o2"), flag, "2"]) == 1
+        err = capsys.readouterr().err
+        assert "config field 'argv'" in err and flag in err
+        assert not (tmp_path / "o2").exists()
