@@ -146,14 +146,15 @@ def _seeded_config(args) -> dict:
 
 def _threads(args) -> int:
     if args.threads is not None:
-        return max(1, args.threads)
+        return config_integer(args.threads, "--threads", least=1)
     env = os.environ.get("TRANSFER_KNN_THREADS")
     if env is not None:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise ConfigError("TRANSFER_KNN_THREADS", f"not an integer: '{env}'")
-    return max(1, os.cpu_count() or 1)
+        return config_integer(threads, "TRANSFER_KNN_THREADS", least=1)
+    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------

@@ -717,9 +717,12 @@ def family_from_spec(obj: dict, where: str = "distribution") -> DistributionFami
         for key in fields
     ]
     try:
-        return cls(*args)
+        family = cls(*args)
+        if isinstance(family, LogPareto):
+            family._norm  # computed on first use; raises if not normalisable
     except ValueError as exc:
         raise ConfigError(where, str(exc)) from None
+    return family
 
 
 def holder_from_spec(obj: dict, where: str = "f_star") -> HolderFunction:

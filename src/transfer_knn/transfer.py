@@ -11,6 +11,7 @@ finite numerics, so any point claim would overreach.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,6 +63,43 @@ def _closed_form(P, Q, gamma: float) -> float | None:
     return None
 
 
+class _PairMemo:
+    """What every gamma of one (P, Q) pair shares.
+
+    nodes maps a quadrature node x to (log q(x), log p(x)), with log p
+    left at -inf where q vanishes, since the integrand never reads it
+    there.  mc_log_p(n) is log p at the n fixed-seed Monte Carlo draws
+    from Q, read-only.  Threads that race on a missing entry each store
+    the same values.
+    """
+
+    def __init__(self, P, Q):
+        self.P, self.Q = P, Q
+        self.nodes = {}
+        self._mc_log_p = {}
+
+    def node(self, x: float) -> tuple[float, float]:
+        lq = self.Q.log_density(x)
+        lp = -math.inf if lq == -math.inf else self.P.log_density(x)
+        self.nodes[x] = (lq, lp)
+        return lq, lp
+
+    def mc_log_p(self, n_draws: int) -> np.ndarray:
+        log_p = self._mc_log_p.get(n_draws)
+        if log_p is None:
+            rng = np.random.default_rng(np.random.SeedSequence(_MC_SEED))
+            log_p = self.P.log_density_rows(self.Q.sample_array(rng, n_draws))
+            log_p.setflags(write=False)
+            self._mc_log_p[n_draws] = log_p
+        return log_p
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_memo(P, Q) -> _PairMemo:
+    """The memo of the most recent pair; the families are frozen and hashable."""
+    return _PairMemo(P, Q)
+
+
 def _uncovered(P, Q) -> bool:
     """Whether Q's support reaches outside P's, where p vanishes."""
     (p_lo, p_hi), (q_lo, q_hi) = P.support, Q.support
@@ -77,13 +115,16 @@ def _power_integral(
     b > 0.  On a bounded interval only that can make the integral
     diverge: the families' densities are bounded away from 0 on compact
     parts of their support, so a large value is still a finite one.
+    The log densities at each node come from the pair's memo, so every
+    gamma after the first evaluates only the nodes it adds.
     """
+    memo = _pair_memo(P, Q)
+    nodes, node = memo.nodes, memo.node
 
     def log_g(x: float) -> float:
-        lq = Q.log_density(x)
+        lq, lp = nodes.get(x) or node(x)
         if lq == -math.inf:
             return -math.inf
-        lp = P.log_density(x)
         if lp == -math.inf:
             return math.inf if b < 0 else -math.inf
         return a * lq + b * lp
@@ -130,12 +171,13 @@ def transfer_value(
     if method == "quadrature":
         raise NumericError("quadrature requires a 1-D pair")
 
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(_MC_SEED))
     if P.dimension != Q.dimension:
         raise ValueError("P and Q must share a dimension")
-    draws = Q.sample_array(rng, n_draws)
-    logs = -gamma * P.log_density_rows(draws)
+    if rng is None:
+        log_p = _pair_memo(P, Q).mc_log_p(n_draws)
+    else:
+        log_p = P.log_density_rows(Q.sample_array(rng, n_draws))
+    logs = -gamma * log_p
     if np.any(np.isinf(logs)):
         return TransferEvaluation(gamma, math.inf, "monte_carlo", math.inf, False)
     vals = np.exp(logs)
@@ -193,9 +235,8 @@ def _mass_below_density(P, Q, t: float) -> float:
             else:
                 hi = mid
         return float(Q.cdf(x0) + 1.0 - Q.cdf(hi))
-    rng = np.random.default_rng(np.random.SeedSequence(_MC_SEED))
-    draws = Q.sample_array(rng, _MC_DRAWS)
-    return float(np.mean(P.log_density_rows(draws) <= math.log(t)))
+    log_p = _pair_memo(P, Q).mc_log_p(_MC_DRAWS)
+    return float(np.mean(log_p <= math.log(t)))
 
 
 def markov_mass_bound(

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 
+from transfer_knn._integrate import bounded_quad, improper_quad
 from transfer_knn.distributions import Pareto, ProductPareto, ball_mass
+from transfer_knn.transfer import _MC_SEED
 
 
 def brute_force_knn(points: np.ndarray, x, k: int):
@@ -107,6 +109,51 @@ def monte_carlo_transfer_loop(P, Q, gamma: float, n_draws: int, seed: int):
         return math.inf, math.inf
     vals = np.exp(logs)
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n_draws))
+
+
+def power_integral_uncached(P, Q, a: float, b: float, lo: float, hi: float):
+    """(value, error, converged) of int q^a p^b over [lo, hi], b != 0.
+
+    transfer._power_integral with both log densities evaluated afresh at
+    every node scipy asks for, shared with no other call.
+    """
+
+    def log_g(x):
+        lq = Q.log_density(x)
+        if lq == -math.inf:
+            return -math.inf
+        lp = P.log_density(x)
+        if lp == -math.inf:
+            return math.inf if b < 0 else -math.inf
+        return a * lq + b * lp
+
+    if math.isinf(hi):
+        res = improper_quad(log_g, lo)
+        return res.value, res.error, res.converged
+    (p_lo, p_hi), (q_lo, q_hi) = P.support, Q.support
+    if b < 0 and (q_lo < p_lo or q_hi > p_hi):
+        return math.inf, math.inf, False
+    value, err = bounded_quad(lambda x: math.exp(min(log_g(x), 700.0)), lo, hi)
+    if not math.isfinite(value):
+        return math.inf, math.inf, False
+    return value, err, True
+
+
+def monte_carlo_uncached(P, Q, gamma: float, n_draws: int, rng=None):
+    """(value, stderr, converged) of the Monte Carlo T(P, Q, gamma).
+
+    Draws n_draws fresh points from Q (from the fixed seed when rng is
+    None) and takes log p on them in one row-form pass, for this gamma
+    alone.
+    """
+    if rng is None:
+        rng = np.random.default_rng(np.random.SeedSequence(_MC_SEED))
+    logs = -gamma * P.log_density_rows(Q.sample_array(rng, n_draws))
+    if np.any(np.isinf(logs)):
+        return math.inf, math.inf, False
+    vals = np.exp(logs)
+    mean = float(np.mean(vals))
+    return mean, float(np.std(vals, ddof=1) / math.sqrt(n_draws)), math.isfinite(mean)
 
 
 def mass_below_density_loop(P, Q, t: float, n_draws: int, seed: int) -> float:

@@ -495,6 +495,7 @@ CONFIG_COMMANDS = {
     "sweep": (EXPERIMENT, ["--seed", "3"]),
     "check-regularity": (REGULARITY, []),
 }
+NON_NORMALISABLE = {"family": "log_pareto", "a": 1, "b": 1e-6, "c": 0}
 # A float field of each config, as a dotted path.
 FLOAT_FIELDS = {
     "transfer": "source.alpha",
@@ -548,6 +549,10 @@ def bad_config_cases():
         ("rates", "transfer_p", [1], "transfer_p"),
         ("rates", "mode", ["full"], "mode"),
         ("rates", "n", 10**400, "n"),
+        # A LogPareto whose density does not normalise
+        ("transfer", "source", NON_NORMALISABLE, "source"),
+        ("transfer", "target", NON_NORMALISABLE, "target"),
+        ("sweep", "target", NON_NORMALISABLE, "target"),
         # ExperimentConfig range checks
         ("sweep", "reps", 0, "reps"),
         ("sweep", "n_test", 0, "n_test"),
@@ -610,3 +615,30 @@ class TestFlags:
         err = capsys.readouterr().err
         assert "config field 'argv'" in err and flag in err
         assert not (tmp_path / "o2").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["sweep", "simulate"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, command, value):
+        body, extra = CONFIG_COMMANDS[command]
+        argv = [command, "--config", write_json(tmp_path / "c.json", body)] + extra
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out), "--threads", value]) == 1
+        err = capsys.readouterr().err
+        assert "config field '--threads'" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["sweep", "simulate"])
+    def test_threads_env_below_one_rejected(
+        self, tmp_path, capsys, monkeypatch, command, value
+    ):
+        body, extra = CONFIG_COMMANDS[command]
+        argv = [command, "--config", write_json(tmp_path / "c.json", body)] + extra
+        monkeypatch.setenv("TRANSFER_KNN_THREADS", value)
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config field 'TRANSFER_KNN_THREADS'" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*"))

@@ -1,9 +1,15 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import mass_below_density_loop, monte_carlo_transfer_loop
+from conftest import (
+    mass_below_density_loop,
+    monte_carlo_transfer_loop,
+    monte_carlo_uncached,
+    power_integral_uncached,
+)
 from transfer_knn import transfer
 from transfer_knn.distributions import (
     Exponential,
@@ -29,6 +35,12 @@ from transfer_knn.transfer import (
 PAR = Pareto(1.0, 1.0)
 EXP1 = Exponential(1.0)
 EXP2 = Exponential(2.0)
+
+
+@pytest.fixture(autouse=True)
+def fresh_memo():
+    """Equal pairs share the per-pair memo, so each test starts without one."""
+    transfer._pair_memo.cache_clear()
 
 
 def exp_pair_value(lam_p, lam_q, gamma):
@@ -140,6 +152,190 @@ class TestMonteCarloRows:
         for t in (0.05, 0.3):
             want = mass_below_density_loop(P, Q, t, _MC_DRAWS, _MC_SEED)
             assert _mass_below_density(P, Q, t) == want
+
+
+def bits(ev: TransferEvaluation) -> tuple:
+    """Every field of an evaluation, floats by their exact bits."""
+    return (
+        ev.gamma.hex(),
+        float(ev.value).hex(),
+        ev.method,
+        float(ev.error_estimate).hex(),
+        ev.converged,
+    )
+
+
+def uncached_call(fn, *args, **kwargs):
+    """fn(*args, **kwargs) with the uncached integrand in place of the memo's."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(transfer, "_power_integral", power_integral_uncached)
+        return fn(*args, **kwargs)
+
+
+LOG_SOURCE = LogPareto(1.0, 1.0, 0.0)
+LOG_TARGET = LogPareto(1.0, 1.0, 2.0)
+# The CLI's 0:1:0.01 grid, point for point (parse_grid's 0.0 + i * 0.01).
+LOG_GRID = [i * 0.01 for i in range(101)]
+PRODUCT_SOURCE = ProductPareto(1.0, 1.0, 2)
+PRODUCT_TARGET = ProductPareto(2.0, 1.0, 2)
+PRODUCT_GRID = [i * 0.15 for i in range(7)]
+
+
+@pytest.fixture(scope="module")
+def log_pareto_reference():
+    """gamma -> bits of the uncached evaluation on LOG_GRID."""
+    return {
+        g: bits(uncached_call(transfer_value, LOG_SOURCE, LOG_TARGET, g))
+        for g in LOG_GRID
+    }
+
+
+class TestPairMemo:
+    """Every gamma of a pair reads one memo, and every value stays bit for bit."""
+
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_log_pareto_grid(self, log_pareto_reference, order):
+        grid = LOG_GRID if order == "forward" else LOG_GRID[::-1]
+        for g in grid:
+            ev = transfer_value(LOG_SOURCE, LOG_TARGET, g)
+            assert bits(ev) == log_pareto_reference[g], g
+
+    def test_log_pareto_grid_interleaved_with_another_pair(self, log_pareto_reference):
+        # Alternating pairs evicts the one-pair memo at every call.
+        light = LogPareto(1.0, 1.0, 0.5)
+        for g in LOG_GRID[::5]:
+            ev = transfer_value(LOG_SOURCE, LOG_TARGET, g)
+            other = transfer_value(LOG_SOURCE, light, g)
+            assert bits(ev) == log_pareto_reference[g], g
+            want = uncached_call(transfer_value, LOG_SOURCE, light, g)
+            assert bits(other) == bits(want), g
+
+    def test_estimate_index_bracket(self, log_pareto_reference):
+        est = estimate_index(LOG_SOURCE, LOG_TARGET, LOG_GRID)
+        assert [bits(e) for e in est.evaluations] == [
+            log_pareto_reference[g] for g in LOG_GRID
+        ]
+        assert est.lower_confirmed == 0.5 < est.upper_confirmed <= 0.55
+
+    @pytest.mark.parametrize(
+        "P,Q",
+        [
+            (Pareto(1.0, 1.0), Pareto(1.0, 2.0)),
+            (Exponential(1.0), Pareto(3.0, 1.0)),
+            (Uniform(0.0, 2.0), Uniform(0.5, 1.5)),
+        ],
+        ids=["pareto_unequal_sigma", "exponential_to_pareto", "uniform_bounded"],
+    )
+    def test_quadrature_pairs(self, P, Q):
+        grid = [0.1, 0.3, 0.45, 0.7, 1.2]
+        for g in grid + grid[::-1]:
+            ev = transfer_value(P, Q, g)
+            assert ev.method == "quadrature"
+            assert bits(ev) == bits(uncached_call(transfer_value, P, Q, g)), g
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_renyi_after_transfer_on_the_same_pair(self, alpha):
+        # transfer_value(PAR, EXP1, .) fills the memo renyi_divergence(EXP1, PAR, .)
+        # reads.
+        for g in (0.2, 0.6):
+            transfer_value(PAR, EXP1, g, method="quadrature")
+        for Q, P in ((EXP1, PAR), (EXP1, EXP2), (Uniform(0.0, 2.0), Uniform(0.0, 1.0))):
+            got = renyi_divergence(Q, P, alpha)
+            assert got.hex() == uncached_call(renyi_divergence, Q, P, alpha).hex()
+
+    def test_monte_carlo_product_grid(self):
+        for g in PRODUCT_GRID[1:] + PRODUCT_GRID[:0:-1]:
+            ev = transfer_value(PRODUCT_SOURCE, PRODUCT_TARGET, g)
+            assert ev.method == "monte_carlo"
+            want = monte_carlo_uncached(PRODUCT_SOURCE, PRODUCT_TARGET, g, _MC_DRAWS)
+            assert (ev.value, ev.error_estimate, ev.converged) == want, g
+
+    def test_monte_carlo_one_dimensional_with_and_without_rng(self):
+        P, Q = Pareto(1.0, 2.0), Pareto(1.0, 1.0)
+        for g in (0.15, 0.45, 0.9):
+            for n_draws in (20_000, _MC_DRAWS):
+                ev = transfer_value(P, Q, g, method="monte_carlo", n_draws=n_draws)
+                want = monte_carlo_uncached(P, Q, g, n_draws)
+                assert (ev.value, ev.error_estimate, ev.converged) == want
+            # A caller's generator still draws fresh points.
+            rng, twin = (np.random.default_rng(np.random.SeedSequence(17)) for _ in "ab")
+            ev = transfer_value(P, Q, g, method="monte_carlo", rng=rng, n_draws=20_000)
+            want = monte_carlo_uncached(P, Q, g, 20_000, rng=twin)
+            assert (ev.value, ev.error_estimate, ev.converged) == want
+            assert ev.value != transfer_value(P, Q, g, method="monte_carlo").value
+
+    def test_markov_bound_d2_shares_the_draws(self, monkeypatch):
+        draws = []
+        sample = ProductPareto.sample_array
+
+        def counted(self, rng, n):
+            draws.append(n)
+            return sample(self, rng, n)
+
+        monkeypatch.setattr(ProductPareto, "sample_array", counted)
+        P, Q = PRODUCT_SOURCE, PRODUCT_TARGET
+        for gamma, t in ((0.15, 0.05), (0.3, 0.3)):
+            lhs, rhs = markov_mass_bound(P, Q, gamma, t)
+            assert lhs == mass_below_density_loop(P, Q, t, _MC_DRAWS, _MC_SEED)
+            assert rhs == t**gamma * monte_carlo_uncached(P, Q, gamma, _MC_DRAWS)[0]
+        # The oracles above drew four samples; the library drew one.
+        assert draws.count(_MC_DRAWS) == 5
+
+    def test_threads_racing_on_the_memo(self, log_pareto_reference):
+        # Two threads per pair, so entries are raced for and the one-pair
+        # memo is evicted back and forth.
+        from concurrent.futures import ThreadPoolExecutor
+
+        log_grid, mc_grid = LOG_GRID[::10], PRODUCT_GRID[1:]
+        mc_want = {
+            g: monte_carlo_uncached(PRODUCT_SOURCE, PRODUCT_TARGET, g, _MC_DRAWS)
+            for g in mc_grid
+        }
+
+        def log_pareto(g):
+            return bits(transfer_value(LOG_SOURCE, LOG_TARGET, g))
+
+        def product(g):
+            ev = transfer_value(PRODUCT_SOURCE, PRODUCT_TARGET, g)
+            return ev.value, ev.error_estimate, ev.converged
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    (fn, g, pool.submit(fn, g))
+                    for _ in range(2)
+                    for fn, grid in ((log_pareto, log_grid), (product, mc_grid))
+                    for g in grid
+                ]
+                for fn, g, future in futures:
+                    want = log_pareto_reference[g] if fn is log_pareto else mc_want[g]
+                    assert future.result(timeout=120) == want, (fn.__name__, g)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_log_pareto_grid_log_density_calls(self, monkeypatch):
+        calls = []
+        log_density = LogPareto.log_density
+
+        def counted(self, x):
+            calls.append(x)
+            return log_density(self, x)
+
+        monkeypatch.setattr(LogPareto, "log_density", counted)
+        for g in LOG_GRID:
+            transfer_value(LOG_SOURCE, LOG_TARGET, g)
+        # 570,192 without the node table: 21,000 distinct nodes, each
+        # side's value asked for 13.6 times on average.
+        assert len(calls) <= 50_000
+
+    def test_cached_log_p_is_read_only(self):
+        transfer_value(PRODUCT_SOURCE, PRODUCT_TARGET, 0.3)
+        log_p = transfer._pair_memo(PRODUCT_SOURCE, PRODUCT_TARGET).mc_log_p(_MC_DRAWS)
+        assert not log_p.flags.writeable
+        with pytest.raises(ValueError):
+            log_p[0] = 0.0
 
 
 class TestTransferProperties:
