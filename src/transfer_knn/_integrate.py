@@ -24,6 +24,8 @@ STABLE_REL = 1.0e-4
 _EXIT_REL = 1.0e-13
 # Cap on log x: e^690 is near the largest double.
 _T_MAX = 690.0
+# Width of the head [x0, x0 + _HEAD_WIDTH] integrated before the windows.
+_HEAD_WIDTH = 8.0
 _QUAD_KW = dict(epsabs=1e-13, epsrel=1e-11, limit=200)
 
 
@@ -48,9 +50,9 @@ def _quiet_quad(f, lo, hi):
         return quad(f, lo, hi, **_QUAD_KW)
 
 
-def improper_quad(log_f, x0: float, head_width: float = 8.0) -> TailIntegral:
+def improper_quad(log_f, x0: float) -> TailIntegral:
     """Integrate exp(log_f(x)) over [x0, oo) with divergence detection."""
-    x1 = x0 + head_width
+    x1 = x0 + _HEAD_WIDTH
     head, head_err = _quiet_quad(lambda x: _exp_clamped(log_f(x)), x0, x1)
     if not math.isfinite(head) or head > VALUE_CUTOFF:
         return TailIntegral(math.inf, math.inf, False)

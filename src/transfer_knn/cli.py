@@ -27,7 +27,7 @@ from .errors import (
     config_number,
     config_object,
 )
-from .estimator import fit, write_labeled_csv, write_predictions_csv
+from .estimator import fit
 from .harness import experiment_from_spec, generate_data, problem_from_spec, sweep
 from .rates import RateParams, phase_grid, theoretical_rate
 from .transfer import transfer_value
@@ -115,6 +115,15 @@ def parse_grid(text: str, field: str):
     return [start + i * step for i in range(count)]
 
 
+def _log_grid(text: str, field: str):
+    """10^v for each v of a log10 grid; every 10^v must be a finite float."""
+    grid = parse_grid(text, field)
+    try:
+        return [10.0**v for v in grid]
+    except OverflowError:
+        raise ConfigError(field, f"10^{grid[-1]} overflows a float") from None
+
+
 def _parse_assignments(text: str, field: str) -> dict:
     out = {}
     for item in text.split(","):
@@ -166,6 +175,11 @@ def _cmd_transfer(args, stager: OutputStager) -> None:
     cfg = config_object(_load_json(args.config), "", ("source", "target"))
     P = family_from_spec(cfg["source"], "source")
     Q = family_from_spec(cfg["target"], "target")
+    if Q.dimension != P.dimension:
+        raise ConfigError(
+            "target",
+            f"dimension {Q.dimension} does not match source dimension {P.dimension}",
+        )
     grid = parse_grid(args.gamma_grid, "--gamma-grid")
     evals = [transfer_value(P, Q, g) for g in grid]
     header = ["gamma", "value", "method", "error_estimate", "converged"]
@@ -232,8 +246,8 @@ def _cmd_phase(args, stager: OutputStager) -> None:
     if keys == {"gamma", "s"}:
         if args.log_n is None or args.log_m is None:
             raise ConfigError("--log-n", "required when fixing gamma and s")
-        axis1 = [10.0**v for v in parse_grid(args.log_n, "--log-n")]
-        axis2 = [10.0**v for v in parse_grid(args.log_m, "--log-m")]
+        axis1 = _log_grid(args.log_n, "--log-n")
+        axis2 = _log_grid(args.log_m, "--log-m")
         flags.update(n="--log-n", m="--log-m")
     elif keys == {"n", "m"}:
         if args.gamma_axis is None or args.s_axis is None:
@@ -312,20 +326,17 @@ def _cmd_simulate(args, stager: OutputStager) -> None:
     tgt_data = generate_data(target, f_star, noise, m, rng_tgt) if m > 0 else None
     est = fit(src_data, tgt_data, est_cfg)
     Xq = target.sample_array(rng_test, n_test)
-    values, k_p, k_q, p_hat, q_hat = est.predict_batch(Xq, workers=_threads(args))
-    d = est_cfg.d
-    write_labeled_csv(
-        stager.path("train_source.csv"),
-        src_data[0] if src_data else np.empty((0, d)),
-        src_data[1] if src_data else np.empty(0),
-    )
-    write_labeled_csv(
-        stager.path("train_target.csv"),
-        tgt_data[0] if tgt_data else np.empty((0, d)),
-        tgt_data[1] if tgt_data else np.empty(0),
-    )
-    write_predictions_csv(
-        stager.path("predictions.csv"), Xq, values, k_p, k_q, p_hat, q_hat
+    # (values, k_p, k_q, p_hat, q_hat), the columns after the coordinates
+    result = est.predict_batch(Xq, workers=_threads(args))
+    coords = [f"x_{i + 1}" for i in range(est_cfg.d)]
+    for name, data in (("train_source.csv", src_data), ("train_target.csv", tgt_data)):
+        X, y = data if data else (np.empty((0, est_cfg.d)), np.empty(0))
+        rows = [[*x, label] for x, label in zip(X.tolist(), y.tolist())]
+        stager.write_rows(name, coords + ["y"], rows)
+    stager.write_rows(
+        "predictions.csv",
+        coords + ["y_hat", "k_p", "k_q", "p_hat", "q_hat"],
+        [[*x, *rest] for x, *rest in zip(Xq.tolist(), *(c.tolist() for c in result))],
     )
 
 
@@ -366,7 +377,10 @@ def _cmd_check_regularity(args, stager: OutputStager) -> None:
     nr = config_integer(cfg.get("r_points", 20), "r_points", least=1)
     if dist.dimension != 1:
         raise ConfigError("distribution", "regularity grid check requires 1-D")
-    x_grid = [float(dist.ppf((i + 0.5) / nx)) for i in range(nx)]
+    with np.errstate(over="ignore"):
+        x_grid = [float(dist.ppf((i + 0.5) / nx)) for i in range(nx)]
+    if not all(math.isfinite(x) for x in x_grid):
+        raise ConfigError("distribution", "a quantile of the x grid overflows a float")
     r_grid = [(j + 1) / nr for j in range(nr)]
     report = local_mass_check(dist, theta, x_grid, r_grid)
     summary = {

@@ -448,23 +448,18 @@ _BALL_MC_DRAWS = 100_000
 _BALL_MC_SEED = 0x5EED_BA11
 
 
-def _sample_distances(
-    dist: DistributionFamily, x, rng=None, n_draws: int = _BALL_MC_DRAWS
-) -> np.ndarray:
-    """Distances from x to n_draws points of dist (fixed seed by default)."""
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(_BALL_MC_SEED))
-    pts = dist.sample_array(rng, n_draws)
+def _sample_distances(dist: DistributionFamily, x) -> np.ndarray:
+    """Distances from x to _BALL_MC_DRAWS fixed-seed points of dist."""
+    rng = np.random.default_rng(np.random.SeedSequence(_BALL_MC_SEED))
+    pts = dist.sample_array(rng, _BALL_MC_DRAWS)
     center = np.atleast_1d(np.asarray(x, dtype=np.float64))
     return np.linalg.norm(pts - center[None, :], axis=1)
 
 
-def ball_mass_with_error(
-    dist: DistributionFamily, x, r: float, rng=None, n_draws: int = _BALL_MC_DRAWS
-) -> tuple[float, float]:
+def ball_mass_with_error(dist: DistributionFamily, x, r: float) -> tuple[float, float]:
     """Monte Carlo ball mass with its standard error (any dimension)."""
-    p = float(np.mean(_sample_distances(dist, x, rng, n_draws) <= r))
-    return p, math.sqrt(max(p * (1.0 - p), 0.0) / n_draws)
+    p = float(np.mean(_sample_distances(dist, x) <= r))
+    return p, math.sqrt(max(p * (1.0 - p), 0.0) / _BALL_MC_DRAWS)
 
 
 def ball_mass(dist: DistributionFamily, x, r: float) -> float:

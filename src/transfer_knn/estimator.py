@@ -90,8 +90,49 @@ def neighbor_counts(
     return np.where(np.isinf(p_hat), n_own, k).astype(np.int64)
 
 
-class _SortedSample1D:
-    """Coordinate-sorted view of a 1-D sample for O(log k) kNN windows.
+class _TreeSample:
+    """One nonempty labeled sample, answered by exact k-NN queries (any d).
+
+    The k-d tree of its NeighborIndex is built on the first query, so a
+    1-D sample that never needs the exact path never builds one.
+    """
+
+    def __init__(self, X: np.ndarray, labels: np.ndarray):
+        self.n = len(labels)
+        self.labels = labels
+        self.index = NeighborIndex(PointSet(X))
+
+    def positions(self, X):
+        """State of one batch that radii and label_sums share, as pos; none here."""
+        return None
+
+    def radii(self, X, ell: int, pos, workers: int = 1) -> np.ndarray:
+        """R_ell(x), the distance to the ell-th nearest point, per row of X."""
+        dist, _ = self.index.query_batch(X, ell, workers=workers)
+        return dist[:, -1]
+
+    def label_sums(self, X, k: np.ndarray, pos, workers: int = 1) -> np.ndarray:
+        """Sum of the labels of each row's first k_i neighbours (k_i >= 1).
+
+        Rows are grouped by ceil(log2 k) and each group is queried at its
+        own largest k, so no row fetches more than twice its neighbours.
+        The sequential per-row cumsum makes a row's sum independent of how
+        many extra neighbours its group fetched.
+        """
+        out = np.zeros(len(X))
+        # frexp's exponent of k - 1 is ceil(log2 k), exactly, for k >= 1.
+        bucket = np.frexp(k - 1)[1]
+        for b in np.unique(bucket):
+            group = np.nonzero(bucket == b)[0]
+            kg = k[group]
+            _, idx = self.index.query_batch(X[group], int(kg.max()), workers=workers)
+            csums = np.cumsum(self.labels[idx], axis=1)
+            out[group] = csums[np.arange(len(group)), kg - 1]
+        return out
+
+
+class _SortedSample1D(_TreeSample):
+    """A 1-D sample answered from its sorted coordinates in O(log k).
 
     In one dimension the k nearest neighbours of x occupy a contiguous
     window of the sorted coordinates a.  With pos the insertion point of
@@ -110,10 +151,11 @@ class _SortedSample1D:
     ascending-index order.  Label sums come from a prefix-sum array.  A
     window whose boundary distance is exactly tied with the next point
     outside is ambiguous under the original-index tie rule and is
-    resolved through the exact index path instead.
+    resolved through the exact tree path instead.
     """
 
     def __init__(self, X: np.ndarray, labels: np.ndarray):
+        super().__init__(X, labels)
         x = X[:, 0]
         order = np.argsort(x)
         coords = x[order]
@@ -121,12 +163,11 @@ class _SortedSample1D:
             order = np.argsort(x, kind="stable")
             coords = x[order]
         self.coords = coords
-        self.labels = labels[order]
-        self.prefix = np.concatenate([[0.0], np.cumsum(self.labels)])
-        self.n = len(order)
+        self.prefix = np.concatenate([[0.0], np.cumsum(labels[order])])
 
-    def positions(self, x: np.ndarray) -> np.ndarray:
+    def positions(self, X) -> np.ndarray:
         """searchsorted(coords, x), searched in ascending order of x."""
+        x = X[:, 0]
         order = np.argsort(x)
         pos = np.empty(len(x), dtype=np.intp)
         pos[order] = np.searchsorted(self.coords, x[order])
@@ -159,12 +200,33 @@ class _SortedSample1D:
         tie_right = (starts + k < self.n) & (self.coords[outer] - x == r)
         return tie_left | tie_right
 
-    def label_sums(self, x, k, starts) -> np.ndarray:
-        return self.prefix[starts + k] - self.prefix[starts]
+    def radii(self, X, ell: int, pos, workers: int = 1) -> np.ndarray:
+        x = X[:, 0]
+        return self.window_radius(x, ell, self.window_starts(x, ell, pos))
+
+    def label_sums(self, X, k: np.ndarray, pos, workers: int = 1) -> np.ndarray:
+        x = X[:, 0]
+        starts = self.window_starts(x, k, pos)
+        tied = self.boundary_ties(x, k, starts)
+        sums = np.where(tied, 0.0, self.prefix[starts + k] - self.prefix[starts])
+        if np.any(tied):
+            # Added onto the whole batch, as 0.0 where no tie is: every
+            # -0.0 sum of a batch with a tie row reads 0.0.
+            exact = np.zeros(len(x))
+            exact[tied] = super().label_sums(X[tied], k[tied], None, workers)
+            sums += exact
+        return sums
+
+
+def _sample(X: np.ndarray, labels: np.ndarray):
+    """The neighbour backend of one sample; None when it is empty."""
+    if not len(labels):
+        return None
+    return (_SortedSample1D if X.shape[1] == 1 else _TreeSample)(X, labels)
 
 
 class TrainedEstimator:
-    """Immutable fitted state: samples, indexes, and density closures."""
+    """Immutable fitted state: one neighbour backend per nonempty sample."""
 
     def __init__(self, source, target, config: NeighborFunctionConfig):
         sx, sy = _coerce_labeled(source, config.d)
@@ -174,119 +236,38 @@ class TrainedEstimator:
         if self.n + self.m < 1:
             raise ValueError("at least one of the two samples must be nonempty")
         self.config = config
-        self.source_x, self.source_y = sx, sy
-        self.target_x, self.target_y = tx, ty
         self.joint_log = math.log(max(self.n, 1) * max(self.m, 1))
         self.ell = int(math.ceil(config.ell_factor * self.joint_log))
-        self._src_index = NeighborIndex(PointSet(sx)) if self.n >= 1 else None
-        self._tgt_index = NeighborIndex(PointSet(tx)) if self.m >= 1 else None
-        fast = config.d == 1
-        self._src_sorted = _SortedSample1D(sx, sy) if fast and self.n else None
-        self._tgt_sorted = _SortedSample1D(tx, ty) if fast and self.m else None
+        self._source = _sample(sx, sy)
+        self._target = _sample(tx, ty)
 
-    # -- per-side machinery ---------------------------------------------
-    def _side(self, which: str):
-        if which == "p":
-            return (
-                self._src_index,
-                self._src_sorted,
-                self.source_y,
-                self.n,
-                self.config.kappa_p,
-            )
-        return (
-            self._tgt_index,
-            self._tgt_sorted,
-            self.target_y,
-            self.m,
-            self.config.kappa_q,
-        )
-
-    def _density_enabled(self, n_own: int) -> bool:
-        return n_own >= 1 and 1 <= self.ell <= n_own
-
-    def _ell_distances(self, X, which: str, workers=1, pos=None) -> np.ndarray:
-        """R_ell(x) from one sample at each row of X.
-
-        pos is the 1-D path's positions of X in the sorted sample.
-        """
-        index, sorted1d, _, _, _ = self._side(which)
-        if sorted1d is not None:
-            starts = sorted1d.window_starts(X[:, 0], self.ell, pos)
-            return sorted1d.window_radius(X[:, 0], self.ell, starts)
-        dist, _ = index.query_batch(X, self.ell, workers=workers)
-        return dist[:, -1]
-
-    def _counts_batch(self, X: np.ndarray, which: str, workers: int = 1, pos=None):
-        _, _, _, n_own, kappa = self._side(which)
-        q = len(X)
-        if n_own == 0:
-            return np.zeros(q, dtype=np.int64), np.full(q, math.inf)
-        if not self._density_enabled(n_own):
-            k = min(n_own, max(int(math.ceil(self.joint_log)), _MIN_K))
-            return np.full(q, k, dtype=np.int64), np.full(q, math.inf)
-        r = self._ell_distances(X, which, workers, pos)
-        with np.errstate(divide="ignore"):
-            p_hat = np.where(r > 0.0, self.ell / (n_own * r**self.config.d), math.inf)
-        k = neighbor_counts(p_hat, n_own, self.joint_log, self.config, kappa)
-        return k, p_hat
-
-    def _label_sums_exact(self, X, k, which, rows, workers=1):
-        """Index-path label sums for the given rows (tie-rule exact).
-
-        Rows are grouped by ceil(log2 k) and each group is queried at its
-        own largest k, so no row fetches more than twice its neighbours.
-        The sequential per-row cumsum makes a row's sum independent of how
-        many extra neighbours its group fetched.
-        """
-        index, _, labels, _, _ = self._side(which)
-        out = np.zeros(len(X))
-        sub = np.nonzero(rows)[0]
-        # frexp's exponent of k - 1 is ceil(log2 k), exactly, for k >= 1.
-        bucket = np.frexp(k[sub] - 1)[1]
-        for b in np.unique(bucket):
-            group = sub[bucket == b]
-            kg = k[group]
-            _, idx = index.query_batch(X[group], int(kg.max()), workers=workers)
-            csums = np.cumsum(labels[idx], axis=1)
-            out[group] = csums[np.arange(len(group)), kg - 1]
-        return out
-
-    def _label_sums(self, X, k: np.ndarray, which: str, workers=1, pos=None):
-        """Sum of the labels of each row's first k_i neighbours.
-
-        pos is the 1-D path's positions of X in the sorted sample.
-        """
-        _, sorted1d, _, n_own, _ = self._side(which)
-        sums = np.zeros(len(X))
-        if n_own == 0 or len(k) == 0 or int(k.max()) == 0:
-            return sums
-        live = k > 0
-        if sorted1d is None:
-            return self._label_sums_exact(X, k, which, live, workers)
-        x = X[:, 0]
-        ks = np.maximum(k, 1)
-        starts = sorted1d.window_starts(x, ks, pos)
-        ambiguous = live & sorted1d.boundary_ties(x, ks, starts)
-        clean = live & ~ambiguous
-        sums[clean] = sorted1d.label_sums(x[clean], ks[clean], starts[clean])
-        if np.any(ambiguous):
-            sums += self._label_sums_exact(X, k, which, ambiguous, workers)
-        return sums
-
-    # -- public API -------------------------------------------------------
     def side_terms(self, X, side: str, workers: int = 1):
         """One sample's (k, density estimate, label sum) at each row of X.
 
         side is "p" for the source sample and "q" for the target sample.
+        A missing sample gives k = 0, an infinite density and sum 0.
         """
         if side not in ("p", "q"):
             raise ValueError(f"side must be 'p' or 'q', got {side!r}")
         X = _coerce_points(X, self.config.d)
-        sorted1d = self._side(side)[1]
-        pos = None if sorted1d is None else sorted1d.positions(X[:, 0])
-        k, density = self._counts_batch(X, side, workers, pos)
-        return k, density, self._label_sums(X, k, side, workers, pos)
+        cfg = self.config
+        sample, kappa = (
+            (self._source, cfg.kappa_p) if side == "p" else (self._target, cfg.kappa_q)
+        )
+        q = len(X)
+        if sample is None:
+            return np.zeros(q, dtype=np.int64), np.full(q, math.inf), np.zeros(q)
+        pos = sample.positions(X)
+        if 1 <= self.ell <= sample.n:
+            r = sample.radii(X, self.ell, pos, workers)
+            with np.errstate(divide="ignore"):
+                p_hat = np.where(r > 0.0, self.ell / (sample.n * r**cfg.d), math.inf)
+            k = neighbor_counts(p_hat, sample.n, self.joint_log, cfg, kappa)
+        else:
+            floor = max(int(math.ceil(self.joint_log)), _MIN_K)
+            k = np.full(q, min(sample.n, floor), dtype=np.int64)
+            p_hat = np.full(q, math.inf)
+        return k, p_hat, sample.label_sums(X, k, pos, workers)
 
     def predict_batch(self, X, workers: int = 1):
         """Vectorised predictions; returns (values, k_p, k_q, p_hat, q_hat)."""
@@ -378,27 +359,3 @@ def read_labeled_csv(path) -> tuple[np.ndarray, np.ndarray]:
     d = len(header) - 1
     data = np.asarray(rows, dtype=np.float64).reshape(len(rows), d + 1)
     return data[:, :d], data[:, d]
-
-
-def write_labeled_csv(path, X: np.ndarray, y: np.ndarray) -> None:
-    d = X.shape[1]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join([f"x_{i + 1}" for i in range(d)] + ["y"]) + "\n")
-        for row, label in zip(X, y):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{float(label)!r}\n")
-
-
-def write_predictions_csv(path, X, values, k_p, k_q, p_hat, q_hat) -> None:
-    """Emit predictions as x_1,...,x_d,y_hat,k_p,k_q,p_hat,q_hat."""
-    d = X.shape[1]
-    header = [f"x_{i + 1}" for i in range(d)] + ["y_hat", "k_p", "k_q", "p_hat", "q_hat"]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(len(X)):
-            cells = [repr(float(v)) for v in X[i]]
-            cells.append(repr(float(values[i])))
-            cells.append(str(int(k_p[i])))
-            cells.append(str(int(k_q[i])))
-            cells.append(repr(float(p_hat[i])))
-            cells.append(repr(float(q_hat[i])))
-            fh.write(",".join(cells) + "\n")

@@ -130,13 +130,12 @@ def mc_excess_risk(
     Q: DistributionFamily,
     n_test: int,
     rng: np.random.Generator,
-    workers: int = 1,
 ) -> float:
     """Average squared prediction error over fresh target draws."""
     if n_test < 1:
         raise ValueError("n_test must be at least 1")
     Xq = Q.sample_array(rng, n_test)
-    preds = fitted.predict_batch(Xq, workers=workers)[0]
+    preds = fitted.predict_batch(Xq)[0]
     truth = np.asarray(f_star(Xq), dtype=np.float64).reshape(n_test)
     return float(np.mean((preds - truth) ** 2))
 

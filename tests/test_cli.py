@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -93,6 +94,18 @@ class TestTransferCommand:
         assert {"gamma", "value", "method", "error_estimate", "converged"} == set(
             payload[0]
         )
+
+    def test_dimension_mismatch_names_target(self, tmp_path, capsys):
+        pair = dict(
+            PAIR, source={"family": "product_pareto", "alpha": 1, "sigma": 1, "d": 2}
+        )
+        cfg = write_json(tmp_path / "pair.json", pair)
+        out = tmp_path / "out"
+        argv = ["transfer", "--config", cfg, "--gamma-grid", "0:1:0.5", "--out", str(out)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "config field 'target'" in err and "Traceback" not in err
+        assert not list(out.glob("*"))
 
 
 class TestRatesCommand:
@@ -305,6 +318,21 @@ class TestSimulateCommand:
         assert preds[0] == "x_1,y_hat,k_p,k_q,p_hat,q_hat"
         assert len(preds) == 17
 
+    # sha256 of each artifact of a CONFIG run, as written by the
+    # per-file CSV writers that OutputStager.write_rows replaced.
+    DIGESTS = {
+        "train_source.csv": "e2cc9aaf6fb0cfcd701b0dcf3be975c15ddcbd0b1520c2022c349380da4731f3",
+        "train_target.csv": "79a37ef231616c371b157f05023d8c8eb0728debe8f41bb576be20969fff37ac",
+        "predictions.csv": "0bbf3eb6c2b8146b144c4add581ff730e98ee57d6d7a636781e3ff2c72ed1f94",
+    }
+
+    def test_artifacts_match_pinned_digests(self, tmp_path):
+        cfg = write_json(tmp_path / "sim.json", self.CONFIG)
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        for name, digest in self.DIGESTS.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
     def test_train_csv_parses_back(self, tmp_path):
         from transfer_knn.estimator import read_labeled_csv
 
@@ -460,6 +488,12 @@ class TestCheckRegularityCommand:
             pytest.param({"r_points": 0}, "r_points", id="r_points=0"),
             pytest.param({"theta": "x"}, "theta", id="theta=x"),
             pytest.param({"theta": -1}, "theta", id="theta=-1"),
+            # every quantile of Pareto(1e-300, 1) overflows to inf
+            pytest.param(
+                {"distribution": {"family": "pareto", "alpha": 1e-300, "sigma": 1.0}},
+                "distribution",
+                id="ppf-overflow",
+            ),
         ],
     )
     def test_bad_field_exits_one_naming_it(self, tmp_path, capsys, override, field):
@@ -593,7 +627,15 @@ class TestFlags:
     PHASE = ["phase", "--fix", "gamma=1,s=0.2", "--log-n", "2:3", "--log-m", "2:3"]
 
     @pytest.mark.parametrize(
-        "flag, value", [("--d", "0"), ("--beta", "2"), ("--log-n", "nan:3")]
+        "flag, value",
+        [
+            ("--d", "0"),
+            ("--beta", "2"),
+            ("--log-n", "nan:3"),
+            # 10^v overflows a float
+            ("--log-n", "0:400:100"),
+            ("--log-m", "300:310:5"),
+        ],
     )
     def test_phase_names_the_flag(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"

@@ -6,16 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_knn, window_starts_bisection
+from transfer_knn.cli import OutputStager, run
 from transfer_knn.distributions import ProductPareto
 from transfer_knn.estimator import (
     NeighborFunctionConfig,
     _SortedSample1D,
+    _TreeSample,
     fit,
     neighbor_counts,
     pointwise_error_split,
     read_labeled_csv,
-    write_labeled_csv,
-    write_predictions_csv,
 )
 from transfer_knn.geom import _TIE_PAD, NeighborIndex
 
@@ -358,8 +358,7 @@ class TestFastPathConsistency:
         yt = rng.standard_normal(25)
         fast = fit((X, y), (Xt, yt), CFG)
         slow = fit((X, y), (Xt, yt), CFG)
-        slow._src_sorted = None
-        slow._tgt_sorted = None
+        slow._source, slow._target = _TreeSample(X, y), _TreeSample(Xt, yt)
         queries = np.concatenate(
             [rng.integers(0, 12, size=(40, 1)).astype(float) + 0.5,
              rng.integers(0, 12, size=(40, 1)).astype(float)]
@@ -377,7 +376,7 @@ class TestFastPathConsistency:
         y = rng.standard_normal(300)
         fast = fit((X, y), None, CFG)
         slow = fit((X, y), None, CFG)
-        slow._src_sorted = None
+        slow._source = _TreeSample(X, y)
         queries = rng.standard_normal((200, 1))
         va = fast.predict_batch(queries)
         vb = slow.predict_batch(queries)
@@ -396,7 +395,7 @@ class TestSortedWindow1D:
 
     @staticmethod
     def starts(s, x, k):
-        return s.window_starts(x, k, s.positions(x))
+        return s.window_starts(x, k, s.positions(x[:, None]))
 
     @staticmethod
     def queries(a, rng):
@@ -450,10 +449,11 @@ class TestSortedWindow1D:
         ids=["duplicates", "signed-zeros", "distinct"],
     )
     def test_fit_order_is_the_stable_order(self, coords):
-        # labels are the original indices, so they spell out the order
+        # labels are the original indices, so the prefix-sum steps spell
+        # out the order (integer sums below 2^53 are exact)
         s = self.sample(coords)
         order = np.argsort(coords, kind="stable")
-        assert np.array_equal(s.labels, order.astype(float))
+        assert np.array_equal(np.diff(s.prefix), order.astype(float))
         assert np.array_equal(s.coords, coords[order])
 
     def test_tied_sample_predict_batch_matches_oracle(self):
@@ -543,11 +543,9 @@ class TestBucketedLabelSums:
         rows = rng.random(len(queries)) < 0.8
         assert len(k_buckets(k[rows])) >= 3 and np.any(k[rows] == n)
         assert any(tied_at_cut(X, x, ki) for x, ki in zip(queries[rows], k[rows]))
-        got = est._label_sums_exact(queries, k, "p", rows)
-        want = [
-            oracle_label_sum(X, y, x, ki) if live else 0.0
-            for x, ki, live in zip(queries, k, rows)
-        ]
+        assert isinstance(est._source, _TreeSample)
+        got = est._source.label_sums(queries[rows], k[rows], None)
+        want = [oracle_label_sum(X, y, x, ki) for x, ki in zip(queries[rows], k[rows])]
         assert got.tolist() == want
 
     def test_predict_batch_matches_oracle(self):
@@ -591,25 +589,34 @@ class TestBucketedLabelSums:
             return original(self, batch, k, workers)
 
         monkeypatch.setattr(NeighborIndex, "query_batch", counting)
-        sums = est._label_sums(queries, k_p, "p") + est._label_sums(queries, k_q, "q")
+        sums = est._source.label_sums(queries, k_p, None) + est._target.label_sums(
+            queries, k_q, None
+        )
         assert np.array_equal(sums / (k_p + k_q), values)
         bound = 2 * (int(k_p.sum()) + int(k_q.sum())) + (_TIE_PAD + 1) * 2 * q
         assert sum(fetched) <= bound
 
 
 class TestCsvInterfaces:
+    @staticmethod
+    def write_labeled(out_dir, X, y):
+        """A labeled CSV written as simulate writes its training samples."""
+        stager = OutputStager(str(out_dir))
+        header = [f"x_{i + 1}" for i in range(X.shape[1])] + ["y"]
+        rows = [[*x, label] for x, label in zip(X.tolist(), y.tolist())]
+        stager.write_rows("train.csv", header, rows)
+        stager.commit()
+        return out_dir / "train.csv"
+
     def test_labeled_round_trip(self, tmp_path):
         rng = np.random.default_rng(47)
         X = rng.random((20, 3))
         y = rng.standard_normal(20)
-        path = tmp_path / "train.csv"
-        write_labeled_csv(path, X, y)
-        X2, y2 = read_labeled_csv(path)
+        X2, y2 = read_labeled_csv(self.write_labeled(tmp_path, X, y))
         assert np.array_equal(X, X2) and np.array_equal(y, y2)
 
     def test_labeled_header(self, tmp_path):
-        path = tmp_path / "train.csv"
-        write_labeled_csv(path, np.zeros((1, 2)), np.zeros(1))
+        path = self.write_labeled(tmp_path, np.zeros((1, 2)), np.zeros(1))
         assert path.read_text().splitlines()[0] == "x_1,x_2,y"
 
     def test_bad_header_rejected(self, tmp_path):
@@ -619,12 +626,15 @@ class TestCsvInterfaces:
             read_labeled_csv(path)
 
     def test_predictions_schema(self, tmp_path):
-        rng = np.random.default_rng(53)
-        est = fit((rng.random((30, 1)), rng.standard_normal(30)), None, CFG)
-        Xq = rng.random((5, 1))
-        values, k_p, k_q, p_hat, q_hat = est.predict_batch(Xq)
-        path = tmp_path / "pred.csv"
-        write_predictions_csv(path, Xq, values, k_p, k_q, p_hat, q_hat)
-        lines = path.read_text().splitlines()
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(
+            '{"target": {"family": "uniform", "a": 0.0, "b": 1.0},'
+            ' "f_star": {"name": "zero"}, "noise": {"sigma_e": 1.0},'
+            ' "estimator": {"beta": 1.0, "d": 1},'
+            ' "n": 0, "m": 30, "n_test": 5, "seed": 53}'
+        )
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "predictions.csv").read_text().splitlines()
         assert lines[0] == "x_1,y_hat,k_p,k_q,p_hat,q_hat"
         assert len(lines) == 6
