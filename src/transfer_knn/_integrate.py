@@ -44,7 +44,8 @@ def _exp_clamped(log_value: float) -> float:
     return math.exp(log_value)
 
 
-def _quiet_quad(f, lo, hi):
+def bounded_quad(f, lo: float, hi: float) -> tuple[float, float]:
+    """Plain adaptive quadrature on a finite interval, warnings silenced."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         return quad(f, lo, hi, **_QUAD_KW)
@@ -53,7 +54,7 @@ def _quiet_quad(f, lo, hi):
 def improper_quad(log_f, x0: float) -> TailIntegral:
     """Integrate exp(log_f(x)) over [x0, oo) with divergence detection."""
     x1 = x0 + _HEAD_WIDTH
-    head, head_err = _quiet_quad(lambda x: _exp_clamped(log_f(x)), x0, x1)
+    head, head_err = bounded_quad(lambda x: _exp_clamped(log_f(x)), x0, x1)
     if not math.isfinite(head) or head > VALUE_CUTOFF:
         return TailIntegral(math.inf, math.inf, False)
 
@@ -68,7 +69,7 @@ def improper_quad(log_f, x0: float) -> TailIntegral:
         # Full log-2 windows throughout: a truncated final window would
         # understate the last relative change and fake stabilization.
         t_next = t + math.log(2.0)
-        piece, piece_err = _quiet_quad(g, t, t_next)
+        piece, piece_err = bounded_quad(g, t, t_next)
         if not math.isfinite(piece):
             return TailIntegral(math.inf, math.inf, False)
         total += piece
@@ -84,8 +85,3 @@ def improper_quad(log_f, x0: float) -> TailIntegral:
     if last_rel < STABLE_REL:
         return TailIntegral(total, err + last_rel * total, True)
     return TailIntegral(math.inf, math.inf, False)
-
-
-def bounded_quad(f, lo: float, hi: float) -> tuple[float, float]:
-    """Plain adaptive quadrature on a finite interval."""
-    return _quiet_quad(f, lo, hi)

@@ -116,12 +116,15 @@ def parse_grid(text: str, field: str):
 
 
 def _log_grid(text: str, field: str):
-    """10^v for each v of a log10 grid; every 10^v must be a finite float."""
+    """10^v for each v of a log10 grid; every 10^v must be a positive finite float."""
     grid = parse_grid(text, field)
     try:
-        return [10.0**v for v in grid]
+        values = [10.0**v for v in grid]
     except OverflowError:
         raise ConfigError(field, f"10^{grid[-1]} overflows a float") from None
+    if values[0] == 0.0:
+        raise ConfigError(field, f"10^{grid[0]} underflows to 0")
+    return values
 
 
 def _parse_assignments(text: str, field: str) -> dict:
@@ -415,9 +418,10 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=True):
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if formats:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     def seeded(p):
         p.add_argument("--seed", type=int, default=None, help="seed override")
@@ -445,7 +449,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="one train/predict cycle with CSV artifacts")
     p.add_argument("--config", required=True)
-    common(p)
+    common(p, formats=False)
     seeded(p)
 
     p = sub.add_parser("sweep", help="Monte Carlo risk sweep over (n, m) cells")

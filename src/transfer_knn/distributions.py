@@ -14,7 +14,7 @@ threads; samplers draw from a caller-owned numpy Generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -105,7 +105,7 @@ class DistributionFamily:
     @property
     def density_bound(self) -> float:
         """D: an upper bound on the density, attained at the left endpoint."""
-        raise NotImplementedError
+        return float(self.density(self.support[0]))
 
     @property
     def local_mass_theta(self) -> float | None:
@@ -113,7 +113,9 @@ class DistributionFamily:
         return None
 
     def spec(self) -> dict:
-        raise NotImplementedError
+        """The JSON object that family_from_spec reads back into this family."""
+        name = _FAMILY_NAMES[type(self)]
+        return {"family": name, **dict(zip(_FAMILIES[name][1], astuple(self)))}
 
 
 @dataclass(frozen=True)
@@ -159,15 +161,8 @@ class Pareto(DistributionFamily):
         return (0.0, math.inf)
 
     @property
-    def density_bound(self):
-        return self.alpha / self.sigma
-
-    @property
     def local_mass_theta(self):
         return 2.0 * (1.0 + 1.0 / self.sigma) ** (self.alpha + 1.0)
-
-    def spec(self):
-        return {"family": "pareto", "alpha": self.alpha, "sigma": self.sigma}
 
 
 @dataclass(frozen=True)
@@ -206,15 +201,8 @@ class Exponential(DistributionFamily):
         return (0.0, math.inf)
 
     @property
-    def density_bound(self):
-        return self.lam
-
-    @property
     def local_mass_theta(self):
         return math.exp(self.lam)
-
-    def spec(self):
-        return {"family": "exponential", "lambda": self.lam}
 
 
 @dataclass(frozen=True)
@@ -246,15 +234,8 @@ class Uniform(DistributionFamily):
         return (self.a, self.b)
 
     @property
-    def density_bound(self):
-        return 1.0 / (self.b - self.a)
-
-    @property
     def local_mass_theta(self):
         return max(2.0, 1.0 / (self.b - self.a))
-
-    def spec(self):
-        return {"family": "uniform", "a": self.a, "b": self.b}
 
 
 @dataclass(frozen=True)
@@ -322,14 +303,6 @@ class ProductPareto(DistributionFamily):
     @property
     def density_bound(self):
         return (self.alpha / self.sigma) ** self.d
-
-    def spec(self):
-        return {
-            "family": "product_pareto",
-            "alpha": self.alpha,
-            "sigma": self.sigma,
-            "d": self.d,
-        }
 
 
 @dataclass(frozen=True)
@@ -430,13 +403,6 @@ class LogPareto(DistributionFamily):
     @property
     def support(self):
         return (self._LEFT, math.inf)
-
-    @property
-    def density_bound(self):
-        return float(self.density(self._LEFT))
-
-    def spec(self):
-        return {"family": "log_pareto", "a": self.a, "b": self.b, "c": self.c}
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +578,6 @@ class HolderFunction:
     fn: object
     L: float
     beta: float
-    descriptor: str
     domain: tuple
     dimension: int = 1
 
@@ -630,7 +595,6 @@ def holder_zero(d: int = 1) -> HolderFunction:
         fn=lambda X: np.zeros(len(X)),
         L=1.0,
         beta=1.0,
-        descriptor="zero",
         domain=(tuple([0.0] * d), tuple([1.0] * d)),
         dimension=d,
     )
@@ -641,7 +605,6 @@ def holder_constant(c: float, d: int = 1) -> HolderFunction:
         fn=lambda X: np.full(len(X), float(c)),
         L=max(abs(float(c)), 1e-12),
         beta=1.0,
-        descriptor=f"constant({c})",
         domain=(tuple([0.0] * d), tuple([1.0] * d)),
         dimension=d,
     )
@@ -663,7 +626,6 @@ def holder_parabola() -> HolderFunction:
         fn=evaluate,
         L=1.25,
         beta=1.0,
-        descriptor="parabola",
         domain=((0.0,), (1.0,)),
         dimension=1,
     )
@@ -682,9 +644,6 @@ class NoiseSpec:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.sigma_e * rng.standard_normal(n)
 
-    def spec(self) -> dict:
-        return {"type": "gaussian", "sigma_e": self.sigma_e}
-
 
 # ---------------------------------------------------------------------------
 # JSON specifications
@@ -698,6 +657,7 @@ _FAMILIES = {
     "product_pareto": (ProductPareto, ("alpha", "sigma", "d")),
     "log_pareto": (LogPareto, ("a", "b", "c")),
 }
+_FAMILY_NAMES = {cls: name for name, (cls, _) in _FAMILIES.items()}
 _FAMILY_KEYS = {key for _, fields in _FAMILIES.values() for key in fields}
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import NeighborIndex, PointSet
+from .geom import NeighborIndex
 
 # Neighbour counts never drop below 1 on a nonempty sample, so tiny
 # datasets (where log(nm) rounds to 0) still yield a prediction.
@@ -100,7 +100,7 @@ class _TreeSample:
     def __init__(self, X: np.ndarray, labels: np.ndarray):
         self.n = len(labels)
         self.labels = labels
-        self.index = NeighborIndex(PointSet(X))
+        self.index = NeighborIndex(X)
 
     def positions(self, X):
         """State of one batch that radii and label_sums share, as pos; none here."""

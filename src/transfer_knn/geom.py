@@ -1,4 +1,4 @@
-"""Point sets and exact k-nearest-neighbour queries.
+"""Exact k-nearest-neighbour queries over a fixed set of points.
 
 Distances are Euclidean.  Ties in distance are broken by ascending
 original index so that results are reproducible across runs and
@@ -19,8 +19,13 @@ _TIE_PAD = 8
 _REFETCH_CELLS = 1 << 20
 
 
-class PointSet:
-    """An immutable set of points in R^d (duplicates retained)."""
+class NeighborIndex:
+    """Exact nearest-neighbour index over n fixed points in R^d.
+
+    Duplicates are retained, and a 1-D array is read as n points in R^1.
+    The points are made read-only (a contiguous float64 array is not
+    copied, so the caller's array is the one frozen).
+    """
 
     def __init__(self, points):
         pts = np.ascontiguousarray(points, dtype=np.float64)
@@ -34,26 +39,8 @@ class PointSet:
             raise ValueError("dimension must be >= 1")
         if not np.all(np.isfinite(pts)):
             raise ValueError("all coordinates must be finite")
-        self._points = pts
-        self._points.setflags(write=False)
-
-    @property
-    def points(self) -> np.ndarray:
-        return self._points
-
-    @property
-    def dimension(self) -> int:
-        return self._points.shape[1]
-
-    def __len__(self) -> int:
-        return self._points.shape[0]
-
-
-class NeighborIndex:
-    """Exact nearest-neighbour index over a fixed PointSet."""
-
-    def __init__(self, source: PointSet):
-        self.source = source
+        pts.setflags(write=False)
+        self.points = pts
         self._tree = None
 
     def _kdtree(self) -> cKDTree:
@@ -62,15 +49,15 @@ class NeighborIndex:
         # each build an identical tree, and whichever assignment lands
         # last is as good as the other, so the duplicate build is benign.
         if self._tree is None:
-            self._tree = cKDTree(self.source.points)
+            self._tree = cKDTree(self.points)
         return self._tree
 
     def __len__(self) -> int:
-        return len(self.source)
+        return self.points.shape[0]
 
     @property
     def dimension(self) -> int:
-        return self.source.dimension
+        return self.points.shape[1]
 
     def query_batch(self, queries, k: int, workers: int = 1):
         """k nearest neighbours for each query row.

@@ -32,7 +32,7 @@ from .errors import (
     config_object,
 )
 from .estimator import NeighborFunctionConfig, TrainedEstimator, fit
-from .geom import NeighborIndex, PointSet
+from .geom import NeighborIndex
 from .rates import RateParams, theoretical_rate
 
 
@@ -282,7 +282,6 @@ def bump_ensemble(
         fn=evaluate,
         L=budget,
         beta=beta,
-        descriptor=f"bumps(a={a}, h={h}, M={len(centers)}, on={len(active)})",
         domain=(tuple([0.0] * d), tuple([2.0 * a + 1.0] * d)),
         dimension=d,
     )
@@ -374,7 +373,7 @@ def neighbor_radius_concentration(
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
         pts = dist.sample_array(rng, n)
-        index = NeighborIndex(PointSet(pts))
+        index = NeighborIndex(pts)
         dists, _ = index.query_batch(xs, k)
         if np.all(dists[:, -1] <= zetas):
             hits += 1

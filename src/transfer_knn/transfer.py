@@ -68,15 +68,14 @@ class _PairMemo:
 
     nodes maps a quadrature node x to (log q(x), log p(x)), with log p
     left at -inf where q vanishes, since the integrand never reads it
-    there.  mc_log_p(n) is log p at the n fixed-seed Monte Carlo draws
-    from Q, read-only.  Threads that race on a missing entry each store
-    the same values.
+    there.  mc_log_p is log p at the _MC_DRAWS fixed-seed Monte Carlo
+    draws from Q, read-only.  Threads that race on a missing entry each
+    store the same values.
     """
 
     def __init__(self, P, Q):
         self.P, self.Q = P, Q
         self.nodes = {}
-        self._mc_log_p = {}
 
     def node(self, x: float) -> tuple[float, float]:
         lq = self.Q.log_density(x)
@@ -84,13 +83,11 @@ class _PairMemo:
         self.nodes[x] = (lq, lp)
         return lq, lp
 
-    def mc_log_p(self, n_draws: int) -> np.ndarray:
-        log_p = self._mc_log_p.get(n_draws)
-        if log_p is None:
-            rng = np.random.default_rng(np.random.SeedSequence(_MC_SEED))
-            log_p = self.P.log_density_rows(self.Q.sample_array(rng, n_draws))
-            log_p.setflags(write=False)
-            self._mc_log_p[n_draws] = log_p
+    @functools.cached_property
+    def mc_log_p(self) -> np.ndarray:
+        rng = np.random.default_rng(np.random.SeedSequence(_MC_SEED))
+        log_p = self.P.log_density_rows(self.Q.sample_array(rng, _MC_DRAWS))
+        log_p.setflags(write=False)
         return log_p
 
 
@@ -145,8 +142,6 @@ def transfer_value(
     Q: DistributionFamily,
     gamma: float,
     method: str = "auto",
-    rng: np.random.Generator | None = None,
-    n_draws: int = _MC_DRAWS,
 ) -> TransferEvaluation:
     """Evaluate T(P, Q, gamma); value +inf with converged=False on divergence."""
     if gamma < 0:
@@ -173,16 +168,12 @@ def transfer_value(
 
     if P.dimension != Q.dimension:
         raise ValueError("P and Q must share a dimension")
-    if rng is None:
-        log_p = _pair_memo(P, Q).mc_log_p(n_draws)
-    else:
-        log_p = P.log_density_rows(Q.sample_array(rng, n_draws))
-    logs = -gamma * log_p
+    logs = -gamma * _pair_memo(P, Q).mc_log_p
     if np.any(np.isinf(logs)):
         return TransferEvaluation(gamma, math.inf, "monte_carlo", math.inf, False)
     vals = np.exp(logs)
     mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n_draws))
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(_MC_DRAWS))
     return TransferEvaluation(gamma, mean, "monte_carlo", stderr, math.isfinite(mean))
 
 
@@ -235,8 +226,7 @@ def _mass_below_density(P, Q, t: float) -> float:
             else:
                 hi = mid
         return float(Q.cdf(x0) + 1.0 - Q.cdf(hi))
-    log_p = _pair_memo(P, Q).mc_log_p(_MC_DRAWS)
-    return float(np.mean(log_p <= math.log(t)))
+    return float(np.mean(_pair_memo(P, Q).mc_log_p <= math.log(t)))
 
 
 def markov_mass_bound(

@@ -6,7 +6,7 @@ import numpy as np
 
 from transfer_knn._integrate import bounded_quad, improper_quad
 from transfer_knn.distributions import Pareto, ProductPareto, ball_mass
-from transfer_knn.transfer import _MC_SEED
+from transfer_knn.transfer import _MC_DRAWS, _MC_SEED
 
 
 def brute_force_knn(points: np.ndarray, x, k: int):
@@ -139,21 +139,19 @@ def power_integral_uncached(P, Q, a: float, b: float, lo: float, hi: float):
     return value, err, True
 
 
-def monte_carlo_uncached(P, Q, gamma: float, n_draws: int, rng=None):
+def monte_carlo_uncached(P, Q, gamma: float):
     """(value, stderr, converged) of the Monte Carlo T(P, Q, gamma).
 
-    Draws n_draws fresh points from Q (from the fixed seed when rng is
-    None) and takes log p on them in one row-form pass, for this gamma
-    alone.
+    Draws the _MC_DRAWS fixed-seed points from Q afresh and takes log p
+    on them in one row-form pass, for this gamma alone.
     """
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(_MC_SEED))
-    logs = -gamma * P.log_density_rows(Q.sample_array(rng, n_draws))
+    rng = np.random.default_rng(np.random.SeedSequence(_MC_SEED))
+    logs = -gamma * P.log_density_rows(Q.sample_array(rng, _MC_DRAWS))
     if np.any(np.isinf(logs)):
         return math.inf, math.inf, False
     vals = np.exp(logs)
     mean = float(np.mean(vals))
-    return mean, float(np.std(vals, ddof=1) / math.sqrt(n_draws)), math.isfinite(mean)
+    return mean, float(np.std(vals, ddof=1) / math.sqrt(_MC_DRAWS)), math.isfinite(mean)
 
 
 def mass_below_density_loop(P, Q, t: float, n_draws: int, seed: int) -> float:

@@ -24,7 +24,7 @@ from transfer_knn.distributions import (
     local_mass_check,
 )
 from transfer_knn.estimator import NeighborFunctionConfig, fit, pointwise_error_split
-from transfer_knn.geom import NeighborIndex, PointSet
+from transfer_knn.geom import NeighborIndex
 from transfer_knn.harness import (
     ExperimentConfig,
     fit_slope,
@@ -184,7 +184,7 @@ def test_criterion_5_estimator_oracles():
         # index kNN agrees exactly with the brute-force oracle
         for d in (1, 2, 3):
             pts = rng.standard_normal((500, d))
-            index = NeighborIndex(PointSet(pts))
+            index = NeighborIndex(pts)
             queries = rng.standard_normal((340, d))
             ks = rng.integers(1, 40, size=len(queries))
             for x, k in zip(queries, ks):

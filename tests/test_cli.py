@@ -635,11 +635,14 @@ class TestFlags:
             # 10^v overflows a float
             ("--log-n", "0:400:100"),
             ("--log-m", "300:310:5"),
+            # 10^v underflows to 0; a negative start needs the --flag=value form
+            ("--log-n", "-400:0:100"),
+            ("--log-m", "-330:0:10"),
         ],
     )
     def test_phase_names_the_flag(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
-        assert run(self.PHASE + [flag, value, "--out", str(out)]) == 1
+        assert run(self.PHASE + [f"{flag}={value}", "--out", str(out)]) == 1
         assert f"config field '{flag}'" in capsys.readouterr().err
         assert not list(out.glob("*"))
 
@@ -657,6 +660,15 @@ class TestFlags:
         err = capsys.readouterr().err
         assert "config field 'argv'" in err and flag in err
         assert not (tmp_path / "o2").exists()
+
+    @pytest.mark.parametrize("value", ["csv", "json"])
+    def test_simulate_has_no_format(self, tmp_path, capsys, value):
+        body, extra = CONFIG_COMMANDS["simulate"]
+        argv = ["simulate", "--config", write_json(tmp_path / "c.json", body)] + extra
+        assert run(argv + ["--out", str(tmp_path / "out"), "--format", value]) == 1
+        err = capsys.readouterr().err
+        assert "config field 'argv'" in err and "--format" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     @pytest.mark.parametrize("command", ["sweep", "simulate"])

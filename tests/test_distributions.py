@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from conftest import holder_budget, log_density_loop, ppf_bisection, zeta_per_step
 from transfer_knn.distributions import (
+    _FAMILIES,
     Exponential,
     LogPareto,
     Pareto,
@@ -74,6 +75,33 @@ class TestDensity:
         top = lo + 30.0 if math.isinf(hi) else hi
         xs = np.linspace(lo, top, 400)
         assert np.all(dist.density(xs) <= dist.density_bound * (1 + 1e-12))
+
+    @pytest.mark.parametrize(
+        "dist, formula",
+        [
+            (Pareto(3.0, 2.0), 3.0 / 2.0),
+            (Pareto(1.0, 0.3), 1.0 / 0.3),
+            (Exponential(2.5), 2.5),
+            (Uniform(-1.0, 3.0), 1.0 / (3.0 - -1.0)),
+            (Uniform(0.1, 0.4), 1.0 / (0.4 - 0.1)),
+            (ProductPareto(1.5, 0.7, 3), (1.5 / 0.7) ** 3),
+        ],
+        ids=str,
+    )
+    def test_density_bound_formula(self, dist, formula):
+        assert dist.density_bound == formula
+
+    @pytest.mark.parametrize(
+        "dist", [LogPareto(1.0, 1.0, 2.0), LogPareto(1.0, 0.7, 0.0)], ids=str
+    )
+    def test_log_pareto_density_bound_is_density_at_two(self, dist):
+        assert dist.density_bound == dist.density(2.0)
+
+        def raw(x):
+            return x ** -(dist.b + 1.0) * math.log(x) ** -dist.c
+
+        want = raw(2.0) / quad(raw, 2.0, math.inf)[0]
+        assert math.isclose(dist.density_bound, want, rel_tol=1e-9)
 
     def test_log_density_consistency(self):
         for dist in ONE_D_VARIANTS:
@@ -337,7 +365,31 @@ class TestHolderFunctions:
         assert f(3.0) == 0.0 and f(-1.0) == 0.0
 
 
+# One instance of each _FAMILIES entry, in table order, with its spec().
+SPEC_PINS = [
+    (Pareto(1.5, 2), {"family": "pareto", "alpha": 1.5, "sigma": 2}),
+    (Exponential(0.5), {"family": "exponential", "lambda": 0.5}),
+    (Uniform(-1.0, 3.0), {"family": "uniform", "a": -1.0, "b": 3.0}),
+    (
+        ProductPareto(1.0, 2.0, 3),
+        {"family": "product_pareto", "alpha": 1.0, "sigma": 2.0, "d": 3},
+    ),
+    (LogPareto(1.0, 0.7, 2.0), {"family": "log_pareto", "a": 1.0, "b": 0.7, "c": 2.0}),
+]
+
+
 class TestJsonSpecs:
+    @pytest.mark.parametrize("dist, spec", SPEC_PINS, ids=str)
+    def test_spec_pinned(self, dist, spec):
+        got = dist.spec()
+        assert list(got) == list(spec)
+        assert [(v, type(v)) for v in got.values()] == [(v, type(v)) for v in spec.values()]
+
+    def test_spec_pins_cover_every_family(self):
+        assert [(type(dist), spec["family"]) for dist, spec in SPEC_PINS] == [
+            (cls, name) for name, (cls, _) in _FAMILIES.items()
+        ]
+
     def test_round_trip(self):
         for dist in ONE_D_VARIANTS + [ProductPareto(1.0, 2.0, 3)]:
             again = family_from_spec(dist.spec())

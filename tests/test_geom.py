@@ -7,14 +7,7 @@ from scipy.spatial import cKDTree
 
 from conftest import brute_force_knn, brute_force_knn_rows
 from transfer_knn import geom
-from transfer_knn.geom import _TIE_PAD, NeighborIndex, PointSet
-
-
-def index_of(coords):
-    pts = np.asarray(coords, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    return NeighborIndex(PointSet(pts))
+from transfer_knn.geom import _TIE_PAD, NeighborIndex
 
 
 def nearest(idx, x, k):
@@ -30,46 +23,51 @@ def kth(idx, x, k):
 
 class TestConstruction:
     def test_1d_three_points(self):
-        idx = index_of([0.0, 1.0, 3.0])
+        idx = NeighborIndex([0.0, 1.0, 3.0])
         assert len(idx) == 3
 
     def test_duplicates_retained(self):
-        idx = index_of([0.0, 0.0, 1.0])
+        idx = NeighborIndex([0.0, 0.0, 1.0])
         assert len(idx) == 3
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            PointSet(np.empty((0, 1)))
+            NeighborIndex(np.empty((0, 1)))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            PointSet(np.array([[np.nan]]))
+            NeighborIndex(np.array([[np.nan]]))
+
+    def test_points_read_only(self):
+        idx = NeighborIndex([[0.0, 1.0], [2.0, 3.0]])
+        assert idx.points.shape == (2, 2) and idx.dimension == 2
+        assert not idx.points.flags.writeable
 
     def test_dimension_mismatch_query(self):
-        idx = index_of(np.ones((4, 2)))
+        idx = NeighborIndex(np.ones((4, 2)))
         with pytest.raises(ValueError):
             idx.query_batch(np.ones((1, 3)), 1)
 
 
 class TestQueryKnn:
     def test_basic_order(self):
-        idx = index_of([0.0, 1.0, 3.0])
+        idx = NeighborIndex([0.0, 1.0, 3.0])
         res = nearest(idx, [0.0], 2)
         assert [i for i, _ in res] == [0, 1]
         assert [d for _, d in res] == [0.0, 1.0]
 
     def test_self_distance_zero(self):
-        idx = index_of([0.0, 1.0, 3.0])
+        idx = NeighborIndex([0.0, 1.0, 3.0])
         assert nearest(idx, [1.0], 1)[0][1] == 0.0
 
     def test_tie_lower_index_wins(self):
-        idx = index_of([-1.0, 1.0])
+        idx = NeighborIndex([-1.0, 1.0])
         res = nearest(idx, [0.0], 1)
         assert res[0][0] == 0
         assert res[0][1] == 1.0
 
     def test_k_out_of_range(self):
-        idx = index_of([0.0, 1.0])
+        idx = NeighborIndex([0.0, 1.0])
         with pytest.raises(ValueError):
             nearest(idx, [0.0], 3)
         with pytest.raises(ValueError):
@@ -78,14 +76,14 @@ class TestQueryKnn:
     def test_deep_tie_blocks(self):
         # 12 points at the same coordinate exceed the query padding.
         pts = np.zeros(12)
-        idx = index_of(pts)
+        idx = NeighborIndex(pts)
         res = nearest(idx, [0.0], 5)
         assert [i for i, _ in res] == [0, 1, 2, 3, 4]
 
     def test_matches_brute_force_2d(self):
         rng = np.random.default_rng(2024)
         pts = rng.random((500, 2))
-        idx = NeighborIndex(PointSet(pts))
+        idx = NeighborIndex(pts)
         for _ in range(100):
             x = rng.random(2)
             k = int(rng.integers(1, 20))
@@ -96,23 +94,23 @@ class TestQueryKnn:
 
 class TestKthDistance:
     def test_examples(self):
-        idx = index_of([0.0, 1.0, 3.0])
+        idx = NeighborIndex([0.0, 1.0, 3.0])
         assert kth(idx, [0.0], 1) == 0.0
         assert kth(idx, [0.0], 2) == 1.0
         assert kth(idx, [0.0], 3) == 3.0
 
     def test_singleton(self):
-        idx = index_of([5.0])
+        idx = NeighborIndex([5.0])
         assert kth(idx, [5.0], 1) == 0.0
 
     def test_tied_pair(self):
-        idx = index_of([0.0, 2.0])
+        idx = NeighborIndex([0.0, 2.0])
         assert kth(idx, [1.0], 2) == 1.0
 
     def test_nondecreasing_in_k(self):
         rng = np.random.default_rng(5)
         pts = rng.random((60, 3))
-        idx = NeighborIndex(PointSet(pts))
+        idx = NeighborIndex(pts)
         for _ in range(20):
             x = rng.random(3)
             dists = [kth(idx, x, k) for k in range(1, 61)]
@@ -124,7 +122,7 @@ class TestInvariants:
     def test_index_equals_brute_force(self, d):
         rng = np.random.default_rng(100 + d)
         pts = rng.standard_normal((200, d))
-        idx = NeighborIndex(PointSet(pts))
+        idx = NeighborIndex(pts)
         queries = rng.standard_normal((150, d))
         dist, ind = idx.query_batch(queries, 7)
         for row, x in enumerate(queries):
@@ -145,8 +143,8 @@ class TestInvariants:
     def test_permutation_invariance(self, coords, pyrandom):
         perm = list(range(len(coords)))
         pyrandom.shuffle(perm)
-        base = index_of(coords)
-        shuffled = index_of([coords[p] for p in perm])
+        base = NeighborIndex(coords)
+        shuffled = NeighborIndex([coords[p] for p in perm])
         x = [0.25]
         k = len(coords) // 2 + 1
         res_a = nearest(base, x, k)
@@ -165,7 +163,7 @@ class TestInvariants:
 
         rng = np.random.default_rng(77)
         pts = rng.random((300, 2))
-        idx = NeighborIndex(PointSet(pts))
+        idx = NeighborIndex(pts)
         queries = rng.random((64, 2))
 
         def work(q):
@@ -188,7 +186,7 @@ class TestInvariants:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                idx = NeighborIndex(PointSet(pts))  # tree not built yet
+                idx = NeighborIndex(pts)  # tree not built yet
                 with ThreadPoolExecutor(max_workers=8) as pool:
                     futures = [pool.submit(nearest, idx, q, 5) for q in queries]
                     got = [f.result(timeout=60) for f in futures]
@@ -204,7 +202,7 @@ class TestTieOnlyReordering:
         base = rng.random((200, 2))
         # points 200..207 repeat points 0..7: queries near them see ties
         pts = np.concatenate([base, base[:8]])
-        idx = NeighborIndex(PointSet(pts))
+        idx = NeighborIndex(pts)
         queries = np.concatenate([base[:8], rng.random((40, 2))])
         k = 5
         dist, ind = idx.query_batch(queries, k)
@@ -253,7 +251,7 @@ class TestStaleTieRows:
             return original(self, q, kq, workers)
 
         monkeypatch.setattr(NeighborIndex, "_fetch", counting)
-        dist, ind = NeighborIndex(PointSet(pts)).query_batch(queries, k)
+        dist, ind = NeighborIndex(pts).query_batch(queries, k)
         want_d, want_i = brute_force_knn_rows(pts, queries, k)
         assert np.array_equal(ind, want_i) and np.array_equal(dist, want_d)
         # Doubling fetches each row to less than twice the end of its tie
@@ -268,13 +266,13 @@ class TestStaleTieRows:
         pts = np.concatenate([np.zeros((50, 2)), np.ones((3, 2))])
         queries = np.array([[0.0, 0.0], [0.5, 0.5], [0.0, 1.0], [1.0, 1.0]])
         for k in (1, 5, 50, 52):
-            dist, ind = NeighborIndex(PointSet(pts)).query_batch(queries, k)
+            dist, ind = NeighborIndex(pts).query_batch(queries, k)
             want_d, want_i = brute_force_knn_rows(pts, queries, k)
             assert np.array_equal(ind, want_i) and np.array_equal(dist, want_d)
 
     def test_refetch_split_into_parts(self, monkeypatch):
         pts, queries, k = self.grid_case()
-        whole = NeighborIndex(PointSet(pts)).query_batch(queries, k)
+        whole = NeighborIndex(pts).query_batch(queries, k)
         monkeypatch.setattr(geom, "_REFETCH_CELLS", 1000)
-        parts = NeighborIndex(PointSet(pts)).query_batch(queries, k)
+        parts = NeighborIndex(pts).query_batch(queries, k)
         assert np.array_equal(whole[0], parts[0]) and np.array_equal(whole[1], parts[1])

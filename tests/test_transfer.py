@@ -143,8 +143,8 @@ class TestMonteCarloRows:
     @pytest.mark.parametrize("P,Q", PAIRS, ids=["product_d2", "pareto"])
     def test_transfer_value_equals_loop(self, P, Q):
         for gamma in (0.15, 0.45, 0.9):
-            ev = transfer_value(P, Q, gamma, method="monte_carlo", n_draws=20_000)
-            want = monte_carlo_transfer_loop(P, Q, gamma, 20_000, _MC_SEED)
+            ev = transfer_value(P, Q, gamma, method="monte_carlo")
+            want = monte_carlo_transfer_loop(P, Q, gamma, _MC_DRAWS, _MC_SEED)
             assert (ev.value, ev.error_estimate) == want
 
     def test_mass_below_density_equals_loop(self):
@@ -247,22 +247,15 @@ class TestPairMemo:
         for g in PRODUCT_GRID[1:] + PRODUCT_GRID[:0:-1]:
             ev = transfer_value(PRODUCT_SOURCE, PRODUCT_TARGET, g)
             assert ev.method == "monte_carlo"
-            want = monte_carlo_uncached(PRODUCT_SOURCE, PRODUCT_TARGET, g, _MC_DRAWS)
+            want = monte_carlo_uncached(PRODUCT_SOURCE, PRODUCT_TARGET, g)
             assert (ev.value, ev.error_estimate, ev.converged) == want, g
 
-    def test_monte_carlo_one_dimensional_with_and_without_rng(self):
+    def test_monte_carlo_one_dimensional(self):
         P, Q = Pareto(1.0, 2.0), Pareto(1.0, 1.0)
-        for g in (0.15, 0.45, 0.9):
-            for n_draws in (20_000, _MC_DRAWS):
-                ev = transfer_value(P, Q, g, method="monte_carlo", n_draws=n_draws)
-                want = monte_carlo_uncached(P, Q, g, n_draws)
-                assert (ev.value, ev.error_estimate, ev.converged) == want
-            # A caller's generator still draws fresh points.
-            rng, twin = (np.random.default_rng(np.random.SeedSequence(17)) for _ in "ab")
-            ev = transfer_value(P, Q, g, method="monte_carlo", rng=rng, n_draws=20_000)
-            want = monte_carlo_uncached(P, Q, g, 20_000, rng=twin)
+        for g in (0.15, 0.45, 0.9, 0.45):
+            ev = transfer_value(P, Q, g, method="monte_carlo")
+            want = monte_carlo_uncached(P, Q, g)
             assert (ev.value, ev.error_estimate, ev.converged) == want
-            assert ev.value != transfer_value(P, Q, g, method="monte_carlo").value
 
     def test_markov_bound_d2_shares_the_draws(self, monkeypatch):
         draws = []
@@ -277,7 +270,7 @@ class TestPairMemo:
         for gamma, t in ((0.15, 0.05), (0.3, 0.3)):
             lhs, rhs = markov_mass_bound(P, Q, gamma, t)
             assert lhs == mass_below_density_loop(P, Q, t, _MC_DRAWS, _MC_SEED)
-            assert rhs == t**gamma * monte_carlo_uncached(P, Q, gamma, _MC_DRAWS)[0]
+            assert rhs == t**gamma * monte_carlo_uncached(P, Q, gamma)[0]
         # The oracles above drew four samples; the library drew one.
         assert draws.count(_MC_DRAWS) == 5
 
@@ -288,7 +281,7 @@ class TestPairMemo:
 
         log_grid, mc_grid = LOG_GRID[::10], PRODUCT_GRID[1:]
         mc_want = {
-            g: monte_carlo_uncached(PRODUCT_SOURCE, PRODUCT_TARGET, g, _MC_DRAWS)
+            g: monte_carlo_uncached(PRODUCT_SOURCE, PRODUCT_TARGET, g)
             for g in mc_grid
         }
 
@@ -332,7 +325,7 @@ class TestPairMemo:
 
     def test_cached_log_p_is_read_only(self):
         transfer_value(PRODUCT_SOURCE, PRODUCT_TARGET, 0.3)
-        log_p = transfer._pair_memo(PRODUCT_SOURCE, PRODUCT_TARGET).mc_log_p(_MC_DRAWS)
+        log_p = transfer._pair_memo(PRODUCT_SOURCE, PRODUCT_TARGET).mc_log_p
         assert not log_p.flags.writeable
         with pytest.raises(ValueError):
             log_p[0] = 0.0
