@@ -156,19 +156,6 @@ def _seeded_config(args) -> dict:
     return cfg if args.seed is None else dict(cfg, seed=args.seed)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return config_integer(args.threads, "--threads", least=1)
-    env = os.environ.get("TRANSFER_KNN_THREADS")
-    if env is not None:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ConfigError("TRANSFER_KNN_THREADS", f"not an integer: '{env}'")
-        return config_integer(threads, "TRANSFER_KNN_THREADS", least=1)
-    return os.cpu_count() or 1
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -184,6 +171,8 @@ def _cmd_transfer(args, stager: OutputStager) -> None:
             f"dimension {Q.dimension} does not match source dimension {P.dimension}",
         )
     grid = parse_grid(args.gamma_grid, "--gamma-grid")
+    if grid[0] < 0.0:
+        raise ConfigError("--gamma-grid", f"gamma must be nonnegative, got {grid[0]}")
     evals = [transfer_value(P, Q, g) for g in grid]
     header = ["gamma", "value", "method", "error_estimate", "converged"]
     rows = [
@@ -327,10 +316,13 @@ def _cmd_simulate(args, stager: OutputStager) -> None:
     rng_src, rng_tgt, rng_test = (np.random.default_rng(c) for c in ss.spawn(3))
     src_data = generate_data(source, f_star, noise, n, rng_src) if n > 0 else None
     tgt_data = generate_data(target, f_star, noise, m, rng_tgt) if m > 0 else None
-    est = fit(src_data, tgt_data, est_cfg)
     Xq = target.sample_array(rng_test, n_test)
-    # (values, k_p, k_q, p_hat, q_hat), the columns after the coordinates
-    result = est.predict_batch(Xq, workers=_threads(args))
+    try:
+        est = fit(src_data, tgt_data, est_cfg)
+        # (values, k_p, k_q, p_hat, q_hat), the columns after the coordinates
+        result = est.predict_batch(Xq)
+    except ValueError as exc:
+        raise NumericError(f"estimator failed on the drawn samples: {exc}") from exc
     coords = [f"x_{i + 1}" for i in range(est_cfg.d)]
     for name, data in (("train_source.csv", src_data), ("train_target.csv", tgt_data)):
         X, y = data if data else (np.empty((0, est_cfg.d)), np.empty(0))
@@ -345,7 +337,8 @@ def _cmd_simulate(args, stager: OutputStager) -> None:
 
 def _cmd_sweep(args, stager: OutputStager) -> None:
     config = experiment_from_spec(_seeded_config(args))
-    result = sweep(config, threads=_threads(args))
+    threads = config_integer(args.threads, "--threads", least=1)
+    result = sweep(config, threads=threads)
     rep_header = ["n", "m", "rep", "risk", "seed"]
     rep_rows = [(r.n, r.m, r.rep, r.risk, r.seed) for r in result.records]
     agg_header = ["n", "m", "mean_risk", "stderr", "q50", "q90"]
@@ -369,11 +362,17 @@ def _cmd_check_regularity(args, stager: OutputStager) -> None:
     optional = ("theta", "x_points", "r_points")
     cfg = config_object(_load_json(args.config), "", ("distribution",), optional)
     dist = family_from_spec(cfg["distribution"], "distribution")
-    theta = dist.local_mass_theta
     if "theta" in cfg:
         theta = config_number(cfg["theta"], "theta")
-    if theta is None:
-        raise ConfigError("theta", "missing and no built-in value for this family")
+    else:
+        try:
+            theta = dist.local_mass_theta
+        except OverflowError:
+            theta = math.inf
+        if theta is None:
+            raise ConfigError("theta", "missing and no built-in value for this family")
+        if theta == math.inf:
+            raise ConfigError("theta", "missing and the built-in value overflows a float")
     if theta <= 0.0:
         raise ConfigError("theta", f"must be positive, got {theta}")
     nx = config_integer(cfg.get("x_points", 50), "x_points", least=1)
@@ -423,10 +422,6 @@ def _build_parser() -> _Parser:
         if formats:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    def seeded(p):
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--threads", type=int, default=None)
-
     p = sub.add_parser("transfer", help="evaluate the transfer function on a grid")
     p.add_argument("--config", required=True)
     p.add_argument("--gamma-grid", required=True, help="start:end:step")
@@ -450,12 +445,15 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="one train/predict cycle with CSV artifacts")
     p.add_argument("--config", required=True)
     common(p, formats=False)
-    seeded(p)
+    p.add_argument("--seed", type=int, default=None, help="seed override")
 
     p = sub.add_parser("sweep", help="Monte Carlo risk sweep over (n, m) cells")
     p.add_argument("--config", required=True)
     common(p)
-    seeded(p)
+    p.add_argument("--seed", type=int, default=None, help="seed override")
+    p.add_argument(
+        "--threads", type=int, default=os.cpu_count() or 1, help="threads the reps run on"
+    )
 
     p = sub.add_parser("check-regularity", help="verify the local mass property")
     p.add_argument("--config", required=True)

@@ -57,15 +57,6 @@ class NeighborFunctionConfig:
         return self.d / (2.0 * self.beta + self.d)
 
 
-@dataclass(frozen=True)
-class Prediction:
-    value: float
-    k_p_used: int
-    k_q_used: int
-    p_hat: float
-    q_hat: float
-
-
 def neighbor_counts(
     p_hat,
     n_own: int,
@@ -106,12 +97,12 @@ class _TreeSample:
         """State of one batch that radii and label_sums share, as pos; none here."""
         return None
 
-    def radii(self, X, ell: int, pos, workers: int = 1) -> np.ndarray:
+    def radii(self, X, ell: int, pos) -> np.ndarray:
         """R_ell(x), the distance to the ell-th nearest point, per row of X."""
-        dist, _ = self.index.query_batch(X, ell, workers=workers)
+        dist, _ = self.index.query_batch(X, ell)
         return dist[:, -1]
 
-    def label_sums(self, X, k: np.ndarray, pos, workers: int = 1) -> np.ndarray:
+    def label_sums(self, X, k: np.ndarray, pos) -> np.ndarray:
         """Sum of the labels of each row's first k_i neighbours (k_i >= 1).
 
         Rows are grouped by ceil(log2 k) and each group is queried at its
@@ -125,7 +116,7 @@ class _TreeSample:
         for b in np.unique(bucket):
             group = np.nonzero(bucket == b)[0]
             kg = k[group]
-            _, idx = self.index.query_batch(X[group], int(kg.max()), workers=workers)
+            _, idx = self.index.query_batch(X[group], int(kg.max()))
             csums = np.cumsum(self.labels[idx], axis=1)
             out[group] = csums[np.arange(len(group)), kg - 1]
         return out
@@ -200,11 +191,11 @@ class _SortedSample1D(_TreeSample):
         tie_right = (starts + k < self.n) & (self.coords[outer] - x == r)
         return tie_left | tie_right
 
-    def radii(self, X, ell: int, pos, workers: int = 1) -> np.ndarray:
+    def radii(self, X, ell: int, pos) -> np.ndarray:
         x = X[:, 0]
         return self.window_radius(x, ell, self.window_starts(x, ell, pos))
 
-    def label_sums(self, X, k: np.ndarray, pos, workers: int = 1) -> np.ndarray:
+    def label_sums(self, X, k: np.ndarray, pos) -> np.ndarray:
         x = X[:, 0]
         starts = self.window_starts(x, k, pos)
         tied = self.boundary_ties(x, k, starts)
@@ -213,7 +204,7 @@ class _SortedSample1D(_TreeSample):
             # Added onto the whole batch, as 0.0 where no tie is: every
             # -0.0 sum of a batch with a tie row reads 0.0.
             exact = np.zeros(len(x))
-            exact[tied] = super().label_sums(X[tied], k[tied], None, workers)
+            exact[tied] = super().label_sums(X[tied], k[tied], None)
             sums += exact
         return sums
 
@@ -241,7 +232,7 @@ class TrainedEstimator:
         self._source = _sample(sx, sy)
         self._target = _sample(tx, ty)
 
-    def side_terms(self, X, side: str, workers: int = 1):
+    def side_terms(self, X, side: str):
         """One sample's (k, density estimate, label sum) at each row of X.
 
         side is "p" for the source sample and "q" for the target sample.
@@ -259,7 +250,7 @@ class TrainedEstimator:
             return np.zeros(q, dtype=np.int64), np.full(q, math.inf), np.zeros(q)
         pos = sample.positions(X)
         if 1 <= self.ell <= sample.n:
-            r = sample.radii(X, self.ell, pos, workers)
+            r = sample.radii(X, self.ell, pos)
             with np.errstate(divide="ignore"):
                 p_hat = np.where(r > 0.0, self.ell / (sample.n * r**cfg.d), math.inf)
             k = neighbor_counts(p_hat, sample.n, self.joint_log, cfg, kappa)
@@ -267,26 +258,14 @@ class TrainedEstimator:
             floor = max(int(math.ceil(self.joint_log)), _MIN_K)
             k = np.full(q, min(sample.n, floor), dtype=np.int64)
             p_hat = np.full(q, math.inf)
-        return k, p_hat, sample.label_sums(X, k, pos, workers)
+        return k, p_hat, sample.label_sums(X, k, pos)
 
-    def predict_batch(self, X, workers: int = 1):
+    def predict_batch(self, X):
         """Vectorised predictions; returns (values, k_p, k_q, p_hat, q_hat)."""
-        k_p, p_hat, sum_p = self.side_terms(X, "p", workers)
-        k_q, q_hat, sum_q = self.side_terms(X, "q", workers)
+        k_p, p_hat, sum_p = self.side_terms(X, "p")
+        k_q, q_hat, sum_q = self.side_terms(X, "q")
         values = (sum_p + sum_q) / (k_p + k_q)
         return values, k_p, k_q, p_hat, q_hat
-
-    def predict(self, x) -> Prediction:
-        values, k_p, k_q, p_hat, q_hat = self.predict_batch(
-            np.atleast_1d(np.asarray(x, dtype=np.float64))[None, :]
-        )
-        return Prediction(
-            value=float(values[0]),
-            k_p_used=int(k_p[0]),
-            k_q_used=int(k_q[0]),
-            p_hat=float(p_hat[0]),
-            q_hat=float(q_hat[0]),
-        )
 
 
 def _coerce_points(X, d: int) -> np.ndarray:

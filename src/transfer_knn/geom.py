@@ -23,12 +23,12 @@ class NeighborIndex:
     """Exact nearest-neighbour index over n fixed points in R^d.
 
     Duplicates are retained, and a 1-D array is read as n points in R^1.
-    The points are made read-only (a contiguous float64 array is not
-    copied, so the caller's array is the one frozen).
+    The index keeps its own read-only copy of the points, so the caller's
+    array stays writeable and a later edit to it changes no answer.
     """
 
     def __init__(self, points):
-        pts = np.ascontiguousarray(points, dtype=np.float64)
+        pts = np.array(points, dtype=np.float64, order="C")
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2:
@@ -59,7 +59,7 @@ class NeighborIndex:
     def dimension(self) -> int:
         return self.points.shape[1]
 
-    def query_batch(self, queries, k: int, workers: int = 1):
+    def query_batch(self, queries, k: int):
         """k nearest neighbours for each query row.
 
         Returns (distances, indices), each of shape (q, k), distances
@@ -79,7 +79,7 @@ class NeighborIndex:
             raise ValueError("query coordinates must be finite")
 
         kq = min(n, k + _TIE_PAD)
-        dist, idx = self._fetch(q, kq, workers)
+        dist, idx = self._fetch(q, kq)
         reach = dist[:, -1].copy()
         dist, idx = dist[:, :k], idx[:, :k]
         # A tie block cut off at the end of a fetch cannot be ordered from
@@ -93,14 +93,14 @@ class NeighborIndex:
                 break
             kq = min(n, 2 * kq)
             for part in np.array_split(rows, -(-len(rows) * kq // _REFETCH_CELLS)):
-                wide_d, wide_i = self._fetch(q[part], kq, workers)
+                wide_d, wide_i = self._fetch(q[part], kq)
                 dist[part], idx[part] = wide_d[:, :k], wide_i[:, :k]
                 reach[part] = wide_d[:, -1]
         return dist, idx
 
-    def _fetch(self, q, kq: int, workers: int):
+    def _fetch(self, q, kq: int):
         """The tree's kq nearest points of each row, in (distance, index) order."""
-        dist, idx = self._kdtree().query(q, k=kq, workers=workers)
+        dist, idx = self._kdtree().query(q, k=kq)
         dist = dist.reshape(len(q), kq)
         idx = idx.reshape(len(q), kq)
         # Rows come back sorted by distance; only a row holding an exactly

@@ -162,7 +162,9 @@ def sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     """Run reps x cells independent train/evaluate cycles.
 
     Results are reduced in (cell, rep) order regardless of completion
-    order, so the output is identical for any thread count.
+    order, so the output is identical for any thread count.  This rep
+    pool is the package's one parallel layer; one thread runs the reps
+    in a plain loop, which is faster than a one-worker pool.
     """
     cells = config.cells()
     tasks = [

@@ -44,22 +44,42 @@ class IndexEstimate:
     evaluations: tuple  # per-gamma TransferEvaluation diagnostics
 
 
+def _finite_closed_form(
+    scale: float, base: float, power: float, denom: float, gamma: float
+) -> float:
+    """scale * base**power / denom, a closed-form T known to be finite.
+
+    It is evaluated as written where that fits in a float.  The ratio
+    scale / denom is at least 1 here, so T >= base**power, and T exceeds
+    the largest float when base**power does; a T beyond it raises
+    NumericError rather than read as divergent.
+    """
+    try:
+        value = scale * base**power / denom
+        if value == math.inf:
+            # A partial product overflowed; the ratio first finds a T a float holds.
+            value = scale / denom * base**power
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise NumericError(f"T at gamma={gamma} is finite but exceeds the largest float")
+    return value
+
+
 def _closed_form(P, Q, gamma: float) -> float | None:
     """T(P, Q, gamma) where analytic integration is available."""
     if isinstance(P, Exponential) and isinstance(Q, Exponential):
         if gamma * P.lam >= Q.lam:
             return math.inf
-        return Q.lam * P.lam**-gamma / (Q.lam - gamma * P.lam)
+        return _finite_closed_form(Q.lam, P.lam, -gamma, Q.lam - gamma * P.lam, gamma)
     if isinstance(P, Pareto) and isinstance(Q, Pareto) and P.sigma == Q.sigma:
         if gamma * (P.alpha + 1.0) >= Q.alpha:
             return math.inf
-        return (
-            Q.alpha
-            * (P.sigma / P.alpha) ** gamma
-            / (Q.alpha - gamma * (P.alpha + 1.0))
+        return _finite_closed_form(
+            Q.alpha, P.sigma / P.alpha, gamma, Q.alpha - gamma * (P.alpha + 1.0), gamma
         )
     if isinstance(P, Uniform) and isinstance(Q, Uniform) and P.support == Q.support:
-        return (P.b - P.a) ** gamma
+        return _finite_closed_form(1.0, P.b - P.a, gamma, 1.0, gamma)
     return None
 
 

@@ -179,7 +179,7 @@ def test_criterion_5_estimator_oracles():
             x = rng.standard_normal(1)
             two = fit((X, y), (np.empty((0, 1)), np.empty(0)), cfg)
             one = fit((X, y), None, cfg)
-            assert two.predict(x).value == one.predict(x).value
+            assert two.predict_batch([x])[0][0] == one.predict_batch([x])[0][0]
 
         # index kNN agrees exactly with the brute-force oracle
         for d in (1, 2, 3):

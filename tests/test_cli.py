@@ -107,6 +107,21 @@ class TestTransferCommand:
         assert "config field 'target'" in err and "Traceback" not in err
         assert not list(out.glob("*"))
 
+    def test_closed_form_beyond_a_float_exits_two_naming_gamma(self, tmp_path, capsys):
+        # T(Exp(1e-300), Exp(1), 2) = 1e600 is finite, but no float holds it.
+        pair = {
+            "source": {"family": "exponential", "lambda": 1e-300},
+            "target": {"family": "exponential", "lambda": 1.0},
+        }
+        cfg = write_json(tmp_path / "pair.json", pair)
+        out = tmp_path / "out"
+        argv = ["transfer", "--config", cfg, "--gamma-grid", "0:2", "--out", str(out)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "numeric failure:" in err and "gamma=2.0" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*"))
+
 
 class TestRatesCommand:
     def test_accelerated_report(self, tmp_path):
@@ -286,14 +301,6 @@ class TestSweepCommand:
         for name in ("sweep_reps.csv", "sweep_aggregate.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        cfg = write_json(tmp_path / "e.json", EXPERIMENT)
-        out = tmp_path / "out"
-        monkeypatch.setenv("TRANSFER_KNN_THREADS", "2")
-        assert run(["sweep", "--config", cfg, "--out", str(out)]) == 0
-        monkeypatch.setenv("TRANSFER_KNN_THREADS", "soup")
-        assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "o2")]) == 1
-
 
 class TestSimulateCommand:
     CONFIG = {
@@ -375,6 +382,25 @@ class TestSimulateCommand:
         assert "Traceback" not in err
         assert not list(out.glob("*"))
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            pytest.param({"noise": {"type": "gaussian", "sigma_e": 1e308}}, id="labels-inf"),
+            pytest.param(
+                {"source": {"family": "uniform", "a": -1e308, "b": 1e308}}, id="points-inf"
+            ),
+        ],
+    )
+    def test_rejected_sample_exits_two(self, tmp_path, capsys, override):
+        # The draws are not finite, so fit rejects them, as in a sweep rep.
+        cfg = write_json(tmp_path / "sim.json", dict(self.CONFIG, **override))
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "numeric failure: estimator failed on the drawn samples" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*"))
+
     def test_integral_floats_read_as_integers(self, tmp_path):
         floats = dict(self.CONFIG, n=64.0, m=32.0, n_test=16.0, seed=5.0)
         outs = []
@@ -385,29 +411,6 @@ class TestSimulateCommand:
             outs.append(out)
         for name in ("train_source.csv", "train_target.csv", "predictions.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
-
-class TestSimulateThreads:
-    CONFIG = {
-        "source": {"family": "product_pareto", "alpha": 1.0, "sigma": 1.0, "d": 2},
-        "target": {"family": "product_pareto", "alpha": 2.0, "sigma": 1.0, "d": 2},
-        "f_star": {"name": "constant", "value": 0.25, "d": 2},
-        "noise": {"type": "gaussian", "sigma_e": 0.5},
-        "estimator": {"beta": 1.0, "d": 2},
-        "n": 512,
-        "m": 128,
-        "n_test": 200,
-        "seed": 9,
-    }
-
-    def test_predictions_identical_across_threads(self, tmp_path):
-        cfg = write_json(tmp_path / "sim.json", self.CONFIG)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert run(["simulate", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
-        assert run(["simulate", "--config", cfg, "--out", str(out2), "--threads", "2"]) == 0
-        assert (out1 / "predictions.csv").read_bytes() == (
-            out2 / "predictions.csv"
-        ).read_bytes()
 
 
 class TestDimensionMismatch:
@@ -494,6 +497,17 @@ class TestCheckRegularityCommand:
                 "distribution",
                 id="ppf-overflow",
             ),
+            # the built-in theta of each overflows a float
+            pytest.param(
+                {"distribution": {"family": "pareto", "alpha": 300, "sigma": 1e-300}},
+                "theta",
+                id="pareto-theta-overflow",
+            ),
+            pytest.param(
+                {"distribution": {"family": "exponential", "lambda": 1e300}},
+                "theta",
+                id="exponential-theta-overflow",
+            ),
         ],
     )
     def test_bad_field_exits_one_naming_it(self, tmp_path, capsys, override, field):
@@ -505,6 +519,17 @@ class TestCheckRegularityCommand:
         assert f"field '{field}'" in err
         assert "Traceback" not in err
         assert not list(out.glob("*"))
+
+    def test_given_theta_skips_the_built_in_value(self, tmp_path):
+        # The built-in theta of this family overflows; a given one is used as is.
+        cfg = write_json(
+            tmp_path / "reg.json",
+            {"distribution": {"family": "exponential", "lambda": 1e300},
+             "theta": 4.0, "x_points": 4, "r_points": 3},
+        )
+        out = tmp_path / "out"
+        assert run(["check-regularity", "--config", cfg, "--out", str(out)]) == 0
+        assert "theta,4.0" in (out / "regularity.csv").read_text().splitlines()
 
 
 class TestArgvHandling:
@@ -638,16 +663,30 @@ class TestFlags:
             # 10^v underflows to 0; a negative start needs the --flag=value form
             ("--log-n", "-400:0:100"),
             ("--log-m", "-330:0:10"),
+            # transfer's grid: a negative gamma is rejected before any gamma runs
+            ("--gamma-grid", "-1:1:0.5"),
         ],
     )
     def test_phase_names_the_flag(self, tmp_path, capsys, flag, value):
+        argv = self.PHASE
+        if flag == "--gamma-grid":
+            argv = ["transfer", "--config", write_json(tmp_path / "c.json", PAIR)]
         out = tmp_path / "out"
-        assert run(self.PHASE + [f"{flag}={value}", "--out", str(out)]) == 1
-        assert f"config field '{flag}'" in capsys.readouterr().err
+        assert run(argv + [f"{flag}={value}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"config field '{flag}'" in err
+        assert "Traceback" not in err
         assert not list(out.glob("*"))
 
-    @pytest.mark.parametrize("flag", ["--seed", "--threads"])
-    @pytest.mark.parametrize("command", ["transfer", "rates", "phase", "check-regularity"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (command, flag)
+            for command in ("transfer", "rates", "phase", "check-regularity")
+            for flag in ("--seed", "--threads")
+        ]
+        + [("simulate", "--threads")],
+    )
     def test_seed_and_threads_only_where_read(self, tmp_path, capsys, command, flag):
         if command == "phase":
             argv = list(self.PHASE)
@@ -670,8 +709,7 @@ class TestFlags:
         assert "config field 'argv'" in err and "--format" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    @pytest.mark.parametrize("command", ["sweep", "simulate"])
+    @pytest.mark.parametrize("command, value", [("sweep", "0"), ("sweep", "-3")])
     def test_threads_below_one_rejected(self, tmp_path, capsys, command, value):
         body, extra = CONFIG_COMMANDS[command]
         argv = [command, "--config", write_json(tmp_path / "c.json", body)] + extra
@@ -679,20 +717,5 @@ class TestFlags:
         assert run(argv + ["--out", str(out), "--threads", value]) == 1
         err = capsys.readouterr().err
         assert "config field '--threads'" in err
-        assert "Traceback" not in err
-        assert not list(out.glob("*"))
-
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    @pytest.mark.parametrize("command", ["sweep", "simulate"])
-    def test_threads_env_below_one_rejected(
-        self, tmp_path, capsys, monkeypatch, command, value
-    ):
-        body, extra = CONFIG_COMMANDS[command]
-        argv = [command, "--config", write_json(tmp_path / "c.json", body)] + extra
-        monkeypatch.setenv("TRANSFER_KNN_THREADS", value)
-        out = tmp_path / "out"
-        assert run(argv + ["--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "config field 'TRANSFER_KNN_THREADS'" in err
         assert "Traceback" not in err
         assert not list(out.glob("*"))

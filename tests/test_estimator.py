@@ -160,6 +160,22 @@ class TestFit:
         with pytest.raises(ValueError):
             fit((np.zeros((2, 1)), np.array([1.0, np.nan])), None, CFG)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_caller_points_stay_writeable(self, d):
+        # Integer coordinates tie, so d = 1 takes the tree path too.
+        rng = np.random.default_rng(41)
+        X = rng.integers(0, 12, size=(200, d)).astype(np.float64)
+        y = rng.standard_normal(200)
+        est = fit((X, y), None, NeighborFunctionConfig(beta=1.0, d=d))
+        queries = rng.integers(0, 12, size=(50, d)).astype(np.float64)
+        before = est.predict_batch(queries)
+        assert X.flags.writeable
+        X[:] = rng.permutation(X)
+        X += 100.0
+        after = est.predict_batch(queries)
+        for got, want in zip(after, before):
+            assert np.array_equal(got, want)
+
 
 class TestPredict:
     def test_constant_labels(self):
@@ -170,15 +186,15 @@ class TestPredict:
             CFG,
         )
         for x in rng.random(10):
-            assert est.predict([x]).value == 2.5
+            assert est.predict_batch([[x]])[0][0] == 2.5
 
     def test_two_point_clamp_average(self):
         # huge kappa drives the count into the upper clamp k = n = 2
         cfg = NeighborFunctionConfig(beta=1.0, d=1, kappa_p=1e6)
         est = fit((np.array([[0.0], [1.0]]), np.array([0.0, 1.0])), None, cfg)
         for x in (-1.0, 0.2, 0.7, 3.0):
-            p = est.predict([x])
-            assert p.k_p_used == 2 and p.value == 0.5
+            values, k_p, _, _, _ = est.predict_batch([[x]])
+            assert k_p[0] == 2 and values[0] == 0.5
 
     def test_m_zero_reduces_to_one_sample(self):
         rng = np.random.default_rng(7)
@@ -189,7 +205,7 @@ class TestPredict:
             two = fit((X, y), (np.empty((0, 1)), np.empty(0)), CFG)
             one = fit((X, y), None, CFG)
             x = rng.standard_normal(1)
-            assert two.predict(x).value == one.predict(x).value
+            assert two.predict_batch([x])[0][0] == one.predict_batch([x])[0][0]
 
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(11)
@@ -200,7 +216,8 @@ class TestPredict:
             est = fit((X, y), None, CFG)
             x = rng.random(1)
             want = reference_one_sample_predict(X, y, x, beta=1.0, d=1)
-            assert math.isclose(est.predict(x).value, want, rel_tol=1e-12, abs_tol=1e-12)
+            got = est.predict_batch([x])[0][0]
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
 
     def test_clamp_envelope(self):
         rng = np.random.default_rng(13)
@@ -223,15 +240,15 @@ class TestPredict:
         y = rng.standard_normal(n)
         est = fit((X, y), None, CFG)
         x = [0.1]
-        base = est.predict(x)
+        base, k_p, _, _, _ = est.predict_batch([x])
         # perturb the label of the farthest point from x
         far = int(np.argmax(np.abs(X[:, 0] - x[0])))
         y2 = y.copy()
         y2[far] += 100.0
         est2 = fit((X, y2), None, CFG)
-        after = est2.predict(x)
-        assert base.k_p_used < n  # otherwise the far point participates
-        assert after.value == base.value
+        after = est2.predict_batch([x])[0]
+        assert k_p[0] < n  # otherwise the far point participates
+        assert after[0] == base[0]
 
     def test_prediction_diagnostics(self):
         rng = np.random.default_rng(19)
@@ -240,23 +257,23 @@ class TestPredict:
             (rng.random((32, 1)), rng.standard_normal(32)),
             CFG,
         )
-        p = est.predict([0.4])
-        assert p.k_p_used <= 64 and p.k_q_used <= 32
-        assert p.p_hat > 0 and p.q_hat > 0
+        _, k_p, k_q, p_hat, q_hat = est.predict_batch([[0.4]])
+        assert k_p[0] <= 64 and k_q[0] <= 32
+        assert p_hat[0] > 0 and q_hat[0] > 0
 
     def test_tiny_sample_degenerate_ell(self):
         # n = 1, m = 0: log(nm) = 0, density step disabled, k floors at 1
         est = fit((np.array([[0.5]]), np.array([4.0])), None, CFG)
-        p = est.predict([0.9])
-        assert p.value == 4.0 and p.k_p_used == 1
-        assert p.p_hat == math.inf
+        values, k_p, _, p_hat, _ = est.predict_batch([[0.9]])
+        assert values[0] == 4.0 and k_p[0] == 1
+        assert p_hat[0] == math.inf
 
     def test_dimension_two(self):
         cfg = NeighborFunctionConfig(beta=0.5, d=2)
         rng = np.random.default_rng(23)
         est = fit((rng.random((80, 2)), rng.standard_normal(80)), None, cfg)
-        p = est.predict([0.5, 0.5])
-        assert math.isfinite(p.value) and 1 <= p.k_p_used <= 80
+        values, k_p, _, _, _ = est.predict_batch([[0.5, 0.5]])
+        assert math.isfinite(values[0]) and 1 <= k_p[0] <= 80
 
     def test_concurrent_predicts(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -268,9 +285,13 @@ class TestPredict:
             CFG,
         )
         queries = rng.random(100)
-        serial = [est.predict([x]).value for x in queries]
+
+        def predict(x):
+            return est.predict_batch([[x]])[0][0]
+
+        serial = [predict(x) for x in queries]
         with ThreadPoolExecutor(max_workers=8) as pool:
-            threaded = list(pool.map(lambda x: est.predict([x]).value, queries))
+            threaded = list(pool.map(predict, queries))
         assert threaded == serial
 
 
@@ -584,9 +605,9 @@ class TestBucketedLabelSums:
         fetched = []
         original = NeighborIndex.query_batch
 
-        def counting(self, batch, k, workers=1):
+        def counting(self, batch, k):
             fetched.append(len(batch) * min(len(self), k + _TIE_PAD))
-            return original(self, batch, k, workers)
+            return original(self, batch, k)
 
         monkeypatch.setattr(NeighborIndex, "query_batch", counting)
         sums = est._source.label_sums(queries, k_p, None) + est._target.label_sums(

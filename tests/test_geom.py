@@ -39,9 +39,11 @@ class TestConstruction:
             NeighborIndex(np.array([[np.nan]]))
 
     def test_points_read_only(self):
-        idx = NeighborIndex([[0.0, 1.0], [2.0, 3.0]])
+        pts = np.array([[0.0, 1.0], [2.0, 3.0]])
+        idx = NeighborIndex(pts)
         assert idx.points.shape == (2, 2) and idx.dimension == 2
         assert not idx.points.flags.writeable
+        assert pts.flags.writeable  # the index froze its own copy
 
     def test_dimension_mismatch_query(self):
         idx = NeighborIndex(np.ones((4, 2)))
@@ -246,9 +248,9 @@ class TestStaleTieRows:
         fetched = []
         original = NeighborIndex._fetch
 
-        def counting(self, q, kq, workers):
+        def counting(self, q, kq):
             fetched.append(len(q) * kq)
-            return original(self, q, kq, workers)
+            return original(self, q, kq)
 
         monkeypatch.setattr(NeighborIndex, "_fetch", counting)
         dist, ind = NeighborIndex(pts).query_batch(queries, k)

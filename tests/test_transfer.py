@@ -132,6 +132,60 @@ class TestTransferValue:
         assert abs(ev.value - want) <= 5 * ev.error_estimate
 
 
+class TestClosedFormOverflow:
+    """A closed-form T is finite whenever its condition holds, however large."""
+
+    @pytest.mark.parametrize(
+        "P, Q, want",
+        [
+            # T = lam_p^-1 lam_q / (lam_q - lam_p) = 1e300 (1 + 1e-310)
+            (Exponential(1e-300), Exponential(1e10), 1e300),
+            # T = (1/alpha_p) alpha_q / (alpha_q - alpha_p - 1) = 1e300 / (1 - 1e-10)
+            (Pareto(1e-300, 1.0), Pareto(1e10, 1.0), 1e300 / (1.0 - 1e-10)),
+        ],
+    )
+    def test_large_finite_value_is_not_divergent(self, P, Q, want):
+        ev = transfer_value(P, Q, 1.0)
+        assert ev.method == "closed_form" and ev.converged
+        assert math.isclose(ev.value, want, rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "P, Q",
+        [
+            (Exponential(1e-300), Exponential(1.0)),  # T = 1e600
+            (Pareto(1e-300, 1.0), Pareto(1e10, 1.0)),
+            (Uniform(0.0, 1e300), Uniform(0.0, 1e300)),  # T = (b - a)^2
+        ],
+    )
+    def test_value_beyond_a_float_raises_naming_gamma(self, P, Q):
+        with pytest.raises(NumericError, match="gamma=2.0"):
+            transfer_value(P, Q, 2.0)
+
+    def test_values_that_fit_are_unchanged(self):
+        # Every T that the formula as written holds in a float is returned
+        # bit for bit; the oracles are that formula.
+        rng = np.random.default_rng(83)
+        checked = 0
+        for _ in range(2000):
+            a_p, a_q, width = (float(v) for v in 10.0 ** rng.uniform(-300, 300, size=3))
+            gamma = float(rng.uniform(0.01, 3.0))
+            cases = (
+                (Exponential(a_p), Exponential(a_q), exp_pair_value, (a_p, a_q)),
+                (Pareto(a_p, width), Pareto(a_q, width), pareto_equal_scale_value,
+                 (a_p, a_q, width)),
+                (Uniform(0.0, width), Uniform(0.0, width), lambda w, g: w**g, (width,)),
+            )
+            for P, Q, oracle, params in cases:
+                try:
+                    want = oracle(*params, gamma)
+                except OverflowError:
+                    continue
+                if want < math.inf:
+                    assert transfer_value(P, Q, gamma).value == want
+                    checked += 1
+        assert checked > 1000
+
+
 class TestMonteCarloRows:
     """The row-form Monte Carlo paths equal a per-row loop bit for bit."""
 
