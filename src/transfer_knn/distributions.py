@@ -642,7 +642,10 @@ class NoiseSpec:
             raise ValueError("sigma_e must be nonnegative")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.sigma_e * rng.standard_normal(n)
+        # A huge sigma_e overflows to +-inf, which fit rejects as
+        # non-finite labels.
+        with np.errstate(over="ignore"):
+            return self.sigma_e * rng.standard_normal(n)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ one-sample one.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -90,7 +89,10 @@ class _TreeSample:
 
     def __init__(self, X: np.ndarray, labels: np.ndarray):
         self.n = len(labels)
-        self.labels = labels
+        # Copied, as NeighborIndex copies its points, so that editing the
+        # caller's array after fit changes no prediction.
+        self.labels = np.array(labels, dtype=np.float64)
+        self.labels.setflags(write=False)
         self.index = NeighborIndex(X)
 
     def positions(self, X):
@@ -105,14 +107,16 @@ class _TreeSample:
     def label_sums(self, X, k: np.ndarray, pos) -> np.ndarray:
         """Sum of the labels of each row's first k_i neighbours (k_i >= 1).
 
-        Rows are grouped by ceil(log2 k) and each group is queried at its
-        own largest k, so no row fetches more than twice its neighbours.
-        The sequential per-row cumsum makes a row's sum independent of how
-        many extra neighbours its group fetched.
+        Rows are grouped by ceil(16 log2 k), sixteen groups per doubling
+        of k, and each group is queried at its own largest k, so no row
+        fetches more than 2^(1/16) (about 1.044) times its neighbours.
+        The tree's cost grows linearly in the depth, and finer groups
+        only add per-call overhead.  The sequential per-row cumsum makes
+        a row's sum independent of how many extra neighbours its group
+        fetched.
         """
         out = np.zeros(len(X))
-        # frexp's exponent of k - 1 is ceil(log2 k), exactly, for k >= 1.
-        bucket = np.frexp(k - 1)[1]
+        bucket = np.ceil(16.0 * np.log2(k))
         for b in np.unique(bucket):
             group = np.nonzero(bucket == b)[0]
             kg = k[group]
@@ -154,7 +158,7 @@ class _SortedSample1D(_TreeSample):
             order = np.argsort(x, kind="stable")
             coords = x[order]
         self.coords = coords
-        self.prefix = np.concatenate([[0.0], np.cumsum(labels[order])])
+        self.prefix = np.concatenate([[0.0], np.cumsum(self.labels[order])])
 
     def positions(self, X) -> np.ndarray:
         """searchsorted(coords, x), searched in ascending order of x."""
@@ -319,22 +323,3 @@ def pointwise_error_split(est: TrainedEstimator, x, f_star) -> tuple[float, floa
         rhs += kq / (kp + kq) * (sum_q[0] / kq - fx) ** 2
     return float(lhs), float(rhs)
 
-
-# ---------------------------------------------------------------------------
-# CSV interfaces
-# ---------------------------------------------------------------------------
-
-
-def read_labeled_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a labeled sample with header x_1,...,x_d,y."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[-1] != "y" or not all(
-            h == f"x_{i + 1}" for i, h in enumerate(header[:-1])
-        ):
-            raise ValueError(f"unexpected labeled CSV header: {header}")
-        rows = [[float(v) for v in row] for row in reader]
-    d = len(header) - 1
-    data = np.asarray(rows, dtype=np.float64).reshape(len(rows), d + 1)
-    return data[:, :d], data[:, d]

@@ -1,5 +1,6 @@
 """Shared test oracles, independent of the library's query paths."""
 
+import csv
 import math
 
 import numpy as np
@@ -192,3 +193,18 @@ def ppf_bisection(dist, u: float, steps: int = 200) -> float:
         else:
             b = mid
     return b
+
+
+def read_labeled_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a labeled sample with header x_1,...,x_d,y, as simulate writes it."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header[-1] != "y" or not all(
+            h == f"x_{i + 1}" for i, h in enumerate(header[:-1])
+        ):
+            raise ValueError(f"unexpected labeled CSV header: {header}")
+        rows = [[float(v) for v in row] for row in reader]
+    d = len(header) - 1
+    data = np.asarray(rows, dtype=np.float64).reshape(len(rows), d + 1)
+    return data[:, :d], data[:, d]

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import math
+import warnings
 
 import pytest
 
+from conftest import read_labeled_csv
 from transfer_knn import harness
 from transfer_knn.cli import parse_grid, run
 from transfer_knn.errors import ConfigError
@@ -341,8 +343,6 @@ class TestSimulateCommand:
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
     def test_train_csv_parses_back(self, tmp_path):
-        from transfer_knn.estimator import read_labeled_csv
-
         cfg = write_json(tmp_path / "sim.json", self.CONFIG)
         out = tmp_path / "out"
         assert run(["simulate", "--config", cfg, "--out", str(out)]) == 0
@@ -392,10 +392,14 @@ class TestSimulateCommand:
         ],
     )
     def test_rejected_sample_exits_two(self, tmp_path, capsys, override):
-        # The draws are not finite, so fit rejects them, as in a sweep rep.
+        # The draws are not finite, so fit rejects them, as in a sweep rep;
+        # an overflowing draw says so through that message alone.
         cfg = write_json(tmp_path / "sim.json", dict(self.CONFIG, **override))
         out = tmp_path / "out"
-        assert run(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert "numeric failure: estimator failed on the drawn samples" in err
         assert "Traceback" not in err

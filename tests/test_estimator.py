@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_knn, window_starts_bisection
+from conftest import brute_force_knn, read_labeled_csv, window_starts_bisection
 from transfer_knn.cli import OutputStager, run
 from transfer_knn.distributions import ProductPareto
 from transfer_knn.estimator import (
@@ -15,7 +15,6 @@ from transfer_knn.estimator import (
     fit,
     neighbor_counts,
     pointwise_error_split,
-    read_labeled_csv,
 )
 from transfer_knn.geom import _TIE_PAD, NeighborIndex
 
@@ -175,6 +174,20 @@ class TestFit:
         after = est.predict_batch(queries)
         for got, want in zip(after, before):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_caller_labels_copied(self, d):
+        # Queries midway between integer points cut tie blocks, which
+        # d = 1 sums through the tree path.
+        rng = np.random.default_rng(43)
+        X = rng.integers(0, 12, size=(200, d)).astype(np.float64)
+        y = rng.standard_normal(200)
+        est = fit((X, y), None, NeighborFunctionConfig(beta=1.0, d=d))
+        queries = rng.integers(0, 12, size=(50, d)) + 0.5
+        before = est.predict_batch(queries)[0]
+        assert y.flags.writeable
+        y[:] += 100.0
+        assert np.array_equal(est.predict_batch(queries)[0], before)
 
 
 class TestPredict:
@@ -502,8 +515,12 @@ class TestSortedWindow1D:
             assert values[i] == (sp + sq) / (kp + kq)
 
 
-def k_buckets(k):
-    return np.unique(np.ceil(np.log2(k)))
+def covers_groups(k):
+    """Whether k spans at least three label-sum query groups, ceil(16
+    log2 k), and one group holds two different k (fewer groups than
+    distinct k, by pigeonhole)."""
+    groups = len(np.unique(np.ceil(16 * np.log2(k))))
+    return 3 <= groups < len(np.unique(k))
 
 
 def tied_at_cut(X, x, k):
@@ -519,7 +536,8 @@ class TestBucketedLabelSums:
 
     Integer coordinates give exact distance ties and duplicated points;
     a dense cluster, a sparse spread and a 12-fold duplicate give per-row
-    k over several power-of-two buckets, up to k = n.
+    k over several query groups, up to k = n.  Queries at real points
+    of the dense cluster put near but unequal k in one group.
     """
 
     CFG = NeighborFunctionConfig(beta=1.0, d=2, kappa_p=8.0, kappa_q=8.0)
@@ -545,6 +563,7 @@ class TestBucketedLabelSums:
             [
                 rng.integers(0, 30, (60, 2)).astype(float),
                 rng.integers(0, 30, (30, 2)) + 0.5,
+                rng.uniform(0, 6, (20, 2)),
                 [[17.0, 17.0], [1.0, 1.0]],
             ]
         )
@@ -562,7 +581,7 @@ class TestBucketedLabelSums:
         k = rng.integers(1, n + 1, size=len(queries))
         k[::9] = n
         rows = rng.random(len(queries)) < 0.8
-        assert len(k_buckets(k[rows])) >= 3 and np.any(k[rows] == n)
+        assert covers_groups(k[rows]) and np.any(k[rows] == n)
         assert any(tied_at_cut(X, x, ki) for x, ki in zip(queries[rows], k[rows]))
         assert isinstance(est._source, _TreeSample)
         got = est._source.label_sums(queries[rows], k[rows], None)
@@ -574,7 +593,7 @@ class TestBucketedLabelSums:
         est = fit((X, y), (Xt, yt), self.CFG)
         values, k_p, k_q, p_hat, q_hat = est.predict_batch(queries)
         for k, n_own in ((k_p, len(y)), (k_q, len(yt))):
-            assert len(k_buckets(k)) >= 3 and np.any(k == n_own)
+            assert covers_groups(k) and np.any(k == n_own)
         assert any(tied_at_cut(X, x, k) for x, k in zip(queries, k_p))
         cfg = self.CFG
         for i, x in enumerate(queries):
@@ -614,7 +633,11 @@ class TestBucketedLabelSums:
             queries, k_q, None
         )
         assert np.array_equal(sums / (k_p + k_q), values)
-        bound = 2 * (int(k_p.sum()) + int(k_q.sum())) + (_TIE_PAD + 1) * 2 * q
+        # Each group's depth is below 2^(1/16) times each of its rows' k.
+        bound = sum(
+            int(np.minimum(n_own, np.ceil(2 ** (1 / 16) * k) + _TIE_PAD).sum())
+            for k, n_own in ((k_p, n), (k_q, m))
+        )
         assert sum(fetched) <= bound
 
 
