@@ -22,6 +22,7 @@ from .distributions import family_from_spec, local_mass_check
 from .errors import (
     ConfigError,
     NumericError,
+    RadiusSearchError,
     config_choice,
     config_integer,
     config_number,
@@ -379,9 +380,12 @@ def _cmd_check_regularity(args, stager: OutputStager) -> None:
     nr = config_integer(cfg.get("r_points", 20), "r_points", least=1)
     if dist.dimension != 1:
         raise ConfigError("distribution", "regularity grid check requires 1-D")
-    with np.errstate(over="ignore"):
-        x_grid = [float(dist.ppf((i + 0.5) / nx)) for i in range(nx)]
-    if not all(math.isfinite(x) for x in x_grid):
+    try:
+        with np.errstate(over="ignore"):
+            x_grid = dist.ppf((np.arange(nx) + 0.5) / nx)
+    except RadiusSearchError as exc:
+        raise ConfigError("distribution", f"x grid: {exc}") from None
+    if not np.all(np.isfinite(x_grid)):
         raise ConfigError("distribution", "a quantile of the x grid overflows a float")
     r_grid = [(j + 1) / nr for j in range(nr)]
     report = local_mass_check(dist, theta, x_grid, r_grid)

@@ -6,7 +6,14 @@ import math
 import numpy as np
 
 from transfer_knn._integrate import bounded_quad, improper_quad
-from transfer_knn.distributions import Pareto, ProductPareto, ball_mass
+from transfer_knn.distributions import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    Pareto,
+    ProductPareto,
+    ball_mass,
+    ball_mass_with_error,
+)
 from transfer_knn.transfer import _MC_DRAWS, _MC_SEED
 
 
@@ -193,6 +200,57 @@ def ppf_bisection(dist, u: float, steps: int = 200) -> float:
         else:
             b = mid
     return b
+
+
+def raw_cdf_integral_loop(dist, xs) -> np.ndarray:
+    """LogPareto's raw CDF integral from 2 to each x, one knot at a time.
+
+    Sorts the points and integrates each gap between neighbouring knots
+    (log 2 first) with composite 7-node Gauss-Legendre in t = log x,
+    ceil(gap / 0.25) panels from np.linspace, adding it to a running
+    total.  A one-point call integrates from log 2 straight to log x.
+    """
+    ts = np.log(np.maximum(np.asarray(xs, dtype=np.float64), dist._LEFT))
+    order = np.argsort(ts)
+    knots = np.concatenate([[math.log(dist._LEFT)], ts[order]])
+    out_sorted = np.zeros(len(ts))
+    acc = 0.0
+    for j in range(len(ts)):
+        t0, t1 = knots[j], knots[j + 1]
+        if t1 > t0:
+            npanel = max(1, int(math.ceil((t1 - t0) / 0.25)))
+            edges = np.linspace(t0, t1, npanel + 1)
+            mid = 0.5 * (edges[:-1] + edges[1:])
+            half = 0.5 * (edges[1:] - edges[:-1])
+            lx = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+            vals = np.exp(-(dist.b + 1.0) * lx - dist.c * np.log(lx) + lx)
+            acc += float(np.sum(vals * _GL_WEIGHTS[None, :] * half[:, None]))
+        out_sorted[j] = acc
+    out = np.empty(len(ts))
+    out[order] = out_sorted
+    return out
+
+
+def local_mass_check_loop(dist, theta: float, x_grid, r_grid):
+    """(passed, min_ratio, max_ratio, n_checked, failures) pair by pair.
+
+    Each (x, r) pair's ball mass is its own computation: two one-point
+    cdf calls in 1-D, ball_mass_with_error's Monte Carlo mean otherwise.
+    """
+    d = dist.dimension
+    ratios, failures = [], []
+    for x in np.asarray(x_grid, dtype=np.float64):
+        px = float(dist.density(x))
+        for r in np.asarray(r_grid, dtype=np.float64).tolist():
+            if d == 1:
+                mass = float(dist.cdf(float(x) + r) - dist.cdf(float(x) - r))
+            else:
+                mass = ball_mass_with_error(dist, x, r)[0]
+            ratio = mass / (px * r**d)
+            ratios.append(ratio)
+            if not (1.0 / theta <= ratio <= theta):
+                failures.append((x.tolist(), r, ratio))
+    return not failures, min(ratios), max(ratios), len(ratios), tuple(failures)
 
 
 def read_labeled_csv(path) -> tuple[np.ndarray, np.ndarray]:

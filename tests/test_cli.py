@@ -501,6 +501,13 @@ class TestCheckRegularityCommand:
                 "distribution",
                 id="ppf-overflow",
             ),
+            # the quantiles from u = 0.75 on lie beyond the ppf bracket cap
+            pytest.param(
+                {"distribution": {"family": "log_pareto", "a": 1, "b": 0.05, "c": 0},
+                 "theta": 10},
+                "distribution",
+                id="ppf-bracket-cap",
+            ),
             # the built-in theta of each overflows a float
             pytest.param(
                 {"distribution": {"family": "pareto", "alpha": 300, "sigma": 1e-300}},
@@ -523,6 +530,15 @@ class TestCheckRegularityCommand:
         assert f"field '{field}'" in err
         assert "Traceback" not in err
         assert not list(out.glob("*"))
+
+    def test_quantile_beyond_bracket_cap_names_its_level(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "reg.json",
+            {"distribution": {"family": "log_pareto", "a": 1, "b": 0.05, "c": 0},
+             "theta": 10},
+        )
+        assert run(["check-regularity", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "x grid: quantile u = 0.75 lies beyond" in capsys.readouterr().err
 
     def test_given_theta_skips_the_built_in_value(self, tmp_path):
         # The built-in theta of this family overflows; a given one is used as is.

@@ -1,10 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import holder_budget, log_density_loop, ppf_bisection, zeta_per_step
+from conftest import (
+    holder_budget,
+    local_mass_check_loop,
+    log_density_loop,
+    ppf_bisection,
+    raw_cdf_integral_loop,
+    zeta_per_step,
+)
 from transfer_knn.distributions import (
     _FAMILIES,
     Exponential,
@@ -35,6 +45,16 @@ ONE_D_VARIANTS = [
     LogPareto(1.0, 1.0, 2.0),
     LogPareto(1.0, 0.7, 0.0),
 ]
+LOG_PARETO_VARIANTS = [dist for dist in ONE_D_VARIANTS if isinstance(dist, LogPareto)]
+
+# The x where LogPareto's CDF adds a panel: log x - log 2 a multiple of 0.25.
+PANEL_EDGES = np.exp(math.log(2.0) + 0.25 * np.arange(1, 2761))
+
+
+def with_neighbours(xs):
+    """xs and the floats just below and just above each of them."""
+    xs = np.asarray(xs, dtype=np.float64)
+    return np.concatenate([xs, np.nextafter(xs, 0.0), np.nextafter(xs, np.inf)])
 
 
 class TestDensity:
@@ -190,6 +210,67 @@ class TestSampling:
             assert ks <= 0.01
 
 
+class TestCdf:
+    @pytest.mark.parametrize("dist", ONE_D_VARIANTS, ids=str)
+    def test_infinity_is_one(self, dist):
+        lo = dist.support[0]
+        assert dist.cdf(math.inf) == 1.0
+        assert dist.cdf(np.array([math.inf, lo])).tolist() == [1.0, dist.cdf(lo)]
+
+    @pytest.mark.parametrize("dist", ONE_D_VARIANTS, ids=str)
+    def test_keeps_the_shape_of_its_input(self, dist):
+        xs = dist.support[0] + np.arange(12.0).reshape(3, 4) / 4.0
+        got = dist.cdf(xs)
+        assert got.shape == (3, 4)
+        assert np.array_equal(got.ravel(), dist.cdf(xs.ravel()))
+
+    @pytest.mark.parametrize("dist", LOG_PARETO_VARIANTS, ids=str)
+    def test_log_pareto_one_point_equals_loop(self, dist):
+        rng = np.random.default_rng(17)
+        xs = np.concatenate(
+            [
+                [1.0, 1.5, 2.0, 2.5],
+                np.exp(rng.uniform(math.log(2.0), 690.0, 300)),
+                with_neighbours(PANEL_EDGES[::37]),
+            ]
+        )
+        for x in xs.tolist():
+            raw = raw_cdf_integral_loop(dist, [x])[0]
+            want = 0.0 if x < 2.0 else min(max(raw / dist._norm, 0.0), 1.0)
+            assert dist.cdf(x) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(1.0, 1e300),
+                st.floats(0.0, math.log(1e300)).map(math.exp),
+                st.floats(1.0, 2.0),
+                st.sampled_from([2.0, *with_neighbours(PANEL_EDGES[:400]).tolist()]),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_log_pareto_points_do_not_interact(self, xs):
+        dist = LogPareto(1.0, 1.0, 2.0)
+        got = dist.cdf(np.array(xs))
+        assert got.tolist() == [dist.cdf(x) for x in xs]
+
+    def test_log_pareto_far_tail_memory_is_bounded(self):
+        # 500 points at 1e300 take 2,761 panels of 7 nodes each: 9.7M nodes.
+        dist = LogPareto(1.0, 1.0, 2.0)
+        one = dist.cdf(1e300)
+        tracemalloc.start()
+        try:
+            got = dist.cdf(np.full(500, 1e300))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert np.all(got == one)
+
+
 class TestBallMass:
     def test_uniform_interior(self):
         assert math.isclose(ball_mass(Uniform(0, 1), 0.5, 0.2), 0.4, rel_tol=1e-12)
@@ -208,6 +289,22 @@ class TestBallMass:
         radii = np.linspace(0.0, 2.0, 40)
         masses = [ball_mass(dist, x, float(r)) for r in radii]
         assert all(b >= a - 1e-15 for a, b in zip(masses, masses[1:]))
+
+    @pytest.mark.parametrize("dist", ONE_D_VARIANTS, ids=str)
+    def test_radius_array_equals_cdf_differences(self, dist):
+        x = dist.support[0] + 0.3
+        radii = np.linspace(0.0, 2.0, 9)
+        want = [0.0] + [
+            float(dist.cdf(x + r) - dist.cdf(x - r)) for r in radii[1:].tolist()
+        ]
+        assert ball_mass(dist, x, radii).tolist() == want
+
+    def test_radius_array_in_two_dimensions(self):
+        pp = ProductPareto(1.0, 1.0, 2)
+        x = np.array([1.0, 2.0])
+        radii = [0.25, 0.5, 1.0, 3.0]
+        want = [ball_mass_with_error(pp, x, r)[0] for r in radii]
+        assert ball_mass(pp, x, np.array(radii)).tolist() == want
 
     def test_product_pareto_monte_carlo(self):
         pp = ProductPareto(1.0, 1.0, 2)
@@ -277,10 +374,18 @@ class TestZeta:
 
 class TestBisectionPpf:
     def test_log_pareto_regularity_grid(self):
+        # One call for every level, and one call per level.
         dist = LogPareto(1.0, 1.0, 2.0)
-        for i in range(50):
-            u = (i + 0.5) / 50
-            assert dist.ppf(u) == ppf_bisection(dist, u)
+        us = [(i + 0.5) / 50 for i in range(50)] + [1e-12, 1.0 - 1e-12]
+        want = [ppf_bisection(dist, u) for u in us]
+        assert dist.ppf(np.array(us)).tolist() == want
+        assert [dist.ppf(u) for u in us] == want
+
+    def test_beyond_the_cap_names_the_first_level(self):
+        # x = 2 (1 - u)^-20 passes 2^40 from u = 0.75 on.
+        dist = LogPareto(1.0, 0.05, 0.0)
+        with pytest.raises(RadiusSearchError, match=r"u = 0\.75 "):
+            dist.ppf(np.array([(i + 0.5) / 50 for i in range(50)]))
 
 
 class TestLocalMass:
@@ -310,6 +415,40 @@ class TestLocalMass:
         report = local_mass_check(dist, 1.01, xs, rs)
         assert not report.passed
         assert len(report.failures) > 0
+
+    @pytest.mark.parametrize("theta", [1.5, 100.0])
+    @pytest.mark.parametrize(
+        "dist",
+        [Pareto(1.0, 1.0), Exponential(1.0), Uniform(-1.0, 3.0), LogPareto(1.0, 1.0, 2.0)],
+        ids=str,
+    )
+    def test_equals_per_pair_loop(self, dist, theta):
+        xs, rs = self.grids(dist)
+        report = local_mass_check(dist, theta, xs, rs)
+        got = (report.passed, report.min_ratio, report.max_ratio, report.n_checked)
+        assert got + (report.failures,) == local_mass_check_loop(dist, theta, xs, rs)
+
+    XS_2D = np.array([[0.5, 0.5], [1.0, 2.0], [3.0, 0.25]])
+
+    @pytest.mark.parametrize("theta", [1.5, 100.0])
+    def test_two_dimensions_equal_per_pair_loop(self, theta):
+        pp = ProductPareto(1.0, 1.0, 2)
+        rs = [0.25, 0.5, 1.0]
+        report = local_mass_check(pp, theta, self.XS_2D, rs)
+        got = (report.passed, report.min_ratio, report.max_ratio, report.n_checked)
+        assert got + (report.failures,) == local_mass_check_loop(pp, theta, self.XS_2D, rs)
+
+    def test_draws_once_per_x_in_two_dimensions(self, monkeypatch):
+        draws = []
+        original = ProductPareto.sample_array
+
+        def counting(self, rng, n):
+            draws.append(n)
+            return original(self, rng, n)
+
+        monkeypatch.setattr(ProductPareto, "sample_array", counting)
+        local_mass_check(ProductPareto(1.0, 1.0, 2), 100.0, self.XS_2D, [0.25, 0.5, 1.0])
+        assert len(draws) == len(self.XS_2D)
 
     def test_grid_outside_support_rejected(self):
         with pytest.raises(ValueError):
