@@ -43,7 +43,13 @@ def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
 
 
 class DistributionFamily:
-    """Base class; subclasses are frozen dataclasses of parameters."""
+    """Base class; subclasses are frozen dataclasses of parameters.
+
+    A 1-D family's density, log_density and cdf return NaN at a NaN
+    point rather than a probability.  Their support tests are written as
+    "x below the support gives 0", a comparison NaN fails, so NaN reaches
+    the formula; where the formula would not carry it, it is set.
+    """
 
     dimension: int = 1
 
@@ -55,7 +61,7 @@ class DistributionFamily:
         """log of the density at a single point (-inf outside support)."""
         d = self.density(x)
         d = float(d) if np.ndim(d) == 0 else float(np.asarray(d))
-        return math.log(d) if d > 0.0 else -math.inf
+        return -math.inf if d <= 0.0 else math.log(d)
 
     def log_density_rows(self, X) -> np.ndarray:
         """log_density at each row of an (n, d) array."""
@@ -141,11 +147,11 @@ class Pareto(DistributionFamily):
 
     def density(self, x):
         xs = np.asarray(x, dtype=np.float64)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore"):
             val = (self.alpha / self.sigma) * np.power(
                 1.0 + xs / self.sigma, -(self.alpha + 1.0)
             )
-        return _maybe_scalar(np.where(xs >= 0.0, val, 0.0), x)
+        return _maybe_scalar(np.where(xs < 0.0, 0.0, val), x)
 
     def log_density(self, x) -> float:
         x = float(x)
@@ -158,7 +164,7 @@ class Pareto(DistributionFamily):
     def cdf(self, x):
         xs = np.asarray(x, dtype=np.float64)
         val = 1.0 - np.power(1.0 + np.maximum(xs, 0.0) / self.sigma, -self.alpha)
-        return _maybe_scalar(np.where(xs >= 0.0, val, 0.0), x)
+        return _maybe_scalar(np.where(xs < 0.0, 0.0, val), x)
 
     def ppf(self, u):
         us = np.asarray(u, dtype=np.float64)
@@ -189,7 +195,7 @@ class Exponential(DistributionFamily):
         xs = np.asarray(x, dtype=np.float64)
         with np.errstate(over="ignore"):
             val = self.lam * np.exp(-self.lam * xs)
-        return _maybe_scalar(np.where(xs >= 0.0, val, 0.0), x)
+        return _maybe_scalar(np.where(xs < 0.0, 0.0, val), x)
 
     def log_density(self, x) -> float:
         x = float(x)
@@ -200,7 +206,7 @@ class Exponential(DistributionFamily):
     def cdf(self, x):
         xs = np.asarray(x, dtype=np.float64)
         val = -np.expm1(-self.lam * np.maximum(xs, 0.0))
-        return _maybe_scalar(np.where(xs >= 0.0, val, 0.0), x)
+        return _maybe_scalar(np.where(xs < 0.0, 0.0, val), x)
 
     def ppf(self, u):
         us = np.asarray(u, dtype=np.float64)
@@ -229,7 +235,9 @@ class Uniform(DistributionFamily):
     def density(self, x):
         xs = np.asarray(x, dtype=np.float64)
         inside = (xs >= self.a) & (xs <= self.b)
-        return _maybe_scalar(np.where(inside, 1.0 / (self.b - self.a), 0.0), x)
+        val = np.where(inside, 1.0 / (self.b - self.a), 0.0)
+        val[np.isnan(xs)] = math.nan
+        return _maybe_scalar(val, x)
 
     def cdf(self, x):
         xs = np.asarray(x, dtype=np.float64)
@@ -358,11 +366,11 @@ class LogPareto(DistributionFamily):
         xs = np.asarray(x, dtype=np.float64)
         with np.errstate(invalid="ignore", divide="ignore"):
             val = np.power(xs, -(self.b + 1.0)) * np.power(np.log(np.maximum(xs, 1.5)), -self.c)
-        return _maybe_scalar(np.where(xs >= self._LEFT, val / self._norm, 0.0), x)
+        return _maybe_scalar(np.where(xs < self._LEFT, 0.0, val / self._norm), x)
 
     def log_density(self, x) -> float:
         lr = self._log_raw(float(x))
-        return lr - math.log(self._norm) if lr > -math.inf else -math.inf
+        return -math.inf if lr == -math.inf else lr - math.log(self._norm)
 
     def _raw_cdf_integral(self, xs: np.ndarray) -> np.ndarray:
         """Integral of the raw density from 2 to each finite x.
@@ -401,6 +409,7 @@ class LogPareto(DistributionFamily):
         res = np.clip(self._raw_cdf_integral(flat) / self._norm, 0.0, 1.0)
         res[flat < self._LEFT] = 0.0
         res[flat == math.inf] = 1.0
+        res[np.isnan(flat)] = math.nan
         return _maybe_scalar(res.reshape(xs.shape), x)
 
     def sample_array(self, rng, n):

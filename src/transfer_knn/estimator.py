@@ -157,8 +157,11 @@ class _SortedSample1D(_TreeSample):
         if np.any(coords[1:] == coords[:-1]):
             order = np.argsort(x, kind="stable")
             coords = x[order]
-        self.coords = coords
+        self.padded = np.concatenate([coords, np.full(self.n, np.inf)])
+        self.padded.setflags(write=False)
+        self.coords = self.padded[: self.n]
         self.prefix = np.concatenate([[0.0], np.cumsum(self.labels[order])])
+        self.prefix.setflags(write=False)
 
     def positions(self, X) -> np.ndarray:
         """searchsorted(coords, x), searched in ascending order of x."""
@@ -169,17 +172,16 @@ class _SortedSample1D(_TreeSample):
         return pos
 
     def window_starts(self, x: np.ndarray, k, pos: np.ndarray) -> np.ndarray:
-        a = self.coords
-        hi = np.minimum(pos, self.n - k)
-        s = np.minimum(np.maximum(pos - k, 0), hi)
-        span = int((hi - s).max(initial=0))
+        # From pos on a[i] >= x, and from n - k on a[i+k] is padding +inf,
+        # so the predicate is false from min(pos, n - k) on and no step is
+        # clamped; as span <= min(k, n - k), no probe reads past n + n // 2 - 1.
+        a = self.padded
+        s = np.maximum(pos - k, 0)
+        span = int((np.minimum(pos, self.n - k) - s).max(initial=0))
         step = 1 << (span.bit_length() - 1) if span else 0
         while step:
-            # Rows with t == s (no room left) test an arbitrary in-range
-            # pair and keep s whatever the outcome.
-            t = np.minimum(s + step, hi)
-            left = t - 1
-            s = np.where(x - a[left] > a[left + k] - x, t, s)
+            left = s + (step - 1)
+            s += (x - a[left] > a[left + k] - x) * step
             step >>= 1
         return s
 
@@ -191,9 +193,7 @@ class _SortedSample1D(_TreeSample):
     def boundary_ties(self, x, k, starts) -> np.ndarray:
         r = self.window_radius(x, k, starts)
         tie_left = (starts > 0) & (x - self.coords[np.maximum(starts - 1, 0)] == r)
-        outer = np.minimum(starts + k, self.n - 1)
-        tie_right = (starts + k < self.n) & (self.coords[outer] - x == r)
-        return tie_left | tie_right
+        return tie_left | (self.padded[starts + k] - x == r)
 
     def radii(self, X, ell: int, pos) -> np.ndarray:
         x = X[:, 0]

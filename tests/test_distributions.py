@@ -131,6 +131,33 @@ class TestDensity:
             )
 
 
+class TestNanPoint:
+    """A NaN point comes out as NaN, never as a probability or a density."""
+
+    # -1.0 is -sigma for Pareto(1, 1), where its density formula divides
+    # by zero.
+    POINTS = np.array([math.nan, -1.0, 0.5, 3.0, math.nan])
+
+    def check(self, one_point, rows):
+        for x in (math.nan, np.float64(math.nan)):
+            assert math.isnan(one_point(x))
+        got = rows(self.POINTS)
+        assert np.array_equal(np.isnan(got), np.isnan(self.POINTS))
+        assert got[1:4].tolist() == [one_point(x) for x in self.POINTS[1:4].tolist()]
+
+    @pytest.mark.parametrize("dist", ONE_D_VARIANTS, ids=str)
+    def test_cdf(self, dist):
+        self.check(dist.cdf, dist.cdf)
+
+    @pytest.mark.parametrize("dist", ONE_D_VARIANTS, ids=str)
+    def test_density(self, dist):
+        self.check(dist.density, dist.density)
+
+    @pytest.mark.parametrize("dist", ONE_D_VARIANTS, ids=str)
+    def test_log_density(self, dist):
+        self.check(dist.log_density, lambda xs: dist.log_density_rows(xs[:, None]))
+
+
 class TestLogDensityRows:
     @pytest.mark.parametrize("d", [2, 3])
     def test_product_pareto_rows_match_scalar_loop(self, d):

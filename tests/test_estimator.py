@@ -473,6 +473,56 @@ class TestSortedWindow1D:
         want = window_starts_bisection(s.coords, x, k)
         assert np.array_equal(self.starts(s, x, k), want)
 
+    @staticmethod
+    def edge_queries(a):
+        """Left of every point (pos = 0), right of every point (pos = n),
+        on each distinct point and halfway between each neighbouring pair."""
+        u = np.unique(a)
+        return np.concatenate([[u[0] - 1.0, u[-1] + 1.0], u, (u[:-1] + u[1:]) / 2])
+
+    @staticmethod
+    def ties_brute_force(a, x, k, starts):
+        """Whether a point outside each window is exactly as far from x
+        as the farthest point inside it."""
+        out = []
+        for xi, ki, si in zip(x, k, starts):
+            r = np.abs(xi - a[si : si + ki]).max()
+            outside = np.concatenate([a[:si], a[si + ki :]])
+            out.append(bool(np.any(np.abs(xi - outside) == r)))
+        return np.array(out)
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 15, 16, 17, 31, 32, 33])
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "duplicates"])
+    def test_edge_sizes_match_bisection(self, n, tied):
+        # Integer coordinates put many queries at exactly equal distances
+        # from two points; n // 2 values for n points force duplicates.
+        rng = np.random.default_rng(n)
+        if tied:
+            coords = rng.integers(0, max(n // 2, 1), n)
+        else:
+            coords = rng.choice(3 * n, n, replace=False)
+        s = self.sample(coords.astype(float))
+        assert (len(np.unique(s.coords)) < n) == (tied and n > 1)
+        x = self.edge_queries(s.coords)
+        for kk in range(1, n + 1):
+            got = self.starts(s, x, kk)
+            assert np.array_equal(got, window_starts_bisection(s.coords, x, kk))
+        # Every (query, k) pair in one batch, so each row's probes are
+        # sized by the widest range of the batch, not its own.
+        x = np.repeat(x, n)
+        k = np.tile(np.arange(1, n + 1), len(x) // n)
+        starts = self.starts(s, x, k)
+        assert np.array_equal(starts, window_starts_bisection(s.coords, x, k))
+        assert np.any(starts + k == n)
+        want = self.ties_brute_force(s.coords, x, k, starts)
+        assert np.array_equal(s.boundary_ties(x, k, starts), want)
+
+    @pytest.mark.parametrize("name", ["padded", "coords", "prefix", "labels"])
+    def test_fitted_arrays_are_read_only(self, name):
+        s = self.sample([2.0, 0.0, 1.0])
+        with pytest.raises(ValueError):
+            getattr(s, name)[0] = 5.0
+
     @pytest.mark.parametrize(
         "coords",
         [
