@@ -197,8 +197,6 @@ def _cmd_rates(args, stager: OutputStager) -> None:
     mode = config_choice(
         cfg.get("mode", "exponents_only"), "mode", ("exponents_only", "full")
     )
-    if args.mode is not None:
-        mode = args.mode
     numbers = {k: config_number(cfg[k], k) for k in ("gamma", "s", "beta", "n", "m")}
     for key in ("transfer_p", "transfer_q"):
         if cfg.get(key) is not None:
@@ -433,7 +431,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("rates", help="classify a configuration and its rate")
     p.add_argument("--config", required=True)
-    p.add_argument("--mode", choices=("exponents_only", "full"), default=None)
     common(p)
 
     p = sub.add_parser("phase", help="regime classification over a grid")

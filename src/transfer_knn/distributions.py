@@ -63,12 +63,6 @@ class DistributionFamily:
         d = float(d) if np.ndim(d) == 0 else float(np.asarray(d))
         return -math.inf if d <= 0.0 else math.log(d)
 
-    def log_density_rows(self, X) -> np.ndarray:
-        """log_density at each row of an (n, d) array."""
-        X = np.asarray(X, dtype=np.float64)
-        pts = X[:, 0].tolist() if self.dimension == 1 else X
-        return np.fromiter(map(self.log_density, pts), dtype=np.float64, count=len(X))
-
     # -- 1-D distribution functions ------------------------------------
     def cdf(self, x):
         raise NotImplementedError(f"{type(self).__name__} has no 1-D CDF")
@@ -305,9 +299,6 @@ class ProductPareto(DistributionFamily):
         for column in coords.T:
             out += column
         return out if xs.ndim == 2 else float(out[0])
-
-    def log_density_rows(self, X) -> np.ndarray:
-        return self.log_density(np.asarray(X, dtype=np.float64).reshape(-1, self.d))
 
     def sample_array(self, rng, n):
         return np.asarray(
@@ -731,30 +722,30 @@ def family_from_spec(obj: dict, where: str = "distribution") -> DistributionFami
     return family
 
 
-def holder_from_spec(obj: dict, where: str = "f_star") -> HolderFunction:
+def holder_from_spec(obj: dict) -> HolderFunction:
     """Build a built-in HolderFunction: zero, constant (value) or parabola.
 
     zero and constant take an optional integer d (default 1); parabola
     is 1-D only.
     """
-    config_object(obj, where, ("name",), ("value", "d"))
-    name = config_choice(obj["name"], f"{where}.name", ("zero", "constant", "parabola"))
+    config_object(obj, "f_star", ("name",), ("value", "d"))
+    name = config_choice(obj["name"], "f_star.name", ("zero", "constant", "parabola"))
     if name == "parabola":
-        config_object(obj, where, ("name",))
+        config_object(obj, "f_star", ("name",))
         return holder_parabola()
     value = ("value",) if name == "constant" else ()
-    config_object(obj, where, ("name",) + value, ("d",))
-    d = config_integer(obj.get("d", 1), f"{where}.d")
+    config_object(obj, "f_star", ("name",) + value, ("d",))
+    d = config_integer(obj.get("d", 1), "f_star.d")
     if name == "zero":
         return holder_zero(d)
-    return holder_constant(config_number(obj["value"], f"{where}.value"), d)
+    return holder_constant(config_number(obj["value"], "f_star.value"), d)
 
 
-def noise_from_spec(obj: dict, where: str = "noise") -> NoiseSpec:
-    config_object(obj, where, ("sigma_e",), ("type",))
-    config_choice(obj.get("type", "gaussian"), f"{where}.type", ("gaussian",))
-    sigma_e = config_number(obj["sigma_e"], f"{where}.sigma_e")
+def noise_from_spec(obj: dict) -> NoiseSpec:
+    config_object(obj, "noise", ("sigma_e",), ("type",))
+    config_choice(obj.get("type", "gaussian"), "noise.type", ("gaussian",))
+    sigma_e = config_number(obj["sigma_e"], "noise.sigma_e")
     try:
         return NoiseSpec(sigma_e)
     except ValueError as exc:
-        raise ConfigError(where, str(exc)) from None
+        raise ConfigError("noise", str(exc)) from None

@@ -307,14 +307,14 @@ class RegimeExperimentReport:
 
 
 def regime_experiment(
-    config: ExperimentConfig, rate_params: RateParams, threads: int = 1
+    config: ExperimentConfig, rate_params: RateParams
 ) -> RegimeExperimentReport:
     """Compare the fitted log-log slope against the theoretical exponent.
 
     No pass/fail is hard-coded; the report carries the discrepancy and
     the CI for downstream judgement.
     """
-    result = sweep(config, threads=threads)
+    result = sweep(config)
     axis = "n" if len(config.n_grid) > 1 else "m"
     sizes = []
     risks = []
@@ -386,18 +386,18 @@ def neighbor_radius_concentration(
 # JSON configuration
 # ---------------------------------------------------------------------------
 
-def estimator_from_spec(obj: dict, where: str = "estimator") -> NeighborFunctionConfig:
-    config_object(obj, where, ("beta", "d"), ("kappa_p", "kappa_q", "ell_factor"))
+def estimator_from_spec(obj: dict) -> NeighborFunctionConfig:
+    config_object(obj, "estimator", ("beta", "d"), ("kappa_p", "kappa_q", "ell_factor"))
     numbers = {
-        key: config_number(obj[key], f"{where}.{key}")
+        key: config_number(obj[key], f"estimator.{key}")
         for key in ("beta", "kappa_p", "kappa_q", "ell_factor")
         if key in obj
     }
-    d = config_integer(obj["d"], f"{where}.d")
+    d = config_integer(obj["d"], "estimator.d")
     try:
         return NeighborFunctionConfig(d=d, **numbers)
     except ValueError as exc:
-        raise ConfigError(where, str(exc)) from None
+        raise ConfigError("estimator", str(exc)) from None
 
 
 def problem_from_spec(obj: dict):

@@ -47,8 +47,10 @@ class RateParams:
     transfer_q: float | None = None  # T value multiplying the target factor
 
     def __post_init__(self):
-        for name, value in (("gamma", self.gamma), ("s", self.s)):
-            if not value > 0:
+        # T(P, Q, gamma) > 0 for every pair, so a given T value must be too.
+        for name in ("gamma", "s", "transfer_p", "transfer_q"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
                 raise ConfigError(name, f"must be positive, got {value}")
         r_beta(self.beta, self.d)
         for name, value in (("n", self.n), ("m", self.m)):

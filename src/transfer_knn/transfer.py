@@ -1,8 +1,8 @@
 """The transfer function T(P, Q, gamma) = E_{X~Q}[p(X)^-gamma].
 
 Values come from closed forms where a pair admits one, otherwise from
-adaptive quadrature with heavy-tail divergence detection, with a Monte
-Carlo fallback for pairs without a 1-D quadrature route.  The
+adaptive quadrature with heavy-tail divergence detection for a 1-D
+pair, and from fixed-seed Monte Carlo in d >= 2.  The
 integrability index gamma* = sup{gamma >= 0 : T < oo} is reported as a
 bracket (largest confirmed-finite grid point, smallest diverging one),
 never as a point estimate: divergence of an integral is invisible to
@@ -106,7 +106,7 @@ class _PairMemo:
     @functools.cached_property
     def mc_log_p(self) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence(_MC_SEED))
-        log_p = self.P.log_density_rows(self.Q.sample_array(rng, _MC_DRAWS))
+        log_p = self.P.log_density(self.Q.sample_array(rng, _MC_DRAWS))
         log_p.setflags(write=False)
         return log_p
 
@@ -158,33 +158,24 @@ def _power_integral(
 
 
 def transfer_value(
-    P: DistributionFamily,
-    Q: DistributionFamily,
-    gamma: float,
-    method: str = "auto",
+    P: DistributionFamily, Q: DistributionFamily, gamma: float
 ) -> TransferEvaluation:
-    """Evaluate T(P, Q, gamma); value +inf with converged=False on divergence."""
+    """Evaluate T(P, Q, gamma); value +inf with converged=False on divergence.
+
+    The pair fixes the route: a closed form where one exists, otherwise
+    quadrature for a 1-D pair and fixed-seed Monte Carlo in d >= 2.
+    """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     if gamma == 0.0:
         return TransferEvaluation(0.0, 1.0, "closed_form", 0.0, True)
 
-    if method not in ("auto", "closed_form", "quadrature", "monte_carlo"):
-        raise ValueError(f"unknown method '{method}'")
-    if method in ("auto", "closed_form"):
-        cf = _closed_form(P, Q, gamma)
-        if cf is not None:
-            return TransferEvaluation(
-                gamma, cf, "closed_form", 0.0, math.isfinite(cf)
-            )
-        if method == "closed_form":
-            raise NumericError("no closed form for this pair")
-
-    if method in ("auto", "quadrature") and P.dimension == 1 and Q.dimension == 1:
+    cf = _closed_form(P, Q, gamma)
+    if cf is not None:
+        return TransferEvaluation(gamma, cf, "closed_form", 0.0, math.isfinite(cf))
+    if P.dimension == 1 and Q.dimension == 1:
         value, err, ok = _power_integral(P, Q, 1.0, -gamma, *Q.support)
         return TransferEvaluation(gamma, value, "quadrature", err, ok)
-    if method == "quadrature":
-        raise NumericError("quadrature requires a 1-D pair")
 
     if P.dimension != Q.dimension:
         raise ValueError("P and Q must share a dimension")

@@ -5,12 +5,12 @@ import math
 
 import numpy as np
 
+from transfer_knn import transfer
 from transfer_knn._integrate import bounded_quad, improper_quad
 from transfer_knn.distributions import (
     _GL_NODES,
     _GL_WEIGHTS,
     Pareto,
-    ProductPareto,
     ball_mass,
     ball_mass_with_error,
 )
@@ -90,17 +90,14 @@ def holder_budget(f, rng, n_pairs: int = 10_000, grid: int = 2_000):
 
 
 def log_density_loop(P, X) -> np.ndarray:
-    """Row-by-row log density through the scalar per-point path.
+    """ProductPareto log density row by row through the scalar per-point path.
 
-    A ProductPareto row is the sum, left to right from 0, of its scalar
-    Pareto factor log densities; a 1-D family's row is its one coordinate.
+    Each row is the sum, left to right from 0, of its scalar Pareto factor
+    log densities.
     """
-    rows = np.asarray(X, dtype=np.float64).reshape(len(X), -1)
-    if not isinstance(P, ProductPareto):
-        return np.array([P.log_density(float(row[0])) for row in rows])
     factor = Pareto(P.alpha, P.sigma)
     out = []
-    for row in rows:
+    for row in np.asarray(X, dtype=np.float64):
         acc = 0
         for xi in row:
             acc = acc + factor.log_density(float(xi))
@@ -117,6 +114,16 @@ def monte_carlo_transfer_loop(P, Q, gamma: float, n_draws: int, seed: int):
         return math.inf, math.inf
     vals = np.exp(logs)
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n_draws))
+
+
+def quadrature_transfer(P, Q, gamma: float):
+    """(value, error, converged) of T(P, Q, gamma) by 1-D quadrature.
+
+    The route transfer_value takes for a 1-D pair without a closed form,
+    here taken for any 1-D pair, so it can be checked against the closed
+    form.
+    """
+    return transfer._power_integral(P, Q, 1.0, -gamma, *Q.support)
 
 
 def power_integral_uncached(P, Q, a: float, b: float, lo: float, hi: float):
@@ -151,10 +158,10 @@ def monte_carlo_uncached(P, Q, gamma: float):
     """(value, stderr, converged) of the Monte Carlo T(P, Q, gamma).
 
     Draws the _MC_DRAWS fixed-seed points from Q afresh and takes log p
-    on them in one row-form pass, for this gamma alone.
+    on them in one pass over the (n, d) draws, for this gamma alone.
     """
     rng = np.random.default_rng(np.random.SeedSequence(_MC_SEED))
-    logs = -gamma * P.log_density_rows(Q.sample_array(rng, _MC_DRAWS))
+    logs = -gamma * P.log_density(Q.sample_array(rng, _MC_DRAWS))
     if np.any(np.isinf(logs)):
         return math.inf, math.inf, False
     vals = np.exp(logs)

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import brute_force_knn
+from conftest import brute_force_knn, quadrature_transfer
 from transfer_knn.cli import run
 from transfer_knn.distributions import (
     Exponential,
@@ -97,11 +97,12 @@ def test_criterion_2_transfer_numerics():
             grid = [frac * gamma_star for frac in np.arange(0.1, 0.91, 0.1)]
             values = {}
             for g in grid:
-                cf = transfer_value(P, Q, g, method="closed_form")
-                qd = transfer_value(P, Q, g, method="quadrature")
-                assert qd.converged and cf.converged
-                assert abs(qd.value - cf.value) <= 1e-6 * cf.value
-                values[g] = qd.value
+                cf = transfer_value(P, Q, g)
+                qd_value, _, qd_converged = quadrature_transfer(P, Q, g)
+                assert cf.method == "closed_form"
+                assert qd_converged and cf.converged
+                assert abs(qd_value - cf.value) <= 1e-6 * cf.value
+                values[g] = qd_value
             # interpolation bound T(g) <= T(s)^(g/s) on the converged grid
             for g in grid:
                 for s in grid:

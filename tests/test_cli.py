@@ -626,6 +626,9 @@ def bad_config_cases():
         ("sweep", "f_star.name", ["zero"], "f_star.name"),
         ("transfer", "source.family", ["pareto"], "source.family"),
         ("rates", "transfer_p", [1], "transfer_p"),
+        # A transfer value T(P, Q, gamma) is positive for every pair.
+        ("rates", "transfer_p", -2.0, "transfer_p"),
+        ("rates", "transfer_q", 0, "transfer_q"),
         ("rates", "mode", ["full"], "mode"),
         ("rates", "n", 10**400, "n"),
         # A LogPareto whose density does not normalise
@@ -720,14 +723,21 @@ class TestFlags:
         assert "config field 'argv'" in err and flag in err
         assert not (tmp_path / "o2").exists()
 
+    def rejects_argument(self, tmp_path, capsys, command, flag, value):
+        body, extra = CONFIG_COMMANDS[command]
+        argv = [command, "--config", write_json(tmp_path / "c.json", body)] + extra
+        assert run(argv + ["--out", str(tmp_path / "out"), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert "config field 'argv'" in err and flag in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", ["csv", "json"])
     def test_simulate_has_no_format(self, tmp_path, capsys, value):
-        body, extra = CONFIG_COMMANDS["simulate"]
-        argv = ["simulate", "--config", write_json(tmp_path / "c.json", body)] + extra
-        assert run(argv + ["--out", str(tmp_path / "out"), "--format", value]) == 1
-        err = capsys.readouterr().err
-        assert "config field 'argv'" in err and "--format" in err
-        assert not (tmp_path / "out").exists()
+        self.rejects_argument(tmp_path, capsys, "simulate", "--format", value)
+
+    def test_rates_has_no_mode(self, tmp_path, capsys):
+        # The config's mode field is the one way to pick full mode.
+        self.rejects_argument(tmp_path, capsys, "rates", "--mode", "full")
 
     @pytest.mark.parametrize("command, value", [("sweep", "0"), ("sweep", "-3")])
     def test_threads_below_one_rejected(self, tmp_path, capsys, command, value):

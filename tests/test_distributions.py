@@ -155,7 +155,8 @@ class TestNanPoint:
 
     @pytest.mark.parametrize("dist", ONE_D_VARIANTS, ids=str)
     def test_log_density(self, dist):
-        self.check(dist.log_density, lambda xs: dist.log_density_rows(xs[:, None]))
+        # The scalar log density at each point of the array.
+        self.check(dist.log_density, lambda xs: np.array(list(map(dist.log_density, xs))))
 
 
 class TestLogDensityRows:
@@ -169,16 +170,9 @@ class TestLogDensityRows:
         want = log_density_loop(P, X)
         assert want[1] == -math.inf and want[2] == -math.inf
         assert np.array_equal(P.log_density(X), want)
-        assert np.array_equal(P.log_density_rows(X), want)
         for i in range(4):
             got = P.log_density(X[i])
             assert isinstance(got, float) and got == want[i]
-
-    @pytest.mark.parametrize("dist", ONE_D_VARIANTS, ids=str)
-    def test_base_rows_map_the_scalar_path(self, dist):
-        lo, _ = dist.support
-        X = (lo - 1.0 + np.arange(40.0) / 4.0).reshape(-1, 1)
-        assert np.array_equal(dist.log_density_rows(X), log_density_loop(dist, X))
 
 
 class TestSampling:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transfer_knn.errors import ConfigError
 from transfer_knn.rates import (
     ACCELERATED,
     CRITICAL,
@@ -131,6 +132,13 @@ class TestTheoreticalRate:
         )
         assert rep.regime == WEDGE and rep.driver == TARGET
         assert any("source term omitted" in f for f in rep.flags)
+
+    def test_nonpositive_transfer_value_rejected(self):
+        # T(P, Q, gamma) > 0, so a given T of 0 or less names its field.
+        for field, value in (("transfer_p", -2.0), ("transfer_q", 0.0)):
+            values = {"transfer_p": 2.0, "transfer_q": 3.0, field: value}
+            with pytest.raises(ConfigError, match=f"'{field}': must be positive"):
+                RateParams(1.0, 0.2, 1.0, 1, 1e4, 1e5, **values)
 
     def test_full_mode_needs_log_scale(self):
         with pytest.raises(ValueError):

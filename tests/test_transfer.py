@@ -9,6 +9,7 @@ from conftest import (
     monte_carlo_transfer_loop,
     monte_carlo_uncached,
     power_integral_uncached,
+    quadrature_transfer,
 )
 from transfer_knn import transfer
 from transfer_knn.distributions import (
@@ -70,14 +71,14 @@ class TestTransferValue:
     def test_exponential_example(self):
         ev = transfer_value(EXP1, EXP1, 0.5)
         assert ev.value == exp_pair_value(1.0, 1.0, 0.5) == 2.0
-        quad = transfer_value(EXP1, EXP1, 0.5, method="quadrature")
-        assert abs(quad.value - 2.0) <= 1e-8
+        value, _, _ = quadrature_transfer(EXP1, EXP1, 0.5)
+        assert abs(value - 2.0) <= 1e-8
 
     def test_pareto_example(self):
         ev = transfer_value(PAR, PAR, 0.25)
         assert ev.value == pareto_equal_scale_value(1.0, 1.0, 1.0, 0.25) == 2.0
-        quad = transfer_value(PAR, PAR, 0.25, method="quadrature")
-        assert abs(quad.value - 2.0) <= 1e-8
+        value, _, _ = quadrature_transfer(PAR, PAR, 0.25)
+        assert abs(value - 2.0) <= 1e-8
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
@@ -95,19 +96,50 @@ class TestTransferValue:
     def test_quadrature_matches_closed_form(self, P, Q, gamma_star):
         for frac in np.arange(0.1, 0.95, 0.1):
             g = frac * gamma_star
-            cf = transfer_value(P, Q, g, method="closed_form")
-            qd = transfer_value(P, Q, g, method="quadrature")
-            assert qd.converged
-            assert abs(qd.value - cf.value) <= 1e-6 * cf.value
+            cf = transfer_value(P, Q, g)
+            assert cf.method == "closed_form"
+            value, _, converged = quadrature_transfer(P, Q, g)
+            assert converged
+            assert abs(value - cf.value) <= 1e-6 * cf.value
 
     def test_divergence_at_index(self):
         assert not transfer_value(PAR, PAR, 0.5).converged
-        assert not transfer_value(EXP2, EXP1, 0.5, method="quadrature").converged
+        _, _, converged = quadrature_transfer(EXP2, EXP1, 0.5)
+        assert not converged
         assert transfer_value(PAR, PAR, 0.5).value == math.inf
 
-    def test_unequal_scale_pareto_uses_quadrature(self):
-        ev = transfer_value(Pareto(1.0, 1.0), Pareto(1.0, 2.0), 0.2)
-        assert ev.method == "quadrature" and ev.converged
+    @pytest.mark.parametrize(
+        "P,Q,want",
+        [
+            (EXP2, EXP1, ("closed_form", True)),
+            (PAR, PAR, ("closed_form", True)),
+            (Uniform(0.0, 2.0), Uniform(0.0, 2.0), ("closed_form", True)),
+            (Pareto(1.0, 1.0), Pareto(1.0, 2.0), ("quadrature", True)),
+            # A Pareto target has no exponential moment.
+            (EXP1, Pareto(3.0, 1.0), ("quadrature", False)),
+            (LogPareto(1.0, 1.0, 0.0), LogPareto(1.0, 1.0, 2.0), ("quadrature", True)),
+            (ProductPareto(1.0, 1.0, 2), ProductPareto(2.0, 1.0, 2), ("monte_carlo", True)),
+            (ProductPareto(1.0, 1.0, 2), Pareto(1.0, 1.0), ValueError),
+        ],
+        ids=[
+            "exponential",
+            "pareto_equal_sigma",
+            "uniform_equal_support",
+            "pareto_unequal_sigma",
+            "exponential_to_pareto",
+            "log_pareto",
+            "product_pareto",
+            "dimension_mismatch",
+        ],
+    )
+    def test_route_follows_the_pair(self, P, Q, want):
+        """(method, converged) at gamma = 0.2, fixed by the pair alone."""
+        if want is ValueError:
+            with pytest.raises(ValueError, match="share a dimension"):
+                transfer_value(P, Q, 0.2)
+        else:
+            ev = transfer_value(P, Q, 0.2)
+            assert (ev.method, ev.converged) == want
 
     def test_disjoint_support_diverges(self):
         # target mass where the source density vanishes
@@ -126,7 +158,7 @@ class TestTransferValue:
         Q = ProductPareto(1.0, 1.0, 2)
         gamma = 0.2
         ev = transfer_value(P, Q, gamma)
-        assert ev.method == "monte_carlo" and ev.converged
+        assert ev.converged
         # the integral factorises: T_2d = (T_1d)^2
         want = pareto_equal_scale_value(1.0, 1.0, 1.0, gamma) ** 2
         assert abs(ev.value - want) <= 5 * ev.error_estimate
@@ -187,17 +219,14 @@ class TestClosedFormOverflow:
 
 
 class TestMonteCarloRows:
-    """The row-form Monte Carlo paths equal a per-row loop bit for bit."""
+    """The Monte Carlo paths over the (n, d) draws equal a per-row loop bit for bit."""
 
-    PAIRS = [
-        (ProductPareto(1.0, 1.0, 2), ProductPareto(2.0, 1.0, 2)),
-        (Pareto(1.0, 2.0), Pareto(1.0, 1.0)),
-    ]
+    PAIRS = [(ProductPareto(1.0, 1.0, 2), ProductPareto(2.0, 1.0, 2))]
 
-    @pytest.mark.parametrize("P,Q", PAIRS, ids=["product_d2", "pareto"])
+    @pytest.mark.parametrize("P,Q", PAIRS, ids=["product_d2"])
     def test_transfer_value_equals_loop(self, P, Q):
         for gamma in (0.15, 0.45, 0.9):
-            ev = transfer_value(P, Q, gamma, method="monte_carlo")
+            ev = transfer_value(P, Q, gamma)
             want = monte_carlo_transfer_loop(P, Q, gamma, _MC_DRAWS, _MC_SEED)
             assert (ev.value, ev.error_estimate) == want
 
@@ -292,7 +321,7 @@ class TestPairMemo:
         # transfer_value(PAR, EXP1, .) fills the memo renyi_divergence(EXP1, PAR, .)
         # reads.
         for g in (0.2, 0.6):
-            transfer_value(PAR, EXP1, g, method="quadrature")
+            transfer_value(PAR, EXP1, g)
         for Q, P in ((EXP1, PAR), (EXP1, EXP2), (Uniform(0.0, 2.0), Uniform(0.0, 1.0))):
             got = renyi_divergence(Q, P, alpha)
             assert got.hex() == uncached_call(renyi_divergence, Q, P, alpha).hex()
@@ -303,13 +332,6 @@ class TestPairMemo:
             assert ev.method == "monte_carlo"
             want = monte_carlo_uncached(PRODUCT_SOURCE, PRODUCT_TARGET, g)
             assert (ev.value, ev.error_estimate, ev.converged) == want, g
-
-    def test_monte_carlo_one_dimensional(self):
-        P, Q = Pareto(1.0, 2.0), Pareto(1.0, 1.0)
-        for g in (0.15, 0.45, 0.9, 0.45):
-            ev = transfer_value(P, Q, g, method="monte_carlo")
-            want = monte_carlo_uncached(P, Q, g)
-            assert (ev.value, ev.error_estimate, ev.converged) == want
 
     def test_markov_bound_d2_shares_the_draws(self, monkeypatch):
         draws = []
