@@ -351,6 +351,11 @@ class LogPareto(DistributionFamily):
         res = improper_quad(self._log_raw, self._LEFT)
         if not res.converged:
             raise ValueError("LogPareto density is not normalisable")
+        if not res.error < res.value:
+            raise ValueError(
+                f"LogPareto normaliser {res.value:.3g} is not resolved by quadrature"
+                f" (error estimate {res.error:.3g})"
+            )
         return res.value
 
     def density(self, x):

@@ -79,7 +79,10 @@ def r_beta(beta: float, d: int) -> float:
         raise ConfigError("beta", f"must lie in (0, 1], got {beta}")
     if d < 1:
         raise ConfigError("d", f"must be a positive integer, got {d}")
-    return 2.0 * beta / (2.0 * beta + d)
+    try:
+        return 2.0 * beta / (2.0 * beta + d)
+    except OverflowError:
+        raise ConfigError("d", "is too large for a float") from None
 
 
 def classify_configuration(gamma: float, s: float, r_b: float) -> str:

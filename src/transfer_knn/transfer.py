@@ -123,17 +123,15 @@ def _uncovered(P, Q) -> bool:
     return q_lo < p_lo or q_hi > p_hi
 
 
-def _power_integral(
-    P, Q, a: float, b: float, lo: float, hi: float
-) -> tuple[float, float, bool]:
-    """int q^a p^b over [lo, hi] as (value, error, converged); b != 0.
+def _quadrature(P, Q, gamma: float) -> tuple[float, float, bool]:
+    """int q p^-gamma over Q's support as (value, error, converged).
 
-    Where q > 0 = p the integrand is infinite for b < 0 and zero for
-    b > 0.  On a bounded interval only that can make the integral
-    diverge: the families' densities are bounded away from 0 on compact
-    parts of their support, so a large value is still a finite one.
-    The log densities at each node come from the pair's memo, so every
-    gamma after the first evaluates only the nodes it adds.
+    Where q > 0 = p the integrand is infinite.  On a bounded support
+    only that can make the integral diverge: the families' densities
+    are bounded away from 0 on compact parts of their support, so a
+    large value is still a finite one.  The log densities at each node
+    come from the pair's memo, so every gamma after the first evaluates
+    only the nodes it adds.
     """
     memo = _pair_memo(P, Q)
     nodes, node = memo.nodes, memo.node
@@ -143,13 +141,14 @@ def _power_integral(
         if lq == -math.inf:
             return -math.inf
         if lp == -math.inf:
-            return math.inf if b < 0 else -math.inf
-        return a * lq + b * lp
+            return math.inf
+        return lq - gamma * lp
 
+    lo, hi = Q.support
     if math.isinf(hi):
         res = improper_quad(log_g, lo)
         return res.value, res.error, res.converged
-    if b < 0 and _uncovered(P, Q):
+    if _uncovered(P, Q):
         return math.inf, math.inf, False
     value, err = bounded_quad(lambda x: math.exp(min(log_g(x), 700.0)), lo, hi)
     if not math.isfinite(value):
@@ -174,7 +173,7 @@ def transfer_value(
     if cf is not None:
         return TransferEvaluation(gamma, cf, "closed_form", 0.0, math.isfinite(cf))
     if P.dimension == 1 and Q.dimension == 1:
-        value, err, ok = _power_integral(P, Q, 1.0, -gamma, *Q.support)
+        value, err, ok = _quadrature(P, Q, gamma)
         return TransferEvaluation(gamma, value, "quadrature", err, ok)
 
     if P.dimension != Q.dimension:
@@ -211,86 +210,3 @@ def estimate_index(
         upper_confirmed=upper,
         evaluations=evals,
     )
-
-
-def _mass_below_density(P, Q, t: float) -> float:
-    """Q{x : p(x) <= t} for the supported families."""
-    if isinstance(P, Uniform):
-        if t >= P.density_bound:
-            return 1.0
-        return float(1.0 - (Q.cdf(P.b) - Q.cdf(P.a)))
-    if P.dimension == 1:
-        # Remaining 1-D families have densities decreasing on [x0, oo),
-        # so the sublevel set is {x < x0} plus a right tail.
-        x0, _ = P.support
-        if math.log(t) >= P.log_density(x0):
-            return 1.0
-        lo, hi = x0, x0 + 1.0
-        while P.log_density(hi) > math.log(t):
-            hi = x0 + 2.0 * (hi - x0)
-            if hi - x0 > 2.0**120:
-                raise NumericError("density threshold bracket exceeded")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if P.log_density(mid) > math.log(t):
-                lo = mid
-            else:
-                hi = mid
-        return float(Q.cdf(x0) + 1.0 - Q.cdf(hi))
-    return float(np.mean(_pair_memo(P, Q).mc_log_p <= math.log(t)))
-
-
-def markov_mass_bound(
-    P: DistributionFamily, Q: DistributionFamily, gamma: float, t: float
-) -> tuple[float, float]:
-    """Both sides of Q{p <= t} <= t^gamma T(P, Q, gamma).
-
-    Raises NumericError when the transfer value diverges at gamma.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    ev = transfer_value(P, Q, gamma)
-    if not ev.converged:
-        raise NumericError(f"transfer function diverges at gamma={gamma}")
-    lhs = _mass_below_density(P, Q, t)
-    rhs = t**gamma * ev.value
-    return lhs, rhs
-
-
-def renyi_divergence(
-    Q: DistributionFamily, P: DistributionFamily, alpha: float
-) -> float:
-    """Renyi divergence D_alpha(Q || P) = log(int q^a p^(1-a)) / (a - 1)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if alpha == 1.0:
-        raise ValueError("alpha = 1 is excluded")
-    if P.dimension != 1 or Q.dimension != 1:
-        raise ValueError("Renyi divergence is implemented for 1-D pairs")
-    lo = min(Q.support[0], P.support[0]) if alpha < 1 else Q.support[0]
-    hi = max(Q.support[1], P.support[1])
-    integral, _, ok = _power_integral(P, Q, alpha, 1.0 - alpha, lo, hi)
-    if not ok:
-        return math.inf if alpha > 1 else -math.inf
-    if integral == 0.0:
-        # Q and P share no mass: the divergence is infinite for every alpha.
-        return math.inf
-    return math.log(integral) / (alpha - 1.0)
-
-
-def index_lower_bounds(
-    gamma_pp: float, alpha: float, rho: float, d: int
-) -> tuple[float, float]:
-    """Lower bounds on integrability indices from known quantities.
-
-    renyi_bound: gamma*(P, P) (alpha - 1)/alpha <= gamma*(P, Q), valid
-    when D_alpha(Q || P) is finite.  moment_bound: a finite generalized
-    moment of order rho + eps gives gamma*(P, P) >= rho/(rho + d).
-    """
-    if alpha <= 0 or alpha == 1.0:
-        raise ValueError("alpha must be positive and != 1")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    return gamma_pp * (alpha - 1.0) / alpha, rho / (rho + d)

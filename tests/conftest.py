@@ -123,13 +123,13 @@ def quadrature_transfer(P, Q, gamma: float):
     here taken for any 1-D pair, so it can be checked against the closed
     form.
     """
-    return transfer._power_integral(P, Q, 1.0, -gamma, *Q.support)
+    return transfer._quadrature(P, Q, gamma)
 
 
-def power_integral_uncached(P, Q, a: float, b: float, lo: float, hi: float):
-    """(value, error, converged) of int q^a p^b over [lo, hi], b != 0.
+def quadrature_uncached(P, Q, gamma: float):
+    """(value, error, converged) of int q p^-gamma over Q's support.
 
-    transfer._power_integral with both log densities evaluated afresh at
+    transfer._quadrature with both log densities evaluated afresh at
     every node scipy asks for, shared with no other call.
     """
 
@@ -139,14 +139,15 @@ def power_integral_uncached(P, Q, a: float, b: float, lo: float, hi: float):
             return -math.inf
         lp = P.log_density(x)
         if lp == -math.inf:
-            return math.inf if b < 0 else -math.inf
-        return a * lq + b * lp
+            return math.inf
+        return lq - gamma * lp
 
+    lo, hi = Q.support
     if math.isinf(hi):
         res = improper_quad(log_g, lo)
         return res.value, res.error, res.converged
-    (p_lo, p_hi), (q_lo, q_hi) = P.support, Q.support
-    if b < 0 and (q_lo < p_lo or q_hi > p_hi):
+    p_lo, p_hi = P.support
+    if lo < p_lo or hi > p_hi:
         return math.inf, math.inf, False
     value, err = bounded_quad(lambda x: math.exp(min(log_g(x), 700.0)), lo, hi)
     if not math.isfinite(value):
@@ -167,13 +168,6 @@ def monte_carlo_uncached(P, Q, gamma: float):
     vals = np.exp(logs)
     mean = float(np.mean(vals))
     return mean, float(np.std(vals, ddof=1) / math.sqrt(_MC_DRAWS)), math.isfinite(mean)
-
-
-def mass_below_density_loop(P, Q, t: float, n_draws: int, seed: int) -> float:
-    """Monte Carlo Q{p <= t}, one row at a time."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    draws = Q.sample_array(rng, n_draws)
-    return float(np.mean([lp <= math.log(t) for lp in log_density_loop(P, draws)]))
 
 
 def zeta_per_step(dist, x, h: float) -> float:

@@ -254,7 +254,8 @@ def test_criterion_7_transfer_rate_reproduction():
             seed=SEED,
         )
         # gamma* = lambda_Q/lambda_P = 0.5 < r_beta = 2/3: theory slope -1/2
-        report = regime_experiment(config, RateParams(0.5, 0.9, 1.0, 1, 1, 1))
+        gamma_star, s_star = closed_form_indices(config.source, config.target)
+        report = regime_experiment(config, RateParams(gamma_star, s_star, 1.0, 1, 1, 1))
         slope = report.fitted
         print(
             f"  criterion 7 detail: slope {slope.slope:.4f} "
@@ -277,7 +278,9 @@ def test_criterion_7_transfer_rate_reproduction():
             n_test=2000,
             seed=SEED,
         )
-        joint_report = regime_experiment(joint, RateParams(0.25, 0.9, 1.0, 1, 1, 1))
+        gamma_star, s_star = closed_form_indices(joint.source, joint.target)
+        joint_params = RateParams(gamma_star, s_star, 1.0, 1, 1, 1)
+        joint_report = regime_experiment(joint, joint_params)
         print(
             f"  criterion 7 joint-slope report (ungated): slope "
             f"{joint_report.fitted.slope:.4f} vs theory {joint_report.theory_slope:.4f}; "

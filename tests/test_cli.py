@@ -575,6 +575,8 @@ CONFIG_COMMANDS = {
     "check-regularity": (REGULARITY, []),
 }
 NON_NORMALISABLE = {"family": "log_pareto", "a": 1, "b": 1e-6, "c": 0}
+# A LogPareto whose normaliser (2^-1100 / 1100) underflows to 0 in quadrature.
+UNRESOLVED = {"family": "log_pareto", "a": 1, "b": 1100, "c": 0}
 # A float field of each config, as a dotted path.
 FLOAT_FIELDS = {
     "transfer": "source.alpha",
@@ -646,12 +648,19 @@ def bad_config_cases():
         ("rates", "s", 0, "s"),
         ("rates", "beta", 2, "beta"),
         ("rates", "d", 0, "d"),
+        ("rates", "d", 10**400, "d"),
         ("rates", "m", -1, "m"),
     ]
     for command, path, value, field in edits:
         body = with_field(CONFIG_COMMANDS[command][0], path, value)
         cases.append(
             pytest.param(command, body, field, id=f"{command}-{path}={short(value)}")
+        )
+    # A LogPareto normaliser that quadrature does not resolve
+    for command, field in (("transfer", "source"), ("check-regularity", "distribution")):
+        body = with_field(CONFIG_COMMANDS[command][0], field, UNRESOLVED)
+        cases.append(
+            pytest.param(command, body, field, id=f"{command}-{field}=unresolved")
         )
     return cases
 
@@ -678,6 +687,8 @@ class TestFlags:
         "flag, value",
         [
             ("--d", "0"),
+            # d does not fit in a float
+            pytest.param("--d", str(10**400), id="--d-10**400"),
             ("--beta", "2"),
             ("--log-n", "nan:3"),
             # 10^v overflows a float

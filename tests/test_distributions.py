@@ -131,6 +131,22 @@ class TestDensity:
             )
 
 
+class TestLogParetoNormaliser:
+    """A normaliser whose quadrature error estimate reaches its value is refused."""
+
+    def test_resolved_matches_closed_form(self):
+        # For c = 0 the raw density integrates to 2^-b / b exactly.
+        got = LogPareto(1.0, 38.0, 0.0)._norm
+        assert math.isclose(got, 2.0**-38 / 38.0, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("b", [40.0, 1100.0])
+    def test_unresolved_refused(self, b):
+        with pytest.raises(ValueError, match="not resolved by quadrature"):
+            LogPareto(1.0, b, 0.0)._norm
+        with pytest.raises(ConfigError, match="'distribution'"):
+            family_from_spec({"family": "log_pareto", "a": 1, "b": b, "c": 0})
+
+
 class TestNanPoint:
     """A NaN point comes out as NaN, never as a probability or a density."""
 

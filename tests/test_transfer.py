@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import (
-    mass_below_density_loop,
     monte_carlo_transfer_loop,
     monte_carlo_uncached,
-    power_integral_uncached,
     quadrature_transfer,
+    quadrature_uncached,
 )
 from transfer_knn import transfer
 from transfer_knn.distributions import (
@@ -25,11 +24,7 @@ from transfer_knn.transfer import (
     _MC_DRAWS,
     _MC_SEED,
     TransferEvaluation,
-    _mass_below_density,
     estimate_index,
-    index_lower_bounds,
-    markov_mass_bound,
-    renyi_divergence,
     transfer_value,
 )
 
@@ -230,12 +225,6 @@ class TestMonteCarloRows:
             want = monte_carlo_transfer_loop(P, Q, gamma, _MC_DRAWS, _MC_SEED)
             assert (ev.value, ev.error_estimate) == want
 
-    def test_mass_below_density_equals_loop(self):
-        P, Q = self.PAIRS[0]
-        for t in (0.05, 0.3):
-            want = mass_below_density_loop(P, Q, t, _MC_DRAWS, _MC_SEED)
-            assert _mass_below_density(P, Q, t) == want
-
 
 def bits(ev: TransferEvaluation) -> tuple:
     """Every field of an evaluation, floats by their exact bits."""
@@ -251,7 +240,7 @@ def bits(ev: TransferEvaluation) -> tuple:
 def uncached_call(fn, *args, **kwargs):
     """fn(*args, **kwargs) with the uncached integrand in place of the memo's."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(transfer, "_power_integral", power_integral_uncached)
+        m.setattr(transfer, "_quadrature", quadrature_uncached)
         return fn(*args, **kwargs)
 
 
@@ -316,16 +305,6 @@ class TestPairMemo:
             assert ev.method == "quadrature"
             assert bits(ev) == bits(uncached_call(transfer_value, P, Q, g)), g
 
-    @pytest.mark.parametrize("alpha", [0.5, 2.0])
-    def test_renyi_after_transfer_on_the_same_pair(self, alpha):
-        # transfer_value(PAR, EXP1, .) fills the memo renyi_divergence(EXP1, PAR, .)
-        # reads.
-        for g in (0.2, 0.6):
-            transfer_value(PAR, EXP1, g)
-        for Q, P in ((EXP1, PAR), (EXP1, EXP2), (Uniform(0.0, 2.0), Uniform(0.0, 1.0))):
-            got = renyi_divergence(Q, P, alpha)
-            assert got.hex() == uncached_call(renyi_divergence, Q, P, alpha).hex()
-
     def test_monte_carlo_product_grid(self):
         for g in PRODUCT_GRID[1:] + PRODUCT_GRID[:0:-1]:
             ev = transfer_value(PRODUCT_SOURCE, PRODUCT_TARGET, g)
@@ -333,7 +312,7 @@ class TestPairMemo:
             want = monte_carlo_uncached(PRODUCT_SOURCE, PRODUCT_TARGET, g)
             assert (ev.value, ev.error_estimate, ev.converged) == want, g
 
-    def test_markov_bound_d2_shares_the_draws(self, monkeypatch):
+    def test_product_pair_draws_once(self, monkeypatch):
         draws = []
         sample = ProductPareto.sample_array
 
@@ -342,13 +321,11 @@ class TestPairMemo:
             return sample(self, rng, n)
 
         monkeypatch.setattr(ProductPareto, "sample_array", counted)
-        P, Q = PRODUCT_SOURCE, PRODUCT_TARGET
-        for gamma, t in ((0.15, 0.05), (0.3, 0.3)):
-            lhs, rhs = markov_mass_bound(P, Q, gamma, t)
-            assert lhs == mass_below_density_loop(P, Q, t, _MC_DRAWS, _MC_SEED)
-            assert rhs == t**gamma * monte_carlo_uncached(P, Q, gamma)[0]
-        # The oracles above drew four samples; the library drew one.
-        assert draws.count(_MC_DRAWS) == 5
+        transfer._pair_memo.cache_clear()
+        for g in PRODUCT_GRID[1:4]:
+            ev = transfer_value(PRODUCT_SOURCE, PRODUCT_TARGET, g)
+            assert ev.method == "monte_carlo"
+        assert draws == [_MC_DRAWS]
 
     def test_threads_racing_on_the_memo(self, log_pareto_reference):
         # Two threads per pair, so entries are raced for and the one-pair
@@ -476,89 +453,3 @@ class TestEstimateIndex:
             estimate_index(PAR, PAR, [])
         with pytest.raises(ValueError):
             estimate_index(PAR, PAR, [0.2, 0.1])
-
-
-class TestMarkovBound:
-    def test_gamma_zero(self):
-        lhs, rhs = markov_mass_bound(PAR, PAR, 0.0, 0.5)
-        assert lhs <= 1.0 == rhs
-
-    def test_pareto_example(self):
-        lhs, rhs = markov_mass_bound(PAR, PAR, 0.25, 0.01)
-        # p(x) <= 0.01 iff x >= 9, and Q{x >= 9} = 0.1
-        assert math.isclose(lhs, 0.1, rel_tol=1e-9)
-        assert math.isclose(rhs, 0.01**0.25 * 2.0, rel_tol=1e-12)
-        assert lhs <= rhs + 1e-6
-
-    def test_exponential_example(self):
-        lhs, rhs = markov_mass_bound(EXP1, EXP1, 0.5, 0.1)
-        assert math.isclose(lhs, 0.1, rel_tol=1e-9)
-        assert math.isclose(rhs, 0.1**0.5 * 2.0, rel_tol=1e-12)
-
-    @pytest.mark.parametrize("P,Q", [(PAR, PAR), (EXP2, EXP1), (EXP1, EXP1)])
-    def test_contract_on_grid(self, P, Q):
-        for gamma in (0.1, 0.25, 0.4):
-            for t in (0.001, 0.01, 0.1, 0.5):
-                lhs, rhs = markov_mass_bound(P, Q, gamma, t)
-                assert lhs <= rhs + 1e-6
-
-    def test_divergent_transfer_raises(self):
-        with pytest.raises(NumericError):
-            markov_mass_bound(PAR, PAR, 0.75, 0.1)
-
-
-class TestRenyi:
-    def test_identical_distributions(self):
-        assert abs(renyi_divergence(EXP1, EXP1, 2.0)) <= 1e-9
-
-    def test_pareto_source_exponential_target_finite(self):
-        val = renyi_divergence(EXP1, PAR, 2.0)
-        assert math.isfinite(val) and val > 0
-
-    def test_exponential_source_pareto_target_infinite(self):
-        assert renyi_divergence(PAR, EXP1, 2.0) == math.inf
-
-    def test_alpha_one_rejected(self):
-        with pytest.raises(ValueError):
-            renyi_divergence(PAR, EXP1, 1.0)
-
-    def test_small_alpha_branch(self):
-        val = renyi_divergence(EXP2, EXP1, 0.5)
-        assert math.isfinite(val) and val >= 0
-
-    def test_large_finite_bounded_integral(self):
-        # q^5 p^-4 = 1e10 on [0, 0.01]: the integral is 1e8, D = log(1e8) / 4.
-        d = renyi_divergence(Uniform(0.0, 0.01), Uniform(0.0, 1.0), 5.0)
-        assert math.isclose(d, math.log(1e8) / 4.0, rel_tol=1e-9)
-
-    def test_uncovered_support_diverges(self):
-        assert renyi_divergence(Uniform(0.0, 2.0), Uniform(0.0, 1.0), 2.0) == math.inf
-
-    def test_disjoint_supports_small_alpha_diverge(self):
-        # For alpha < 1 the integrand q^a p^(1-a) vanishes everywhere.
-        assert renyi_divergence(Uniform(2.0, 3.0), Uniform(0.0, 1.0), 0.5) == math.inf
-
-    def test_small_alpha_partial_overlap(self):
-        # int q^0.5 p^0.5 = 2^-0.5 over [0, 1], so D = log 2.
-        d = renyi_divergence(Uniform(0.0, 2.0), Uniform(0.0, 1.0), 0.5)
-        assert math.isclose(d, math.log(2.0), rel_tol=1e-9)
-
-
-class TestIndexLowerBounds:
-    def test_renyi_bound(self):
-        renyi, _ = index_lower_bounds(0.5, 2.0, 1.0, 1)
-        assert renyi == 0.25
-
-    def test_moment_bound(self):
-        _, moment = index_lower_bounds(0.5, 2.0, 1.0, 1)
-        assert moment == 0.5
-
-    def test_large_alpha_limit(self):
-        renyi, _ = index_lower_bounds(0.5, 1e6, 1.0, 1)
-        assert abs(renyi - 0.5) <= 1e-5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            index_lower_bounds(0.5, 1.0, 1.0, 1)
-        with pytest.raises(ValueError):
-            index_lower_bounds(0.5, 2.0, -1.0, 1)
