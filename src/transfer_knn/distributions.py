@@ -19,13 +19,13 @@ from functools import cached_property
 
 import numpy as np
 
-from ._integrate import improper_quad
+from ._integrate import exp_clamped, improper_quad
 from .errors import (
     ConfigError,
     NoClosedFormError,
     RadiusSearchError,
     config_choice,
-    config_integer,
+    config_dimension,
     config_number,
     config_object,
 )
@@ -348,7 +348,11 @@ class LogPareto(DistributionFamily):
 
     @cached_property
     def _norm(self) -> float:
-        res = improper_quad(self._log_raw, self._LEFT)
+        res = improper_quad(
+            lambda x: exp_clamped(self._log_raw(x)),
+            lambda t: exp_clamped(self._log_raw(math.exp(t)) + t),
+            self._LEFT,
+        )
         if not res.converged:
             raise ValueError("LogPareto density is not normalisable")
         if not res.error < res.value:
@@ -446,18 +450,12 @@ def _sample_distances(dist: DistributionFamily, x) -> np.ndarray:
     return np.linalg.norm(pts - center[None, :], axis=1)
 
 
-def ball_mass_with_error(dist: DistributionFamily, x, r: float) -> tuple[float, float]:
-    """Monte Carlo ball mass with its standard error (any dimension)."""
-    p = float(np.mean(_sample_distances(dist, x) <= r))
-    return p, math.sqrt(max(p * (1.0 - p), 0.0) / _BALL_MC_DRAWS)
-
-
 def _monte_carlo_ball_mass(dist: DistributionFamily, x):
     """The fixed-seed Monte Carlo ball mass around x, as a function of r.
 
     The distances from x are drawn and sorted once; the mass at r is the
-    count of them <= r, found by binary search, over the draw count:
-    ball_mass_with_error's mean of hits.
+    count of them <= r, found by binary search, over the draw count: the
+    mean of the hits d <= r.
     """
     dists = np.sort(_sample_distances(dist, x))
     return lambda r: np.searchsorted(dists, r, side="right") / len(dists)
@@ -715,7 +713,7 @@ def family_from_spec(obj: dict, where: str = "distribution") -> DistributionFami
     cls, fields = _FAMILIES[family]
     config_object(obj, where, ("family",) + fields)
     args = [
-        (config_integer if key == "d" else config_number)(obj[key], f"{where}.{key}")
+        (config_dimension if key == "d" else config_number)(obj[key], f"{where}.{key}")
         for key in fields
     ]
     try:
@@ -740,7 +738,7 @@ def holder_from_spec(obj: dict) -> HolderFunction:
         return holder_parabola()
     value = ("value",) if name == "constant" else ()
     config_object(obj, "f_star", ("name",) + value, ("d",))
-    d = config_integer(obj.get("d", 1), "f_star.d")
+    d = config_dimension(obj.get("d", 1), "f_star.d")
     if name == "zero":
         return holder_zero(d)
     return holder_constant(config_number(obj["value"], "f_star.value"), d)

@@ -1,8 +1,8 @@
 """Exception types shared across the package, and the JSON config field readers.
 
 Every config parser reads its objects with config_object and its values
-with config_number, config_integer and config_choice, so a malformed
-field always raises a ConfigError naming it.
+with config_number, config_integer, config_dimension and config_choice,
+so a malformed field always raises a ConfigError naming it.
 """
 
 from __future__ import annotations
@@ -68,6 +68,25 @@ def config_integer(value, field: str, least: int | None = None) -> int:
     if least is not None and value < least:
         raise ConfigError(field, f"must be at least {least}, got {int(value)}")
     return int(value)
+
+
+# A row of d float64 coordinates takes 8 d bytes, so no array holds a
+# row past this dimension.
+MAX_DIMENSION = sys.maxsize // 8
+
+
+def config_dimension(value, field: str) -> int:
+    """A dimension as config_integer reads it, at most MAX_DIMENSION.
+
+    A larger d is refused naming field here, before a sampler or an
+    array shape fails on it with an error that names no field.
+    """
+    d = config_integer(value, field)
+    if d > MAX_DIMENSION:
+        raise ConfigError(
+            field, f"must be at most {MAX_DIMENSION}, the longest addressable row of floats"
+        )
+    return d
 
 
 def config_choice(value, field: str, choices) -> str:

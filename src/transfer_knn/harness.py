@@ -27,6 +27,7 @@ from .distributions import (
 from .errors import (
     ConfigError,
     NumericError,
+    config_dimension,
     config_integer,
     config_number,
     config_object,
@@ -393,7 +394,7 @@ def estimator_from_spec(obj: dict) -> NeighborFunctionConfig:
         for key in ("beta", "kappa_p", "kappa_q", "ell_factor")
         if key in obj
     }
-    d = config_integer(obj["d"], "estimator.d")
+    d = config_dimension(obj["d"], "estimator.d")
     try:
         return NeighborFunctionConfig(d=d, **numbers)
     except ValueError as exc:

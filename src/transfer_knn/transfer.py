@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import bounded_quad, improper_quad
+from ._integrate import bounded_quad, exp_clamped, improper_quad
 from .distributions import DistributionFamily, Exponential, Pareto, Uniform
 from .errors import NumericError
 
@@ -86,21 +86,25 @@ def _closed_form(P, Q, gamma: float) -> float | None:
 class _PairMemo:
     """What every gamma of one (P, Q) pair shares.
 
-    nodes maps a quadrature node x to (log q(x), log p(x)), with log p
-    left at -inf where q vanishes, since the integrand never reads it
-    there.  mc_log_p is log p at the _MC_DRAWS fixed-seed Monte Carlo
-    draws from Q, read-only.  Threads that race on a missing entry each
-    store the same values.
+    nodes maps a head node x of the quadrature to (log q(x), log p(x)),
+    and tail_nodes maps a tail node t = log x to the same pair at
+    x = exp(t), so a tail integrand reads its node by the t quad asks
+    for and forms no x for a node it has seen.  log p is left at -inf
+    where q vanishes, since the integrand never reads it there.
+    mc_log_p is log p at the _MC_DRAWS fixed-seed Monte Carlo draws
+    from Q, read-only.  Threads that race on a missing entry each store
+    the same values.
     """
 
     def __init__(self, P, Q):
         self.P, self.Q = P, Q
-        self.nodes = {}
+        self.nodes, self.tail_nodes = {}, {}
 
-    def node(self, x: float) -> tuple[float, float]:
+    def node(self, table: dict, key: float, x: float) -> tuple[float, float]:
+        """(log q(x), log p(x)), stored in table under key."""
         lq = self.Q.log_density(x)
         lp = -math.inf if lq == -math.inf else self.P.log_density(x)
-        self.nodes[x] = (lq, lp)
+        table[key] = (lq, lp)
         return lq, lp
 
     @functools.cached_property
@@ -134,10 +138,10 @@ def _quadrature(P, Q, gamma: float) -> tuple[float, float, bool]:
     only the nodes it adds.
     """
     memo = _pair_memo(P, Q)
-    nodes, node = memo.nodes, memo.node
+    nodes, tail_nodes, node = memo.nodes, memo.tail_nodes, memo.node
 
     def log_g(x: float) -> float:
-        lq, lp = nodes.get(x) or node(x)
+        lq, lp = nodes.get(x) or node(nodes, x, x)
         if lq == -math.inf:
             return -math.inf
         if lp == -math.inf:
@@ -146,7 +150,18 @@ def _quadrature(P, Q, gamma: float) -> tuple[float, float, bool]:
 
     lo, hi = Q.support
     if math.isinf(hi):
-        res = improper_quad(log_g, lo)
+
+        def tail(t: float) -> float:
+            # exp_clamped(log_g(e^t) + t), inlined: one frame per node.
+            lq, lp = tail_nodes.get(t) or node(tail_nodes, t, math.exp(t))
+            if lq == -math.inf:
+                return 0.0
+            if lp == -math.inf:
+                return math.inf
+            v = lq - gamma * lp + t
+            return math.inf if v > 700.0 else math.exp(v)
+
+        res = improper_quad(lambda x: exp_clamped(log_g(x)), tail, lo)
         return res.value, res.error, res.converged
     if _uncovered(P, Q):
         return math.inf, math.inf, False

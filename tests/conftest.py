@@ -2,17 +2,19 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
+from scipy.integrate import IntegrationWarning, quad
 
 from transfer_knn import transfer
-from transfer_knn._integrate import bounded_quad, improper_quad
 from transfer_knn.distributions import (
+    _BALL_MC_DRAWS,
     _GL_NODES,
     _GL_WEIGHTS,
     Pareto,
+    _sample_distances,
     ball_mass,
-    ball_mass_with_error,
 )
 from transfer_knn.transfer import _MC_DRAWS, _MC_SEED
 
@@ -116,6 +118,61 @@ def monte_carlo_transfer_loop(P, Q, gamma: float, n_draws: int, seed: int):
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n_draws))
 
 
+def frozen_bounded_quad(f, lo: float, hi: float) -> tuple[float, float]:
+    """Plain adaptive quadrature on a finite interval, warnings silenced.
+
+    The library's bounded_quad as it was when every window entered a
+    warning filter, kept here so the oracles below do not follow the
+    library's quadrature.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
+
+
+def frozen_improper_quad(log_f, x0: float) -> tuple[float, float, bool]:
+    """(value, error, converged) of exp(log_f(x)) over [x0, oo).
+
+    The library's improper_quad as it was when both its head and its
+    tail integrand read log_f at x: the head [x0, x0 + 8] in x, then
+    log-2 windows in t = log x up to t = 690, with the 1e6 cutoff, the
+    1e-13 early exit and the 1e-4 stabilization rule at the cap.
+    """
+
+    def exp_clamped(v):
+        if v == -math.inf:
+            return 0.0
+        if v > 700.0:
+            return math.inf
+        return math.exp(v)
+
+    x1 = x0 + 8.0
+    head, head_err = frozen_bounded_quad(lambda x: exp_clamped(log_f(x)), x0, x1)
+    if not math.isfinite(head) or head > 1.0e6:
+        return math.inf, math.inf, False
+    total, err = head, head_err
+    t = math.log(x1)
+    last_rel = math.inf
+    while t < 690.0:
+        t_next = t + math.log(2.0)
+        piece, piece_err = frozen_bounded_quad(
+            lambda t: exp_clamped(log_f(math.exp(t)) + t), t, t_next
+        )
+        if not math.isfinite(piece):
+            return math.inf, math.inf, False
+        total += piece
+        err += piece_err
+        if total > 1.0e6:
+            return math.inf, math.inf, False
+        last_rel = piece / total if total > 0 else 0.0
+        if last_rel < 1.0e-13:
+            return total, err + piece, True
+        t = t_next
+    if last_rel < 1.0e-4:
+        return total, err + last_rel * total, True
+    return math.inf, math.inf, False
+
+
 def quadrature_transfer(P, Q, gamma: float):
     """(value, error, converged) of T(P, Q, gamma) by 1-D quadrature.
 
@@ -130,7 +187,8 @@ def quadrature_uncached(P, Q, gamma: float):
     """(value, error, converged) of int q p^-gamma over Q's support.
 
     transfer._quadrature with both log densities evaluated afresh at
-    every node scipy asks for, shared with no other call.
+    every node scipy asks for, shared with no other call, in x at every
+    node, and integrated by the frozen quadrature above.
     """
 
     def log_g(x):
@@ -144,12 +202,11 @@ def quadrature_uncached(P, Q, gamma: float):
 
     lo, hi = Q.support
     if math.isinf(hi):
-        res = improper_quad(log_g, lo)
-        return res.value, res.error, res.converged
+        return frozen_improper_quad(log_g, lo)
     p_lo, p_hi = P.support
     if lo < p_lo or hi > p_hi:
         return math.inf, math.inf, False
-    value, err = bounded_quad(lambda x: math.exp(min(log_g(x), 700.0)), lo, hi)
+    value, err = frozen_bounded_quad(lambda x: math.exp(min(log_g(x), 700.0)), lo, hi)
     if not math.isfinite(value):
         return math.inf, math.inf, False
     return value, err, True
@@ -230,6 +287,12 @@ def raw_cdf_integral_loop(dist, xs) -> np.ndarray:
     out = np.empty(len(ts))
     out[order] = out_sorted
     return out
+
+
+def ball_mass_with_error(dist, x, r: float) -> tuple[float, float]:
+    """Monte Carlo ball mass with its standard error (any dimension)."""
+    p = float(np.mean(_sample_distances(dist, x) <= r))
+    return p, math.sqrt(max(p * (1.0 - p), 0.0) / _BALL_MC_DRAWS)
 
 
 def local_mass_check_loop(dist, theta: float, x_grid, r_grid):

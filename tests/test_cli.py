@@ -8,7 +8,7 @@ import pytest
 from conftest import read_labeled_csv
 from transfer_knn import harness
 from transfer_knn.cli import parse_grid, run
-from transfer_knn.errors import ConfigError
+from transfer_knn.errors import MAX_DIMENSION, ConfigError
 
 PAIR = {
     "source": {"family": "pareto", "alpha": 1.0, "sigma": 1.0},
@@ -577,6 +577,8 @@ CONFIG_COMMANDS = {
 NON_NORMALISABLE = {"family": "log_pareto", "a": 1, "b": 1e-6, "c": 0}
 # A LogPareto whose normaliser (2^-1100 / 1100) underflows to 0 in quadrature.
 UNRESOLVED = {"family": "log_pareto", "a": 1, "b": 1100, "c": 0}
+# A ProductPareto one past the largest dimension a config may name.
+HUGE_D_PRODUCT = {"family": "product_pareto", "alpha": 1, "sigma": 1, "d": MAX_DIMENSION + 1}
 # A float field of each config, as a dotted path.
 FLOAT_FIELDS = {
     "transfer": "source.alpha",
@@ -650,6 +652,13 @@ def bad_config_cases():
         ("rates", "d", 0, "d"),
         ("rates", "d", 10**400, "d"),
         ("rates", "m", -1, "m"),
+        # A d whose row of d float64 values no array can address
+        ("transfer", "source", dict(HUGE_D_PRODUCT, d=10**30), "source.d"),
+        ("check-regularity", "distribution", HUGE_D_PRODUCT, "distribution.d"),
+        ("sweep", "f_star", {"name": "zero", "d": 10**30}, "f_star.d"),
+        ("simulate", "f_star", {"name": "zero", "d": MAX_DIMENSION + 1}, "f_star.d"),
+        ("sweep", "estimator.d", 10**30, "estimator.d"),
+        ("simulate", "estimator.d", MAX_DIMENSION + 1, "estimator.d"),
     ]
     for command, path, value, field in edits:
         body = with_field(CONFIG_COMMANDS[command][0], path, value)

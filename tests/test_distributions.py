@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import (
+    ball_mass_with_error,
     holder_budget,
     local_mass_check_loop,
     log_density_loop,
@@ -23,7 +24,6 @@ from transfer_knn.distributions import (
     ProductPareto,
     Uniform,
     ball_mass,
-    ball_mass_with_error,
     closed_form_indices,
     family_from_spec,
     holder_constant,
