@@ -261,21 +261,19 @@ def _cmd_phase(args, stager: OutputStager) -> None:
         "target_exp",
         "rate",
     ]
-    rows = []
-    for i, v1 in enumerate(grid.axis1):
-        for j, v2 in enumerate(grid.axis2):
-            rep = grid.reports[i][j]
-            rows.append(
-                (
-                    v1,
-                    v2,
-                    rep.configuration,
-                    rep.regime,
-                    rep.source_exp,
-                    rep.target_exp,
-                    rep.rate_value,
-                )
-            )
+    rows = [
+        (
+            v1,
+            v2,
+            rep.configuration,
+            rep.regime,
+            rep.source_exp,
+            rep.target_exp,
+            rep.rate_value,
+        )
+        for v1, row in zip(grid.axis1, grid.reports)
+        for v2, rep in zip(grid.axis2, row)
+    ]
     line_header = ["name", "description", "slope", "intercept"]
     line_rows = [
         (ln.name, ln.description, ln.slope, ln.intercept)

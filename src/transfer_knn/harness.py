@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -313,30 +313,22 @@ def regime_experiment(
     """Compare the fitted log-log slope against the theoretical exponent.
 
     No pass/fail is hard-coded; the report carries the discrepancy and
-    the CI for downstream judgement.
+    the CI for downstream judgement.  Exactly one of n_grid and m_grid
+    may vary: the fit is against that sample size alone.
     """
+    if len(config.n_grid) > 1 and len(config.m_grid) > 1:
+        raise ValueError("n_grid, m_grid: only one of them may vary")
     result = sweep(config)
     axis = "n" if len(config.n_grid) > 1 else "m"
-    sizes = []
-    risks = []
-    regimes = []
-    theory = []
-    for est in result.estimates:
-        size = est.n if axis == "n" else est.m
-        rep = theoretical_rate(
-            RateParams(
-                rate_params.gamma,
-                rate_params.s,
-                rate_params.beta,
-                rate_params.d,
-                est.n,
-                est.m,
-            )
-        )
-        sizes.append(size)
-        risks.append(est.mean)
-        regimes.append(rep.regime)
-        theory.append(rep.rate_value)
+    estimates = result.estimates
+    reports = [
+        theoretical_rate(replace(rate_params, n=est.n, m=est.m))
+        for est in estimates
+    ]
+    sizes = [est.n if axis == "n" else est.m for est in estimates]
+    risks = [est.mean for est in estimates]
+    regimes = [rep.regime for rep in reports]
+    theory = [rep.rate_value for rep in reports]
     span = math.log10(max(sizes) / min(sizes))
     if span < 1.5:
         raise ValueError("size grid must span at least 1.5 decades")

@@ -9,16 +9,24 @@ between n and n^(gamma/s) follow the accelerated rate
     n^(-gamma a) m^(-s (1 - a)),    a = (r_beta - s)/(gamma - s),
 
 whose exponents always sum to r_beta; everything else follows the wedge
-rate min(n^-(gamma ^ r_beta), m^-(s ^ r_beta)).  In exponents_only mode
-all logarithmic factors are dropped and multiplicative constants set to
-one; full mode multiplies in caller-supplied transfer-function values
-and the log(nm) factors.
+rate min(n^-(gamma ^ r_beta), m^-(s ^ r_beta)).
+
+Both modes build these rates from one term per sample, with
+term(0, e) = inf for an absent sample:
+
+    exponents_only:  term(n, e) = n^-e
+    full:            term(n, e) = (log(nm) / n)^e
+
+The accelerated rate is coef term(n, gamma a) term(m, s (1 - a)) and the
+wedge rate min(T_p term(n, gamma ^ r_beta), T_q term(m, s ^ r_beta)).
+In exponents_only mode coef and the T values are one; in full mode they
+are the caller-supplied transfer-function values, coef = T_p^a T_q^(1-a).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 
@@ -108,13 +116,6 @@ def acceleration_window(n: float, gamma: float, s: float) -> tuple[float, float]
     return (min(n, edge), max(n, edge))
 
 
-def _pow_rate(size: float, exp: float) -> float:
-    """size^-exp, with an absent sample (size 0) contributing no rate."""
-    if size == 0.0:
-        return math.inf
-    return size**-exp
-
-
 def theoretical_rate(params: RateParams, mode: str = "exponents_only") -> RegimeReport:
     """Classify the configuration and evaluate the minimax-rate formula."""
     if mode not in ("exponents_only", "full"):
@@ -128,67 +129,59 @@ def theoretical_rate(params: RateParams, mode: str = "exponents_only") -> Regime
         window = acceleration_window(n, gamma, s)
     accelerated = window is not None and m >= 1 and window[0] <= m <= window[1]
 
-    if mode == "full":
+    full = mode == "full"
+    if full:
         if not max(n, m) >= 2:
             raise ConfigError("n, m", "full mode needs n or m >= 2 for the log factors")
         log_nm = math.log(max(n, 1.0) * max(m, 1.0))
+
+    def term(size: float, exp: float) -> float:
+        """One sample's rate factor; an absent sample (size 0) gives none."""
+        if size == 0.0:
+            return math.inf
+        return (log_nm / size) ** exp if full else size**-exp
 
     if accelerated:
         a = (r_b - s) / (gamma - s)
         src_exp = gamma * a
         tgt_exp = s * (1.0 - a)
-        if mode == "exponents_only":
-            rate = _pow_rate(n, src_exp) * _pow_rate(m, tgt_exp)
-        else:
+        coef = 1.0
+        if full:
             if params.transfer_p is None or params.transfer_q is None:
                 raise ConfigError(
                     "transfer_p, transfer_q",
                     "full mode needs both transfer values in the accelerated regime",
                 )
-            rate = (
-                params.transfer_p**a
-                * params.transfer_q ** (1.0 - a)
-                * (log_nm / n) ** src_exp
-                * (log_nm / m) ** tgt_exp
-            )
+            coef = params.transfer_p**a * params.transfer_q ** (1.0 - a)
         return RegimeReport(
             r_beta=r_b,
             configuration=config,
             regime=ACCELERATED,
             driver=None,
             window=window,
-            rate_value=rate,
+            rate_value=coef * term(n, src_exp) * term(m, tgt_exp),
             source_exp=src_exp,
             target_exp=tgt_exp,
         )
 
     r_s = min(gamma, r_b)
     r_t = min(s, r_b)
-    flags = ()
-    if mode == "exponents_only":
-        src_term = _pow_rate(n, r_s)
-        tgt_term = _pow_rate(m, r_t)
-    else:
-        # The paper is silent on a wedge term whose transfer value is
-        # unavailable; report the other term alone and flag the omission.
-        if params.transfer_p is None:
-            src_term = math.inf
-            flags += ("source term omitted: no transfer value",)
-        else:
-            src_term = (
-                params.transfer_p * (log_nm / n) ** r_s if n > 0 else math.inf
-            )
-        if params.transfer_q is None:
-            tgt_term = math.inf
-            flags += ("target term omitted: no transfer value",)
-        else:
-            tgt_term = (
-                params.transfer_q * (log_nm / m) ** r_t if m > 0 else math.inf
-            )
-        if src_term == math.inf and tgt_term == math.inf:
-            raise ConfigError(
-                "transfer_p, transfer_q", "full-mode wedge needs at least one of them"
-            )
+    # The paper is silent on a full-mode wedge term whose transfer value
+    # is unavailable; report the other term alone and flag the omission.
+    weights = (params.transfer_p, params.transfer_q) if full else (1.0, 1.0)
+    src_term, tgt_term = (
+        math.inf if weight is None else weight * term(size, exp)
+        for weight, size, exp in zip(weights, (n, m), (r_s, r_t))
+    )
+    flags = tuple(
+        f"{side} term omitted: no transfer value"
+        for side, weight in zip((SOURCE, TARGET), weights)
+        if weight is None
+    )
+    if src_term == tgt_term == math.inf:
+        raise ConfigError(
+            "transfer_p, transfer_q", "full-mode wedge needs at least one of them"
+        )
     return RegimeReport(
         r_beta=r_b,
         configuration=config,
@@ -272,47 +265,46 @@ def phase_grid(
     r_b = r_beta(beta, d)
     a1 = tuple(float(v) for v in axis1)
     a2 = tuple(float(v) for v in axis2)
-    keys = set(fixed)
-    if keys == {"gamma", "s"}:
-        gamma, s = float(fixed["gamma"]), float(fixed["s"])
-        reports = tuple(
-            tuple(
-                theoretical_rate(RateParams(gamma, s, beta, d, n, m))
-                for m in a2
+    if set(fixed) == {"gamma", "s"}:
+        mode, held_names, varied = "nm", ("gamma", "s"), ("n", "m")
+    elif set(fixed) == {"n", "m"}:
+        mode, held_names, varied = "gamma_s", ("n", "m"), ("gamma", "s")
+    else:
+        raise ValueError("fixed must supply exactly {gamma, s} or {n, m}")
+    held = {name: float(fixed[name]) for name in held_names}
+    reports = tuple(
+        tuple(
+            theoretical_rate(
+                RateParams(beta=beta, d=d, **held, **dict(zip(varied, (v1, v2))))
             )
-            for n in a1
+            for v2 in a2
         )
+        for v1 in a1
+    )
+    if mode == "nm":
+        gamma, s = held["gamma"], held["s"]
         lines = (
             BoundaryLine("a(s)", "s log m = r_beta log n", r_b / s, 0.0),
             BoundaryLine("b(s)", "s log m = gamma log n", gamma / s, 0.0),
             BoundaryLine("I", "log m = log n", 1.0, 0.0),
             BoundaryLine("M", "r_beta log m = gamma log n", gamma / r_b, 0.0),
         )
-        return PhaseGrid("nm", "n", "m", a1, a2, reports, lines)
-    if keys == {"n", "m"}:
-        n, m = float(fixed["n"]), float(fixed["m"])
-        reports = tuple(
-            tuple(
-                theoretical_rate(RateParams(gamma, s, beta, d, n, m))
-                for s in a2
-            )
-            for gamma in a1
-        )
-        lines = [
+    else:
+        n, m = held["n"], held["m"]
+        lines = (
             BoundaryLine("gamma_critical", "gamma = r_beta", math.inf, r_b),
             BoundaryLine("s_critical", "s = r_beta", 0.0, r_b),
-        ]
+        )
         if m > 1:
-            lines.append(
+            lines += (
                 BoundaryLine(
                     "window_edge",
                     "s = gamma log n / log m",
                     math.log(max(n, 1.0)) / math.log(m),
                     0.0,
-                )
+                ),
             )
-        return PhaseGrid("gamma_s", "gamma", "s", a1, a2, reports, tuple(lines))
-    raise ValueError("fixed must supply exactly {gamma, s} or {n, m}")
+    return PhaseGrid(mode, *varied, a1, a2, reports, lines)
 
 
 @dataclass(frozen=True)
@@ -343,8 +335,6 @@ def path_rates(path: str, budget: float, lambda_grid, params: RateParams):
             n, m = budget ** (1.0 - lam), budget**lam
         else:
             n, m = max((1.0 - lam) * budget, 1.0), max(lam * budget, 1.0)
-        rep = theoretical_rate(
-            RateParams(params.gamma, params.s, params.beta, params.d, n, m)
-        )
+        rep = theoretical_rate(replace(params, n=n, m=m))
         out.append(PathPoint(lam, n, m, rep.rate_value, rep.regime))
     return out

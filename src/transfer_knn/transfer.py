@@ -89,8 +89,7 @@ class _PairMemo:
     nodes maps a head node x of the quadrature to (log q(x), log p(x)),
     and tail_nodes maps a tail node t = log x to the same pair at
     x = exp(t), so a tail integrand reads its node by the t quad asks
-    for and forms no x for a node it has seen.  log p is left at -inf
-    where q vanishes, since the integrand never reads it there.
+    for and forms no x for a node it has seen.
     mc_log_p is log p at the _MC_DRAWS fixed-seed Monte Carlo draws
     from Q, read-only.  Threads that race on a missing entry each store
     the same values.
@@ -102,10 +101,8 @@ class _PairMemo:
 
     def node(self, table: dict, key: float, x: float) -> tuple[float, float]:
         """(log q(x), log p(x)), stored in table under key."""
-        lq = self.Q.log_density(x)
-        lp = -math.inf if lq == -math.inf else self.P.log_density(x)
-        table[key] = (lq, lp)
-        return lq, lp
+        table[key] = pair = (self.Q.log_density(x), self.P.log_density(x))
+        return pair
 
     @functools.cached_property
     def mc_log_p(self) -> np.ndarray:
@@ -130,22 +127,21 @@ def _uncovered(P, Q) -> bool:
 def _quadrature(P, Q, gamma: float) -> tuple[float, float, bool]:
     """int q p^-gamma over Q's support as (value, error, converged).
 
-    Where q > 0 = p the integrand is infinite.  On a bounded support
-    only that can make the integral diverge: the families' densities
-    are bounded away from 0 on compact parts of their support, so a
-    large value is still a finite one.  The log densities at each node
-    come from the pair's memo, so every gamma after the first evaluates
-    only the nodes it adds.
+    Where q > 0 = p the integrand is infinite, so a Q whose support
+    reaches outside P's diverges at once, with no node evaluated.  On a
+    bounded support only that can make the integral diverge: the
+    families' densities are bounded away from 0 on compact parts of
+    their support, so a large value is still a finite one.  The log
+    densities at each node come from the pair's memo, so every gamma
+    after the first evaluates only the nodes it adds.
     """
+    if _uncovered(P, Q):
+        return math.inf, math.inf, False
     memo = _pair_memo(P, Q)
     nodes, tail_nodes, node = memo.nodes, memo.tail_nodes, memo.node
 
     def log_g(x: float) -> float:
         lq, lp = nodes.get(x) or node(nodes, x, x)
-        if lq == -math.inf:
-            return -math.inf
-        if lp == -math.inf:
-            return math.inf
         return lq - gamma * lp
 
     lo, hi = Q.support
@@ -154,17 +150,11 @@ def _quadrature(P, Q, gamma: float) -> tuple[float, float, bool]:
         def tail(t: float) -> float:
             # exp_clamped(log_g(e^t) + t), inlined: one frame per node.
             lq, lp = tail_nodes.get(t) or node(tail_nodes, t, math.exp(t))
-            if lq == -math.inf:
-                return 0.0
-            if lp == -math.inf:
-                return math.inf
             v = lq - gamma * lp + t
             return math.inf if v > 700.0 else math.exp(v)
 
         res = improper_quad(lambda x: exp_clamped(log_g(x)), tail, lo)
         return res.value, res.error, res.converged
-    if _uncovered(P, Q):
-        return math.inf, math.inf, False
     value, err = bounded_quad(lambda x: math.exp(min(log_g(x), 700.0)), lo, hi)
     if not math.isfinite(value):
         return math.inf, math.inf, False

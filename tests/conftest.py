@@ -16,6 +16,18 @@ from transfer_knn.distributions import (
     _sample_distances,
     ball_mass,
 )
+from transfer_knn.errors import ConfigError
+from transfer_knn.rates import (
+    ACCELERATED,
+    SOURCE,
+    SUPERCRITICAL,
+    TARGET,
+    WEDGE,
+    RegimeReport,
+    acceleration_window,
+    classify_configuration,
+    r_beta,
+)
 from transfer_knn.transfer import _MC_DRAWS, _MC_SEED
 
 
@@ -183,6 +195,101 @@ def quadrature_transfer(P, Q, gamma: float):
     return transfer._quadrature(P, Q, gamma)
 
 
+def _frozen_pow_rate(size: float, exp: float) -> float:
+    """size^-exp, with an absent sample (size 0) contributing no rate."""
+    if size == 0.0:
+        return math.inf
+    return size**-exp
+
+
+def frozen_theoretical_rate(params, mode: str = "exponents_only") -> RegimeReport:
+    """rates.theoretical_rate as it was with one hand-written copy of each
+    rate term per mode, kept so the one-term formula can be checked
+    against it report for report and error for error.
+    """
+    if mode not in ("exponents_only", "full"):
+        raise ValueError(f"unknown mode '{mode}'")
+    gamma, s, n, m = params.gamma, params.s, params.n, params.m
+    r_b = r_beta(params.beta, params.d)
+    config = classify_configuration(gamma, s, r_b)
+
+    window = None
+    if config == SUPERCRITICAL and n >= 1:
+        window = acceleration_window(n, gamma, s)
+    accelerated = window is not None and m >= 1 and window[0] <= m <= window[1]
+
+    if mode == "full":
+        if not max(n, m) >= 2:
+            raise ConfigError("n, m", "full mode needs n or m >= 2 for the log factors")
+        log_nm = math.log(max(n, 1.0) * max(m, 1.0))
+
+    if accelerated:
+        a = (r_b - s) / (gamma - s)
+        src_exp = gamma * a
+        tgt_exp = s * (1.0 - a)
+        if mode == "exponents_only":
+            rate = _frozen_pow_rate(n, src_exp) * _frozen_pow_rate(m, tgt_exp)
+        else:
+            if params.transfer_p is None or params.transfer_q is None:
+                raise ConfigError(
+                    "transfer_p, transfer_q",
+                    "full mode needs both transfer values in the accelerated regime",
+                )
+            rate = (
+                params.transfer_p**a
+                * params.transfer_q ** (1.0 - a)
+                * (log_nm / n) ** src_exp
+                * (log_nm / m) ** tgt_exp
+            )
+        return RegimeReport(
+            r_beta=r_b,
+            configuration=config,
+            regime=ACCELERATED,
+            driver=None,
+            window=window,
+            rate_value=rate,
+            source_exp=src_exp,
+            target_exp=tgt_exp,
+        )
+
+    r_s = min(gamma, r_b)
+    r_t = min(s, r_b)
+    flags = ()
+    if mode == "exponents_only":
+        src_term = _frozen_pow_rate(n, r_s)
+        tgt_term = _frozen_pow_rate(m, r_t)
+    else:
+        if params.transfer_p is None:
+            src_term = math.inf
+            flags += ("source term omitted: no transfer value",)
+        else:
+            src_term = (
+                params.transfer_p * (log_nm / n) ** r_s if n > 0 else math.inf
+            )
+        if params.transfer_q is None:
+            tgt_term = math.inf
+            flags += ("target term omitted: no transfer value",)
+        else:
+            tgt_term = (
+                params.transfer_q * (log_nm / m) ** r_t if m > 0 else math.inf
+            )
+        if src_term == math.inf and tgt_term == math.inf:
+            raise ConfigError(
+                "transfer_p, transfer_q", "full-mode wedge needs at least one of them"
+            )
+    return RegimeReport(
+        r_beta=r_b,
+        configuration=config,
+        regime=WEDGE,
+        driver=SOURCE if src_term <= tgt_term else TARGET,
+        window=window,
+        rate_value=min(src_term, tgt_term),
+        source_exp=r_s,
+        target_exp=r_t,
+        flags=flags,
+    )
+
+
 def quadrature_uncached(P, Q, gamma: float):
     """(value, error, converged) of int q p^-gamma over Q's support.
 
@@ -200,12 +307,11 @@ def quadrature_uncached(P, Q, gamma: float):
             return math.inf
         return lq - gamma * lp
 
-    lo, hi = Q.support
-    if math.isinf(hi):
-        return frozen_improper_quad(log_g, lo)
-    p_lo, p_hi = P.support
+    (lo, hi), (p_lo, p_hi) = Q.support, P.support
     if lo < p_lo or hi > p_hi:
         return math.inf, math.inf, False
+    if math.isinf(hi):
+        return frozen_improper_quad(log_g, lo)
     value, err = frozen_bounded_quad(lambda x: math.exp(min(log_g(x), 700.0)), lo, hi)
     if not math.isfinite(value):
         return math.inf, math.inf, False

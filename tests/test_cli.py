@@ -5,10 +5,11 @@ import warnings
 
 import pytest
 
-from conftest import read_labeled_csv
+from conftest import frozen_theoretical_rate, read_labeled_csv
 from transfer_knn import harness
 from transfer_knn.cli import parse_grid, run
 from transfer_knn.errors import MAX_DIMENSION, ConfigError
+from transfer_knn.rates import RateParams
 
 PAIR = {
     "source": {"family": "pareto", "alpha": 1.0, "sigma": 1.0},
@@ -197,6 +198,47 @@ class TestPhaseCommand:
         assert (
             run(["phase", "--fix", "gamma=1,m=7", "--out", str(out)]) == 1
         )
+
+    @staticmethod
+    def oracle_rows(cells):
+        """phase.csv's body for (axis1, axis2, RateParams) cells, by the frozen rate."""
+        lines = []
+        for v1, v2, params in cells:
+            rep = frozen_theoretical_rate(params)
+            a1, a2, src, tgt, rate = map(
+                repr, (v1, v2, rep.source_exp, rep.target_exp, rep.rate_value)
+            )
+            lines.append(f"{a1},{a2},{rep.configuration},{rep.regime},{src},{tgt},{rate}")
+        return lines
+
+    def test_nm_grid_matches_frozen_rates(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["phase", "--fix", "gamma=1,s=0.2", "--beta", "0.5", "--d", "2"]
+        argv += ["--log-n", "0:6:0.5", "--log-m=-1:7:0.5", "--out", str(out)]
+        assert run(argv) == 0
+        log_n, log_m = parse_grid("0:6:0.5", "n"), parse_grid("-1:7:0.5", "m")
+        cells = [
+            (10.0**a, 10.0**b, RateParams(1.0, 0.2, 0.5, 2, 10.0**a, 10.0**b))
+            for a in log_n
+            for b in log_m
+        ]
+        body = (out / "phase.csv").read_text().splitlines()[1:]
+        assert body == self.oracle_rows(cells)
+        assert {line.split(",")[3] for line in body} == {"wedge", "accelerated"}
+
+    def test_gamma_s_grid_matches_frozen_rates(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["phase", "--fix", "n=1000,m=100000", "--gamma-axis", "0.1:2:0.1"]
+        argv += ["--s-axis", "0.05:1.5:0.05", "--out", str(out)]
+        assert run(argv) == 0
+        gammas = parse_grid("0.1:2:0.1", "gamma")
+        ss = parse_grid("0.05:1.5:0.05", "s")
+        cells = [
+            (g, s, RateParams(g, s, 1.0, 1, 1000.0, 100000.0)) for g in gammas for s in ss
+        ]
+        body = (out / "phase.csv").read_text().splitlines()[1:]
+        assert body == self.oracle_rows(cells)
+        assert {line.split(",")[3] for line in body} == {"wedge", "accelerated"}
 
 
 class TestSweepCommand:

@@ -252,6 +252,13 @@ class TestRegimeExperiment:
         report = regime_experiment(cfg, RateParams(1.0, 0.9, 1.0, 1, 1, 1))
         assert report.degenerate and report.fitted is None
 
+    def test_both_grids_varying_rejected(self):
+        cfg = small_config(
+            source=UNI, n_grid=(64, 256, 1024, 4096), m_grid=(16, 4096)
+        )
+        with pytest.raises(ValueError, match="n_grid, m_grid"):
+            regime_experiment(cfg, RateParams(1.0, 0.9, 1.0, 1, 1, 1))
+
     def test_narrow_grid_rejected(self):
         cfg = small_config(m_grid=(64, 128))
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import frozen_theoretical_rate
 from transfer_knn.errors import ConfigError
 from transfer_knn.rates import (
     ACCELERATED,
@@ -237,6 +239,92 @@ class TestIdentities:
                 and minus_plus.regime == ACCELERATED
             )
             assert not both
+
+
+def _outcome(rate, params, mode):
+    """The report's repr, or the raised error's type and message."""
+    try:
+        return repr(rate(params, mode=mode))
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+SIZES = st.one_of(
+    st.sampled_from([0, 1, 2]),
+    st.integers(min_value=3, max_value=10**8),
+    st.floats(min_value=0.0, max_value=1e12),
+)
+T_VALUES = st.one_of(st.none(), st.floats(min_value=1e-6, max_value=1e6))
+
+
+class TestOneTermFormula:
+    """theoretical_rate against its frozen two-copy form, in both modes."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        gamma=st.floats(min_value=0.01, max_value=3.0),
+        s=st.floats(min_value=0.01, max_value=3.0),
+        beta=st.floats(min_value=0.05, max_value=1.0),
+        d=st.integers(min_value=1, max_value=5),
+        n=SIZES,
+        m=SIZES,
+        transfer_p=T_VALUES,
+        transfer_q=T_VALUES,
+        mode=st.sampled_from(["exponents_only", "full"]),
+    )
+    def test_matches_frozen_oracle(
+        self, gamma, s, beta, d, n, m, transfer_p, transfer_q, mode
+    ):
+        if n == 0 and m == 0:
+            m = 1
+        params = RateParams(gamma, s, beta, d, n, m, transfer_p, transfer_q)
+        assert _outcome(theoretical_rate, params, mode) == _outcome(
+            frozen_theoretical_rate, params, mode
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        beta=st.floats(min_value=0.05, max_value=1.0),
+        d=st.integers(min_value=1, max_value=5),
+        gamma_over=st.floats(min_value=0.01, max_value=2.0),
+        s_frac=st.floats(min_value=0.01, max_value=0.99),
+        n=st.integers(min_value=2, max_value=10**8),
+        u=st.floats(min_value=0.0, max_value=1.0),
+        transfer_p=T_VALUES,
+        transfer_q=T_VALUES,
+        mode=st.sampled_from(["exponents_only", "full"]),
+    )
+    def test_matches_frozen_oracle_in_the_window(
+        self, beta, d, gamma_over, s_frac, n, u, transfer_p, transfer_q, mode
+    ):
+        # s < r_beta < gamma and m between n and n^(gamma/s), short of
+        # overflow: accelerated
+        rb = r_beta(beta, d)
+        gamma, s = rb + gamma_over, s_frac * rb
+        m = math.exp(min(math.log(n) * (1.0 + u * (gamma / s - 1.0)), 700.0))
+        params = RateParams(gamma, s, beta, d, n, m, transfer_p, transfer_q)
+        assert _outcome(theoretical_rate, params, mode) == _outcome(
+            frozen_theoretical_rate, params, mode
+        )
+
+    def test_small_samples_and_missing_t(self):
+        for mode, (n, m), transfer_p, transfer_q, (gamma, s) in itertools.product(
+            ("exponents_only", "full"),
+            ((0, 1), (0, 2), (1, 0), (2, 0), (1, 1), (1, 2), (2, 1), (2, 2)),
+            (None, 3.0),
+            (None, 0.5),
+            ((1.0, 0.2), (0.2, 1.0), (0.5, 0.5)),
+        ):
+            params = RateParams(gamma, s, 1.0, 1, n, m, transfer_p, transfer_q)
+            assert _outcome(theoretical_rate, params, mode) == _outcome(
+                frozen_theoretical_rate, params, mode
+            )
+
+    def test_unknown_mode(self):
+        params = RateParams(1.0, 0.2, 1.0, 1, 10, 10)
+        assert _outcome(theoretical_rate, params, "log") == _outcome(
+            frozen_theoretical_rate, params, "log"
+        )
 
 
 class TestPhaseGrid:

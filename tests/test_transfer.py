@@ -142,6 +142,22 @@ class TestTransferValue:
         assert not ev.converged
         assert transfer_value(Uniform(0, 1), Uniform(0, 2), 1.0).value == math.inf
 
+    @pytest.mark.parametrize(
+        "P, Q",
+        [
+            (Uniform(0.0, 100.0), EXP1),
+            (Uniform(-5.0, 1000.0), EXP1),
+            (Uniform(0.0, 100.0), PAR),
+        ],
+    )
+    def test_uncovered_infinite_support_diverges(self, P, Q):
+        # q > 0 = p beyond P's right end, which lies past the head
+        # [x0, x0 + 8] and past where the tail windows stop adding mass.
+        for gamma in (0.05, 0.3, 0.5, 1.0, 2.0):
+            ev = transfer_value(P, Q, gamma)
+            assert ev.method == "quadrature"
+            assert ev.value == math.inf and not ev.converged
+
     def test_large_finite_value_on_bounded_support(self):
         # p = 1e-7 on Q's whole support, so T = 1e7 exactly.
         ev = transfer_value(Uniform(0, 1e7), Uniform(0, 1e6), 1.0)
