@@ -112,7 +112,10 @@ def parse_grid(text: str, field: str):
         raise ConfigError(field, "step must be positive")
     if end < start:
         raise ConfigError(field, "end must be >= start")
-    count = int(math.floor((end - start) / step + 1e-12)) + 1
+    steps = (end - start) / step
+    if not math.isfinite(steps):
+        raise ConfigError(field, f"(end - start) / step = {steps!r} is not a finite count")
+    count = int(math.floor(steps + 1e-12)) + 1
     return [start + i * step for i in range(count)]
 
 

@@ -2,8 +2,8 @@
 
 Every family exposes a density (right-continuous at the left support
 endpoint), a CDF, inverse-CDF or rejection sampling, Euclidean
-ball-mass, and regularity metadata: an upper density bound D and, where
-the family is known to satisfy the local mass property
+ball-mass, and, where the family is known to satisfy the local mass
+property
 
     theta^-1 p(x) r^d  <=  P{B(x, r)}  <=  theta p(x) r^d,   r in (0, 1],
 
@@ -45,27 +45,38 @@ def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
 class DistributionFamily:
     """Base class; subclasses are frozen dataclasses of parameters.
 
-    A 1-D family's density, log_density and cdf return NaN at a NaN
-    point rather than a probability.  Their support tests are written as
-    "x below the support gives 0", a comparison NaN fails, so NaN reaches
-    the formula; where the formula would not carry it, it is set.
+    The base owns the support, NaN and scalar rules of every 1-D density
+    and cdf.  A 1-D family gives only its formula on a float64 array,
+    `_pdf(xs)` and `_cdf(xs)`.  It is evaluated at every point with its
+    numpy warnings silenced, then set to 0 below the support and to 0
+    (density) or 1 (cdf) above it; a scalar point gets a float.  A NaN
+    point fails both support tests, so it reaches the formula, which
+    must carry it: density, log_density and cdf return NaN there rather
+    than a probability.
     """
 
     dimension: int = 1
 
     # -- densities -----------------------------------------------------
     def density(self, x):
-        raise NotImplementedError
+        lo, hi = self.support
+        xs = np.asarray(x, dtype=np.float64)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            val = self._pdf(xs)
+        return _maybe_scalar(np.where((xs < lo) | (xs > hi), 0.0, val), x)
 
     def log_density(self, x) -> float:
         """log of the density at a single point (-inf outside support)."""
-        d = self.density(x)
-        d = float(d) if np.ndim(d) == 0 else float(np.asarray(d))
+        d = float(self.density(x))
         return -math.inf if d <= 0.0 else math.log(d)
 
     # -- 1-D distribution functions ------------------------------------
     def cdf(self, x):
-        raise NotImplementedError(f"{type(self).__name__} has no 1-D CDF")
+        lo, hi = self.support
+        xs = np.asarray(x, dtype=np.float64)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            val = self._cdf(xs)
+        return _maybe_scalar(np.where(xs < lo, 0.0, np.where(xs > hi, 1.0, val)), x)
 
     def ppf(self, u):
         """Quantile function; numeric bisection unless overridden.
@@ -113,11 +124,6 @@ class DistributionFamily:
         raise NotImplementedError
 
     @property
-    def density_bound(self) -> float:
-        """D: an upper bound on the density, attained at the left endpoint."""
-        return float(self.density(self.support[0]))
-
-    @property
     def local_mass_theta(self) -> float | None:
         """theta for which the family is known to lie in P(D, theta)."""
         return None
@@ -138,14 +144,17 @@ class Pareto(DistributionFamily):
     def __post_init__(self):
         if self.alpha <= 0 or self.sigma <= 0:
             raise ValueError("Pareto requires alpha > 0 and sigma > 0")
-
-    def density(self, x):
-        xs = np.asarray(x, dtype=np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            val = (self.alpha / self.sigma) * np.power(
-                1.0 + xs / self.sigma, -(self.alpha + 1.0)
+        # The density's scale; its log is taken at every point.
+        if not 0.0 < self.alpha / self.sigma < math.inf:
+            raise ValueError(
+                f"Pareto scale alpha / sigma = {self.alpha / self.sigma!r} is not "
+                "a positive finite float"
             )
-        return _maybe_scalar(np.where(xs < 0.0, 0.0, val), x)
+
+    def _pdf(self, xs):
+        return (self.alpha / self.sigma) * np.power(
+            1.0 + xs / self.sigma, -(self.alpha + 1.0)
+        )
 
     def log_density(self, x) -> float:
         x = float(x)
@@ -155,10 +164,8 @@ class Pareto(DistributionFamily):
             x / self.sigma
         )
 
-    def cdf(self, x):
-        xs = np.asarray(x, dtype=np.float64)
-        val = 1.0 - np.power(1.0 + np.maximum(xs, 0.0) / self.sigma, -self.alpha)
-        return _maybe_scalar(np.where(xs < 0.0, 0.0, val), x)
+    def _cdf(self, xs):
+        return 1.0 - np.power(1.0 + xs / self.sigma, -self.alpha)
 
     def ppf(self, u):
         us = np.asarray(u, dtype=np.float64)
@@ -185,11 +192,8 @@ class Exponential(DistributionFamily):
         if self.lam <= 0:
             raise ValueError("Exponential requires lambda > 0")
 
-    def density(self, x):
-        xs = np.asarray(x, dtype=np.float64)
-        with np.errstate(over="ignore"):
-            val = self.lam * np.exp(-self.lam * xs)
-        return _maybe_scalar(np.where(xs < 0.0, 0.0, val), x)
+    def _pdf(self, xs):
+        return self.lam * np.exp(-self.lam * xs)
 
     def log_density(self, x) -> float:
         x = float(x)
@@ -197,10 +201,9 @@ class Exponential(DistributionFamily):
             return -math.inf
         return math.log(self.lam) - self.lam * x
 
-    def cdf(self, x):
-        xs = np.asarray(x, dtype=np.float64)
-        val = -np.expm1(-self.lam * np.maximum(xs, 0.0))
-        return _maybe_scalar(np.where(xs < 0.0, 0.0, val), x)
+    def _cdf(self, xs):
+        # np.maximum turns x = -0.0 into 0.0, so the cdf there is 0.0, not -0.0.
+        return -np.expm1(-self.lam * np.maximum(xs, 0.0))
 
     def ppf(self, u):
         us = np.asarray(u, dtype=np.float64)
@@ -226,16 +229,11 @@ class Uniform(DistributionFamily):
         if not self.a < self.b:
             raise ValueError("Uniform requires a < b")
 
-    def density(self, x):
-        xs = np.asarray(x, dtype=np.float64)
-        inside = (xs >= self.a) & (xs <= self.b)
-        val = np.where(inside, 1.0 / (self.b - self.a), 0.0)
-        val[np.isnan(xs)] = math.nan
-        return _maybe_scalar(val, x)
+    def _pdf(self, xs):
+        return np.where(np.isnan(xs), math.nan, 1.0 / (self.b - self.a))
 
-    def cdf(self, x):
-        xs = np.asarray(x, dtype=np.float64)
-        return _maybe_scalar(np.clip((xs - self.a) / (self.b - self.a), 0.0, 1.0), x)
+    def _cdf(self, xs):
+        return (xs - self.a) / (self.b - self.a)
 
     def ppf(self, u):
         us = np.asarray(u, dtype=np.float64)
@@ -259,10 +257,9 @@ class ProductPareto(DistributionFamily):
     d: int
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.sigma <= 0:
-            raise ValueError("ProductPareto requires alpha > 0 and sigma > 0")
         if self.d < 1:
             raise ValueError("ProductPareto requires d >= 1")
+        self._factor  # Pareto's checks of alpha and sigma
 
     @property
     def dimension(self):
@@ -277,6 +274,9 @@ class ProductPareto(DistributionFamily):
         pts = xs.reshape(-1, self.d)
         vals = np.prod(self._factor.density(pts), axis=1)
         return float(vals[0]) if pts.shape[0] == 1 and xs.ndim <= 1 else vals
+
+    def cdf(self, x):
+        raise NotImplementedError("ProductPareto has no 1-D CDF")
 
     def log_density(self, x):
         """log density at one point, or at each row of an (n, d) array.
@@ -308,10 +308,6 @@ class ProductPareto(DistributionFamily):
     @property
     def support(self):
         return (0.0, math.inf)
-
-    @property
-    def density_bound(self):
-        return (self.alpha / self.sigma) ** self.d
 
 
 @dataclass(frozen=True)
@@ -362,11 +358,8 @@ class LogPareto(DistributionFamily):
             )
         return res.value
 
-    def density(self, x):
-        xs = np.asarray(x, dtype=np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            val = np.power(xs, -(self.b + 1.0)) * np.power(np.log(np.maximum(xs, 1.5)), -self.c)
-        return _maybe_scalar(np.where(xs < self._LEFT, 0.0, val / self._norm), x)
+    def _pdf(self, xs):
+        return np.power(xs, -(self.b + 1.0)) * np.power(np.log(xs), -self.c) / self._norm
 
     def log_density(self, x) -> float:
         lr = self._log_raw(float(x))
@@ -450,34 +443,32 @@ def _sample_distances(dist: DistributionFamily, x) -> np.ndarray:
     return np.linalg.norm(pts - center[None, :], axis=1)
 
 
-def _monte_carlo_ball_mass(dist: DistributionFamily, x):
-    """The fixed-seed Monte Carlo ball mass around x, as a function of r.
+def _mass_at(dist: DistributionFamily, x):
+    """The ball mass around x, r -> P{B(x, r)}, at a radius or an array of them.
 
-    The distances from x are drawn and sorted once; the mass at r is the
-    count of them <= r, found by binary search, over the draw count: the
-    mean of the hits d <= r.
+    Exact in 1-D, from two cdf calls.  Otherwise fixed-seed Monte Carlo:
+    the distances from x are drawn and sorted once, and the mass at r is
+    the count of them <= r, found by binary search, over the draw count.
     """
+    if dist.dimension == 1:
+        c = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        if c.shape != (1,):
+            raise ValueError("1-D distribution expects a 1-D point")
+        return lambda r: dist.cdf(c[0] + r) - dist.cdf(c[0] - r)
     dists = np.sort(_sample_distances(dist, x))
     return lambda r: np.searchsorted(dists, r, side="right") / len(dists)
 
 
 def ball_mass(dist: DistributionFamily, x, r):
-    """P{B(x, r)} at a radius or an array of radii.
+    """P{B(x, r)} at a radius or an array of radii, 0 at r = 0.
 
-    Exact in 1-D, from two cdf calls for all the radii; Monte Carlo
-    otherwise, from one fixed-seed draw for all the radii.
+    One _mass_at call covers all the radii: two cdf calls in 1-D, one
+    fixed-seed draw otherwise.
     """
     rs = np.asarray(r, dtype=np.float64)
     if np.any(rs < 0):
         raise ValueError("radius must be nonnegative")
-    if dist.dimension == 1:
-        c = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if c.shape != (1,):
-            raise ValueError("1-D distribution expects a 1-D point")
-        mass = dist.cdf(c[0] + rs) - dist.cdf(c[0] - rs)
-    else:
-        mass = _monte_carlo_ball_mass(dist, x)(rs)
-    return _maybe_scalar(np.where(rs > 0.0, mass, 0.0), r)
+    return _maybe_scalar(np.where(rs > 0.0, _mass_at(dist, x)(rs), 0.0), r)
 
 
 def zeta(dist: DistributionFamily, x, h: float) -> float:
@@ -485,20 +476,13 @@ def zeta(dist: DistributionFamily, x, h: float) -> float:
 
     Bisection refined until the radius bracket collapses in relative
     terms and the mass overshoot is below 1e-9; the initial bracket
-    doubles from r = 1 up to 2^40 before declaring failure.  In d >= 2
-    every step reads the same fixed-seed Monte Carlo sample as
-    ball_mass, drawn and sorted once.
+    doubles from r = 1 up to 2^40 before declaring failure.  Every step
+    reads the same _mass_at function as ball_mass, so in d >= 2 the
+    fixed-seed sample is drawn and sorted once.
     """
     if not 0.0 < h <= 1.0:
         raise ValueError("h must lie in (0, 1]")
-    if dist.dimension == 1:
-
-        def mass(r):
-            return ball_mass(dist, x, r)
-
-    else:
-        mass = _monte_carlo_ball_mass(dist, x)
-
+    mass = _mass_at(dist, x)
     lo, hi = 0.0, 1.0
     while mass(hi) < h:
         hi *= 2.0
@@ -624,22 +608,8 @@ class HolderFunction:
     dimension: int = 1
 
     def __call__(self, x):
-        xs = np.asarray(x, dtype=np.float64)
-        if xs.ndim <= 1 and self.dimension == 1:
-            return _maybe_scalar(
-                np.asarray(self.fn(xs.reshape(-1, 1)), dtype=np.float64), x
-            )
-        return np.asarray(self.fn(xs.reshape(-1, self.dimension)), dtype=np.float64)
-
-
-def holder_zero(d: int = 1) -> HolderFunction:
-    return HolderFunction(
-        fn=lambda X: np.zeros(len(X)),
-        L=1.0,
-        beta=1.0,
-        domain=(tuple([0.0] * d), tuple([1.0] * d)),
-        dimension=d,
-    )
+        xs = np.asarray(x, dtype=np.float64).reshape(-1, self.dimension)
+        return _maybe_scalar(np.asarray(self.fn(xs), dtype=np.float64), x)
 
 
 def holder_constant(c: float, d: int = 1) -> HolderFunction:
@@ -740,7 +710,7 @@ def holder_from_spec(obj: dict) -> HolderFunction:
     config_object(obj, "f_star", ("name",) + value, ("d",))
     d = config_dimension(obj.get("d", 1), "f_star.d")
     if name == "zero":
-        return holder_zero(d)
+        return holder_constant(0.0, d)
     return holder_constant(config_number(obj["value"], "f_star.value"), d)
 
 

@@ -363,7 +363,7 @@ def neighbor_radius_concentration(
     sample.
     """
     xs = np.asarray(x_grid, dtype=np.float64).reshape(-1, dist.dimension)
-    zetas = np.array([zeta(dist, x if len(x) > 1 else float(x[0]), h_plus) for x in xs])
+    zetas = np.array([zeta(dist, x, h_plus) for x in xs])
     hits = 0
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))

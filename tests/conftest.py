@@ -12,10 +12,17 @@ from transfer_knn.distributions import (
     _BALL_MC_DRAWS,
     _GL_NODES,
     _GL_WEIGHTS,
+    ZETA_BRACKET_CAP,
+    Exponential,
+    HolderFunction,
+    LogPareto,
     Pareto,
+    ProductPareto,
+    Uniform,
     _sample_distances,
     ball_mass,
 )
+from transfer_knn.errors import RadiusSearchError
 from transfer_knn.errors import ConfigError
 from transfer_knn.rates import (
     ACCELERATED,
@@ -349,6 +356,137 @@ def zeta_per_step(dist, x, h: float) -> float:
         else:
             lo = mid
     return hi
+
+
+def _frozen_maybe_scalar(out, like):
+    if np.isscalar(like) or getattr(like, "ndim", 1) == 0:
+        return float(np.asarray(out).reshape(-1)[0])
+    return out
+
+
+def frozen_density(dist, x):
+    """density as each family wrote out its own support, NaN and scalar
+    rules, before the base class owned them.  Its numpy warnings are the
+    caller's to silence: LogPareto's overflows below x = 2.
+    """
+    xs = np.asarray(x, dtype=np.float64)
+    if isinstance(dist, Pareto):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            val = (dist.alpha / dist.sigma) * np.power(
+                1.0 + xs / dist.sigma, -(dist.alpha + 1.0)
+            )
+        return _frozen_maybe_scalar(np.where(xs < 0.0, 0.0, val), x)
+    if isinstance(dist, Exponential):
+        with np.errstate(over="ignore"):
+            val = dist.lam * np.exp(-dist.lam * xs)
+        return _frozen_maybe_scalar(np.where(xs < 0.0, 0.0, val), x)
+    if isinstance(dist, Uniform):
+        inside = (xs >= dist.a) & (xs <= dist.b)
+        val = np.where(inside, 1.0 / (dist.b - dist.a), 0.0)
+        val[np.isnan(xs)] = math.nan
+        return _frozen_maybe_scalar(val, x)
+    if isinstance(dist, LogPareto):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            val = np.power(xs, -(dist.b + 1.0)) * np.power(
+                np.log(np.maximum(xs, 1.5)), -dist.c
+            )
+        return _frozen_maybe_scalar(np.where(xs < 2.0, 0.0, val / dist._norm), x)
+    pts = xs.reshape(-1, dist.d)
+    vals = np.prod(frozen_density(Pareto(dist.alpha, dist.sigma), pts), axis=1)
+    return float(vals[0]) if pts.shape[0] == 1 and xs.ndim <= 1 else vals
+
+
+def frozen_cdf(dist, x):
+    """cdf as each family wrote out its own support, NaN and scalar rules.
+
+    LogPareto keeps its own cdf, so it is read from the library.
+    """
+    if isinstance(dist, LogPareto):
+        return dist.cdf(x)
+    xs = np.asarray(x, dtype=np.float64)
+    if isinstance(dist, Pareto):
+        val = 1.0 - np.power(1.0 + np.maximum(xs, 0.0) / dist.sigma, -dist.alpha)
+        return _frozen_maybe_scalar(np.where(xs < 0.0, 0.0, val), x)
+    if isinstance(dist, Exponential):
+        val = -np.expm1(-dist.lam * np.maximum(xs, 0.0))
+        return _frozen_maybe_scalar(np.where(xs < 0.0, 0.0, val), x)
+    if isinstance(dist, Uniform):
+        return _frozen_maybe_scalar(
+            np.clip((xs - dist.a) / (dist.b - dist.a), 0.0, 1.0), x
+        )
+    raise NotImplementedError(f"{type(dist).__name__} has no 1-D CDF")
+
+
+def _frozen_mc_mass(dist, x):
+    dists = np.sort(_sample_distances(dist, x))
+    return lambda r: np.searchsorted(dists, r, side="right") / len(dists)
+
+
+def frozen_ball_mass(dist, x, r):
+    """ball_mass as it was with its own 1-D and Monte Carlo branches."""
+    rs = np.asarray(r, dtype=np.float64)
+    if np.any(rs < 0):
+        raise ValueError("radius must be nonnegative")
+    if dist.dimension == 1:
+        c = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        if c.shape != (1,):
+            raise ValueError("1-D distribution expects a 1-D point")
+        mass = frozen_cdf(dist, c[0] + rs) - frozen_cdf(dist, c[0] - rs)
+    else:
+        mass = _frozen_mc_mass(dist, x)(rs)
+    return _frozen_maybe_scalar(np.where(rs > 0.0, mass, 0.0), r)
+
+
+def frozen_zeta(dist, x, h: float) -> float:
+    """zeta as it was with its own choice between 1-D and Monte Carlo mass."""
+    if not 0.0 < h <= 1.0:
+        raise ValueError("h must lie in (0, 1]")
+    if dist.dimension == 1:
+
+        def mass(r):
+            return frozen_ball_mass(dist, x, r)
+
+    else:
+        mass = _frozen_mc_mass(dist, x)
+    lo, hi = 0.0, 1.0
+    while mass(hi) < h:
+        hi *= 2.0
+        if hi > ZETA_BRACKET_CAP:
+            raise RadiusSearchError(
+                f"no radius <= {ZETA_BRACKET_CAP:g} reaches mass {h}"
+            )
+    for _ in range(200):
+        if hi - lo <= 1e-13 * hi and mass(hi) - h <= 1e-9:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if mass(mid) >= h:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def frozen_holder_call(f, x):
+    """HolderFunction.__call__ as it was with a separate 1-D point path."""
+    xs = np.asarray(x, dtype=np.float64)
+    if xs.ndim <= 1 and f.dimension == 1:
+        return _frozen_maybe_scalar(
+            np.asarray(f.fn(xs.reshape(-1, 1)), dtype=np.float64), x
+        )
+    return np.asarray(f.fn(xs.reshape(-1, f.dimension)), dtype=np.float64)
+
+
+def frozen_holder_zero(d: int = 1):
+    """The f_star "zero" as it was built, with its declared L of 1.0."""
+    return HolderFunction(
+        fn=lambda X: np.zeros(len(X)),
+        L=1.0,
+        beta=1.0,
+        domain=(tuple([0.0] * d), tuple([1.0] * d)),
+        dimension=d,
+    )
 
 
 def ppf_bisection(dist, u: float, steps: int = 200) -> float:

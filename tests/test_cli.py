@@ -621,6 +621,12 @@ NON_NORMALISABLE = {"family": "log_pareto", "a": 1, "b": 1e-6, "c": 0}
 UNRESOLVED = {"family": "log_pareto", "a": 1, "b": 1100, "c": 0}
 # A ProductPareto one past the largest dimension a config may name.
 HUGE_D_PRODUCT = {"family": "product_pareto", "alpha": 1, "sigma": 1, "d": MAX_DIMENSION + 1}
+# Pareto densities whose scale alpha / sigma underflows to 0 or overflows.
+BAD_SCALES = {
+    "underflow": {"family": "pareto", "alpha": 1e-300, "sigma": 1e300},
+    "overflow": {"family": "pareto", "alpha": 1e300, "sigma": 1e-300},
+    "product_underflow": {"family": "product_pareto", "alpha": 1e-300, "sigma": 1e300, "d": 2},
+}
 # A float field of each config, as a dotted path.
 FLOAT_FIELDS = {
     "transfer": "source.alpha",
@@ -713,6 +719,17 @@ def bad_config_cases():
         cases.append(
             pytest.param(command, body, field, id=f"{command}-{field}=unresolved")
         )
+    for command, field, scale in (
+        ("transfer", "source", "underflow"),
+        ("transfer", "target", "underflow"),
+        ("transfer", "source", "overflow"),
+        ("transfer", "source", "product_underflow"),
+        ("check-regularity", "distribution", "underflow"),
+    ):
+        body = with_field(CONFIG_COMMANDS[command][0], field, BAD_SCALES[scale])
+        cases.append(
+            pytest.param(command, body, field, id=f"{command}-{field}=scale_{scale}")
+        )
     return cases
 
 
@@ -750,6 +767,9 @@ class TestFlags:
             ("--log-m", "-330:0:10"),
             # transfer's grid: a negative gamma is rejected before any gamma runs
             ("--gamma-grid", "-1:1:0.5"),
+            # a point count that overflows a float
+            ("--gamma-grid", "0:1e300:1e-300"),
+            ("--log-m", "0:1e300:1e-300"),
         ],
     )
     def test_phase_names_the_flag(self, tmp_path, capsys, flag, value):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,12 @@ from scipy.integrate import quad
 
 from conftest import (
     ball_mass_with_error,
+    frozen_ball_mass,
+    frozen_cdf,
+    frozen_density,
+    frozen_holder_call,
+    frozen_holder_zero,
+    frozen_zeta,
     holder_budget,
     local_mass_check_loop,
     log_density_loop,
@@ -27,13 +34,14 @@ from transfer_knn.distributions import (
     closed_form_indices,
     family_from_spec,
     holder_constant,
+    holder_from_spec,
     holder_parabola,
-    holder_zero,
     local_mass_check,
     noise_from_spec,
     zeta,
 )
 from transfer_knn.errors import ConfigError, NoClosedFormError, RadiusSearchError
+from transfer_knn.harness import bump_ensemble
 
 ONE_D_VARIANTS = [
     Pareto(1.0, 1.0),
@@ -89,12 +97,15 @@ class TestDensity:
         want = np.prod([factor.density(v) for v in x])
         assert np.isclose(pp.density(x), want, rtol=1e-12)
 
+    # The density bound D of the class P(D, theta) is the density at the
+    # left end of the support, which the support rule keeps inside.
+
     @pytest.mark.parametrize("dist", ONE_D_VARIANTS, ids=str)
     def test_density_bound_holds_on_grid(self, dist):
         lo, hi = dist.support
         top = lo + 30.0 if math.isinf(hi) else hi
         xs = np.linspace(lo, top, 400)
-        assert np.all(dist.density(xs) <= dist.density_bound * (1 + 1e-12))
+        assert np.all(dist.density(xs) <= dist.density(lo) * (1 + 1e-12))
 
     @pytest.mark.parametrize(
         "dist, formula",
@@ -109,19 +120,25 @@ class TestDensity:
         ids=str,
     )
     def test_density_bound_formula(self, dist, formula):
-        assert dist.density_bound == formula
+        lo = dist.support[0]
+        if dist.dimension == 1:
+            assert dist.density(lo) == formula
+        else:
+            # The d factors are multiplied in turn, which can differ from
+            # the d-th power in the last bit.
+            got = dist.density(np.full(dist.dimension, lo))
+            assert math.isclose(got, formula, rel_tol=1e-15)
 
     @pytest.mark.parametrize(
         "dist", [LogPareto(1.0, 1.0, 2.0), LogPareto(1.0, 0.7, 0.0)], ids=str
     )
     def test_log_pareto_density_bound_is_density_at_two(self, dist):
-        assert dist.density_bound == dist.density(2.0)
-
+        # The normaliser, checked against an independent quadrature.
         def raw(x):
             return x ** -(dist.b + 1.0) * math.log(x) ** -dist.c
 
         want = raw(2.0) / quad(raw, 2.0, math.inf)[0]
-        assert math.isclose(dist.density_bound, want, rel_tol=1e-9)
+        assert math.isclose(dist.density(2.0), want, rel_tol=1e-9)
 
     def test_log_density_consistency(self):
         for dist in ONE_D_VARIANTS:
@@ -145,6 +162,184 @@ class TestLogParetoNormaliser:
             LogPareto(1.0, b, 0.0)._norm
         with pytest.raises(ConfigError, match="'distribution'"):
             family_from_spec({"family": "log_pareto", "a": 1, "b": b, "c": 0})
+
+
+# Points where a support, NaN or scalar rule can go wrong: signed zeros,
+# infinities, NaN, the float extremes and values either side of 0.
+EDGE_POINTS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300, -1e-300,
+    5e-324, -5e-324, -1.0, 0.5, 1.0, 2.0, 3.0,
+]
+# The 1-D variants and parameters at the float extremes.
+RULE_FAMILIES = ONE_D_VARIANTS + [
+    Pareto(1e-300, 1.0),
+    Pareto(2.0, 1e-300),
+    Exponential(1e300),
+    Exponential(1e-300),
+    Uniform(0.0, 5e-324),
+]
+
+
+def rule_points(dist):
+    """EDGE_POINTS, the finite support ends with their neighbours, and
+    random points near the left end and across scales."""
+    rng = np.random.default_rng(2024)
+    ends = [v for v in dist.support if math.isfinite(v)]
+    return np.concatenate([
+        EDGE_POINTS,
+        with_neighbours(ends),
+        dist.support[0] + 3.0 * rng.standard_normal(12),
+        np.exp(rng.uniform(-5.0, 8.0, 12)),
+    ])
+
+
+def point_forms(xs):
+    """Each point as a float, a numpy scalar and a 0-d array, then all of
+    them as a list, a 1-D array and a 2-D array."""
+    for x in xs.tolist():
+        yield from (x, np.float64(x), np.array(x))
+    yield from (xs.tolist(), xs, xs[: len(xs) // 2 * 2].reshape(-1, 2))
+
+
+def outcome(fn, *args):
+    """fn's value, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+def assert_same(got, want):
+    """Same type, shape, dtype, values (NaN included) and signs of zero."""
+    assert type(got) is type(want)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestOneSupportRule:
+    """density, cdf, ball_mass, zeta and HolderFunction calls equal, bit for
+    bit and sign of zero for sign of zero, the code they had when each
+    family wrote out its own support, NaN and scalar rules and ball_mass
+    and zeta each chose their own ball mass (the frozen_* oracles)."""
+
+    @staticmethod
+    def frozen(fn, *args):
+        # The frozen LogPareto density overflows below x = 2.
+        with np.errstate(all="ignore"):
+            return outcome(fn, *args)
+
+    @pytest.mark.parametrize("dist", RULE_FAMILIES, ids=str)
+    def test_density_and_cdf(self, dist):
+        for x in point_forms(rule_points(dist)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = (outcome(dist.density, x), outcome(dist.cdf, x))
+            want = (self.frozen(frozen_density, dist, x), self.frozen(frozen_cdf, dist, x))
+            assert_same(got[0], want[0])
+            assert_same(got[1], want[1])
+
+    def test_uniform_wider_than_a_float(self):
+        # b - a overflows, so the frozen cdf read (x - a) / inf outside
+        # [a, b]: NaN at +-inf and just above b, -0.0 just below a.  The
+        # support rule gives 0.0 below and 1.0 above.  Inside [a, b] and
+        # at NaN the density and cdf match the frozen code.
+        dist = Uniform(-1e308, 1e308)
+        xs = rule_points(dist)
+        below, above = xs[xs < dist.a], xs[xs > dist.b]
+        assert np.isnan(self.frozen(frozen_cdf, dist, above)).all()
+        assert_same(dist.cdf(below), np.zeros(len(below)))
+        assert_same(dist.cdf(above), np.ones(len(above)))
+        for x in point_forms(xs[~((xs < dist.a) | (xs > dist.b))]):
+            assert_same(dist.density(x), self.frozen(frozen_density, dist, x))
+            assert_same(dist.cdf(x), self.frozen(frozen_cdf, dist, x))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_product_density(self, d):
+        dist = ProductPareto(1.5, 0.7, d)
+        rows = rule_points(Pareto(1.5, 0.7))
+        rows = rows[: len(rows) // d * d].reshape(-1, d)
+        for x in [*rows, rows, rows.tolist()]:
+            assert_same(dist.density(x), self.frozen(frozen_density, dist, x))
+        assert_same(outcome(dist.cdf, 1.0), self.frozen(frozen_cdf, dist, 1.0))
+
+    RADII = np.array([0.0, 5e-324, 1e-300, 0.25, 1.0, 7.5, 1e300, math.inf])
+
+    @pytest.mark.parametrize("dist", RULE_FAMILIES, ids=str)
+    def test_ball_mass(self, dist):
+        points = rule_points(dist)[::2].tolist()
+        radii = [*self.RADII.tolist(), self.RADII, self.RADII.reshape(4, 2), [-1.0, 1.0]]
+        for c in points:
+            for x in (c, np.float64(c), np.array([c]), np.array(c)):
+                for r in radii:
+                    with np.errstate(all="ignore"):
+                        got = outcome(ball_mass, dist, x, r)
+                    assert_same(got, self.frozen(frozen_ball_mass, dist, x, r))
+        two = np.array([1.0, 2.0])
+        assert_same(outcome(ball_mass, dist, two, 1.0), outcome(frozen_ball_mass, dist, two, 1.0))
+
+    @pytest.mark.parametrize("dist", RULE_FAMILIES + [Pareto(0.1, 1.0)], ids=str)
+    def test_zeta(self, dist):
+        lo = dist.support[0]
+        points = [lo, lo + 0.3, lo + 2.5, lo - 1.0, 40.0, math.nan, math.inf, -math.inf]
+        for c in points:
+            for h in (0.0, 0.05, 0.5, 0.99, 1.0):
+                with np.errstate(all="ignore"):
+                    got = outcome(zeta, dist, c, h)
+                assert_same(got, self.frozen(frozen_zeta, dist, c, h))
+        two = np.array([1.0, 2.0])
+        assert_same(outcome(zeta, dist, two, 0.5), outcome(frozen_zeta, dist, two, 0.5))
+
+    def test_two_dimensions(self):
+        dist = ProductPareto(1.0, 1.0, 2)
+        for x in (np.array([0.5, 0.5]), np.array([1.0, 2.0]), [3.0, 0.25]):
+            for h in (0.01, 0.5):
+                assert_same(zeta(dist, x, h), frozen_zeta(dist, x, h))
+            for r in [0.0, 0.5, 1e300, self.RADII, self.RADII.reshape(2, 4)]:
+                assert_same(ball_mass(dist, x, r), frozen_ball_mass(dist, x, r))
+
+    HOLDERS = [
+        holder_constant(2.5),
+        holder_constant(-1.0, 2),
+        holder_parabola(),
+        holder_from_spec({"name": "zero"}),
+        holder_from_spec({"name": "zero", "d": 3}),
+        bump_ensemble(1.0, 0.25, 1.0, 1.0, [1, 0]),
+        bump_ensemble(1.0, 0.25, 1.0, 1.0, [1, 0, 1, 1], d=2),
+    ]
+
+    @pytest.mark.parametrize("f", HOLDERS, ids=lambda f: f"d{f.dimension}")
+    def test_holder_call(self, f):
+        rng = np.random.default_rng(7)
+        rows = 2.0 * rng.random((6, f.dimension)) - 0.25
+        rows[0, 0], rows[1, -1] = -0.0, math.nan
+        if f.dimension == 1:
+            forms = [*point_forms(rows[:, 0]), rows]
+        else:
+            forms = [rows[0], rows[0].tolist(), rows, rows.tolist()]
+        for x in forms:
+            assert_same(f(x), frozen_holder_call(f, x))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_zero_spec_is_constant_zero(self, d):
+        f, old = holder_from_spec({"name": "zero", "d": d}), frozen_holder_zero(d)
+        assert (f.beta, f.domain, f.dimension) == (old.beta, old.domain, old.dimension)
+        assert f.L == 1e-12  # its sup-norm and seminorm are 0; it was declared 1.0
+        X = np.random.default_rng(d).random((5, d))
+        assert_same(f(X), old(X))
+
+    @pytest.mark.parametrize("dist", LOG_PARETO_VARIANTS, ids=str)
+    def test_log_pareto_below_two_is_silent(self, dist):
+        # The formula overflows at x = 1e-300; the frozen density warned.
+        with pytest.warns(RuntimeWarning, match="overflow encountered in power"):
+            frozen_density(dist, 1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dist.density(1e-300) == 0.0
 
 
 class TestNanPoint:
@@ -525,7 +720,7 @@ class TestClosedFormIndices:
 
 class TestHolderFunctions:
     @pytest.mark.parametrize(
-        "f", [holder_zero(), holder_constant(2.5), holder_parabola()], ids=str
+        "f", [holder_constant(0.0), holder_constant(2.5), holder_parabola()], ids=str
     )
     def test_declared_budget_holds(self, f):
         rng = np.random.default_rng(404)

@@ -12,7 +12,6 @@ from transfer_knn.distributions import (
     Uniform,
     holder_constant,
     holder_parabola,
-    holder_zero,
 )
 from transfer_knn.errors import ConfigError
 from transfer_knn.estimator import NeighborFunctionConfig, fit
@@ -59,7 +58,7 @@ class TestGenerateData:
 
     def test_noise_variance(self):
         rng = np.random.default_rng(1)
-        _, y = generate_data(UNI, holder_zero(), NoiseSpec(1.0), 100_000, rng)
+        _, y = generate_data(UNI, holder_constant(0.0), NoiseSpec(1.0), 100_000, rng)
         assert abs(float(np.var(y)) - 1.0) <= 0.02
 
     def test_determinism(self):
@@ -82,14 +81,14 @@ class TestMcExcessRisk:
         X, y = generate_data(UNI, holder_constant(c), NoiseSpec(0.0), 128, rng)
         est = fit(None, (X, y), CFG)
         n_test = 4096
-        risk = mc_excess_risk(est, holder_zero(), UNI, n_test, rng)
+        risk = mc_excess_risk(est, holder_constant(0.0), UNI, n_test, rng)
         assert abs(risk - c * c) <= 3 * c * c / math.sqrt(n_test)
 
     def test_single_test_point(self):
         rng = np.random.default_rng(4)
-        X, y = generate_data(UNI, holder_zero(), NoiseSpec(0.5), 64, rng)
+        X, y = generate_data(UNI, holder_constant(0.0), NoiseSpec(0.5), 64, rng)
         est = fit(None, (X, y), CFG)
-        risk = mc_excess_risk(est, holder_zero(), UNI, 1, rng)
+        risk = mc_excess_risk(est, holder_constant(0.0), UNI, 1, rng)
         assert risk >= 0.0
 
     def test_unbiased_across_batch_sizes(self):
@@ -243,7 +242,7 @@ class TestRegimeExperiment:
 
     def test_degenerate_zero_risk(self):
         cfg = small_config(
-            f_star=holder_zero(),
+            f_star=holder_constant(0.0),
             noise=NoiseSpec(0.0),
             m_grid=(32, 64, 128, 256, 512, 1024),
             reps=1,

@@ -212,12 +212,15 @@ class TestClosedFormOverflow:
         for _ in range(2000):
             a_p, a_q, width = (float(v) for v in 10.0 ** rng.uniform(-300, 300, size=3))
             gamma = float(rng.uniform(0.01, 3.0))
-            cases = (
+            cases = [
                 (Exponential(a_p), Exponential(a_q), exp_pair_value, (a_p, a_q)),
-                (Pareto(a_p, width), Pareto(a_q, width), pareto_equal_scale_value,
-                 (a_p, a_q, width)),
                 (Uniform(0.0, width), Uniform(0.0, width), lambda w, g: w**g, (width,)),
-            )
+            ]
+            # A Pareto whose scale alpha / sigma leaves the positive floats
+            # is refused at construction.
+            if all(0.0 < a / width < math.inf for a in (a_p, a_q)):
+                cases.insert(1, (Pareto(a_p, width), Pareto(a_q, width),
+                                 pareto_equal_scale_value, (a_p, a_q, width)))
             for P, Q, oracle, params in cases:
                 try:
                     want = oracle(*params, gamma)
