@@ -228,6 +228,11 @@ class Uniform(DistributionFamily):
     def __post_init__(self):
         if not self.a < self.b:
             raise ValueError("Uniform requires a < b")
+        # The density is 1 / (b - a), so an infinite width would make it 0.
+        if math.isinf(self.b - self.a):
+            raise ValueError(
+                f"Uniform width b - a = {self.b - self.a!r} is not a finite float"
+            )
 
     def _pdf(self, xs):
         return np.where(np.isnan(xs), math.nan, 1.0 / (self.b - self.a))

@@ -101,8 +101,7 @@ class _TreeSample:
 
     def radii(self, X, ell: int, pos) -> np.ndarray:
         """R_ell(x), the distance to the ell-th nearest point, per row of X."""
-        dist, _ = self.index.query_batch(X, ell)
-        return dist[:, -1]
+        return self.index.kth_distance(X, ell)
 
     def label_sums(self, X, k: np.ndarray, pos) -> np.ndarray:
         """Sum of the labels of each row's first k_i neighbours (k_i >= 1).
@@ -111,18 +110,22 @@ class _TreeSample:
         of k, and each group is queried at its own largest k, so no row
         fetches more than 2^(1/16) (about 1.044) times its neighbours.
         The tree's cost grows linearly in the depth, and finer groups
-        only add per-call overhead.  The sequential per-row cumsum makes
-        a row's sum independent of how many extra neighbours its group
-        fetched.
+        only add per-call overhead.  A group is queried in row blocks of
+        at most 2^20 fetched cells each, so rows that all take k = n (as
+        every row with ell sample points at its own position does) cost
+        memory linear in the rows, not rows x n at once.  The sequential
+        per-row cumsum makes a row's sum independent of how many extra
+        neighbours its group fetched.
         """
         out = np.zeros(len(X))
         bucket = np.ceil(16.0 * np.log2(k))
         for b in np.unique(bucket):
             group = np.nonzero(bucket == b)[0]
-            kg = k[group]
-            _, idx = self.index.query_batch(X[group], int(kg.max()))
-            csums = np.cumsum(self.labels[idx], axis=1)
-            out[group] = csums[np.arange(len(group)), kg - 1]
+            depth = int(k[group].max())
+            for rows in self.index.blocks(group, depth):
+                _, idx = self.index.query_batch(X[rows], depth)
+                csums = np.cumsum(self.labels[idx], axis=1)
+                out[rows] = csums[np.arange(len(rows)), k[rows] - 1]
         return out
 
 

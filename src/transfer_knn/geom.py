@@ -14,9 +14,19 @@ from scipy.spatial import cKDTree
 # Extra neighbours fetched beyond k so that ties straddling the cut can be
 # reordered deterministically without a second tree query in the common case.
 _TIE_PAD = 8
-# Largest rows x depth block of one re-query of rows whose tie block runs
-# past their fetch (16 MiB of distances and indices).
+# Largest rows x depth block of one fetch that a caller splits its rows
+# for: a label-sum group, or a re-query of rows whose tie block runs past
+# their fetch (16 MiB of distances and indices).
 _REFETCH_CELLS = 1 << 20
+
+
+def _blocks(rows, depth: int):
+    """rows in consecutive blocks of at most _REFETCH_CELLS // depth each.
+
+    A block is one row when a single row at this depth already holds more.
+    """
+    step = max(1, _REFETCH_CELLS // depth)
+    return [rows[i : i + step] for i in range(0, len(rows), step)]
 
 
 class NeighborIndex:
@@ -59,12 +69,8 @@ class NeighborIndex:
     def dimension(self) -> int:
         return self.points.shape[1]
 
-    def query_batch(self, queries, k: int):
-        """k nearest neighbours for each query row.
-
-        Returns (distances, indices), each of shape (q, k), distances
-        nondecreasing along axis 1 and ties resolved by ascending index.
-        """
+    def _checked_queries(self, queries, k: int) -> np.ndarray:
+        """queries as a (q, d) float64 array, once k and every row are checked."""
         n = len(self)
         if not 1 <= k <= n:
             raise ValueError(f"k={k} out of range [1, {n}]")
@@ -77,7 +83,25 @@ class NeighborIndex:
             )
         if not np.all(np.isfinite(q)):
             raise ValueError("query coordinates must be finite")
+        return q
 
+    def kth_distance(self, queries, k: int) -> np.ndarray:
+        """Distance from each query row to its k-th nearest point, shape (q,).
+
+        The k-th smallest distance is the same however ties are ordered,
+        so this is one tree query that returns only that distance.
+        """
+        q = self._checked_queries(queries, k)
+        return self._kdtree().query(q, k=[k])[0].reshape(len(q))
+
+    def query_batch(self, queries, k: int):
+        """k nearest neighbours for each query row.
+
+        Returns (distances, indices), each of shape (q, k), distances
+        nondecreasing along axis 1 and ties resolved by ascending index.
+        """
+        q = self._checked_queries(queries, k)
+        n = len(self)
         kq = min(n, k + _TIE_PAD)
         dist, idx = self._fetch(q, kq)
         reach = dist[:, -1].copy()
@@ -92,11 +116,16 @@ class NeighborIndex:
             if not len(rows):
                 break
             kq = min(n, 2 * kq)
-            for part in np.array_split(rows, -(-len(rows) * kq // _REFETCH_CELLS)):
+            for part in _blocks(rows, kq):
                 wide_d, wide_i = self._fetch(q[part], kq)
                 dist[part], idx[part] = wide_d[:, :k], wide_i[:, :k]
                 reach[part] = wide_d[:, -1]
         return dist, idx
+
+    def blocks(self, rows, k: int):
+        """rows split so that each block's query_batch(., k) fetch holds at
+        most _REFETCH_CELLS cells, or is one row."""
+        return _blocks(rows, min(len(self), k + _TIE_PAD))
 
     def _fetch(self, q, kq: int):
         """The tree's kq nearest points of each row, in (distance, index) order."""

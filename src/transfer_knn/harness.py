@@ -163,9 +163,13 @@ def sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     """Run reps x cells independent train/evaluate cycles.
 
     Results are reduced in (cell, rep) order regardless of completion
-    order, so the output is identical for any thread count.  This rep
+    order, so the output is identical for any thread count, and a
+    failing sweep names its first failing rep in that order.  This rep
     pool is the package's one parallel layer; one thread runs the reps
-    in a plain loop, which is faster than a one-worker pool.
+    in a plain loop, which is faster than a one-worker pool.  The pool
+    starts the reps of the largest cells (by n + m) first, so that no
+    large rep is left to run alone at the end while the other threads
+    wait.
     """
     cells = config.cells()
     tasks = [
@@ -174,8 +178,15 @@ def sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
         for rep in range(config.reps)
     ]
     if threads > 1:
+        # A stable sort: reps of equal size keep (cell, rep) order.
+        largest_first = sorted(
+            range(len(tasks)), key=lambda i: -(tasks[i][1] + tasks[i][2])
+        )
+        futures = [None] * len(tasks)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = tuple(pool.map(lambda t: _run_rep(config, *t), tasks))
+            for i in largest_first:
+                futures[i] = pool.submit(_run_rep, config, *tasks[i])
+            records = tuple(f.result() for f in futures)
     else:
         records = tuple(_run_rep(config, *t) for t in tasks)
     estimates = []
@@ -368,9 +379,7 @@ def neighbor_radius_concentration(
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
         pts = dist.sample_array(rng, n)
-        index = NeighborIndex(pts)
-        dists, _ = index.query_batch(xs, k)
-        if np.all(dists[:, -1] <= zetas):
+        if np.all(NeighborIndex(pts).kth_distance(xs, k) <= zetas):
             hits += 1
     return hits
 

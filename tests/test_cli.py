@@ -428,13 +428,10 @@ class TestSimulateCommand:
         "override",
         [
             pytest.param({"noise": {"type": "gaussian", "sigma_e": 1e308}}, id="labels-inf"),
-            pytest.param(
-                {"source": {"family": "uniform", "a": -1e308, "b": 1e308}}, id="points-inf"
-            ),
         ],
     )
     def test_rejected_sample_exits_two(self, tmp_path, capsys, override):
-        # The draws are not finite, so fit rejects them, as in a sweep rep;
+        # The labels are not finite, so fit rejects them, as in a sweep rep;
         # an overflowing draw says so through that message alone.
         cfg = write_json(tmp_path / "sim.json", dict(self.CONFIG, **override))
         out = tmp_path / "out"
@@ -626,6 +623,8 @@ BAD_SCALES = {
     "underflow": {"family": "pareto", "alpha": 1e-300, "sigma": 1e300},
     "overflow": {"family": "pareto", "alpha": 1e300, "sigma": 1e-300},
     "product_underflow": {"family": "product_pareto", "alpha": 1e-300, "sigma": 1e300, "d": 2},
+    # A Uniform whose width b - a overflows, so its density 1 / (b - a) is 0.
+    "wide": {"family": "uniform", "a": -1e308, "b": 1e308},
 }
 # A float field of each config, as a dotted path.
 FLOAT_FIELDS = {
@@ -725,6 +724,10 @@ def bad_config_cases():
         ("transfer", "source", "overflow"),
         ("transfer", "source", "product_underflow"),
         ("check-regularity", "distribution", "underflow"),
+        ("transfer", "source", "wide"),
+        ("transfer", "target", "wide"),
+        ("simulate", "source", "wide"),
+        ("check-regularity", "distribution", "wide"),
     ):
         body = with_field(CONFIG_COMMANDS[command][0], field, BAD_SCALES[scale])
         cases.append(

@@ -243,20 +243,16 @@ class TestOneSupportRule:
             assert_same(got[0], want[0])
             assert_same(got[1], want[1])
 
-    def test_uniform_wider_than_a_float(self):
-        # b - a overflows, so the frozen cdf read (x - a) / inf outside
-        # [a, b]: NaN at +-inf and just above b, -0.0 just below a.  The
-        # support rule gives 0.0 below and 1.0 above.  Inside [a, b] and
-        # at NaN the density and cdf match the frozen code.
-        dist = Uniform(-1e308, 1e308)
-        xs = rule_points(dist)
-        below, above = xs[xs < dist.a], xs[xs > dist.b]
-        assert np.isnan(self.frozen(frozen_cdf, dist, above)).all()
-        assert_same(dist.cdf(below), np.zeros(len(below)))
-        assert_same(dist.cdf(above), np.ones(len(above)))
-        for x in point_forms(xs[~((xs < dist.a) | (xs > dist.b))]):
-            assert_same(dist.density(x), self.frozen(frozen_density, dist, x))
-            assert_same(dist.cdf(x), self.frozen(frozen_cdf, dist, x))
+    def test_uniform_wider_than_a_float_refused(self):
+        # b - a overflows, so the density 1 / (b - a) would be 0 on the
+        # whole support and the cdf (x - a) / inf 0 up to b.
+        for a, b in [(-1e308, 1e308), (0.0, math.inf), (-math.inf, 0.0)]:
+            with pytest.raises(ValueError, match="width"):
+                Uniform(a, b)
+        # The widest finite width is kept, with a positive density.
+        dist = Uniform(-8e307, 8e307)
+        assert dist.density(0.0) == 1.0 / 1.6e308 > 0.0
+        assert dist.cdf(dist.b) == 1.0
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_product_density(self, d):

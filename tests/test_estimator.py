@@ -16,6 +16,7 @@ from transfer_knn.estimator import (
     neighbor_counts,
     pointwise_error_split,
 )
+from transfer_knn import geom
 from transfer_knn.geom import _TIE_PAD, NeighborIndex
 
 CFG = NeighborFunctionConfig(beta=1.0, d=1)
@@ -689,6 +690,61 @@ class TestBucketedLabelSums:
             for k, n_own in ((k_p, n), (k_q, m))
         )
         assert sum(fetched) <= bound
+
+
+class TestDuplicateGrid:
+    """n/100 copies per cell of a 10 x 10 integer grid.  Every on-grid
+    query has R_ell = 0, so p_hat = inf and k = n: the input on which the
+    radius step once ran its tie re-queries, and every such row landed in
+    one label-sum group of rows x n cells."""
+
+    N = 16384
+
+    @classmethod
+    def sample(cls):
+        rng = np.random.default_rng(89)
+        X = rng.integers(0, 10, (cls.N, 2)).astype(float)
+        return X, rng.standard_normal(cls.N), rng
+
+    def test_radii_one_tree_query(self, monkeypatch):
+        X, y, rng = self.sample()
+        sample = _TreeSample(X, y)
+        tree = sample.index._kdtree()
+        depths = []
+
+        class CountingTree:
+            def query(self, q, k):
+                depths.append(k)
+                return tree.query(q, k=k)
+
+        monkeypatch.setattr(sample.index, "_kdtree", CountingTree)
+        queries = rng.integers(0, 10, (2000, 2)).astype(float)
+        ell = math.ceil(math.log(self.N * 1024))
+        assert np.all(sample.radii(queries, ell, None) == 0.0)
+        assert depths == [[ell]]
+
+    def test_label_sums_fetched_in_blocks(self, monkeypatch):
+        X, y, rng = self.sample()
+        est = fit((X, y), None, NeighborFunctionConfig(beta=1.0, d=2))
+        queries = np.concatenate(
+            [rng.integers(0, 10, (80, 2)), rng.integers(0, 10, (40, 2)) + 0.5]
+        ).astype(float)
+        _, k, _, p_hat, _ = est.predict_batch(queries)
+        assert np.all(p_hat[:80] == math.inf) and np.all(k[:80] == self.N)
+
+        fetched = []
+        original = NeighborIndex._fetch
+
+        def recording(self, q, kq):
+            fetched.append((len(q), kq))
+            return original(self, q, kq)
+
+        monkeypatch.setattr(NeighborIndex, "_fetch", recording)
+        got = est._source.label_sums(queries, k, None)
+        assert len(fetched) > 1
+        assert all(rows * kq <= max(geom._REFETCH_CELLS, kq) for rows, kq in fetched)
+        want = [oracle_label_sum(X, y, x, ki) for x, ki in zip(queries, k)]
+        assert got.tolist() == want
 
 
 class TestCsvInterfaces:

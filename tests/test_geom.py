@@ -7,6 +7,7 @@ from scipy.spatial import cKDTree
 
 from conftest import brute_force_knn, brute_force_knn_rows
 from transfer_knn import geom
+from transfer_knn.distributions import ProductPareto
 from transfer_knn.geom import _TIE_PAD, NeighborIndex
 
 
@@ -117,6 +118,46 @@ class TestKthDistance:
             x = rng.random(3)
             dists = [kth(idx, x, k) for k in range(1, 61)]
             assert dists == sorted(dists)
+
+    @staticmethod
+    def sample_case(kind):
+        """Points and queries of a d = 2 sample: continuous ProductPareto
+        draws, or n/100 copies per cell of a 10 x 10 integer grid queried
+        on and between its points."""
+        rng = np.random.default_rng(131)
+        n = 2048
+        if kind == "product_pareto":
+            pts = ProductPareto(1.0, 1.0, 2).sample_array(rng, n)
+            queries = ProductPareto(2.0, 1.0, 2).sample_array(rng, 300)
+        else:
+            pts = rng.integers(0, 10, (n, 2)).astype(float)
+            queries = np.concatenate(
+                [rng.integers(0, 10, (150, 2)), rng.integers(0, 10, (150, 2)) + 0.5]
+            ).astype(float)
+        return pts, queries
+
+    @pytest.mark.parametrize("kind", ["product_pareto", "grid"])
+    def test_kth_distance_is_last_query_batch_distance(self, kind):
+        pts, queries = self.sample_case(kind)
+        idx = NeighborIndex(pts)
+        # k = 1, the estimator's ell = ceil(log(n m)) at m = n, and k = n
+        for k in (1, 16, len(pts)):
+            got = idx.kth_distance(queries, k)
+            want = idx.query_batch(queries, k)[0][:, -1]
+            assert got.shape == (len(queries),) and got.dtype == np.float64
+            assert np.array_equal(got, want)
+
+    def test_kth_distance_checks_as_query_batch(self):
+        idx = NeighborIndex(np.ones((4, 2)))
+        for queries, k in [
+            (np.ones((1, 3)), 1),
+            (np.ones((1, 2)), 0),
+            (np.ones((1, 2)), 5),
+            (np.full((1, 2), np.nan), 1),
+        ]:
+            for method in (idx.kth_distance, idx.query_batch):
+                with pytest.raises(ValueError):
+                    method(queries, k)
 
 
 class TestInvariants:

@@ -1,19 +1,22 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from conftest import holder_budget
+from transfer_knn import harness
 from transfer_knn.distributions import (
     Exponential,
     NoiseSpec,
     Pareto,
+    ProductPareto,
     Uniform,
     holder_constant,
     holder_parabola,
 )
-from transfer_knn.errors import ConfigError
+from transfer_knn.errors import ConfigError, NumericError
 from transfer_knn.estimator import NeighborFunctionConfig, fit
 from transfer_knn.harness import (
     ExperimentConfig,
@@ -131,6 +134,57 @@ class TestSweep:
             risks = [r.risk for r in result.records if (r.n, r.m) == (est.n, est.m)]
             assert math.isclose(est.mean, float(np.mean(risks)), rel_tol=1e-15)
             assert math.isclose(est.q50, float(np.quantile(risks, 0.5)), rel_tol=1e-15)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_thread_count_invariance_2d(self, threads):
+        cfg = small_config(
+            source=ProductPareto(1.0, 1.0, 2),
+            target=ProductPareto(2.0, 1.0, 2),
+            f_star=holder_constant(0.0, 2),
+            estimator=NeighborFunctionConfig(beta=1.0, d=2),
+            n_grid=(64, 256),
+            m_grid=(32,),
+            reps=3,
+            n_test=64,
+        )
+        assert sweep(cfg, threads=threads) == sweep(cfg, threads=1)
+
+    def test_largest_cell_reps_start_first(self, monkeypatch):
+        cfg = small_config(m_grid=(32, 64, 128))
+        want = sweep(cfg)
+        started = []
+        lock = threading.Lock()
+        # The first two reps each wait until both have started, so the
+        # two that start first are the two that the pool dequeued first.
+        both = threading.Barrier(2, timeout=30)
+        original = harness._run_rep
+
+        def recording(config, ci, n, m, rep):
+            with lock:
+                started.append((n, m, rep))
+                first = len(started) <= 2
+            if first:
+                both.wait()
+            return original(config, ci, n, m, rep)
+
+        monkeypatch.setattr(harness, "_run_rep", recording)
+        assert sweep(cfg, threads=2) == want
+        assert sorted(started[:2]) == [(0, 128, 0), (0, 128, 1)]
+        assert sorted(started) == sorted((0, m, rep) for m in (32, 64, 128) for rep in range(3))
+
+    def test_failure_names_first_failing_rep_in_cell_order(self, monkeypatch):
+        # The large cell's reps start, and fail, first; the error still
+        # names the small cell's first rep.
+        original = harness.fit
+
+        def failing_fit(source, target, config):
+            if len(target[1]) in (32, 128):
+                raise FloatingPointError("overflow in the density step")
+            return original(source, target, config)
+
+        monkeypatch.setattr(harness, "fit", failing_fit)
+        with pytest.raises(NumericError, match=r"cell \(n=0, m=32\), rep 0$"):
+            sweep(small_config(m_grid=(32, 64, 128)), threads=2)
 
     def test_source_cells_use_source_family(self):
         cfg = small_config(
