@@ -380,8 +380,7 @@ def _cmd_check_regularity(args, stager: OutputStager) -> None:
     if dist.dimension != 1:
         raise ConfigError("distribution", "regularity grid check requires 1-D")
     try:
-        with np.errstate(over="ignore"):
-            x_grid = dist.ppf((np.arange(nx) + 0.5) / nx)
+        x_grid = dist.ppf((np.arange(nx) + 0.5) / nx)
     except RadiusSearchError as exc:
         raise ConfigError("distribution", f"x grid: {exc}") from None
     if not np.all(np.isfinite(x_grid)):

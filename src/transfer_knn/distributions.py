@@ -45,14 +45,16 @@ def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
 class DistributionFamily:
     """Base class; subclasses are frozen dataclasses of parameters.
 
-    The base owns the support, NaN and scalar rules of every 1-D density
-    and cdf.  A 1-D family gives only its formula on a float64 array,
-    `_pdf(xs)` and `_cdf(xs)`.  It is evaluated at every point with its
-    numpy warnings silenced, then set to 0 below the support and to 0
-    (density) or 1 (cdf) above it; a scalar point gets a float.  A NaN
-    point fails both support tests, so it reaches the formula, which
-    must carry it: density, log_density and cdf return NaN there rather
-    than a probability.
+    The base owns the support, NaN and scalar rules of every 1-D density,
+    cdf and ppf.  A 1-D family gives only its formulas on a float64 array:
+    `_pdf(xs)`, `_cdf(xs)` and, if it has a closed-form quantile, `_ppf(us)`
+    (the base one bisects the cdf).  Each is evaluated at every point with
+    its numpy warnings silenced, as every sampler draws; a density is then
+    set to 0 outside the support and a cdf to 0 below it and 1 above it,
+    and a scalar point or level gets a float.  A NaN point fails both
+    support tests, so it reaches the formula, which must carry it:
+    density, log_density and cdf return NaN there rather than a
+    probability.
     """
 
     dimension: int = 1
@@ -79,13 +81,16 @@ class DistributionFamily:
         return _maybe_scalar(np.where(xs < lo, 0.0, np.where(xs > hi, 1.0, val)), x)
 
     def ppf(self, u):
-        """Quantile function; numeric bisection unless overridden.
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            return _maybe_scalar(self._ppf(np.asarray(u, dtype=np.float64)), u)
 
-        Every level u is bisected in the same pass, each in its own
-        bracket, and takes the cdf steps it would take alone.
+    def _ppf(self, levels):
+        """Numeric bisection of the cdf at levels in (0, 1).  Every level
+        is bisected in the same pass, each in its own bracket, and takes
+        the cdf steps it would take alone.
         """
         lo, hi = self.support
-        us = np.asarray(u, dtype=np.float64).reshape(-1)
+        us = levels.reshape(-1)
         if not np.all((0.0 < us) & (us < 1.0)):
             raise ValueError("ppf argument must lie in (0, 1)")
         a = np.full(len(us), lo)
@@ -112,7 +117,7 @@ class DistributionFamily:
             below = self.cdf(mid) < us[rows]
             a[rows[below]] = mid[below]
             b[rows[~below]] = mid[~below]
-        return _maybe_scalar(b.reshape(np.shape(u)), u)
+        return b.reshape(levels.shape)
 
     # -- sampling --------------------------------------------------------
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -167,11 +172,8 @@ class Pareto(DistributionFamily):
     def _cdf(self, xs):
         return 1.0 - np.power(1.0 + xs / self.sigma, -self.alpha)
 
-    def ppf(self, u):
-        us = np.asarray(u, dtype=np.float64)
-        return _maybe_scalar(
-            self.sigma * (np.power(1.0 - us, -1.0 / self.alpha) - 1.0), u
-        )
+    def _ppf(self, us):
+        return self.sigma * (np.power(1.0 - us, -1.0 / self.alpha) - 1.0)
 
     @property
     def support(self):
@@ -205,9 +207,8 @@ class Exponential(DistributionFamily):
         # np.maximum turns x = -0.0 into 0.0, so the cdf there is 0.0, not -0.0.
         return -np.expm1(-self.lam * np.maximum(xs, 0.0))
 
-    def ppf(self, u):
-        us = np.asarray(u, dtype=np.float64)
-        return _maybe_scalar(-np.log1p(-us) / self.lam, u)
+    def _ppf(self, us):
+        return -np.log1p(-us) / self.lam
 
     @property
     def support(self):
@@ -240,9 +241,8 @@ class Uniform(DistributionFamily):
     def _cdf(self, xs):
         return (xs - self.a) / (self.b - self.a)
 
-    def ppf(self, u):
-        us = np.asarray(u, dtype=np.float64)
-        return _maybe_scalar(self.a + us * (self.b - self.a), u)
+    def _ppf(self, us):
+        return self.a + us * (self.b - self.a)
 
     @property
     def support(self):
@@ -306,9 +306,7 @@ class ProductPareto(DistributionFamily):
         return out if xs.ndim == 2 else float(out[0])
 
     def sample_array(self, rng, n):
-        return np.asarray(
-            self._factor.ppf(rng.random((n, self.d))), dtype=np.float64
-        ).reshape(n, self.d)
+        return self._factor.ppf(rng.random((n, self.d)))
 
     @property
     def support(self):
@@ -401,14 +399,12 @@ class LogPareto(DistributionFamily):
                 out[block] = terms.reshape(len(block), -1).sum(axis=1)
         return out
 
-    def cdf(self, x):
-        xs = np.asarray(x, dtype=np.float64)
+    def _cdf(self, xs):
         flat = xs.reshape(-1)
         res = np.clip(self._raw_cdf_integral(flat) / self._norm, 0.0, 1.0)
-        res[flat < self._LEFT] = 0.0
         res[flat == math.inf] = 1.0
         res[np.isnan(flat)] = math.nan
-        return _maybe_scalar(res.reshape(xs.shape), x)
+        return res.reshape(xs.shape)
 
     def sample_array(self, rng, n):
         # Rejection from the c = 0 power-law envelope: acceptance
@@ -419,8 +415,9 @@ class LogPareto(DistributionFamily):
         while filled < n:
             todo = n - filled
             draw = max(64, int(1.3 * todo) + 16)
-            x = self._LEFT * np.power(rng.random(draw), -1.0 / self.b)
-            accept = rng.random(draw) <= np.power(log2 / np.log(x), self.c)
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                x = self._LEFT * np.power(rng.random(draw), -1.0 / self.b)
+                accept = rng.random(draw) <= np.power(log2 / np.log(x), self.c)
             got = x[accept][:todo]
             out[filled : filled + len(got)] = got
             filled += len(got)

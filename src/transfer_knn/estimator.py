@@ -227,8 +227,8 @@ class TrainedEstimator:
     """Immutable fitted state: one neighbour backend per nonempty sample."""
 
     def __init__(self, source, target, config: NeighborFunctionConfig):
-        sx, sy = _coerce_labeled(source, config.d)
-        tx, ty = _coerce_labeled(target, config.d)
+        sx, sy = _coerce_labeled(source, config.d, "source")
+        tx, ty = _coerce_labeled(target, config.d, "target")
         self.n = len(sy)
         self.m = len(ty)
         if self.n + self.m < 1:
@@ -247,7 +247,7 @@ class TrainedEstimator:
         """
         if side not in ("p", "q"):
             raise ValueError(f"side must be 'p' or 'q', got {side!r}")
-        X = _coerce_points(X, self.config.d)
+        X = _coerce_points(X, self.config.d, "query")
         cfg = self.config
         sample, kappa = (
             (self._source, cfg.kappa_p) if side == "p" else (self._target, cfg.kappa_q)
@@ -275,29 +275,29 @@ class TrainedEstimator:
         return values, k_p, k_q, p_hat, q_hat
 
 
-def _coerce_points(X, d: int) -> np.ndarray:
+def _coerce_points(X, d: int, name: str) -> np.ndarray:
     arr = np.asarray(X, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[:, None] if d == 1 else arr[None, :]
     if arr.size == 0:
         arr = arr.reshape(0, d)
     if arr.ndim != 2 or arr.shape[1] != d:
-        raise ValueError(f"points must have shape (n, {d})")
+        raise ValueError(f"{name} points must have shape (n, {d})")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("coordinates must be finite")
+        raise ValueError(f"{name} coordinates must be finite")
     return arr
 
 
-def _coerce_labeled(data, d: int):
+def _coerce_labeled(data, d: int, name: str):
     if data is None:
         return np.empty((0, d)), np.empty(0)
     X, y = data
-    X = _coerce_points(X, d)
+    X = _coerce_points(X, d, name)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if len(y) != len(X):
-        raise ValueError("labels and points must have equal length")
+        raise ValueError(f"{name} labels and points must have equal length")
     if not np.all(np.isfinite(y)):
-        raise ValueError("labels must be finite")
+        raise ValueError(f"{name} labels must be finite")
     return X, y
 
 

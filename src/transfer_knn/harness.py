@@ -155,7 +155,9 @@ def _run_rep(config: ExperimentConfig, cell_idx: int, n: int, m: int, rep: int):
         est = fit(source, target, config.estimator)
         risk = mc_excess_risk(est, config.f_star, config.target, config.n_test, rng_test)
     except Exception as exc:
-        raise NumericError(f"estimator failed at cell (n={n}, m={m}), rep {rep}") from exc
+        raise NumericError(
+            f"estimator failed at cell (n={n}, m={m}), rep {rep}: {exc}"
+        ) from exc
     return RepRecord(n=n, m=m, rep=rep, risk=risk, seed=seed_id)
 
 

@@ -133,7 +133,9 @@ def theoretical_rate(params: RateParams, mode: str = "exponents_only") -> Regime
     if full:
         if not max(n, m) >= 2:
             raise ConfigError("n, m", "full mode needs n or m >= 2 for the log factors")
-        log_nm = math.log(max(n, 1.0) * max(m, 1.0))
+        n1, m1 = max(n, 1.0), max(m, 1.0)
+        # n m can pass the largest float where its log does not.
+        log_nm = math.log(n1 * m1) if n1 * m1 < math.inf else math.log(n1) + math.log(m1)
 
     def term(size: float, exp: float) -> float:
         """One sample's rate factor; an absent sample (size 0) gives none."""

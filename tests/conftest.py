@@ -212,7 +212,9 @@ def _frozen_pow_rate(size: float, exp: float) -> float:
 def frozen_theoretical_rate(params, mode: str = "exponents_only") -> RegimeReport:
     """rates.theoretical_rate as it was with one hand-written copy of each
     rate term per mode, kept so the one-term formula can be checked
-    against it report for report and error for error.
+    against it report for report and error for error.  Its log(n m) is
+    log n + log m where the product n m overflows a float, as in the
+    library.
     """
     if mode not in ("exponents_only", "full"):
         raise ValueError(f"unknown mode '{mode}'")
@@ -229,6 +231,8 @@ def frozen_theoretical_rate(params, mode: str = "exponents_only") -> RegimeRepor
         if not max(n, m) >= 2:
             raise ConfigError("n, m", "full mode needs n or m >= 2 for the log factors")
         log_nm = math.log(max(n, 1.0) * max(m, 1.0))
+        if log_nm == math.inf:
+            log_nm = math.log(max(n, 1.0)) + math.log(max(m, 1.0))
 
     if accelerated:
         a = (r_b - s) / (gamma - s)
@@ -399,11 +403,17 @@ def frozen_density(dist, x):
 def frozen_cdf(dist, x):
     """cdf as each family wrote out its own support, NaN and scalar rules.
 
-    LogPareto keeps its own cdf, so it is read from the library.
+    LogPareto's raw integral from 2 is read from the library; its rules
+    around it are frozen here.
     """
-    if isinstance(dist, LogPareto):
-        return dist.cdf(x)
     xs = np.asarray(x, dtype=np.float64)
+    if isinstance(dist, LogPareto):
+        flat = xs.reshape(-1)
+        res = np.clip(dist._raw_cdf_integral(flat) / dist._norm, 0.0, 1.0)
+        res[flat < dist._LEFT] = 0.0
+        res[flat == math.inf] = 1.0
+        res[np.isnan(flat)] = math.nan
+        return _frozen_maybe_scalar(res.reshape(xs.shape), x)
     if isinstance(dist, Pareto):
         val = 1.0 - np.power(1.0 + np.maximum(xs, 0.0) / dist.sigma, -dist.alpha)
         return _frozen_maybe_scalar(np.where(xs < 0.0, 0.0, val), x)
@@ -415,6 +425,49 @@ def frozen_cdf(dist, x):
             np.clip((xs - dist.a) / (dist.b - dist.a), 0.0, 1.0), x
         )
     raise NotImplementedError(f"{type(dist).__name__} has no 1-D CDF")
+
+
+def frozen_ppf(dist, u):
+    """ppf as Pareto, Exponential and Uniform each wrote out its own
+    formula and scalar rule, and as the others bisected frozen_cdf.  Its
+    numpy warnings are the caller's to silence.
+    """
+    us = np.asarray(u, dtype=np.float64)
+    if isinstance(dist, Pareto):
+        return _frozen_maybe_scalar(
+            dist.sigma * (np.power(1.0 - us, -1.0 / dist.alpha) - 1.0), u
+        )
+    if isinstance(dist, Exponential):
+        return _frozen_maybe_scalar(-np.log1p(-us) / dist.lam, u)
+    if isinstance(dist, Uniform):
+        return _frozen_maybe_scalar(dist.a + us * (dist.b - dist.a), u)
+    lo, hi = dist.support
+    us = us.reshape(-1)
+    if not np.all((0.0 < us) & (us < 1.0)):
+        raise ValueError("ppf argument must lie in (0, 1)")
+    a = np.full(len(us), lo)
+    b = np.full(len(us), min(hi, lo + 1.0))
+    grow = np.flatnonzero(frozen_cdf(dist, b) < us)
+    while len(grow):
+        b[grow] = lo + 2.0 * (b[grow] - lo)
+        beyond = grow[b[grow] - lo > ZETA_BRACKET_CAP]
+        if len(beyond):
+            raise RadiusSearchError(
+                f"quantile u = {float(us[beyond[0]])!r} lies beyond the "
+                f"bracket cap x = {lo + ZETA_BRACKET_CAP:.6g}"
+            )
+        grow = grow[frozen_cdf(dist, b[grow]) < us[grow]]
+    rows = np.arange(len(us))
+    for _ in range(200):
+        mid = 0.5 * (a[rows] + b[rows])
+        moving = (mid > a[rows]) & (mid < b[rows])
+        rows, mid = rows[moving], mid[moving]
+        if not len(rows):
+            break
+        below = frozen_cdf(dist, mid) < us[rows]
+        a[rows[below]] = mid[below]
+        b[rows[~below]] = mid[~below]
+    return _frozen_maybe_scalar(b.reshape(np.shape(u)), u)
 
 
 def _frozen_mc_mass(dist, x):

@@ -286,6 +286,29 @@ class TestSweepCommand:
         assert "Traceback" not in err
         assert not list(out.glob("*"))
 
+    def test_overflowing_draw_exits_two_naming_source(self, tmp_path, capsys):
+        # Exp(1e-308)'s quantile passes the largest float from u = 0.834
+        # on, so rep 0 of seed 1 draws an infinite source point, silently.
+        body = dict(
+            EXPERIMENT,
+            source={"family": "exponential", "lambda": 1e-308},
+            n_grid=[10],
+            m_grid=[0],
+            seed=1,
+        )
+        cfg = write_json(tmp_path / "e.json", body)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert (
+            "cell (n=10, m=0), rep 0: source coordinates must be finite" in err
+        )
+        assert "Traceback" not in err
+        assert not list(out.glob("*"))
+
     def test_zero_cell_rejected_at_parse_time(self, tmp_path, capsys):
         grids = dict(
             EXPERIMENT,

@@ -15,6 +15,7 @@ from conftest import (
     frozen_density,
     frozen_holder_call,
     frozen_holder_zero,
+    frozen_ppf,
     frozen_zeta,
     holder_budget,
     local_mass_check_loop,
@@ -336,6 +337,61 @@ class TestOneSupportRule:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert dist.density(1e-300) == 0.0
+
+
+# Levels where a quantile rule can go wrong: the ends of [0, 1], the
+# last float below 1, signed zero, NaN and levels outside [0, 1].
+EDGE_LEVELS = np.array(
+    [0.0, -0.0, 0.5, 1.0 - 2.0**-53, 1.0, 5e-324, -0.5, 1.5, -math.inf, math.inf, math.nan]
+)
+# Levels inside (0, 1), where the bisection runs.
+INNER_LEVELS = np.array([1e-12, 0.05, 0.25, 0.5, 0.75, 0.9])
+# Quantiles that pass the largest float, at levels below 1.
+OVERFLOWING_1D = [Exponential(1e-308), Pareto(1e-10, 1.0)]
+
+
+class TestOneQuantileRule:
+    """ppf and the inverse-cdf draws equal, bit for bit and sign of zero
+    for sign of zero, the code they had when Pareto, Exponential and
+    Uniform each wrote out their own ppf (frozen_ppf), and warn nothing."""
+
+    @pytest.mark.parametrize("dist", RULE_FAMILIES + OVERFLOWING_1D, ids=str)
+    def test_ppf(self, dist):
+        for u in [*point_forms(EDGE_LEVELS), *point_forms(INNER_LEVELS)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = outcome(dist.ppf, u)
+            with np.errstate(all="ignore"):
+                assert_same(got, outcome(frozen_ppf, dist, u))
+
+    @pytest.mark.parametrize(
+        "dist", OVERFLOWING_1D + [ProductPareto(1e-3, 1.0, 2)], ids=str
+    )
+    def test_overflowing_draws_are_silent_infinities(self, dist):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dist.sample_array(np.random.default_rng(11), 500)
+        us = np.random.default_rng(11).random((500, dist.dimension))
+        with np.errstate(all="ignore"):
+            assert_same(got, frozen_ppf(getattr(dist, "_factor", dist), us))
+        assert np.isinf(got).any()
+
+    @pytest.mark.parametrize("c", [0.0, 0.5])
+    def test_log_pareto_draws_are_silent(self, c):
+        # The envelope draw x = 2 u^-1000 overflows for u < 0.49; such a
+        # draw is kept at c = 0 and rejected at c > 0, where its
+        # acceptance probability (log 2 / log x)^c is 0.
+        dist = LogPareto(1.0, 1e-3, c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dist.sample_array(np.random.default_rng(3), 50)
+        assert got.shape == (50, 1) and np.all(got >= 2.0)
+        assert np.isinf(got).any() == (c == 0.0)
+
+    def test_family_methods_are_formulas_only(self):
+        for cls in (Pareto, Exponential, Uniform):
+            assert "ppf" not in vars(cls) and "_ppf" in vars(cls)
+        assert "cdf" not in vars(LogPareto) and "_cdf" in vars(LogPareto)
 
 
 class TestNanPoint:

@@ -183,7 +183,8 @@ class TestSweep:
             return original(source, target, config)
 
         monkeypatch.setattr(harness, "fit", failing_fit)
-        with pytest.raises(NumericError, match=r"cell \(n=0, m=32\), rep 0$"):
+        want = r"cell \(n=0, m=32\), rep 0: overflow in the density step$"
+        with pytest.raises(NumericError, match=want):
             sweep(small_config(m_grid=(32, 64, 128)), threads=2)
 
     def test_source_cells_use_source_family(self):

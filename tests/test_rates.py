@@ -127,6 +127,24 @@ class TestTheoreticalRate:
         )
         assert math.isclose(rep.rate_value, want, rel_tol=1e-12)
 
+    def test_full_mode_product_past_the_largest_float(self):
+        # n m = 1e400 overflows a float; log(n m) = 400 log 10 does not.
+        rep = theoretical_rate(
+            RateParams(0.3, 0.8, 1.0, 1, 1e200, 1e200, transfer_p=2.0, transfer_q=3.0),
+            mode="full",
+        )
+        assert rep.regime == ACCELERATED
+        a = (R23 - 0.8) / (0.3 - 0.8)
+        log_nm = 400.0 * math.log(10.0)
+        want = (
+            2.0**a
+            * 3.0 ** (1 - a)
+            * (log_nm / 1e200) ** rep.source_exp
+            * (log_nm / 1e200) ** rep.target_exp
+        )
+        assert math.isclose(rep.rate_value, want, rel_tol=1e-12)
+        assert math.isclose(rep.rate_value, 1.183e-131, rel_tol=1e-3)
+
     def test_full_mode_wedge_with_missing_transfer(self):
         rep = theoretical_rate(
             RateParams(0.5, 0.5, 1.0, 1, 1000, 1000, transfer_q=1.5),
