@@ -30,7 +30,7 @@ from .errors import (
     config_object,
 )
 
-# zeta() doubles its bracket up to this radius before giving up.
+# Width past which _bisect_levels stops growing a zeta or ppf bracket.
 ZETA_BRACKET_CAP = 2.0**40
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
@@ -40,6 +40,37 @@ def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
     if np.isscalar(like) or getattr(like, "ndim", 1) == 0:
         return float(np.asarray(out).reshape(-1)[0])
     return out
+
+
+def _bisect_levels(f, levels, lo: float, start: float, beyond, settle: bool = False):
+    """Each level u's smallest t >= lo with f(t) >= u, for f non-decreasing on 1-D
+    arrays: [lo, start] doubles its width until f reaches u (past ZETA_BRACKET_CAP,
+    RadiusSearchError(beyond(u))), then is halved, at most 200 times, until its
+    midpoint is an end or, with settle, its width is at most 1e-13 times its upper
+    end and f there overshoots u by at most 1e-9.  f sees only levels still searching.
+    """
+    us = levels.reshape(-1)
+    b, grow = np.full(len(us), start), np.arange(len(us))
+    while len(grow):
+        grow = grow[f(b[grow]) < us[grow]]
+        b[grow] = lo + 2.0 * (b[grow] - lo)
+        if len(past := grow[b[grow] - lo > ZETA_BRACKET_CAP]):
+            raise RadiusSearchError(beyond(float(us[past[0]])))
+    rows, a = np.arange(len(us)), np.full(len(us), lo)
+    for _ in range(200):
+        lower, upper = a[rows], b[rows]
+        mid = 0.5 * (lower + upper)
+        go = (mid > lower) & (mid < upper)
+        if settle and np.count_nonzero(near := upper - lower <= 1e-13 * upper):
+            go[near] &= ~(f(upper[near]) - us[rows[near]] <= 1e-9)
+        # Once mid equals an end, every later step would set that end to itself.
+        rows, mid = rows[go], mid[go]
+        if not len(rows):
+            break
+        up = f(mid) >= us[rows]
+        b[rows[up]] = mid[up]
+        a[rows[~up]] = mid[~up]
+    return b.reshape(levels.shape)
 
 
 class DistributionFamily:
@@ -84,40 +115,15 @@ class DistributionFamily:
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             return _maybe_scalar(self._ppf(np.asarray(u, dtype=np.float64)), u)
 
-    def _ppf(self, levels):
-        """Numeric bisection of the cdf at levels in (0, 1).  Every level
-        is bisected in the same pass, each in its own bracket, and takes
-        the cdf steps it would take alone.
-        """
+    def _ppf(self, us):
+        """Numeric quantile at levels in (0, 1): _bisect_levels of the cdf."""
         lo, hi = self.support
-        us = levels.reshape(-1)
         if not np.all((0.0 < us) & (us < 1.0)):
             raise ValueError("ppf argument must lie in (0, 1)")
-        a = np.full(len(us), lo)
-        b = np.full(len(us), min(hi, lo + 1.0))
-        grow = np.flatnonzero(self.cdf(b) < us)
-        while len(grow):
-            b[grow] = lo + 2.0 * (b[grow] - lo)
-            beyond = grow[b[grow] - lo > ZETA_BRACKET_CAP]
-            if len(beyond):
-                raise RadiusSearchError(
-                    f"quantile u = {float(us[beyond[0]])!r} lies beyond the "
-                    f"bracket cap x = {lo + ZETA_BRACKET_CAP:.6g}"
-                )
-            grow = grow[self.cdf(b[grow]) < us[grow]]
-        rows = np.arange(len(us))
-        for _ in range(200):
-            mid = 0.5 * (a[rows] + b[rows])
-            # cdf(a) < u <= cdf(b) holds, so once mid equals an end of
-            # its bracket every later step would reassign a or b to itself.
-            moving = (mid > a[rows]) & (mid < b[rows])
-            rows, mid = rows[moving], mid[moving]
-            if not len(rows):
-                break
-            below = self.cdf(mid) < us[rows]
-            a[rows[below]] = mid[below]
-            b[rows[~below]] = mid[~below]
-        return b.reshape(levels.shape)
+        cap = f"lies beyond the bracket cap x = {lo + ZETA_BRACKET_CAP:.6g}"
+        return _bisect_levels(
+            self.cdf, us, lo, min(hi, lo + 1.0), lambda u: f"quantile u = {u!r} {cap}"
+        )
 
     # -- sampling --------------------------------------------------------
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -284,7 +290,7 @@ class ProductPareto(DistributionFamily):
         raise NotImplementedError("ProductPareto has no 1-D CDF")
 
     def log_density(self, x):
-        """log density at one point, or at each row of an (n, d) array.
+        """log density at each point of x, with points read as density reads them.
 
         Evaluates Pareto.log_density's formula on every coordinate in one
         pass, with libm's log1p (numpy's SIMD log1p can differ in the last
@@ -303,7 +309,7 @@ class ProductPareto(DistributionFamily):
         out = np.zeros(len(pts))
         for column in coords.T:
             out += column
-        return out if xs.ndim == 2 else float(out[0])
+        return float(out[0]) if len(pts) == 1 and xs.ndim <= 1 else out
 
     def sample_array(self, rng, n):
         return self._factor.ppf(rng.random((n, self.d)))
@@ -474,35 +480,13 @@ def ball_mass(dist: DistributionFamily, x, r):
 
 
 def zeta(dist: DistributionFamily, x, h: float) -> float:
-    """Smallest radius whose ball around x carries mass at least h.
-
-    Bisection refined until the radius bracket collapses in relative
-    terms and the mass overshoot is below 1e-9; the initial bracket
-    doubles from r = 1 up to 2^40 before declaring failure.  Every step
-    reads the same _mass_at function as ball_mass, so in d >= 2 the
-    fixed-seed sample is drawn and sorted once.
-    """
+    """Smallest radius whose ball around x carries mass at least h: the
+    settled _bisect_levels of the _mass_at function that ball_mass reads."""
     if not 0.0 < h <= 1.0:
         raise ValueError("h must lie in (0, 1]")
-    mass = _mass_at(dist, x)
-    lo, hi = 0.0, 1.0
-    while mass(hi) < h:
-        hi *= 2.0
-        if hi > ZETA_BRACKET_CAP:
-            raise RadiusSearchError(
-                f"no radius <= {ZETA_BRACKET_CAP:g} reaches mass {h}"
-            )
-    for _ in range(200):
-        if hi - lo <= 1e-13 * hi and mass(hi) - h <= 1e-9:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if mass(mid) >= h:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    mass, level = _mass_at(dist, x), np.array(float(h))
+    beyond = f"no radius <= {ZETA_BRACKET_CAP:g} reaches mass {h}"
+    return float(_bisect_levels(mass, level, 0.0, 1.0, lambda u: beyond, settle=True))
 
 
 @dataclass(frozen=True)

@@ -62,8 +62,8 @@ class RateParams:
                 raise ConfigError(name, f"must be positive, got {value}")
         r_beta(self.beta, self.d)
         for name, value in (("n", self.n), ("m", self.m)):
-            if not value >= 0:
-                raise ConfigError(name, f"must be nonnegative, got {value}")
+            if not 0 <= value < math.inf:
+                raise ConfigError(name, f"must be finite and nonnegative, got {value}")
         if self.n == 0 and self.m == 0:
             raise ConfigError("n, m", "cannot both vanish")
 

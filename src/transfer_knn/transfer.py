@@ -11,6 +11,7 @@ finite numerics, so any point claim would overreach.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -131,7 +132,8 @@ def _quadrature(P, Q, gamma: float) -> tuple[float, float, bool]:
     reaches outside P's diverges at once, with no node evaluated.  On a
     bounded support only that can make the integral diverge: the
     families' densities are bounded away from 0 on compact parts of
-    their support, so a large value is still a finite one.  The log
+    their support, so a large value is still a finite one, and one
+    beyond the largest float raises NumericError.  The log
     densities at each node come from the pair's memo, so every gamma
     after the first evaluates only the nodes it adds.
     """
@@ -155,10 +157,23 @@ def _quadrature(P, Q, gamma: float) -> tuple[float, float, bool]:
 
         res = improper_quad(lambda x: exp_clamped(log_g(x)), tail, lo)
         return res.value, res.error, res.converged
-    value, err = bounded_quad(lambda x: math.exp(min(log_g(x), 700.0)), lo, hi)
-    if not math.isfinite(value):
-        return math.inf, math.inf, False
-    return value, err, True
+    # The integral of g / 2^k, k = 0 first, raised until no node passes exp's 700 clamp.
+    k, peaks = 0, [0.0]
+
+    def g(x: float) -> float:
+        v = log_g(x) - k * math.log(2.0)
+        if v > 700.0:
+            peaks.append(v)
+        return math.exp(min(v, 700.0))
+
+    while peaks:
+        k += math.ceil(max(peaks) / math.log(2.0))
+        peaks.clear()
+        value, err = bounded_quad(g, lo, hi)
+    with contextlib.suppress(OverflowError):  # ldexp's, past the largest float
+        if math.isfinite(value):
+            return math.ldexp(value, k), math.ldexp(err, k), True
+    raise NumericError(f"T at gamma={gamma} is finite but exceeds the largest float")
 
 
 def transfer_value(

@@ -306,7 +306,10 @@ def quadrature_uncached(P, Q, gamma: float):
 
     transfer._quadrature with both log densities evaluated afresh at
     every node scipy asks for, shared with no other call, in x at every
-    node, and integrated by the frozen quadrature above.
+    node, and integrated by the frozen quadrature above.  On a bounded
+    support it keeps the clamp of exp at 700 that _quadrature had before
+    it integrated relative to its largest node, so there it stands for
+    _quadrature only below the clamp.
     """
 
     def log_g(x):

@@ -125,6 +125,23 @@ class TestTransferCommand:
         assert "Traceback" not in err
         assert not list(out.glob("*"))
 
+    def test_quadrature_beyond_a_float_exits_two_naming_gamma(self, tmp_path, capsys):
+        # T = (1e300)^gamma on a bounded support passes the largest float
+        # from gamma = 1.0276 on; the quadrature clamp read it as 1.014e304.
+        pair = {
+            "source": {"family": "uniform", "a": 0, "b": 1e300},
+            "target": {"family": "uniform", "a": 0, "b": 1},
+        }
+        cfg = write_json(tmp_path / "pair.json", pair)
+        out = tmp_path / "out"
+        grid = ["--gamma-grid", "1:1.1:0.05"]
+        argv = ["transfer", "--config", cfg, *grid, "--out", str(out)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "numeric failure: T at gamma=1.05 is finite" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*"))
+
 
 class TestRatesCommand:
     def test_accelerated_report(self, tmp_path):

@@ -24,6 +24,7 @@ from conftest import (
     raw_cdf_integral_loop,
     zeta_per_step,
 )
+from transfer_knn import distributions
 from transfer_knn.distributions import (
     _FAMILIES,
     Exponential,
@@ -394,6 +395,80 @@ class TestOneQuantileRule:
         assert "cdf" not in vars(LogPareto) and "_cdf" in vars(LogPareto)
 
 
+# The benchmark's four d = 2 zeta points.
+NUMERICS_POINTS = [(0.5, 0.5), (1.0, 2.0), (3.0, 0.25), (5.0, 5.0)]
+
+
+class TestOneBisection:
+    """zeta and the bisection ppf equal, type, value and sign bit for sign
+    bit, the code they had when each ran its own bracket-and-bisect loop
+    (frozen_zeta, frozen_ppf), warn nothing, and each call makes one
+    _bisect_levels call."""
+
+    @staticmethod
+    def check(call, frozen_call):
+        """call's outcome, which must equal frozen_call's and warn nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(call)
+        with np.errstate(all="ignore"):
+            assert_same(got, outcome(frozen_call))
+        return got
+
+    @pytest.mark.parametrize("x", NUMERICS_POINTS)
+    def test_zeta_at_the_numerics_points(self, x):
+        dist, x = ProductPareto(1.0, 1.0, 2), np.array(x)
+        for h in (0.01, 0.5, 1.0):
+            self.check(lambda: zeta(dist, x, h), lambda: frozen_zeta(dist, x, h))
+
+    def test_beyond_the_cap(self):
+        # Pareto(0.1, 1) has mass ~0.94 inside the cap; LogPareto(1, 0.05, 0)
+        # has x = 2 (1 - u)^-20 past it from u = 0.75 on.
+        dist = Pareto(0.1, 1.0)
+        got = self.check(
+            lambda: zeta(dist, 0.0, 0.99), lambda: frozen_zeta(dist, 0.0, 0.99)
+        )
+        assert got == (RadiusSearchError, "no radius <= 1.09951e+12 reaches mass 0.99")
+        dist = LogPareto(1.0, 0.05, 0.0)
+        for u in (0.75, np.array([0.5, 0.75, 0.8])):
+            got = self.check(lambda: dist.ppf(u), lambda: frozen_ppf(dist, u))
+            text = "quantile u = 0.75 lies beyond the bracket cap x = 1.09951e+12"
+            assert got == (RadiusSearchError, text)
+
+    @pytest.mark.parametrize(
+        "dist", ONE_D_VARIANTS + [ProductPareto(1.0, 1.0, 2)], ids=str
+    )
+    def test_nan_centre(self, dist):
+        x = math.nan if dist.dimension == 1 else np.array([math.nan, 1.0])
+        for h in (0.05, 0.5, 1.0):
+            self.check(lambda: zeta(dist, x, h), lambda: frozen_zeta(dist, x, h))
+
+    def test_one_search_per_call(self, monkeypatch):
+        searches = []
+        original = distributions._bisect_levels
+
+        def counting(*args, **kwargs):
+            searches.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(distributions, "_bisect_levels", counting)
+        calls = [
+            lambda: zeta(Uniform(0.0, 1.0), 0.5, 0.2),
+            lambda: zeta(LogPareto(1.0, 1.0, 2.0), 2.5, 0.3),
+            lambda: zeta(ProductPareto(1.0, 1.0, 2), np.array([1.0, 2.0]), 0.01),
+            lambda: LogPareto(1.0, 1.0, 2.0).ppf(0.3),
+            lambda: LogPareto(1.0, 1.0, 2.0).ppf(np.array([[0.1, 0.5], [0.9, 0.99]])),
+        ]
+        for call in calls:
+            searches.clear()
+            call()
+            assert len(searches) == 1
+        # A closed-form quantile does not search.
+        searches.clear()
+        Pareto(1.0, 1.0).ppf(np.array([0.1, 0.5]))
+        assert searches == []
+
+
 class TestNanPoint:
     """A NaN point comes out as NaN, never as a probability or a density."""
 
@@ -436,6 +511,13 @@ class TestLogDensityRows:
         for i in range(4):
             got = P.log_density(X[i])
             assert isinstance(got, float) and got == want[i]
+
+    def test_product_pareto_flat_points_are_rows(self):
+        # A 1-D array of two points is two rows, as density reads it.
+        P = ProductPareto(1.0, 1.0, 2)
+        got = P.log_density([0.5, 0.5, 1.0, 2.0])
+        assert got.shape == (2,) == P.density([0.5, 0.5, 1.0, 2.0]).shape
+        assert got.tolist() == [P.log_density([0.5, 0.5]), P.log_density([1.0, 2.0])]
 
 
 class TestSampling:

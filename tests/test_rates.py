@@ -160,6 +160,14 @@ class TestTheoreticalRate:
             with pytest.raises(ConfigError, match=f"'{field}': must be positive"):
                 RateParams(1.0, 0.2, 1.0, 1, 1e4, 1e5, **values)
 
+    def test_non_finite_sample_size_rejected(self):
+        # An infinite n read as a rate of NaN (full mode) or 0.0, unflagged.
+        for field in ("n", "m"):
+            for value in (math.inf, math.nan):
+                sizes = {"n": 1e4, "m": 1e5, field: value}
+                with pytest.raises(ConfigError, match=f"'{field}': must be finite"):
+                    RateParams(1.0, 0.2, 1.0, 1, **sizes, transfer_p=2.0, transfer_q=3.0)
+
     def test_full_mode_needs_log_scale(self):
         with pytest.raises(ValueError):
             theoretical_rate(

@@ -232,6 +232,40 @@ class TestClosedFormOverflow:
         assert checked > 1000
 
 
+class TestBoundedQuadratureOverflow:
+    """A bounded-support integrand past exp's 700 clamp is integrated as g / 2^k
+    and scaled back, so its T is right or, past the largest float, raises;
+    below the clamp every T is the one the clamped rule gave."""
+
+    # T = (1e300)^gamma, whose log 690.8 gamma passes 700 from gamma = 1.0134.
+    P, Q = Uniform(0.0, 1e300), Uniform(0.0, 1.0)
+
+    def test_value_past_the_clamp(self):
+        # The clamp read every node as exp(700) and returned 1.014e304.
+        ev = transfer_value(self.P, self.Q, 1.02)
+        assert (ev.method, ev.converged) == ("quadrature", True)
+        assert math.isclose(ev.value, 1e306, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("gamma", [1.05, 1.1])
+    def test_value_beyond_a_float_raises_naming_gamma(self, gamma):
+        with pytest.raises(NumericError, match=f"T at gamma={gamma} is finite"):
+            transfer_value(self.P, self.Q, gamma)
+
+    @pytest.mark.parametrize(
+        "P, Q",
+        [
+            (Uniform(0.0, 1e300), Uniform(0.0, 1.0)),
+            (Uniform(0.0, 1e7), Uniform(0.0, 1e6)),
+            (Uniform(0.0, 2.0), Uniform(0.5, 1.5)),
+            (PAR, Uniform(0.0, 5.0)),
+        ],
+    )
+    def test_below_the_clamp_unchanged(self, P, Q):
+        for gamma in (0.3, 1.0):
+            ev = transfer_value(P, Q, gamma)
+            assert bits(ev) == bits(uncached_call(transfer_value, P, Q, gamma))
+
+
 class TestMonteCarloRows:
     """The Monte Carlo paths over the (n, d) draws equal a per-row loop bit for bit."""
 
