@@ -77,15 +77,15 @@ class DistributionFamily:
     """Base class; subclasses are frozen dataclasses of parameters.
 
     The base owns the support, NaN and scalar rules of every 1-D density,
-    cdf and ppf.  A 1-D family gives only its formulas on a float64 array:
-    `_pdf(xs)`, `_cdf(xs)` and, if it has a closed-form quantile, `_ppf(us)`
-    (the base one bisects the cdf).  Each is evaluated at every point with
-    its numpy warnings silenced, as every sampler draws; a density is then
-    set to 0 outside the support and a cdf to 0 below it and 1 above it,
-    and a scalar point or level gets a float.  A NaN point fails both
-    support tests, so it reaches the formula, which must carry it:
-    density, log_density and cdf return NaN there rather than a
-    probability.
+    log density, cdf and ppf.  A 1-D family gives only formulas: `_pdf`,
+    `_cdf` and, if its quantile has a closed form, `_ppf` (the base one
+    bisects the cdf) on a float64 array, evaluated everywhere with numpy's
+    warnings silenced, as every sampler draws; and `_log_pdf` at a float.
+    Outside the support a density is 0 and a log density -inf; a cdf is 0
+    below it and 1 from its upper end on; a scalar point or level gets a
+    float.  A NaN point fails both support tests, so it reaches the
+    formula, which must carry it: density, log_density and cdf return NaN
+    there rather than a probability.
     """
 
     dimension: int = 1
@@ -100,8 +100,11 @@ class DistributionFamily:
 
     def log_density(self, x) -> float:
         """log of the density at a single point (-inf outside support)."""
-        d = float(self.density(x))
-        return -math.inf if d <= 0.0 else math.log(d)
+        x = float(x)
+        lo, hi = self.support
+        if x < lo or x > hi:
+            return -math.inf
+        return self._log_pdf(x)
 
     # -- 1-D distribution functions ------------------------------------
     def cdf(self, x):
@@ -109,7 +112,7 @@ class DistributionFamily:
         xs = np.asarray(x, dtype=np.float64)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             val = self._cdf(xs)
-        return _maybe_scalar(np.where(xs < lo, 0.0, np.where(xs > hi, 1.0, val)), x)
+        return _maybe_scalar(np.where(xs < lo, 0.0, np.where(xs >= hi, 1.0, val)), x)
 
     def ppf(self, u):
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -167,10 +170,7 @@ class Pareto(DistributionFamily):
             1.0 + xs / self.sigma, -(self.alpha + 1.0)
         )
 
-    def log_density(self, x) -> float:
-        x = float(x)
-        if x < 0.0:
-            return -math.inf
+    def _log_pdf(self, x):
         return math.log(self.alpha / self.sigma) - (self.alpha + 1.0) * math.log1p(
             x / self.sigma
         )
@@ -203,10 +203,7 @@ class Exponential(DistributionFamily):
     def _pdf(self, xs):
         return self.lam * np.exp(-self.lam * xs)
 
-    def log_density(self, x) -> float:
-        x = float(x)
-        if x < 0.0:
-            return -math.inf
+    def _log_pdf(self, x):
         return math.log(self.lam) - self.lam * x
 
     def _cdf(self, xs):
@@ -243,6 +240,9 @@ class Uniform(DistributionFamily):
 
     def _pdf(self, xs):
         return np.where(np.isnan(xs), math.nan, 1.0 / (self.b - self.a))
+
+    def _log_pdf(self, x):
+        return math.log(self._pdf(x))
 
     def _cdf(self, xs):
         return (xs - self.a) / (self.b - self.a)
@@ -292,11 +292,10 @@ class ProductPareto(DistributionFamily):
     def log_density(self, x):
         """log density at each point of x, with points read as density reads them.
 
-        Evaluates Pareto.log_density's formula on every coordinate in one
-        pass, with libm's log1p (numpy's SIMD log1p can differ in the last
-        ulp), then adds the coordinates left to right from 0, so each row
-        is bit-identical to adding the scalar factor log densities in that
-        order.
+        Pareto's _log_pdf formula on every coordinate in one pass, with
+        libm's log1p (numpy's SIMD log1p can differ in the last ulp), then
+        the coordinates added left to right from 0: each row is bit for bit
+        the sum of the scalar factor log densities in that order.
         """
         xs = np.asarray(x, dtype=np.float64)
         pts = xs.reshape(-1, self.d)
@@ -346,8 +345,6 @@ class LogPareto(DistributionFamily):
             raise ValueError("LogPareto requires c >= 0")
 
     def _log_raw(self, x: float) -> float:
-        if x < self._LEFT:
-            return -math.inf
         lx = math.log(x)
         return -(self.b + 1.0) * lx - self.c * math.log(lx)
 
@@ -367,15 +364,18 @@ class LogPareto(DistributionFamily):
             )
         return res.value
 
+    @cached_property
+    def _log_norm(self) -> float:
+        return math.log(self._norm)
+
     def _pdf(self, xs):
         return np.power(xs, -(self.b + 1.0)) * np.power(np.log(xs), -self.c) / self._norm
 
-    def log_density(self, x) -> float:
-        lr = self._log_raw(float(x))
-        return -math.inf if lr == -math.inf else lr - math.log(self._norm)
+    def _log_pdf(self, x):
+        return self._log_raw(x) - self._log_norm
 
     def _raw_cdf_integral(self, xs: np.ndarray) -> np.ndarray:
-        """Integral of the raw density from 2 to each finite x.
+        """Integral of the raw density from 2 to each finite x, NaN at NaN.
 
         Composite Gauss-Legendre in t = log x with panel width <= 0.25,
         which stays accurate however far into the tail x reaches.  Each x
@@ -389,7 +389,7 @@ class LogPareto(DistributionFamily):
         ts = np.log(np.maximum(xs, self._LEFT))
         todo = np.flatnonzero((ts > t0) & (ts < math.inf))
         panels = np.maximum(1, np.ceil((ts[todo] - t0) / 0.25)).astype(np.int64)
-        out = np.zeros(len(ts))
+        out = np.where(np.isnan(ts), math.nan, 0.0)
         for p in np.unique(panels).tolist():
             group = todo[panels == p]
             step = max(1, self._NODE_BLOCK // (p * len(_GL_NODES)))
@@ -406,11 +406,8 @@ class LogPareto(DistributionFamily):
         return out
 
     def _cdf(self, xs):
-        flat = xs.reshape(-1)
-        res = np.clip(self._raw_cdf_integral(flat) / self._norm, 0.0, 1.0)
-        res[flat == math.inf] = 1.0
-        res[np.isnan(flat)] = math.nan
-        return res.reshape(xs.shape)
+        raw = self._raw_cdf_integral(xs.reshape(-1)).reshape(xs.shape)
+        return np.clip(raw / self._norm, 0.0, 1.0)
 
     def sample_array(self, rng, n):
         # Rejection from the c = 0 power-law envelope: acceptance
@@ -566,7 +563,7 @@ def closed_form_indices(
         if P.d == Q.d:
             # The transfer integral factorises over coordinates, so the
             # finiteness boundary matches the 1-D Pareto pair.
-            return Q.alpha / (P.alpha + 1.0), Q.alpha / (Q.alpha + 1.0)
+            return closed_form_indices(P._factor, Q._factor)
         raise NoClosedFormError("product pairs need equal dimension")
     raise NoClosedFormError(
         f"no closed-form indices for ({type(P).__name__}, {type(Q).__name__})"

@@ -227,15 +227,18 @@ class TrainedEstimator:
     """Immutable fitted state: one neighbour backend per nonempty sample."""
 
     def __init__(self, source, target, config: NeighborFunctionConfig):
-        sx, sy = _coerce_labeled(source, config.d, "source")
-        tx, ty = _coerce_labeled(target, config.d, "target")
+        sx, sy, s_size = _coerce_labeled(source, config.d, "source")
+        tx, ty, t_size = _coerce_labeled(target, config.d, "target")
+        if not math.isfinite(s_size + t_size):
+            raise ValueError("source and target labels must have a finite sum of |y|")
         self.n = len(sy)
         self.m = len(ty)
         if self.n + self.m < 1:
             raise ValueError("at least one of the two samples must be nonempty")
         self.config = config
         self.joint_log = math.log(max(self.n, 1) * max(self.m, 1))
-        self.ell = int(math.ceil(config.ell_factor * self.joint_log))
+        # Past both samples every ell takes side_terms' floor branch, inf included.
+        self.ell = math.ceil(min(config.ell_factor * self.joint_log, self.n + self.m + 1))
         self._source = _sample(sx, sy)
         self._target = _sample(tx, ty)
 
@@ -290,15 +293,17 @@ def _coerce_points(X, d: int, name: str) -> np.ndarray:
 
 def _coerce_labeled(data, d: int, name: str):
     if data is None:
-        return np.empty((0, d)), np.empty(0)
+        return np.empty((0, d)), np.empty(0), 0.0
     X, y = data
     X = _coerce_points(X, d, name)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if len(y) != len(X):
         raise ValueError(f"{name} labels and points must have equal length")
-    if not np.all(np.isfinite(y)):
-        raise ValueError(f"{name} labels must be finite")
-    return X, y
+    with np.errstate(over="ignore"):
+        size = float(np.abs(y).sum())  # bounds every label sum formed from y
+    if not math.isfinite(size):
+        raise ValueError(f"{name} labels must be finite, with a finite sum of |y|")
+    return X, y, size
 
 
 def fit(source, target, config: NeighborFunctionConfig) -> TrainedEstimator:

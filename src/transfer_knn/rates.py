@@ -55,11 +55,13 @@ class RateParams:
     transfer_q: float | None = None  # T value multiplying the target factor
 
     def __post_init__(self):
-        # T(P, Q, gamma) > 0 for every pair, so a given T value must be too.
+        # T(P, Q, gamma) > 0 for every pair; a given T must be too, and finite.
         for name in ("gamma", "s", "transfer_p", "transfer_q"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ConfigError(name, f"must be positive, got {value}")
+            if name.startswith("transfer") and value == math.inf:
+                raise ConfigError(name, "must be finite, got inf")
         r_beta(self.beta, self.d)
         for name, value in (("n", self.n), ("m", self.m)):
             if not 0 <= value < math.inf:

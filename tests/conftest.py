@@ -403,6 +403,34 @@ def frozen_density(dist, x):
     return float(vals[0]) if pts.shape[0] == 1 and xs.ndim <= 1 else vals
 
 
+def frozen_log_density(dist, x):
+    """The scalar log_density as Pareto, Exponential and LogPareto each
+    wrote out its own support test, and as the others took the log of
+    density.
+    """
+    if isinstance(dist, Pareto):
+        x = float(x)
+        if x < 0.0:
+            return -math.inf
+        return math.log(dist.alpha / dist.sigma) - (dist.alpha + 1.0) * math.log1p(
+            x / dist.sigma
+        )
+    if isinstance(dist, Exponential):
+        x = float(x)
+        if x < 0.0:
+            return -math.inf
+        return math.log(dist.lam) - dist.lam * x
+    if isinstance(dist, LogPareto):
+        x = float(x)
+        if x < dist._LEFT:
+            return -math.inf
+        lx = math.log(x)
+        lr = -(dist.b + 1.0) * lx - dist.c * math.log(lx)
+        return -math.inf if lr == -math.inf else lr - math.log(dist._norm)
+    d = float(frozen_density(dist, x))
+    return -math.inf if d <= 0.0 else math.log(d)
+
+
 def frozen_cdf(dist, x):
     """cdf as each family wrote out its own support, NaN and scalar rules.
 

@@ -326,6 +326,29 @@ class TestSweepCommand:
         assert "Traceback" not in err
         assert not list(out.glob("*"))
 
+    def test_overflowing_label_sum_exits_two_naming_source(self, tmp_path, capsys):
+        body = dict(
+            EXPERIMENT,
+            source={"family": "uniform", "a": 0.0, "b": 1.0},
+            f_star={"name": "constant", "value": 1e308},
+            n_grid=[64],
+            m_grid=[0],
+            reps=1,
+        )
+        cfg = write_json(tmp_path / "e.json", body)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert (
+            "cell (n=64, m=0), rep 0: source labels must be finite, "
+            "with a finite sum of |y|" in err
+        )
+        assert "Traceback" not in err
+        assert not list(out.glob("*"))
+
     def test_zero_cell_rejected_at_parse_time(self, tmp_path, capsys):
         grids = dict(
             EXPERIMENT,
@@ -468,11 +491,14 @@ class TestSimulateCommand:
         "override",
         [
             pytest.param({"noise": {"type": "gaussian", "sigma_e": 1e308}}, id="labels-inf"),
+            # Finite labels whose sum overflows a float.
+            pytest.param({"f_star": {"name": "constant", "value": 1e308}}, id="sum-inf"),
         ],
     )
     def test_rejected_sample_exits_two(self, tmp_path, capsys, override):
-        # The labels are not finite, so fit rejects them, as in a sweep rep;
-        # an overflowing draw says so through that message alone.
+        # The labels or their sum are not finite, so fit rejects them, as
+        # in a sweep rep; an overflowing draw says so through that message
+        # alone.
         cfg = write_json(tmp_path / "sim.json", dict(self.CONFIG, **override))
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
@@ -480,9 +506,25 @@ class TestSimulateCommand:
             assert run(["simulate", "--config", cfg, "--out", str(out)]) == 2
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
-        assert "numeric failure: estimator failed on the drawn samples" in err
+        assert (
+            "numeric failure: estimator failed on the drawn samples: "
+            "source labels must be finite, with a finite sum of |y|" in err
+        )
         assert "Traceback" not in err
         assert not list(out.glob("*"))
+
+    def test_ell_past_the_float_range_is_past_the_sample(self, tmp_path):
+        # ell_factor * log(n m) is inf at 1e308; any ell beyond both samples
+        # gives the same outputs.
+        outs = []
+        for factor in (1e300, 1e308):
+            body = dict(self.CONFIG, estimator={"beta": 1.0, "d": 1, "ell_factor": factor})
+            out = tmp_path / str(factor)
+            assert run(["simulate", "--config", write_json(tmp_path / "sim.json", body),
+                        "--out", str(out)]) == 0
+            outs.append(out)
+        for name in ("train_source.csv", "train_target.csv", "predictions.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_integral_floats_read_as_integers(self, tmp_path):
         floats = dict(self.CONFIG, n=64.0, m=32.0, n_test=16.0, seed=5.0)

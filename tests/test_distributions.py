@@ -15,6 +15,7 @@ from conftest import (
     frozen_density,
     frozen_holder_call,
     frozen_holder_zero,
+    frozen_log_density,
     frozen_ppf,
     frozen_zeta,
     holder_budget,
@@ -224,10 +225,11 @@ def assert_same(got, want):
 
 
 class TestOneSupportRule:
-    """density, cdf, ball_mass, zeta and HolderFunction calls equal, bit for
-    bit and sign of zero for sign of zero, the code they had when each
-    family wrote out its own support, NaN and scalar rules and ball_mass
-    and zeta each chose their own ball mass (the frozen_* oracles)."""
+    """density, log_density, cdf, ball_mass, zeta and HolderFunction calls
+    equal, bit for bit and sign of zero for sign of zero, the code they had
+    when each family wrote out its own support, NaN and scalar rules and
+    ball_mass and zeta each chose their own ball mass (the frozen_*
+    oracles)."""
 
     @staticmethod
     def frozen(fn, *args):
@@ -244,6 +246,15 @@ class TestOneSupportRule:
             want = (self.frozen(frozen_density, dist, x), self.frozen(frozen_cdf, dist, x))
             assert_same(got[0], want[0])
             assert_same(got[1], want[1])
+
+    @pytest.mark.parametrize("dist", RULE_FAMILIES, ids=str)
+    def test_log_density(self, dist):
+        for x in rule_points(dist).tolist():
+            for form in (x, np.float64(x), np.array(x)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = outcome(dist.log_density, form)
+                assert_same(got, self.frozen(frozen_log_density, dist, form))
 
     def test_uniform_wider_than_a_float_refused(self):
         # b - a overflows, so the density 1 / (b - a) would be 0 on the
@@ -393,6 +404,8 @@ class TestOneQuantileRule:
         for cls in (Pareto, Exponential, Uniform):
             assert "ppf" not in vars(cls) and "_ppf" in vars(cls)
         assert "cdf" not in vars(LogPareto) and "_cdf" in vars(LogPareto)
+        for cls in (Pareto, Exponential, Uniform, LogPareto):
+            assert "log_density" not in vars(cls) and "_log_pdf" in vars(cls)
 
 
 # The benchmark's four d = 2 zeta points.

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,33 @@ class TestFit:
     def test_nonfinite_labels_rejected(self):
         with pytest.raises(ValueError):
             fit((np.zeros((2, 1)), np.array([1.0, np.nan])), None, CFG)
+
+    def test_ell_past_the_float_range(self):
+        # ell_factor * log(n m) = inf: ell is an int past both samples.
+        rng = np.random.default_rng(3)
+        data = (rng.random((100, 1)), rng.random(100))
+        est = fit(data, None, NeighborFunctionConfig(beta=1.0, d=1, ell_factor=1e308))
+        assert type(est.ell) is int and est.ell > est.n
+        want = fit(data, None, NeighborFunctionConfig(beta=1.0, d=1, ell_factor=1e300))
+        X = rng.random((20, 1))
+        for got, ref in zip(est.predict_batch(X), want.predict_batch(X)):
+            assert np.array_equal(got, ref)
+
+    def test_overflowing_label_sums_rejected(self):
+        # Each label is finite, but a sum of them is not: the label sums
+        # and the prefix sums they are read from would be inf or NaN.
+        big = (np.zeros((2, 1)), np.array([1e308, -1e308]))
+        one = (np.zeros((1, 1)), np.array([1e308]))
+        cases = [
+            ((big, None), "source labels must be finite, with a finite sum"),
+            ((one, big), "target labels must be finite, with a finite sum"),
+            ((one, one), "source and target labels must have a finite sum"),
+        ]
+        for (source, target), text in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"^{text} of \\|y\\|$"):
+                    fit(source, target, CFG)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_caller_points_stay_writeable(self, d):

@@ -160,6 +160,13 @@ class TestTheoreticalRate:
             with pytest.raises(ConfigError, match=f"'{field}': must be positive"):
                 RateParams(1.0, 0.2, 1.0, 1, 1e4, 1e5, **values)
 
+    def test_infinite_transfer_value_rejected(self):
+        # An infinite T is a vacuous rate term, not a missing one.
+        for field in ("transfer_p", "transfer_q"):
+            values = {"transfer_p": 2.0, "transfer_q": 3.0, field: math.inf}
+            with pytest.raises(ConfigError, match=f"'{field}': must be finite"):
+                RateParams(0.4, 0.8, 1.0, 1, 1e4, 1e5, **values)
+
     def test_non_finite_sample_size_rejected(self):
         # An infinite n read as a rate of NaN (full mode) or 0.0, unflagged.
         for field in ("n", "m"):
