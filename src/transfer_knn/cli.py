@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: transfer, rates, phase, simulate, sweep, check-regularity.
-All outputs are written atomically (temp file + rename after the whole
-run succeeds), so a failed run leaves no partial artifacts.  Exit codes:
-0 success, 1 configuration error (the message names the offending
-field), 2 numeric failure.
+All outputs are CSV files, written atomically (temp file + rename after
+the whole run succeeds), so a failed run leaves no partial artifacts.
+Exit codes: 0 success, 1 configuration error (the message names the
+offending field), 2 numeric failure.
 """
 
 from __future__ import annotations
@@ -69,11 +69,6 @@ class OutputStager:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-    def write_json(self, name: str, payload) -> None:
-        with open(self.path(name), "w") as fh:
-            json.dump(payload, fh, indent=2, allow_nan=True)
-            fh.write("\n")
 
     def commit(self) -> None:
         for tmp, final in self._staged:
@@ -182,12 +177,7 @@ def _cmd_transfer(args, stager: OutputStager) -> None:
     rows = [
         (e.gamma, e.value, e.method, e.error_estimate, e.converged) for e in evals
     ]
-    if args.format == "json":
-        stager.write_json(
-            "transfer.json", [dict(zip(header, row)) for row in rows]
-        )
-    else:
-        stager.write_rows("transfer.csv", header, rows)
+    stager.write_rows("transfer.csv", header, rows)
 
 
 def _cmd_rates(args, stager: OutputStager) -> None:
@@ -223,13 +213,9 @@ def _cmd_rates(args, stager: OutputStager) -> None:
         "source_exp": report.source_exp,
         "target_exp": report.target_exp,
         "rate": report.rate_value,
-        "flags": list(report.flags),
+        "flags": ";".join(report.flags),
     }
-    if args.format == "json":
-        stager.write_json("rates.json", payload)
-    else:
-        header = [k for k in payload if k != "flags"]
-        stager.write_rows("rates.csv", header, [tuple(payload[k] for k in header)])
+    stager.write_rows("rates.csv", list(payload), [tuple(payload.values())])
 
 
 def _cmd_phase(args, stager: OutputStager) -> None:
@@ -282,18 +268,8 @@ def _cmd_phase(args, stager: OutputStager) -> None:
         (ln.name, ln.description, ln.slope, ln.intercept)
         for ln in grid.boundary_lines
     ]
-    if args.format == "json":
-        stager.write_json(
-            "phase.json",
-            {
-                "mode": grid.mode,
-                "cells": [dict(zip(header, row)) for row in rows],
-                "boundary_lines": [dict(zip(line_header, r)) for r in line_rows],
-            },
-        )
-    else:
-        stager.write_rows("phase.csv", header, rows)
-        stager.write_rows("phase_lines.csv", line_header, line_rows)
+    stager.write_rows("phase.csv", header, rows)
+    stager.write_rows("phase_lines.csv", line_header, line_rows)
 
 
 def _cmd_simulate(args, stager: OutputStager) -> None:
@@ -345,17 +321,8 @@ def _cmd_sweep(args, stager: OutputStager) -> None:
     agg_rows = [
         (e.n, e.m, e.mean, e.stderr, e.q50, e.q90) for e in result.estimates
     ]
-    if args.format == "json":
-        stager.write_json(
-            "sweep.json",
-            {
-                "reps": [dict(zip(rep_header, r)) for r in rep_rows],
-                "aggregate": [dict(zip(agg_header, r)) for r in agg_rows],
-            },
-        )
-    else:
-        stager.write_rows("sweep_reps.csv", rep_header, rep_rows)
-        stager.write_rows("sweep_aggregate.csv", agg_header, agg_rows)
+    stager.write_rows("sweep_reps.csv", rep_header, rep_rows)
+    stager.write_rows("sweep_aggregate.csv", agg_header, agg_rows)
 
 
 def _cmd_check_regularity(args, stager: OutputStager) -> None:
@@ -387,28 +354,16 @@ def _cmd_check_regularity(args, stager: OutputStager) -> None:
         raise ConfigError("distribution", "a quantile of the x grid overflows a float")
     r_grid = [(j + 1) / nr for j in range(nr)]
     report = local_mass_check(dist, theta, x_grid, r_grid)
-    summary = {
-        "family": dist.spec(),
-        "theta": report.theta,
-        "passed": report.passed,
-        "min_ratio": report.min_ratio,
-        "max_ratio": report.max_ratio,
-        "n_checked": report.n_checked,
-        "n_failures": len(report.failures),
-    }
-    fail_header = ["x", "r", "ratio"]
-    if args.format == "json":
-        summary["failures"] = [
-            dict(zip(fail_header, f)) for f in report.failures
-        ]
-        stager.write_json("regularity.json", summary)
-    else:
-        stager.write_rows(
-            "regularity.csv",
-            ["key", "value"],
-            [(k, v) for k, v in summary.items() if k != "family"],
-        )
-        stager.write_rows("regularity_failures.csv", fail_header, report.failures)
+    summary = [
+        ("theta", report.theta),
+        ("passed", report.passed),
+        ("min_ratio", report.min_ratio),
+        ("max_ratio", report.max_ratio),
+        ("n_checked", report.n_checked),
+        ("n_failures", len(report.failures)),
+    ]
+    stager.write_rows("regularity.csv", ["key", "value"], summary)
+    stager.write_rows("regularity_failures.csv", ["x", "r", "ratio"], report.failures)
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +374,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=True):
+    def common(p):
         p.add_argument("--out", default=".", help="output directory")
-        if formats:
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("transfer", help="evaluate the transfer function on a grid")
     p.add_argument("--config", required=True)
@@ -445,7 +398,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="one train/predict cycle with CSV artifacts")
     p.add_argument("--config", required=True)
-    common(p, formats=False)
+    common(p)
     p.add_argument("--seed", type=int, default=None, help="seed override")
 
     p = sub.add_parser("sweep", help="Monte Carlo risk sweep over (n, m) cells")

@@ -14,7 +14,7 @@ threads; samplers draw from a caller-owned numpy Generator.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -141,11 +141,6 @@ class DistributionFamily:
     def local_mass_theta(self) -> float | None:
         """theta for which the family is known to lie in P(D, theta)."""
         return None
-
-    def spec(self) -> dict:
-        """The JSON object that family_from_spec reads back into this family."""
-        name = _FAMILY_NAMES[type(self)]
-        return {"family": name, **dict(zip(_FAMILIES[name][1], astuple(self)))}
 
 
 @dataclass(frozen=True)
@@ -655,7 +650,6 @@ _FAMILIES = {
     "product_pareto": (ProductPareto, ("alpha", "sigma", "d")),
     "log_pareto": (LogPareto, ("a", "b", "c")),
 }
-_FAMILY_NAMES = {cls: name for name, (cls, _) in _FAMILIES.items()}
 _FAMILY_KEYS = {key for _, fields in _FAMILIES.values() for key in fields}
 
 

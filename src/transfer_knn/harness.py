@@ -132,13 +132,21 @@ def mc_excess_risk(
     n_test: int,
     rng: np.random.Generator,
 ) -> float:
-    """Average squared prediction error over fresh target draws."""
+    """Average squared prediction error over fresh target draws.
+
+    Raises ValueError when the average is not a finite float.
+    """
     if n_test < 1:
         raise ValueError("n_test must be at least 1")
     Xq = Q.sample_array(rng, n_test)
     preds = fitted.predict_batch(Xq)[0]
     truth = np.asarray(f_star(Xq), dtype=np.float64).reshape(n_test)
-    return float(np.mean((preds - truth) ** 2))
+    # Finite labels can still give an error whose square overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        risk = float(np.mean((preds - truth) ** 2))
+    if not math.isfinite(risk):
+        raise ValueError(f"the mean squared prediction error is {risk!r}, not finite")
+    return risk
 
 
 def _run_rep(config: ExperimentConfig, cell_idx: int, n: int, m: int, rep: int):

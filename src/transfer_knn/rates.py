@@ -183,6 +183,10 @@ def theoretical_rate(params: RateParams, mode: str = "exponents_only") -> Regime
         if weight is None
     )
     if src_term == tgt_term == math.inf:
+        # An empty sample has no term, so only the other sample's T is at fault.
+        if n == 0 or m == 0:
+            field, empty = ("transfer_q", "n") if n == 0 else ("transfer_p", "m")
+            raise ConfigError(field, f"full-mode wedge needs it when {empty} = 0")
         raise ConfigError(
             "transfer_p, transfer_q", "full-mode wedge needs at least one of them"
         )
@@ -245,7 +249,6 @@ class BoundaryLine:
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    mode: str  # "nm" (fixed gamma, s) or "gamma_s" (fixed n, m)
     axis1_name: str
     axis2_name: str
     axis1: tuple
@@ -308,7 +311,7 @@ def phase_grid(
                     0.0,
                 ),
             )
-    return PhaseGrid(mode, *varied, a1, a2, reports, lines)
+    return PhaseGrid(*varied, a1, a2, reports, lines)
 
 
 @dataclass(frozen=True)

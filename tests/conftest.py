@@ -285,6 +285,10 @@ def frozen_theoretical_rate(params, mode: str = "exponents_only") -> RegimeRepor
                 params.transfer_q * (log_nm / m) ** r_t if m > 0 else math.inf
             )
         if src_term == math.inf and tgt_term == math.inf:
+            if n == 0:
+                raise ConfigError("transfer_q", "full-mode wedge needs it when n = 0")
+            if m == 0:
+                raise ConfigError("transfer_p", "full-mode wedge needs it when m = 0")
             raise ConfigError(
                 "transfer_p, transfer_q", "full-mode wedge needs at least one of them"
             )

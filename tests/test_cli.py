@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -16,6 +17,9 @@ PAIR = {
     "target": {"family": "pareto", "alpha": 1.0, "sigma": 1.0},
 }
 
+# The README rates example: accelerated.
+RATES = {"gamma": 1.0, "s": 0.2, "beta": 1.0, "d": 1, "n": 1e4, "m": 1e5}
+
 EXPERIMENT = {
     "source": None,
     "target": {"family": "uniform", "a": 0.0, "b": 1.0},
@@ -33,6 +37,12 @@ EXPERIMENT = {
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def read_csv(path):
+    """The rows of a CSV the CLI wrote, header first, each a list of fields."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 class TestGridParsing:
@@ -73,30 +83,15 @@ class TestTransferCommand:
         assert len(lines) == 22
         assert any(",inf," in ln and ln.endswith("false") for ln in lines)
 
-    def test_json_round_trip(self, tmp_path):
+    def test_csv_round_trip(self, tmp_path):
         cfg = write_json(tmp_path / "pair.json", PAIR)
         out = tmp_path / "out"
-        assert (
-            run(
-                [
-                    "transfer",
-                    "--config",
-                    cfg,
-                    "--gamma-grid",
-                    "0:0.4:0.1",
-                    "--out",
-                    str(out),
-                    "--format",
-                    "json",
-                ]
-            )
-            == 0
-        )
-        payload = json.loads((out / "transfer.json").read_text())
-        assert payload[0]["value"] == 1.0
-        assert {"gamma", "value", "method", "error_estimate", "converged"} == set(
-            payload[0]
-        )
+        argv = ["transfer", "--config", cfg, "--gamma-grid", "0:0.4:0.1", "--out", str(out)]
+        assert run(argv) == 0
+        rows = read_csv(out / "transfer.csv")
+        assert rows[0] == ["gamma", "value", "method", "error_estimate", "converged"]
+        assert len(rows) == 6
+        assert float(rows[1][1]) == 1.0
 
     def test_dimension_mismatch_names_target(self, tmp_path, capsys):
         pair = dict(
@@ -144,16 +139,53 @@ class TestTransferCommand:
 
 
 class TestRatesCommand:
-    def test_accelerated_report(self, tmp_path):
-        cfg = write_json(
-            tmp_path / "r.json",
-            {"gamma": 1.0, "s": 0.2, "beta": 1.0, "d": 1, "n": 1e4, "m": 1e5},
-        )
+    # Supercritical with m = 1e5 past the window edge n^(gamma/s) = 100.
+    FULL_WEDGE = {"gamma": 0.4, "s": 0.8, "beta": 1.0, "d": 1, "n": 1e4, "m": 1e5,
+                  "mode": "full"}
+
+    @staticmethod
+    def report(tmp_path, body):
+        """rates.csv's header and its one row, for a config body."""
+        cfg = write_json(tmp_path / "r.json", body)
         out = tmp_path / "out"
-        assert run(["rates", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
-        rep = json.loads((out / "rates.json").read_text())
+        assert run(["rates", "--config", cfg, "--out", str(out)]) == 0
+        header, row = read_csv(out / "rates.csv")
+        return header, row
+
+    def test_accelerated_report(self, tmp_path):
+        header, row = self.report(tmp_path, RATES)
+        rep = dict(zip(header, row))
         assert rep["regime"] == "accelerated"
-        assert abs(rep["source_exp"] + rep["target_exp"] - rep["r_beta"]) <= 1e-12
+        exps = float(rep["source_exp"]) + float(rep["target_exp"])
+        assert abs(exps - float(rep["r_beta"])) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "body, flags",
+        [
+            pytest.param(RATES, "", id="accelerated"),
+            pytest.param(dict(FULL_WEDGE, transfer_p=2.0, transfer_q=3.0), "", id="wedge"),
+            pytest.param(
+                dict(FULL_WEDGE, transfer_p=2.0),
+                "target term omitted: no transfer value",
+                id="wedge-no-transfer_q",
+            ),
+        ],
+    )
+    def test_flags_column(self, tmp_path, body, flags):
+        header, row = self.report(tmp_path, body)
+        assert len(header) == len(row) == 17
+        assert header[-1] == "flags" and row[-1] == flags
+
+    def test_wedge_with_empty_source_names_transfer_q(self, tmp_path, capsys):
+        # With n = 0 only the target term can give the rate, so only the
+        # missing transfer_q is at fault.
+        cfg = write_json(tmp_path / "r.json", dict(self.FULL_WEDGE, n=0, transfer_p=2.0))
+        out = tmp_path / "out"
+        assert run(["rates", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config field 'transfer_q'" in err and "transfer_p" not in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*"))
 
     def test_unknown_field_exits_one(self, tmp_path):
         cfg = write_json(tmp_path / "r.json", {"gamma": 1.0, "bogus": 2})
@@ -346,6 +378,28 @@ class TestSweepCommand:
             "cell (n=64, m=0), rep 0: source labels must be finite, "
             "with a finite sum of |y|" in err
         )
+        assert "Traceback" not in err
+        assert not list(out.glob("*"))
+
+    def test_overflowing_risk_exits_two_naming_cell(self, tmp_path, capsys):
+        # Labels and their sums are finite, but squared errors near 1e400 are not.
+        body = dict(
+            EXPERIMENT,
+            source={"family": "uniform", "a": 0.0, "b": 1.0},
+            noise={"type": "gaussian", "sigma_e": 1e200},
+            n_grid=[64],
+            m_grid=[0],
+            n_test=100,
+            seed=1,
+        )
+        cfg = write_json(tmp_path / "e.json", body)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert "cell (n=64, m=0), rep 0: the mean squared prediction error is inf" in err
         assert "Traceback" not in err
         assert not list(out.glob("*"))
 
@@ -587,13 +641,10 @@ class TestCheckRegularityCommand:
              "x_points": 10, "r_points": 5},
         )
         out = tmp_path / "out"
-        assert (
-            run(["check-regularity", "--config", cfg, "--out", str(out), "--format", "json"])
-            == 0
-        )
-        rep = json.loads((out / "regularity.json").read_text())
-        assert rep["passed"] is True
-        assert rep["theta"] == 8.0  # 2 (1 + 1/sigma)^(alpha+1)
+        assert run(["check-regularity", "--config", cfg, "--out", str(out)]) == 0
+        rep = dict(read_csv(out / "regularity.csv")[1:])
+        assert rep["passed"] == "true"
+        assert float(rep["theta"]) == 8.0  # 2 (1 + 1/sigma)^(alpha+1)
 
     def test_fail_report(self, tmp_path):
         cfg = write_json(
@@ -681,7 +732,6 @@ class TestArgvHandling:
         assert run(["explode"]) == 1
 
 
-RATES = {"gamma": 1.0, "s": 0.2, "beta": 1.0, "d": 1, "n": 1e4, "m": 1e5}
 REGULARITY = {
     "distribution": {"family": "pareto", "alpha": 1.0, "sigma": 1.0},
     "x_points": 4,
@@ -878,11 +928,7 @@ class TestFlags:
         + [("simulate", "--threads")],
     )
     def test_seed_and_threads_only_where_read(self, tmp_path, capsys, command, flag):
-        if command == "phase":
-            argv = list(self.PHASE)
-        else:
-            body, extra = CONFIG_COMMANDS[command]
-            argv = [command, "--config", write_json(tmp_path / "c.json", body)] + extra
+        argv = self.valid_argv(tmp_path, command)
         out = tmp_path / "out"
         assert run(argv + ["--out", str(out)]) == 0
         assert run(argv + ["--out", str(tmp_path / "o2"), flag, "2"]) == 1
@@ -890,17 +936,33 @@ class TestFlags:
         assert "config field 'argv'" in err and flag in err
         assert not (tmp_path / "o2").exists()
 
-    def rejects_argument(self, tmp_path, capsys, command, flag, value):
+    def valid_argv(self, tmp_path, command):
+        """A command line that command runs, without --out."""
+        if command == "phase":
+            return list(self.PHASE)
         body, extra = CONFIG_COMMANDS[command]
-        argv = [command, "--config", write_json(tmp_path / "c.json", body)] + extra
+        return [command, "--config", write_json(tmp_path / "c.json", body)] + extra
+
+    def rejects_argument(self, tmp_path, capsys, command, flag, value):
+        argv = self.valid_argv(tmp_path, command)
         assert run(argv + ["--out", str(tmp_path / "out"), flag, value]) == 1
         err = capsys.readouterr().err
         assert "config field 'argv'" in err and flag in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value", ["csv", "json"])
-    def test_simulate_has_no_format(self, tmp_path, capsys, value):
-        self.rejects_argument(tmp_path, capsys, "simulate", "--format", value)
+    @pytest.mark.parametrize(
+        "command, value",
+        [
+            (command, value)
+            for command in (
+                "transfer", "rates", "phase", "simulate", "sweep", "check-regularity"
+            )
+            for value in ("csv", "json")
+        ],
+    )
+    def test_has_no_format(self, tmp_path, capsys, command, value):
+        # Every subcommand writes CSV only.
+        self.rejects_argument(tmp_path, capsys, command, "--format", value)
 
     def test_rates_has_no_mode(self, tmp_path, capsys):
         # The config's mode field is the one way to pick full mode.

