@@ -59,13 +59,10 @@ class OutputStager:
         os.makedirs(out_dir, exist_ok=True)
         self._staged = []
 
-    def path(self, name: str) -> str:
+    def write_rows(self, name: str, header, rows) -> None:
         tmp = os.path.join(self.out_dir, f".{name}.tmp-{os.getpid()}")
         self._staged.append((tmp, os.path.join(self.out_dir, name)))
-        return tmp
-
-    def write_rows(self, name: str, header, rows) -> None:
-        with open(self.path(name), "w", newline="") as fh:
+        with open(tmp, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")

@@ -341,7 +341,8 @@ class LogPareto(DistributionFamily):
 
     def _log_raw(self, x: float) -> float:
         lx = math.log(x)
-        return -(self.b + 1.0) * lx - self.c * math.log(lx)
+        # With c = 0 the log term is absent: 0 * log(log(inf)) would be NaN.
+        return -(self.b + 1.0) * lx - (self.c * math.log(lx) if self.c else 0.0)
 
     @cached_property
     def _norm(self) -> float:

@@ -39,7 +39,6 @@ class TransferEvaluation:
 class IndexEstimate:
     """Bracket for gamma*: confirmed-finite below, diverging above."""
 
-    gamma_star_hat: float
     lower_confirmed: float
     upper_confirmed: float
     evaluations: tuple  # per-gamma TransferEvaluation diagnostics
@@ -223,10 +222,4 @@ def estimate_index(
     # above the first divergent one.
     converged = [e.gamma for e in evals if e.converged and e.gamma < upper]
     lower = max(converged) if converged else 0.0
-    hat = 0.5 * (lower + upper) if math.isfinite(upper) else upper
-    return IndexEstimate(
-        gamma_star_hat=hat,
-        lower_confirmed=lower,
-        upper_confirmed=upper,
-        evaluations=evals,
-    )
+    return IndexEstimate(lower_confirmed=lower, upper_confirmed=upper, evaluations=evals)

@@ -2,13 +2,14 @@ import csv
 import hashlib
 import json
 import math
+import sys
 import warnings
 
 import pytest
 
 from conftest import frozen_theoretical_rate, read_labeled_csv
 from transfer_knn import harness
-from transfer_knn.cli import parse_grid, run
+from transfer_knn.cli import main, parse_grid, run
 from transfer_knn.errors import MAX_DIMENSION, ConfigError
 from transfer_knn.rates import RateParams
 
@@ -31,6 +32,20 @@ EXPERIMENT = {
     "reps": 2,
     "n_test": 64,
     "seed": 77,
+}
+
+# A 2-D sweep whose larger cell's reps start first on two threads.
+SWEEP_2D = {
+    "source": {"family": "product_pareto", "alpha": 1.0, "sigma": 1.0, "d": 2},
+    "target": {"family": "product_pareto", "alpha": 2.0, "sigma": 1.0, "d": 2},
+    "f_star": {"name": "constant", "value": 0.25, "d": 2},
+    "noise": {"type": "gaussian", "sigma_e": 0.5},
+    "estimator": {"beta": 1.0, "d": 2},
+    "n_grid": [256, 1024],
+    "m_grid": [64],
+    "reps": 3,
+    "n_test": 200,
+    "seed": 3,
 }
 
 
@@ -92,6 +107,20 @@ class TestTransferCommand:
         assert rows[0] == ["gamma", "value", "method", "error_estimate", "converged"]
         assert len(rows) == 6
         assert float(rows[1][1]) == 1.0
+
+    def test_target_past_the_source_support_reads_divergent(self, tmp_path):
+        # Exp(1) puts mass beyond 100, where the Uniform(0, 100) density is 0.
+        pair = {
+            "source": {"family": "uniform", "a": 0, "b": 100},
+            "target": {"family": "exponential", "lambda": 1.0},
+        }
+        cfg = write_json(tmp_path / "pair.json", pair)
+        out = tmp_path / "out"
+        argv = ["transfer", "--config", cfg, "--gamma-grid", "0:1:0.5", "--out", str(out)]
+        assert run(argv) == 0
+        rows = [row for row in read_csv(out / "transfer.csv")[1:] if float(row[0]) > 0]
+        assert len(rows) == 2
+        assert all(row[-1] == "false" for row in rows)
 
     def test_dimension_mismatch_names_target(self, tmp_path, capsys):
         pair = dict(
@@ -169,12 +198,19 @@ class TestRatesCommand:
                 "target term omitted: no transfer value",
                 id="wedge-no-transfer_q",
             ),
+            # n m = 1e400 passes the largest float; the rate does not.
+            pytest.param(
+                dict(FULL_WEDGE, gamma=0.3, n=1e200, m=1e200, transfer_p=2.0, transfer_q=3.0),
+                "",
+                id="n-m-past-a-float",
+            ),
         ],
     )
     def test_flags_column(self, tmp_path, body, flags):
         header, row = self.report(tmp_path, body)
         assert len(header) == len(row) == 17
         assert header[-1] == "flags" and row[-1] == flags
+        assert math.isfinite(float(dict(zip(header, row))["rate"]))
 
     def test_wedge_with_empty_source_names_transfer_q(self, tmp_path, capsys):
         # With n = 0 only the target term can give the rate, so only the
@@ -291,11 +327,15 @@ class TestPhaseCommand:
 
 
 class TestSweepCommand:
-    def test_deterministic_csv(self, tmp_path):
-        cfg = write_json(tmp_path / "e.json", EXPERIMENT)
+    @pytest.mark.parametrize(
+        "body, threads",
+        [pytest.param(EXPERIMENT, "3", id="1d"), pytest.param(SWEEP_2D, "2", id="2d")],
+    )
+    def test_deterministic_csv(self, tmp_path, body, threads):
+        cfg = write_json(tmp_path / "e.json", body)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run(["sweep", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
-        assert run(["sweep", "--config", cfg, "--out", str(out2), "--threads", "3"]) == 0
+        assert run(["sweep", "--config", cfg, "--out", str(out2), "--threads", threads]) == 0
         assert (out1 / "sweep_reps.csv").read_bytes() == (out2 / "sweep_reps.csv").read_bytes()
         assert (out1 / "sweep_aggregate.csv").read_bytes() == (
             out2 / "sweep_aggregate.csv"
@@ -480,8 +520,9 @@ class TestSimulateCommand:
         cfg = write_json(tmp_path / "sim.json", self.CONFIG)
         out = tmp_path / "out"
         assert run(["simulate", "--config", cfg, "--out", str(out)]) == 0
-        for name in ("train_source.csv", "train_target.csv", "predictions.csv"):
-            assert (out / name).exists()
+        assert sorted(path.name for path in out.iterdir()) == [
+            "predictions.csv", "train_source.csv", "train_target.csv"
+        ]
         preds = (out / "predictions.csv").read_text().splitlines()
         assert preds[0] == "x_1,y_hat,k_p,k_q,p_hat,q_hat"
         assert len(preds) == 17
@@ -634,17 +675,30 @@ class TestDimensionMismatch:
 
 
 class TestCheckRegularityCommand:
-    def test_pass_report(self, tmp_path):
-        cfg = write_json(
-            tmp_path / "reg.json",
-            {"distribution": {"family": "pareto", "alpha": 1.0, "sigma": 1.0},
-             "x_points": 10, "r_points": 5},
-        )
+    @pytest.mark.parametrize(
+        "body, want",
+        [
+            pytest.param(
+                {"distribution": {"family": "pareto", "alpha": 1.0, "sigma": 1.0},
+                 "x_points": 10, "r_points": 5},
+                {"theta": "8.0"},  # 2 (1 + 1/sigma)^(alpha+1)
+                id="pareto-10x5",
+            ),
+            # The README example, on the default 50 x 20 grid.
+            pytest.param(
+                {"distribution": {"family": "exponential", "lambda": 1.0}},
+                {"n_checked": "1000"},
+                id="readme-exponential",
+            ),
+        ],
+    )
+    def test_pass_report(self, tmp_path, body, want):
+        cfg = write_json(tmp_path / "reg.json", body)
         out = tmp_path / "out"
         assert run(["check-regularity", "--config", cfg, "--out", str(out)]) == 0
         rep = dict(read_csv(out / "regularity.csv")[1:])
         assert rep["passed"] == "true"
-        assert float(rep["theta"]) == 8.0  # 2 (1 + 1/sigma)^(alpha+1)
+        assert want.items() <= rep.items()
 
     def test_fail_report(self, tmp_path):
         cfg = write_json(
@@ -730,6 +784,35 @@ class TestArgvHandling:
 
     def test_unknown_command_exits_one(self):
         assert run(["explode"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, body, code, message",
+        [
+            pytest.param(["rates"], RATES, 0, "", id="0"),
+            pytest.param(["sweep", "--seed", "3"], [1], 1, "config field 'config'", id="1"),
+            # T(Exp(1e-300), Exp(1), 2) = 1e600 is finite, but no float holds it.
+            pytest.param(
+                ["transfer", "--gamma-grid", "0:2"],
+                {"source": {"family": "exponential", "lambda": 1e-300},
+                 "target": {"family": "exponential", "lambda": 1.0}},
+                2,
+                "numeric failure:",
+                id="2",
+            ),
+        ],
+    )
+    def test_main_exits_with_the_code(self, tmp_path, capsys, monkeypatch, argv, body, code,
+                                      message):
+        cfg = write_json(tmp_path / "c.json", body)
+        out = tmp_path / "out"
+        monkeypatch.setattr(
+            sys, "argv", ["transfer-knn", *argv, "--config", cfg, "--out", str(out)]
+        )
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
 
 REGULARITY = {

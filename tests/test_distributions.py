@@ -254,7 +254,12 @@ class TestOneSupportRule:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     got = outcome(dist.log_density, form)
-                assert_same(got, self.frozen(frozen_log_density, dist, form))
+                want = self.frozen(frozen_log_density, dist, form)
+                if isinstance(dist, LogPareto) and dist.c == 0.0 and x == math.inf:
+                    # The frozen code read -(b + 1) inf - 0 inf = NaN there,
+                    # where density(inf) is 0.
+                    want = -math.inf
+                assert_same(got, want)
 
     def test_uniform_wider_than_a_float_refused(self):
         # b - a overflows, so the density 1 / (b - a) would be 0 on the

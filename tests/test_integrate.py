@@ -2,14 +2,15 @@
 
 Every value and error estimate equals the copy's bit for bit, and a
 window where QUADPACK stops short (ier != 0) returns its best estimate
-without issuing a warning.
+without issuing a warning.  The warning policy in pyproject.toml makes
+a warning from a quad call, or from numpy, an error.
 """
 
 import math
 import warnings
 
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from conftest import frozen_bounded_quad, frozen_improper_quad
 from transfer_knn._integrate import bounded_quad, exp_clamped, improper_quad
@@ -66,3 +67,12 @@ def test_failed_head_window_warns_nothing():
     assert want[2] and res.converged
     assert hexes(res.value, res.error) == hexes(*want[:2])
 
+
+@pytest.mark.parametrize(
+    "category",
+    [RuntimeWarning, DeprecationWarning, IntegrationWarning],
+    ids=lambda category: category.__name__,
+)
+def test_warning_policy_raises(category):
+    with pytest.raises(category):
+        warnings.warn("probe", category)

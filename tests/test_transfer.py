@@ -467,7 +467,6 @@ class TestEstimateIndex:
         est = estimate_index(PAR, PAR, self.GRID)
         assert est.lower_confirmed <= 0.5 <= est.upper_confirmed
         assert est.upper_confirmed - est.lower_confirmed <= 0.05 + 1e-12
-        assert est.lower_confirmed <= est.gamma_star_hat <= est.upper_confirmed
 
     def test_exponential_bracket(self):
         est = estimate_index(EXP2, EXP1, self.GRID)
@@ -485,7 +484,6 @@ class TestEstimateIndex:
     def test_all_converged_grid(self):
         est = estimate_index(PAR, EXP1, [0.0, 0.5, 1.0, 2.0])
         assert est.upper_confirmed == math.inf
-        assert est.gamma_star_hat == math.inf
         assert est.lower_confirmed == 2.0
 
     def test_lower_never_above_upper(self, monkeypatch):
