@@ -4,7 +4,7 @@ Subcommands: transfer, rates, phase, simulate, sweep, check-regularity.
 All outputs are CSV files, written atomically (temp file + rename after
 the whole run succeeds), so a failed run leaves no partial artifacts.
 Exit codes: 0 success, 1 configuration error (the message names the
-offending field), 2 numeric failure.
+offending field), 2 numeric failure (out of memory included).
 """
 
 from __future__ import annotations
@@ -326,6 +326,8 @@ def _cmd_check_regularity(args, stager: OutputStager) -> None:
     optional = ("theta", "x_points", "r_points")
     cfg = config_object(_load_json(args.config), "", ("distribution",), optional)
     dist = family_from_spec(cfg["distribution"], "distribution")
+    if dist.dimension != 1:
+        raise ConfigError("distribution", "regularity grid check requires 1-D")
     if "theta" in cfg:
         theta = config_number(cfg["theta"], "theta")
     else:
@@ -341,8 +343,6 @@ def _cmd_check_regularity(args, stager: OutputStager) -> None:
         raise ConfigError("theta", f"must be positive, got {theta}")
     nx = config_integer(cfg.get("x_points", 50), "x_points", least=1)
     nr = config_integer(cfg.get("r_points", 20), "r_points", least=1)
-    if dist.dimension != 1:
-        raise ConfigError("distribution", "regularity grid check requires 1-D")
     try:
         x_grid = dist.ppf((np.arange(nx) + 0.5) / nx)
     except RadiusSearchError as exc:
@@ -440,6 +440,9 @@ def run(argv) -> int:
         return 1
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"numeric failure: out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -573,17 +573,13 @@ def closed_form_indices(
 
 @dataclass(frozen=True)
 class HolderFunction:
-    """A regression function together with its declared Holder budget.
+    """A regression function f_* of `dimension`-dimensional points.
 
-    `fn` maps an (n, d) array to an (n,) array.  The declared budget L
-    bounds sup-norm plus beta-Holder seminorm over `domain`, the box on
-    which membership is checked empirically.
+    `fn` maps an (n, d) array to an (n,) array.  The smoothness that the
+    k rule and the rates use is the estimator's beta, not a field here.
     """
 
     fn: object
-    L: float
-    beta: float
-    domain: tuple
     dimension: int = 1
 
     def __call__(self, x):
@@ -592,13 +588,7 @@ class HolderFunction:
 
 
 def holder_constant(c: float, d: int = 1) -> HolderFunction:
-    return HolderFunction(
-        fn=lambda X: np.full(len(X), float(c)),
-        L=max(abs(float(c)), 1e-12),
-        beta=1.0,
-        domain=(tuple([0.0] * d), tuple([1.0] * d)),
-        dimension=d,
-    )
+    return HolderFunction(fn=lambda X: np.full(len(X), float(c)), dimension=d)
 
 
 def holder_parabola() -> HolderFunction:
@@ -613,13 +603,7 @@ def holder_parabola() -> HolderFunction:
         u = np.clip(X[:, 0], 0.0, 1.0)
         return u * (1.0 - u)
 
-    return HolderFunction(
-        fn=evaluate,
-        L=1.25,
-        beta=1.0,
-        domain=((0.0,), (1.0,)),
-        dimension=1,
-    )
+    return HolderFunction(fn=evaluate, dimension=1)
 
 
 @dataclass(frozen=True)

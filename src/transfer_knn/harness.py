@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,7 +80,6 @@ class ExperimentConfig:
 class RiskEstimate:
     mean: float
     stderr: float
-    reps: int
     n: int
     m: int
     q50: float
@@ -121,8 +120,7 @@ def generate_data(
     if n < 0:
         raise ValueError("n must be nonnegative")
     X = dist.sample_array(rng, n)
-    y = np.asarray(f_star(X), dtype=np.float64).reshape(n) + noise.sample(rng, n)
-    return X, y
+    return X, f_star(X) + noise.sample(rng, n)
 
 
 def mc_excess_risk(
@@ -140,10 +138,9 @@ def mc_excess_risk(
         raise ValueError("n_test must be at least 1")
     Xq = Q.sample_array(rng, n_test)
     preds = fitted.predict_batch(Xq)[0]
-    truth = np.asarray(f_star(Xq), dtype=np.float64).reshape(n_test)
     # Finite labels can still give an error whose square overflows.
     with np.errstate(over="ignore", invalid="ignore"):
-        risk = float(np.mean((preds - truth) ** 2))
+        risk = float(np.mean((preds - f_star(Xq)) ** 2))
     if not math.isfinite(risk):
         raise ValueError(f"the mean squared prediction error is {risk!r}, not finite")
     return risk
@@ -153,18 +150,18 @@ def _run_rep(config: ExperimentConfig, cell_idx: int, n: int, m: int, rep: int):
     ss = np.random.SeedSequence(config.seed, spawn_key=(cell_idx, rep))
     seed_id = int(ss.generate_state(1, dtype=np.uint64)[0])
     rng_src, rng_tgt, rng_test = (np.random.default_rng(c) for c in ss.spawn(3))
-    source = None
-    if n > 0:
-        source = generate_data(config.source, config.f_star, config.noise, n, rng_src)
-    target = None
-    if m > 0:
-        target = generate_data(config.target, config.f_star, config.noise, m, rng_tgt)
     try:
+        source = None
+        if n > 0:
+            source = generate_data(config.source, config.f_star, config.noise, n, rng_src)
+        target = None
+        if m > 0:
+            target = generate_data(config.target, config.f_star, config.noise, m, rng_tgt)
         est = fit(source, target, config.estimator)
         risk = mc_excess_risk(est, config.f_star, config.target, config.n_test, rng_test)
     except Exception as exc:
         raise NumericError(
-            f"estimator failed at cell (n={n}, m={m}), rep {rep}: {exc}"
+            f"sweep failed at cell (n={n}, m={m}), rep {rep}: {exc}"
         ) from exc
     return RepRecord(n=n, m=m, rep=rep, risk=risk, seed=seed_id)
 
@@ -212,7 +209,6 @@ def sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
             RiskEstimate(
                 mean=float(np.mean(risks)),
                 stderr=stderr,
-                reps=reps,
                 n=n,
                 m=m,
                 q50=float(np.quantile(risks, 0.5)),
@@ -253,65 +249,6 @@ def fit_slope(sizes, risks) -> SlopeFit:
 
 
 # ---------------------------------------------------------------------------
-# Hard-instance bump ensembles
-# ---------------------------------------------------------------------------
-
-
-def bump_centers(a: float, h: float, d: int = 1) -> np.ndarray:
-    """Centres of a 2h-packing of [a, 2a]^d (infinity norm), as a grid."""
-    if a <= 0 or h <= 0:
-        raise ValueError("a and h must be positive")
-    per_axis = int(math.floor(a / (2.0 * h)))
-    if per_axis < 1:
-        raise ValueError(f"h={h} >= a/2={a / 2}: no 2h-packing of [a, 2a] exists")
-    axis = a + h + 2.0 * h * np.arange(per_axis)
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def bump_ensemble(
-    a: float, h: float, L: float, beta: float, bits, d: int = 1
-) -> HolderFunction:
-    """Sum of disjoint triangular bumps L h^beta (1 - |x - z_j|/h)_+.
-
-    One bump per selected centre of the 2h-packing of [a, 2a]^d; the
-    declared Holder budget is L h^beta + 2^(1-beta) L, which dominates
-    the sup-norm plus beta-seminorm of any bit pattern.
-    """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("beta must lie in (0, 1]")
-    if L <= 0:
-        raise ValueError("L must be positive")
-    centers = bump_centers(a, h, d)
-    bits_arr = np.asarray(bits, dtype=np.float64).reshape(-1)
-    if len(bits_arr) != len(centers):
-        raise ValueError(
-            f"bits length {len(bits_arr)} != packing size {len(centers)}"
-        )
-    if not np.all((bits_arr == 0.0) | (bits_arr == 1.0)):
-        raise ValueError("bits must be 0/1")
-    active = centers[bits_arr == 1.0]
-    amp = L * h**beta
-
-    def evaluate(X):
-        X = np.asarray(X, dtype=np.float64).reshape(-1, d)
-        out = np.zeros(len(X))
-        for z in active:
-            u = np.linalg.norm(X - z[None, :], axis=1) / h
-            out += amp * np.clip(1.0 - u, 0.0, None)
-        return out
-
-    budget = amp + 2.0 ** (1.0 - beta) * L
-    return HolderFunction(
-        fn=evaluate,
-        L=budget,
-        beta=beta,
-        domain=(tuple([0.0] * d), tuple([2.0 * a + 1.0] * d)),
-        dimension=d,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Regime verification
 # ---------------------------------------------------------------------------
 
@@ -329,31 +266,31 @@ class RegimeExperimentReport:
 
 
 def regime_experiment(
-    config: ExperimentConfig, rate_params: RateParams
+    config: ExperimentConfig, gamma: float, s: float
 ) -> RegimeExperimentReport:
     """Compare the fitted log-log slope against the theoretical exponent.
 
-    No pass/fail is hard-coded; the report carries the discrepancy and
-    the CI for downstream judgement.  Exactly one of n_grid and m_grid
-    may vary: the fit is against that sample size alone.
+    Each cell's theory is theoretical_rate at (gamma, s), with beta and d
+    read from config.estimator.  No pass/fail is hard-coded; the report
+    carries the discrepancy and the CI for downstream judgement.  Exactly
+    one of n_grid and m_grid may vary: the fit is against that sample
+    size alone, so its grid must be positive and span at least 1.5
+    decades.  Every check runs before the sweep.
     """
     if len(config.n_grid) > 1 and len(config.m_grid) > 1:
         raise ValueError("n_grid, m_grid: only one of them may vary")
-    result = sweep(config)
     axis = "n" if len(config.n_grid) > 1 else "m"
-    estimates = result.estimates
-    reports = [
-        theoretical_rate(replace(rate_params, n=est.n, m=est.m))
-        for est in estimates
-    ]
-    sizes = [est.n if axis == "n" else est.m for est in estimates]
-    risks = [est.mean for est in estimates]
-    regimes = [rep.regime for rep in reports]
-    theory = [rep.rate_value for rep in reports]
-    span = math.log10(max(sizes) / min(sizes))
-    if span < 1.5:
+    sizes = config.n_grid if axis == "n" else config.m_grid
+    if 0 in sizes:
+        raise ValueError(f"{axis}_grid: a size of 0 has no logarithm")
+    if math.log10(max(sizes) / min(sizes)) < 1.5:
         raise ValueError("size grid must span at least 1.5 decades")
-    theory_slope = fit_slope(sizes, theory).slope
+    beta, d = config.estimator.beta, config.estimator.d
+    reports = [
+        theoretical_rate(RateParams(gamma, s, beta, d, n, m)) for n, m in config.cells()
+    ]
+    risks = [est.mean for est in sweep(config).estimates]
+    theory_slope = fit_slope(sizes, [rep.rate_value for rep in reports]).slope
     degenerate = any(r <= 1e-30 for r in risks)
     fitted = None if degenerate else fit_slope(sizes, risks)
     return RegimeExperimentReport(
@@ -362,7 +299,7 @@ def regime_experiment(
         mean_risks=tuple(risks),
         fitted=fitted,
         theory_slope=theory_slope,
-        regimes=tuple(regimes),
+        regimes=tuple(rep.regime for rep in reports),
         discrepancy=None if fitted is None else fitted.slope - theory_slope,
         degenerate=degenerate,
     )

@@ -93,23 +93,6 @@ def window_starts_bisection(coords: np.ndarray, x: np.ndarray, k) -> np.ndarray:
         hi = np.where(open_rows & ~shift, mid, hi)
 
 
-def holder_budget(f, rng, n_pairs: int = 10_000, grid: int = 2_000):
-    """Empirical sup-norm plus beta-Holder seminorm over f's domain."""
-    lo = np.asarray(f.domain[0], dtype=np.float64)
-    hi = np.asarray(f.domain[1], dtype=np.float64)
-    d = f.dimension
-    xs = lo + (hi - lo) * rng.random((n_pairs, d))
-    ys = lo + (hi - lo) * rng.random((n_pairs, d))
-    fx = np.asarray(f(xs), dtype=np.float64)
-    fy = np.asarray(f(ys), dtype=np.float64)
-    gaps = np.linalg.norm(xs - ys, axis=1)
-    keep = gaps > 0
-    seminorm = float(np.max(np.abs(fx - fy)[keep] / gaps[keep] ** f.beta))
-    grid_pts = lo + (hi - lo) * rng.random((grid, d))
-    sup = float(np.max(np.abs(f(grid_pts))))
-    return sup + seminorm
-
-
 def log_density_loop(P, X) -> np.ndarray:
     """ProductPareto log density row by row through the scalar per-point path.
 
@@ -567,14 +550,8 @@ def frozen_holder_call(f, x):
 
 
 def frozen_holder_zero(d: int = 1):
-    """The f_star "zero" as it was built, with its declared L of 1.0."""
-    return HolderFunction(
-        fn=lambda X: np.zeros(len(X)),
-        L=1.0,
-        beta=1.0,
-        domain=(tuple([0.0] * d), tuple([1.0] * d)),
-        dimension=d,
-    )
+    """The f_star "zero" as it was built, from its own zeros function."""
+    return HolderFunction(fn=lambda X: np.zeros(len(X)), dimension=d)
 
 
 def ppf_bisection(dist, u: float, steps: int = 200) -> float:

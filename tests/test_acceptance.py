@@ -255,7 +255,7 @@ def test_criterion_7_transfer_rate_reproduction():
         )
         # gamma* = lambda_Q/lambda_P = 0.5 < r_beta = 2/3: theory slope -1/2
         gamma_star, s_star = closed_form_indices(config.source, config.target)
-        report = regime_experiment(config, RateParams(gamma_star, s_star, 1.0, 1, 1, 1))
+        report = regime_experiment(config, gamma_star, s_star)
         slope = report.fitted
         print(
             f"  criterion 7 detail: slope {slope.slope:.4f} "
@@ -279,8 +279,7 @@ def test_criterion_7_transfer_rate_reproduction():
             seed=SEED,
         )
         gamma_star, s_star = closed_form_indices(joint.source, joint.target)
-        joint_params = RateParams(gamma_star, s_star, 1.0, 1, 1, 1)
-        joint_report = regime_experiment(joint, joint_params)
+        joint_report = regime_experiment(joint, gamma_star, s_star)
         print(
             f"  criterion 7 joint-slope report (ungated): slope "
             f"{joint_report.fitted.slope:.4f} vs theory {joint_report.theory_slope:.4f}; "

@@ -745,6 +745,13 @@ class TestCheckRegularityCommand:
                 "theta",
                 id="exponential-theta-overflow",
             ),
+            # a d >= 2 family is refused before its missing theta is looked up
+            pytest.param(
+                {"distribution": {"family": "product_pareto", "alpha": 1.0, "sigma": 1.0,
+                                  "d": 2}},
+                "distribution",
+                id="product-pareto-no-theta",
+            ),
         ],
     )
     def test_bad_field_exits_one_naming_it(self, tmp_path, capsys, override, field):
@@ -776,6 +783,44 @@ class TestCheckRegularityCommand:
         out = tmp_path / "out"
         assert run(["check-regularity", "--config", cfg, "--out", str(out)]) == 0
         assert "theta,4.0" in (out / "regularity.csv").read_text().splitlines()
+
+
+class TestTooLargeToAllocate:
+    # numpy refuses 10**15 doubles (7.11 PiB) before it allocates anything.
+    HUGE = 10**15
+
+    @pytest.mark.parametrize(
+        "command, body, message",
+        [
+            pytest.param(
+                "simulate", dict(TestSimulateCommand.CONFIG, n_test=HUGE),
+                "numeric failure: out of memory: ", id="simulate-n_test",
+            ),
+            pytest.param(
+                "sweep",
+                dict(EXPERIMENT, source=EXPERIMENT["target"], n_grid=[HUGE], m_grid=[0]),
+                f"cell (n={HUGE}, m=0), rep 0: ", id="sweep-n_grid",
+            ),
+            pytest.param(
+                "sweep", dict(EXPERIMENT, n_test=HUGE),
+                "cell (n=0, m=32), rep 0: ", id="sweep-n_test",
+            ),
+            pytest.param(
+                "check-regularity",
+                {"distribution": {"family": "pareto", "alpha": 1.0, "sigma": 1.0},
+                 "x_points": HUGE},
+                "numeric failure: out of memory: ", id="check-regularity-x_points",
+            ),
+        ],
+    )
+    def test_exits_two(self, tmp_path, capsys, command, body, message):
+        cfg = write_json(tmp_path / "c.json", body)
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Unable to allocate" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*"))
 
 
 class TestArgvHandling:

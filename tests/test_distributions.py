@@ -18,7 +18,6 @@ from conftest import (
     frozen_log_density,
     frozen_ppf,
     frozen_zeta,
-    holder_budget,
     local_mass_check_loop,
     log_density_loop,
     ppf_bisection,
@@ -29,6 +28,7 @@ from transfer_knn import distributions
 from transfer_knn.distributions import (
     _FAMILIES,
     Exponential,
+    HolderFunction,
     LogPareto,
     Pareto,
     ProductPareto,
@@ -44,7 +44,6 @@ from transfer_knn.distributions import (
     zeta,
 )
 from transfer_knn.errors import ConfigError, NoClosedFormError, RadiusSearchError
-from transfer_knn.harness import bump_ensemble
 
 ONE_D_VARIANTS = [
     Pareto(1.0, 1.0),
@@ -322,8 +321,9 @@ class TestOneSupportRule:
         holder_parabola(),
         holder_from_spec({"name": "zero"}),
         holder_from_spec({"name": "zero", "d": 3}),
-        bump_ensemble(1.0, 0.25, 1.0, 1.0, [1, 0]),
-        bump_ensemble(1.0, 0.25, 1.0, 1.0, [1, 0, 1, 1], d=2),
+        # Non-constant in every coordinate, in one and two dimensions.
+        HolderFunction(lambda X: np.abs(X[:, 0] - 0.5), 1),
+        HolderFunction(lambda X: np.linalg.norm(X - 0.5, axis=1), 2),
     ]
 
     @pytest.mark.parametrize("f", HOLDERS, ids=lambda f: f"d{f.dimension}")
@@ -341,8 +341,7 @@ class TestOneSupportRule:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_zero_spec_is_constant_zero(self, d):
         f, old = holder_from_spec({"name": "zero", "d": d}), frozen_holder_zero(d)
-        assert (f.beta, f.domain, f.dimension) == (old.beta, old.domain, old.dimension)
-        assert f.L == 1e-12  # its sup-norm and seminorm are 0; it was declared 1.0
+        assert f.dimension == old.dimension
         X = np.random.default_rng(d).random((5, d))
         assert_same(f(X), old(X))
 
@@ -871,13 +870,6 @@ class TestClosedFormIndices:
 
 
 class TestHolderFunctions:
-    @pytest.mark.parametrize(
-        "f", [holder_constant(0.0), holder_constant(2.5), holder_parabola()], ids=str
-    )
-    def test_declared_budget_holds(self, f):
-        rng = np.random.default_rng(404)
-        assert holder_budget(f, rng) <= f.L * (1 + 1e-6)
-
     def test_parabola_matches_raw_on_unit_interval(self):
         f = holder_parabola()
         xs = np.linspace(0, 1, 101)

@@ -3,14 +3,11 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
-from conftest import holder_budget
 from transfer_knn import harness
 from transfer_knn.distributions import (
     Exponential,
     NoiseSpec,
-    Pareto,
     ProductPareto,
     Uniform,
     holder_constant,
@@ -20,8 +17,6 @@ from transfer_knn.errors import ConfigError, NumericError
 from transfer_knn.estimator import NeighborFunctionConfig, fit
 from transfer_knn.harness import (
     ExperimentConfig,
-    bump_centers,
-    bump_ensemble,
     experiment_from_spec,
     fit_slope,
     generate_data,
@@ -30,7 +25,6 @@ from transfer_knn.harness import (
     regime_experiment,
     sweep,
 )
-from transfer_knn.rates import RateParams
 
 CFG = NeighborFunctionConfig(beta=1.0, d=1)
 UNI = Uniform(0.0, 1.0)
@@ -116,7 +110,7 @@ class TestSweep:
         result = sweep(small_config(m_grid=(64,), reps=1))
         assert len(result.estimates) == 1
         est = result.estimates[0]
-        assert est.reps == 1 and est.stderr == 0.0 and est.mean >= 0
+        assert est.stderr == 0.0 and est.mean >= 0
 
     def test_bitwise_determinism(self):
         a = sweep(small_config())
@@ -222,73 +216,12 @@ class TestFitSlope:
             fit_slope([1, 2, 3], [0.5, -0.1, 0.2])
 
 
-class TestBumpEnsemble:
-    def test_packing_size(self):
-        assert len(bump_centers(1.0, 0.1)) == 5
-        assert len(bump_centers(1.0, 0.1, d=2)) == 25
-
-    def test_no_packing_raises(self):
-        with pytest.raises(ValueError):
-            bump_centers(1.0, 0.51)
-
-    def test_zero_bits_is_zero_function(self):
-        f = bump_ensemble(1.0, 0.1, 1.0, 1.0, [0] * 5)
-        xs = np.linspace(0, 3, 300)
-        assert np.all(f(xs) == 0.0)
-
-    def test_center_value(self):
-        h, L, beta = 0.1, 2.0, 0.7
-        centers = bump_centers(1.0, h)
-        bits = [0, 0, 1, 0, 0]
-        f = bump_ensemble(1.0, h, L, beta, bits)
-        value = float(np.asarray(f(centers[2])).reshape(-1)[0])
-        assert math.isclose(value, L * h**beta, rel_tol=1e-12)
-
-    def test_bits_length_checked(self):
-        with pytest.raises(ValueError):
-            bump_ensemble(1.0, 0.1, 1.0, 1.0, [1, 0])
-
-    def test_l2q_distance_matches_per_bump_integrals(self):
-        a, h, L, beta = 1.0, 0.1, 1.0, 1.0
-        Q = Pareto(1.0, 1.0)
-        bits_a = [1, 0, 1, 1, 0]
-        bits_b = [0, 0, 1, 0, 1]
-        fa = bump_ensemble(a, h, L, beta, bits_a)
-        fb = bump_ensemble(a, h, L, beta, bits_b)
-        centers = bump_centers(a, h)
-        kinks = sorted(
-            {float(z) for c in centers[:, 0] for z in (c - h, c, c + h)}
-        )
-        lhs = quad(
-            lambda x: (float(fa(x)) - float(fb(x))) ** 2 * Q.density(x),
-            a,
-            2 * a,
-            limit=400,
-            points=kinks,
-        )[0]
-        rhs = 0.0
-        for j, (ba, bb) in enumerate(zip(bits_a, bits_b)):
-            if ba != bb:
-                z = centers[j][0]
-                bump = bump_ensemble(a, h, L, beta, [1 if i == j else 0 for i in range(5)])
-                rhs += quad(
-                    lambda x: float(bump(x)) ** 2 * Q.density(x), z - h, z + h
-                )[0]
-        assert abs(lhs - rhs) <= 1e-8 * max(rhs, 1e-300)
-
-    def test_holder_membership(self):
-        rng = np.random.default_rng(8)
-        for beta in (0.4, 1.0):
-            f = bump_ensemble(1.0, 0.1, 1.5, beta, [1, 0, 1, 0, 1])
-            assert holder_budget(f, rng) <= f.L * (1 + 1e-6)
-
-
 class TestRegimeExperiment:
     def test_target_only_classical_exponent(self):
         cfg = small_config(
             m_grid=(64, 128, 256, 512, 1024, 2048), reps=8, n_test=512
         )
-        report = regime_experiment(cfg, RateParams(1.0, 0.9, 1.0, 1, 1, 1))
+        report = regime_experiment(cfg, 1.0, 0.9)
         assert report.axis == "m"
         assert math.isclose(report.theory_slope, -2.0 / 3.0, rel_tol=1e-6)
         assert not report.degenerate
@@ -303,7 +236,7 @@ class TestRegimeExperiment:
             reps=1,
             n_test=16,
         )
-        report = regime_experiment(cfg, RateParams(1.0, 0.9, 1.0, 1, 1, 1))
+        report = regime_experiment(cfg, 1.0, 0.9)
         assert report.degenerate and report.fitted is None
 
     def test_both_grids_varying_rejected(self):
@@ -311,12 +244,32 @@ class TestRegimeExperiment:
             source=UNI, n_grid=(64, 256, 1024, 4096), m_grid=(16, 4096)
         )
         with pytest.raises(ValueError, match="n_grid, m_grid"):
-            regime_experiment(cfg, RateParams(1.0, 0.9, 1.0, 1, 1, 1))
+            regime_experiment(cfg, 1.0, 0.9)
 
-    def test_narrow_grid_rejected(self):
-        cfg = small_config(m_grid=(64, 128))
-        with pytest.raises(ValueError):
-            regime_experiment(cfg, RateParams(1.0, 0.9, 1.0, 1, 1, 1))
+    def test_theory_slope_follows_estimator_d(self):
+        # r_beta = 2 beta / (2 beta + d) = 1/2 at d = 2, where d = 1 gives 2/3.
+        cfg = small_config(
+            target=ProductPareto(2.0, 1.0, 2),
+            f_star=holder_constant(0.25, 2),
+            estimator=NeighborFunctionConfig(beta=1.0, d=2),
+            m_grid=(64, 256, 1024, 4096),
+            reps=2,
+            n_test=64,
+        )
+        report = regime_experiment(cfg, 1.0, 0.9)
+        assert math.isclose(report.theory_slope, -0.5, rel_tol=1e-6)
+
+    def test_narrow_grid_rejected(self, monkeypatch):
+        def no_rep(*args):
+            raise AssertionError("a rep ran before the grid was checked")
+
+        monkeypatch.setattr(harness, "_run_rep", no_rep)
+        for grids, match in (
+            (dict(m_grid=(64, 128)), "1.5 decades"),
+            (dict(source=UNI, n_grid=(64,), m_grid=(0, 64, 256, 1024, 4096)), "m_grid"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                regime_experiment(small_config(**grids), 1.0, 0.9)
 
 
 class TestConcentration:
