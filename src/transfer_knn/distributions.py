@@ -171,7 +171,8 @@ class Pareto(DistributionFamily):
         )
 
     def _cdf(self, xs):
-        return 1.0 - np.power(1.0 + xs / self.sigma, -self.alpha)
+        # As Exponential's: 1 - (1 + x/sigma)^-alpha would cancel near x = 0.
+        return -np.expm1(-self.alpha * np.log1p(np.maximum(xs, 0.0) / self.sigma))
 
     def _ppf(self, us):
         return self.sigma * (np.power(1.0 - us, -1.0 / self.alpha) - 1.0)

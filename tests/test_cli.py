@@ -7,11 +7,11 @@ import warnings
 
 import pytest
 
-from conftest import frozen_theoretical_rate, read_labeled_csv
+from conftest import read_labeled_csv
 from transfer_knn import harness
 from transfer_knn.cli import main, parse_grid, run
 from transfer_knn.errors import MAX_DIMENSION, ConfigError
-from transfer_knn.rates import RateParams
+from transfer_knn.rates import RateParams, theoretical_rate
 
 PAIR = {
     "source": {"family": "pareto", "alpha": 1.0, "sigma": 1.0},
@@ -286,17 +286,18 @@ class TestPhaseCommand:
 
     @staticmethod
     def oracle_rows(cells):
-        """phase.csv's body for (axis1, axis2, RateParams) cells, by the frozen rate."""
+        """phase.csv's body for (axis1, axis2, RateParams) cells, by
+        theoretical_rate, which test_rates checks against its references."""
         lines = []
         for v1, v2, params in cells:
-            rep = frozen_theoretical_rate(params)
+            rep = theoretical_rate(params)
             a1, a2, src, tgt, rate = map(
                 repr, (v1, v2, rep.source_exp, rep.target_exp, rep.rate_value)
             )
             lines.append(f"{a1},{a2},{rep.configuration},{rep.regime},{src},{tgt},{rate}")
         return lines
 
-    def test_nm_grid_matches_frozen_rates(self, tmp_path):
+    def test_nm_grid_matches_theoretical_rate(self, tmp_path):
         out = tmp_path / "out"
         argv = ["phase", "--fix", "gamma=1,s=0.2", "--beta", "0.5", "--d", "2"]
         argv += ["--log-n", "0:6:0.5", "--log-m=-1:7:0.5", "--out", str(out)]
@@ -311,7 +312,7 @@ class TestPhaseCommand:
         assert body == self.oracle_rows(cells)
         assert {line.split(",")[3] for line in body} == {"wedge", "accelerated"}
 
-    def test_gamma_s_grid_matches_frozen_rates(self, tmp_path):
+    def test_gamma_s_grid_matches_theoretical_rate(self, tmp_path):
         out = tmp_path / "out"
         argv = ["phase", "--fix", "n=1000,m=100000", "--gamma-axis", "0.1:2:0.1"]
         argv += ["--s-axis", "0.05:1.5:0.05", "--out", str(out)]

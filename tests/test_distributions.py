@@ -6,24 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.integrate import quad
 
-from conftest import (
-    ball_mass_with_error,
-    frozen_ball_mass,
-    frozen_cdf,
-    frozen_density,
-    frozen_holder_call,
-    frozen_holder_zero,
-    frozen_log_density,
-    frozen_ppf,
-    frozen_zeta,
-    local_mass_check_loop,
-    log_density_loop,
-    ppf_bisection,
-    raw_cdf_integral_loop,
-    zeta_per_step,
-)
+from conftest import ball_mass_with_error, local_mass_check_loop, log_pareto_tail
 from transfer_knn import distributions
 from transfer_knn.distributions import (
     _FAMILIES,
@@ -195,12 +181,88 @@ def rule_points(dist):
     ])
 
 
-def point_forms(xs):
-    """Each point as a float, a numpy scalar and a 0-d array, then all of
-    them as a list, a 1-D array and a 2-D array."""
-    for x in xs.tolist():
-        yield from (x, np.float64(x), np.array(x))
-    yield from (xs.tolist(), xs, xs[: len(xs) // 2 * 2].reshape(-1, 2))
+def scipy_reference(dist):
+    """scipy.stats' frozen counterpart of a Pareto, Exponential or Uniform."""
+    if isinstance(dist, Pareto):
+        return stats.lomax(dist.alpha, scale=dist.sigma)
+    if isinstance(dist, Exponential):
+        return stats.expon(scale=1.0 / dist.lam)
+    return stats.uniform(dist.a, dist.b - dist.a)
+
+
+def log_pareto_reference(dist, name, xs):
+    """LogPareto's pdf, logpdf or cdf at points x >= 2 from the E_c closed
+    forms, with Z = log_pareto_tail(b, c, log 2)."""
+    t = np.log(xs)
+    z = log_pareto_tail(dist.b, dist.c, math.log(2.0))
+    if name == "cdf":
+        return 1.0 - log_pareto_tail(dist.b, dist.c, t) / z
+    # With c = 0 the log term is absent: 0 * log(log(inf)) would be NaN.
+    log_pdf = -(dist.b + 1.0) * t - (dist.c * np.log(t) if dist.c else 0.0) - math.log(z)
+    return log_pdf if name == "logpdf" else np.exp(log_pdf)
+
+
+def expected(dist, name, xs):
+    """The reference pdf, logpdf or cdf at each point of xs, as a flat array.
+
+    The support rule is written out: outside the support a density is 0
+    and a log density -inf, and a cdf is 0 below it and 1 from its upper
+    end on; a NaN point stays NaN.  Inside, the value is scipy.stats' or
+    LogPareto's closed form.  Where the true density passes the largest
+    float the log density expected is inf, the log of the density a float
+    holds (see test_log_density_past_the_largest_float).
+    """
+    lo, hi = dist.support
+    xs = np.asarray(xs, dtype=np.float64).reshape(-1)
+    out = np.full(len(xs), math.nan)
+    ends = {"pdf": (0.0, 0.0), "logpdf": (-math.inf, -math.inf), "cdf": (0.0, 1.0)}
+    below, beyond = ends[name]
+    top = xs >= hi if name == "cdf" else xs > hi
+    out[xs < lo], out[top] = below, beyond
+    inside = (xs >= lo) & ~top
+    # The references' own overflows, at the far tail, are not the library's.
+    with np.errstate(all="ignore"):
+        if isinstance(dist, LogPareto):
+            out[inside] = log_pareto_reference(dist, name, xs[inside])
+        else:
+            ref = scipy_reference(dist)
+            vals = getattr(ref, name)(xs[inside])
+            if name == "logpdf":
+                vals[ref.pdf(xs[inside]) == math.inf] = math.inf
+            out[inside] = vals
+    return out
+
+
+# The tolerances against the references.  LogPareto's are set by its
+# normaliser, which is a quadrature.
+TOLERANCES = {
+    "pdf": dict(rtol=1e-13),
+    "logpdf": dict(rtol=1e-13),
+    "cdf": dict(atol=1e-15),
+    "ppf": dict(rtol=1e-13),
+}
+LOG_PARETO_TOLERANCES = {
+    "pdf": dict(rtol=3e-13),
+    "logpdf": dict(atol=3e-13),
+    "cdf": dict(atol=3e-13),
+}
+
+
+def tolerance(dist, name):
+    return (LOG_PARETO_TOLERANCES if isinstance(dist, LogPareto) else TOLERANCES)[name]
+
+
+def point_cases(xs, want):
+    """(form, expected) pairs: each point as a float, a numpy scalar and a
+    0-d array, which give a float, then all of them as a list, a 1-D array
+    and a 2-D array, which give a float64 array of that shape."""
+    for x, w in zip(xs.tolist(), want.tolist()):
+        for form in (x, np.float64(x), np.array(x)):
+            yield form, w
+    even = len(xs) // 2 * 2
+    yield xs.tolist(), want
+    yield xs, want
+    yield xs[:even].reshape(-1, 2), want[:even].reshape(-1, 2)
 
 
 def outcome(fn, *args):
@@ -211,54 +273,78 @@ def outcome(fn, *args):
         return (type(exc), str(exc))
 
 
-def assert_same(got, want):
-    """Same type, shape, dtype, values (NaN included) and signs of zero."""
+def assert_close(got, want, rtol=0.0, atol=0.0):
+    """got has want's type (and, for an array, shape and dtype), and values
+    within tolerance: NaN where want is NaN, the same infinity where it is
+    infinite."""
     assert type(got) is type(want)
-    if isinstance(want, tuple):
-        assert got == want
-        return
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert np.array_equal(got, want, equal_nan=True)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+    if isinstance(want, np.ndarray):
+        assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=atol, equal_nan=True)
+
+
+def silently(fn, *args):
+    """fn's outcome, which must warn nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return outcome(fn, *args)
+
+
+def disc_mass(dist, c, r: float) -> float:
+    """P{|X - c| <= r} for a d = 2 ProductPareto, by 1-D quadrature over the
+    first coordinate of lomax's mass on the disc's chord in the second."""
+    F = stats.lomax(dist.alpha, scale=dist.sigma)
+    (c1, c2), lo = c, max(c[0] - r, 0.0)
+    if not lo < c1 + r:
+        return 0.0
+
+    def chord(x1):
+        w = math.sqrt(max(r * r - (x1 - c1) ** 2, 0.0))
+        return F.pdf(x1) * (F.cdf(c2 + w) - F.cdf(c2 - w))
+
+    return quad(chord, lo, c1 + r, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+
+
+def assert_within_monte_carlo(got: float, exact: float):
+    """got within 4 standard errors of exact for _BALL_MC_DRAWS draws."""
+    stderr = math.sqrt(exact * (1.0 - exact) / distributions._BALL_MC_DRAWS)
+    assert abs(got - exact) <= 4.0 * stderr + 1e-15, (got, exact)
 
 
 class TestOneSupportRule:
     """density, log_density, cdf, ball_mass, zeta and HolderFunction calls
-    equal, bit for bit and sign of zero for sign of zero, the code they had
-    when each family wrote out its own support, NaN and scalar rules and
-    ball_mass and zeta each chose their own ball mass (the frozen_*
-    oracles)."""
-
-    @staticmethod
-    def frozen(fn, *args):
-        # The frozen LogPareto density overflows below x = 2.
-        with np.errstate(all="ignore"):
-            return outcome(fn, *args)
+    against references that share no code with the library: scipy.stats
+    for Pareto (lomax), Exponential (expon) and Uniform, the E_c closed
+    forms for LogPareto, a 1-D quadrature for the d = 2 ball mass, and the
+    support, NaN and scalar rules written out as expected values.  No call
+    warns."""
 
     @pytest.mark.parametrize("dist", RULE_FAMILIES, ids=str)
     def test_density_and_cdf(self, dist):
-        for x in point_forms(rule_points(dist)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                got = (outcome(dist.density, x), outcome(dist.cdf, x))
-            want = (self.frozen(frozen_density, dist, x), self.frozen(frozen_cdf, dist, x))
-            assert_same(got[0], want[0])
-            assert_same(got[1], want[1])
+        xs = rule_points(dist)
+        for name, method in (("pdf", dist.density), ("cdf", dist.cdf)):
+            for x, want in point_cases(xs, expected(dist, name, xs)):
+                assert_close(silently(method, x), want, **tolerance(dist, name))
 
     @pytest.mark.parametrize("dist", RULE_FAMILIES, ids=str)
     def test_log_density(self, dist):
-        for x in rule_points(dist).tolist():
+        xs = rule_points(dist)
+        want = expected(dist, "logpdf", xs).tolist()
+        for x, w in zip(xs.tolist(), want):
             for form in (x, np.float64(x), np.array(x)):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    got = outcome(dist.log_density, form)
-                want = self.frozen(frozen_log_density, dist, form)
-                if isinstance(dist, LogPareto) and dist.c == 0.0 and x == math.inf:
-                    # The frozen code read -(b + 1) inf - 0 inf = NaN there,
-                    # where density(inf) is 0.
-                    want = -math.inf
-                assert_same(got, want)
+                assert_close(silently(dist.log_density, form), w, **tolerance(dist, "logpdf"))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 17: Uniform's log density is the log of its float "
+        "density, which overflows for a width below 1 / 1.8e308",
+    )
+    def test_log_density_past_the_largest_float(self):
+        # The density of Uniform(0, 5e-324) is 2.02e323, past the largest
+        # float; its log is -log(5e-324) = 744.44.
+        assert Uniform(0.0, 5e-324).log_density(0.0) == pytest.approx(
+            744.4400719213812, rel=1e-13
+        )
 
     def test_uniform_wider_than_a_float_refused(self):
         # b - a overflows, so the density 1 / (b - a) would be 0 on the
@@ -274,92 +360,134 @@ class TestOneSupportRule:
     @pytest.mark.parametrize("d", [2, 3])
     def test_product_density(self, d):
         dist = ProductPareto(1.5, 0.7, d)
-        rows = rule_points(Pareto(1.5, 0.7))
+        factor = Pareto(1.5, 0.7)
+        rows = rule_points(factor)
         rows = rows[: len(rows) // d * d].reshape(-1, d)
-        for x in [*rows, rows, rows.tolist()]:
-            assert_same(dist.density(x), self.frozen(frozen_density, dist, x))
-        assert_same(outcome(dist.cdf, 1.0), self.frozen(frozen_cdf, dist, 1.0))
+        want = np.prod(expected(factor, "pdf", rows).reshape(rows.shape), axis=1)
+        for x, w in [*zip(rows, want.tolist()), (rows, want), (rows.tolist(), want)]:
+            assert_close(dist.density(x), w, rtol=d * 1e-13)
+        assert outcome(dist.cdf, 1.0) == (NotImplementedError, "ProductPareto has no 1-D CDF")
 
     RADII = np.array([0.0, 5e-324, 1e-300, 0.25, 1.0, 7.5, 1e300, math.inf])
 
     @pytest.mark.parametrize("dist", RULE_FAMILIES, ids=str)
     def test_ball_mass(self, dist):
-        points = rule_points(dist)[::2].tolist()
-        radii = [*self.RADII.tolist(), self.RADII, self.RADII.reshape(4, 2), [-1.0, 1.0]]
-        for c in points:
+        # The mass of [c - r, c + r] is a difference of two reference cdf
+        # values, so it carries twice their tolerance; it is 0 at r = 0.
+        atol = 2.0 * tolerance(dist, "cdf")["atol"]
+        radii = self.RADII
+        for c in rule_points(dist)[::2].tolist():
+            with np.errstate(invalid="ignore"):  # inf - inf at c = r = inf
+                ends = expected(dist, "cdf", c + radii) - expected(dist, "cdf", c - radii)
+            want = np.where(radii > 0.0, ends, 0.0)
+            cases = [*zip(radii.tolist(), want.tolist()), (radii, want)]
+            cases.append((radii.reshape(4, 2), want.reshape(4, 2)))
             for x in (c, np.float64(c), np.array([c]), np.array(c)):
-                for r in radii:
+                for r, w in cases:
                     with np.errstate(all="ignore"):
-                        got = outcome(ball_mass, dist, x, r)
-                    assert_same(got, self.frozen(frozen_ball_mass, dist, x, r))
-        two = np.array([1.0, 2.0])
-        assert_same(outcome(ball_mass, dist, two, 1.0), outcome(frozen_ball_mass, dist, two, 1.0))
+                        assert_close(ball_mass(dist, x, r), w, atol=atol)
+                negative = outcome(ball_mass, dist, x, [-1.0, 1.0])
+                assert negative == (ValueError, "radius must be nonnegative")
+        two = outcome(ball_mass, dist, np.array([1.0, 2.0]), 1.0)
+        assert two == (ValueError, "1-D distribution expects a 1-D point")
 
     @pytest.mark.parametrize("dist", RULE_FAMILIES + [Pareto(0.1, 1.0)], ids=str)
     def test_zeta(self, dist):
+        atol = 2.0 * tolerance(dist, "cdf")["atol"]
+
+        def mass(c, r):
+            with np.errstate(invalid="ignore"):
+                return (expected(dist, "cdf", c + r) - expected(dist, "cdf", c - r))[0]
+
         lo = dist.support[0]
-        points = [lo, lo + 0.3, lo + 2.5, lo - 1.0, 40.0, math.nan, math.inf, -math.inf]
-        for c in points:
-            for h in (0.0, 0.05, 0.5, 0.99, 1.0):
+        assert outcome(zeta, dist, lo, 0.0) == (ValueError, "h must lie in (0, 1]")
+        for c in [lo, lo + 0.3, lo + 2.5, lo - 1.0, 40.0, math.inf, -math.inf]:
+            for h in (0.05, 0.5, 0.99, 1.0):
                 with np.errstate(all="ignore"):
                     got = outcome(zeta, dist, c, h)
-                assert_same(got, self.frozen(frozen_zeta, dist, c, h))
-        two = np.array([1.0, 2.0])
-        assert_same(outcome(zeta, dist, two, 0.5), outcome(frozen_zeta, dist, two, 0.5))
+                if isinstance(got, tuple):
+                    text = f"no radius <= 1.09951e+12 reaches mass {h}"
+                    assert got == (RadiusSearchError, text)
+                    assert mass(c, distributions.ZETA_BRACKET_CAP) < h + atol
+                    continue
+                # The smallest radius whose mass reaches h.  The search
+                # halves [0, 1] at most 200 times, so where the mass jumps
+                # past h below 2^-200 it stops there.
+                assert type(got) is float
+                assert mass(c, got) >= h - atol
+                assert mass(c, got * (1.0 - 1e-12)) < h + atol or got == 2.0**-200
+        two = outcome(zeta, dist, np.array([1.0, 2.0]), 0.5)
+        assert two == (ValueError, "1-D distribution expects a 1-D point")
 
     def test_two_dimensions(self):
         dist = ProductPareto(1.0, 1.0, 2)
         for x in (np.array([0.5, 0.5]), np.array([1.0, 2.0]), [3.0, 0.25]):
             for h in (0.01, 0.5):
-                assert_same(zeta(dist, x, h), frozen_zeta(dist, x, h))
-            for r in [0.0, 0.5, 1e300, self.RADII, self.RADII.reshape(2, 4)]:
-                assert_same(ball_mass(dist, x, r), frozen_ball_mass(dist, x, r))
+                r = zeta(dist, x, h)
+                assert type(r) is float and ball_mass(dist, x, r) >= h
+                assert_within_monte_carlo(h, disc_mass(dist, x, r))
+            masses = ball_mass(dist, x, self.RADII)
+            assert masses.shape == self.RADII.shape and masses[0] == 0.0
+            assert masses[-2:].tolist() == [1.0, 1.0]
+            for r, got in zip(self.RADII[1:-2].tolist(), masses[1:-2].tolist()):
+                assert_within_monte_carlo(got, disc_mass(dist, x, r))
+                assert ball_mass(dist, x, r) == got
+            assert_close(ball_mass(dist, x, self.RADII.reshape(2, 4)), masses.reshape(2, 4))
 
+    # Each built-in or plain f_star with its formula written out.
     HOLDERS = [
-        holder_constant(2.5),
-        holder_constant(-1.0, 2),
-        holder_parabola(),
-        holder_from_spec({"name": "zero"}),
-        holder_from_spec({"name": "zero", "d": 3}),
+        (holder_constant(2.5), lambda X: np.full(len(X), 2.5)),
+        (holder_constant(-1.0, 2), lambda X: np.full(len(X), -1.0)),
+        (holder_parabola(), lambda X: np.clip(X[:, 0], 0, 1) * (1 - np.clip(X[:, 0], 0, 1))),
+        (holder_from_spec({"name": "zero"}), lambda X: np.zeros(len(X))),
+        (holder_from_spec({"name": "zero", "d": 3}), lambda X: np.zeros(len(X))),
         # Non-constant in every coordinate, in one and two dimensions.
-        HolderFunction(lambda X: np.abs(X[:, 0] - 0.5), 1),
-        HolderFunction(lambda X: np.linalg.norm(X - 0.5, axis=1), 2),
+        (HolderFunction(lambda X: np.abs(X[:, 0] - 0.5), 1), None),
+        (HolderFunction(lambda X: np.linalg.norm(X - 0.5, axis=1), 2), None),
     ]
 
-    @pytest.mark.parametrize("f", HOLDERS, ids=lambda f: f"d{f.dimension}")
-    def test_holder_call(self, f):
+    @pytest.mark.parametrize("case", HOLDERS, ids=lambda case: f"d{case[0].dimension}")
+    def test_holder_call(self, case):
+        f, formula = case
+        formula = formula or f.fn
         rng = np.random.default_rng(7)
         rows = 2.0 * rng.random((6, f.dimension)) - 0.25
         rows[0, 0], rows[1, -1] = -0.0, math.nan
+        want = formula(rows)
         if f.dimension == 1:
-            forms = [*point_forms(rows[:, 0]), rows]
+            xs = rows[:, 0]
+            cases = [
+                (form, w)
+                for x, w in zip(xs.tolist(), want.tolist())
+                for form in (x, np.float64(x), np.array(x))
+            ]
+            # Any array is read as rows of one coordinate each.
+            cases += [(xs.tolist(), want), (xs, want), (xs.reshape(3, 2), want), (rows, want)]
         else:
-            forms = [rows[0], rows[0].tolist(), rows, rows.tolist()]
-        for x in forms:
-            assert_same(f(x), frozen_holder_call(f, x))
+            cases = [(rows[0], want[:1]), (rows[0].tolist(), want[:1]), (rows, want)]
+            cases.append((rows.tolist(), want))
+        for x, w in cases:
+            assert_close(f(x), w)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_zero_spec_is_constant_zero(self, d):
-        f, old = holder_from_spec({"name": "zero", "d": d}), frozen_holder_zero(d)
-        assert f.dimension == old.dimension
+        f = holder_from_spec({"name": "zero", "d": d})
+        assert f.dimension == d
         X = np.random.default_rng(d).random((5, d))
-        assert_same(f(X), old(X))
+        assert_close(f(X), np.zeros(5))
 
     @pytest.mark.parametrize("dist", LOG_PARETO_VARIANTS, ids=str)
     def test_log_pareto_below_two_is_silent(self, dist):
-        # The formula overflows at x = 1e-300; the frozen density warned.
+        # The formula x^-(b+1) overflows at x = 1e-300; the density is 0 there.
         with pytest.warns(RuntimeWarning, match="overflow encountered in power"):
-            frozen_density(dist, 1e-300)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert dist.density(1e-300) == 0.0
+            np.power(np.float64(1e-300), -(dist.b + 1.0))
+        assert silently(dist.density, 1e-300) == 0.0
 
 
 # Levels where a quantile rule can go wrong: the ends of [0, 1], the
-# last float below 1, signed zero, NaN and levels outside [0, 1].
-EDGE_LEVELS = np.array(
-    [0.0, -0.0, 0.5, 1.0 - 2.0**-53, 1.0, 5e-324, -0.5, 1.5, -math.inf, math.inf, math.nan]
-)
+# last float below 1, signed zero and NaN; then levels outside [0, 1].
+EDGE_LEVELS = np.array([0.0, -0.0, 0.5, 1.0 - 2.0**-53, 1.0, 5e-324, math.nan])
+OUTSIDE_LEVELS = [-0.5, 1.5, -math.inf, math.inf]
 # Levels inside (0, 1), where the bisection runs.
 INNER_LEVELS = np.array([1e-12, 0.05, 0.25, 0.5, 0.75, 0.9])
 # Quantiles that pass the largest float, at levels below 1.
@@ -367,29 +495,69 @@ OVERFLOWING_1D = [Exponential(1e-308), Pareto(1e-10, 1.0)]
 
 
 class TestOneQuantileRule:
-    """ppf and the inverse-cdf draws equal, bit for bit and sign of zero
-    for sign of zero, the code they had when Pareto, Exponential and
-    Uniform each wrote out their own ppf (frozen_ppf), and warn nothing."""
+    """ppf and the inverse-cdf draws against scipy.stats and LogPareto's
+    closed-form cdf, and warn nothing."""
 
     @pytest.mark.parametrize("dist", RULE_FAMILIES + OVERFLOWING_1D, ids=str)
     def test_ppf(self, dist):
-        for u in [*point_forms(EDGE_LEVELS), *point_forms(INNER_LEVELS)]:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                got = outcome(dist.ppf, u)
-            with np.errstate(all="ignore"):
-                assert_same(got, outcome(frozen_ppf, dist, u))
+        levels = np.concatenate([INNER_LEVELS, EDGE_LEVELS])
+        if isinstance(dist, LogPareto):
+            # The bisection takes levels in (0, 1) only.  Its quantile at
+            # 1 - 2^-53 lies past the bracket cap (see test_beyond_the_cap).
+            inner = (0.0 < levels) & (levels < 0.95)
+            for u in levels[~inner & (levels != 1.0 - 2.0**-53)].tolist() + OUTSIDE_LEVELS:
+                text = "ppf argument must lie in (0, 1)"
+                assert silently(dist.ppf, u) == (ValueError, text)
+            got = silently(dist.ppf, levels[inner])
+            for u, x in zip(levels[inner].tolist(), got.tolist()):
+                assert dist.ppf(u) == x
+            # The quantile inverts the closed-form cdf.
+            want = expected(dist, "cdf", got)
+            np.testing.assert_allclose(want, levels[inner], rtol=0, **tolerance(dist, "cdf"))
+            return
+        # The ends of [0, 1] give the ends of the support; NaN gives NaN.
+        ref = scipy_reference(dist)
+        with np.errstate(all="ignore"):
+            want = ref.ppf(levels)
+        # Pareto's 1 - u cancels near u = 0 (ROADMAP item 17): there the
+        # level of its quantile is checked, and test_pareto_ppf_near_zero
+        # holds its value.
+        ill = isinstance(dist, Pareto) & (0.0 < levels) & (levels < 0.05)
+        for u, w in point_cases(levels[~ill], want[~ill]):
+            assert_close(silently(dist.ppf, u), w, **TOLERANCES["ppf"])
+        got = silently(dist.ppf, levels[ill])
+        finite = np.isfinite(got)
+        np.testing.assert_allclose(ref.cdf(got[finite]), levels[ill][finite], rtol=0, atol=1e-15)
+        # Levels outside [0, 1] are not quantiles; they still give a float.
+        for u in OUTSIDE_LEVELS:
+            assert type(silently(dist.ppf, u)) is float
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 17: Pareto's ppf forms 1 - u, which cancels near u = 0",
+    )
+    @pytest.mark.parametrize(
+        "dist", [Pareto(1.0, 1.0), Pareto(3.0, 2.0), Pareto(1e-10, 1.0)], ids=str
+    )
+    def test_pareto_ppf_near_zero(self, dist):
+        # lomax's ppf is sigma expm1(-log1p(-u) / alpha).
+        ref = scipy_reference(dist)
+        np.testing.assert_allclose(dist.ppf(1e-12), ref.ppf(1e-12), rtol=1e-13)
 
     @pytest.mark.parametrize(
         "dist", OVERFLOWING_1D + [ProductPareto(1e-3, 1.0, 2)], ids=str
     )
     def test_overflowing_draws_are_silent_infinities(self, dist):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = dist.sample_array(np.random.default_rng(11), 500)
+        factor = getattr(dist, "_factor", dist)
+        got = silently(dist.sample_array, np.random.default_rng(11), 500)
         us = np.random.default_rng(11).random((500, dist.dimension))
-        with np.errstate(all="ignore"):
-            assert_same(got, frozen_ppf(getattr(dist, "_factor", dist), us))
+        # The draws are the quantiles of the generator's levels, and
+        # infinite exactly where the reference quantile passes the
+        # largest float.
+        assert np.array_equal(got.reshape(us.shape), factor.ppf(us))
+        with np.errstate(over="ignore"):
+            want = scipy_reference(factor).ppf(us)
+        assert np.array_equal(np.isinf(got), want.reshape(got.shape) == math.inf)
         assert np.isinf(got).any()
 
     @pytest.mark.parametrize("c", [0.0, 0.5])
@@ -417,48 +585,51 @@ NUMERICS_POINTS = [(0.5, 0.5), (1.0, 2.0), (3.0, 0.25), (5.0, 5.0)]
 
 
 class TestOneBisection:
-    """zeta and the bisection ppf equal, type, value and sign bit for sign
-    bit, the code they had when each ran its own bracket-and-bisect loop
-    (frozen_zeta, frozen_ppf), warn nothing, and each call makes one
-    _bisect_levels call."""
-
-    @staticmethod
-    def check(call, frozen_call):
-        """call's outcome, which must equal frozen_call's and warn nothing."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = outcome(call)
-        with np.errstate(all="ignore"):
-            assert_same(got, outcome(frozen_call))
-        return got
+    """zeta and the bisection ppf against the reference masses, with the
+    errors and the NaN rule as explicit expected values; each warns
+    nothing and makes one _bisect_levels call."""
 
     @pytest.mark.parametrize("x", NUMERICS_POINTS)
     def test_zeta_at_the_numerics_points(self, x):
+        # The Monte Carlo mass at zeta reaches h; the exact mass there is
+        # within the draws' standard error of h.
         dist, x = ProductPareto(1.0, 1.0, 2), np.array(x)
         for h in (0.01, 0.5, 1.0):
-            self.check(lambda: zeta(dist, x, h), lambda: frozen_zeta(dist, x, h))
+            r = silently(zeta, dist, x, h)
+            assert type(r) is float and ball_mass(dist, x, r) >= h
+            exact = disc_mass(dist, x, r)
+            if h < 1.0:
+                assert_within_monte_carlo(h, exact)
+            else:  # the ball holds every draw; its exact mass misses ~1e-5
+                assert 1.0 - 1e-4 < exact <= 1.0
 
     def test_beyond_the_cap(self):
-        # Pareto(0.1, 1) has mass ~0.94 inside the cap; LogPareto(1, 0.05, 0)
-        # has x = 2 (1 - u)^-20 past it from u = 0.75 on.
+        # Pareto(0.1, 1) has mass 1 - (1 + 2^40)^-0.1 = 0.94 inside the cap;
+        # LogPareto(1, 0.05, 0) has x = 2 (1 - u)^-20 past it from u = 0.75 on.
         dist = Pareto(0.1, 1.0)
-        got = self.check(
-            lambda: zeta(dist, 0.0, 0.99), lambda: frozen_zeta(dist, 0.0, 0.99)
-        )
+        assert scipy_reference(dist).cdf(distributions.ZETA_BRACKET_CAP) < 0.99
+        got = silently(zeta, dist, 0.0, 0.99)
         assert got == (RadiusSearchError, "no radius <= 1.09951e+12 reaches mass 0.99")
         dist = LogPareto(1.0, 0.05, 0.0)
         for u in (0.75, np.array([0.5, 0.75, 0.8])):
-            got = self.check(lambda: dist.ppf(u), lambda: frozen_ppf(dist, u))
             text = "quantile u = 0.75 lies beyond the bracket cap x = 1.09951e+12"
-            assert got == (RadiusSearchError, text)
+            assert silently(dist.ppf, u) == (RadiusSearchError, text)
 
     @pytest.mark.parametrize(
         "dist", ONE_D_VARIANTS + [ProductPareto(1.0, 1.0, 2)], ids=str
     )
     def test_nan_centre(self, dist):
-        x = math.nan if dist.dimension == 1 else np.array([math.nan, 1.0])
+        # A NaN centre has no mass at any radius.  In 1-D every comparison
+        # of its NaN mass with h is False, so the search returns its first
+        # bracket end, 1.0, not NaN (ROADMAP item 17); in d = 2 no draw
+        # lies within any radius, so no radius reaches h.
         for h in (0.05, 0.5, 1.0):
-            self.check(lambda: zeta(dist, x, h), lambda: frozen_zeta(dist, x, h))
+            if dist.dimension == 1:
+                assert silently(zeta, dist, math.nan, h) == 1.0
+            else:
+                text = f"no radius <= 1.09951e+12 reaches mass {h}"
+                got = silently(zeta, dist, np.array([math.nan, 1.0]), h)
+                assert got == (RadiusSearchError, text)
 
     def test_one_search_per_call(self, monkeypatch):
         searches = []
@@ -522,12 +693,17 @@ class TestLogDensityRows:
         X[0, 0] = 0.0
         X[1, d - 1] = -0.25  # outside the support: -inf
         X[2, :] = -1.0e-300
-        want = log_density_loop(P, X)
-        assert want[1] == -math.inf and want[2] == -math.inf
-        assert np.array_equal(P.log_density(X), want)
+        # The sum of lomax's coordinate log densities; -inf outside the support.
+        want = scipy_reference(Pareto(1.5, 0.7)).logpdf(X).sum(axis=1)
+        want[(X < 0.0).any(axis=1)] = -math.inf
+        got = P.log_density(X)
+        assert got[1] == -math.inf and got[2] == -math.inf
+        # A row near 0 is a difference of terms near 1, and keeps their
+        # absolute rounding.
+        np.testing.assert_allclose(got, want, rtol=d * 1e-13, atol=d * 1e-15)
         for i in range(4):
-            got = P.log_density(X[i])
-            assert isinstance(got, float) and got == want[i]
+            row = P.log_density(X[i])
+            assert isinstance(row, float) and row == got[i]
 
     def test_product_pareto_flat_points_are_rows(self):
         # A 1-D array of two points is two rows, as density reads it.
@@ -609,6 +785,9 @@ class TestCdf:
 
     @pytest.mark.parametrize("dist", LOG_PARETO_VARIANTS, ids=str)
     def test_log_pareto_one_point_equals_loop(self, dist):
+        # Each one-point call equals the same point of an array call, and
+        # both the E_c closed form, out to x = e^690 and either side of the
+        # x where a panel is added.
         rng = np.random.default_rng(17)
         xs = np.concatenate(
             [
@@ -617,10 +796,32 @@ class TestCdf:
                 with_neighbours(PANEL_EDGES[::37]),
             ]
         )
-        for x in xs.tolist():
-            raw = raw_cdf_integral_loop(dist, [x])[0]
-            want = 0.0 if x < 2.0 else min(max(raw / dist._norm, 0.0), 1.0)
-            assert dist.cdf(x) == want
+        got = np.array([dist.cdf(x) for x in xs.tolist()])
+        assert np.array_equal(got, dist.cdf(xs))
+        np.testing.assert_allclose(got, expected(dist, "cdf", xs), rtol=0, atol=3e-13)
+
+    @pytest.mark.parametrize(
+        "dist, x, want",
+        [
+            # lomax(1).cdf(1e-12) = -expm1(-log1p(1e-12)) = 1e-12 - 1e-24.
+            (Pareto(1.0, 1.0), 1e-12, 9.99999999999e-13),
+            # 1 - 2^-1e-300 = 1e-300 log 2.
+            (Pareto(1e-300, 1.0), 1.0, 6.931471805599453e-301),
+        ],
+        ids=str,
+    )
+    def test_pareto_near_zero(self, dist, x, want):
+        # The cdf 1 - (1 + x/sigma)^-alpha cancelled here: 8.9e-5 too high
+        # at 1e-12, and 0.0 for Pareto(1e-300, 1).
+        assert want == pytest.approx(scipy_reference(dist).cdf(x), rel=1e-13, abs=0)
+        assert dist.cdf(x) == pytest.approx(want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("dist", [Pareto(1.0, 1.0), Exponential(1.0)], ids=str)
+    def test_signed_zero_is_zero(self, dist):
+        # x = -0.0 is the left end of the support, where the cdf is +0.0.
+        for x in (0.0, -0.0):
+            got = dist.cdf(x)
+            assert got == 0.0 and not math.copysign(1.0, got) < 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -702,6 +903,19 @@ class TestBallMass:
         assert abs(m - exact) <= 4 * se
 
 
+    @pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 10: d >= 2 ball masses below 1e-4 read 0"
+    )
+    def test_small_ball_in_two_dimensions(self):
+        # p pi r^2 = 6.2e-7 at p(0.5, 0.5) = 0.1975; none of the 1e5 draws lands.
+        # python -c "import mpmath as m; m.mp.dps = 30; F = lambda x: 1 - 1 / (1 + x);
+        #   r, c = m.mpf('1e-3'), m.mpf('0.5'); w = lambda x: m.sqrt(r * r - (x - c) ** 2);
+        #   print(m.quad(lambda x: (F(c + w(x)) - F(c - w(x))) / (1 + x) ** 2,
+        #       [c - r, c, c + r]))"
+        got = ball_mass(ProductPareto(1.0, 1.0, 2), np.array([0.5, 0.5]), 1e-3)
+        assert got == pytest.approx(6.20561925528079811e-7, rel=1e-3, abs=0)
+
+
 class TestZeta:
     def test_uniform_linear(self):
         assert math.isclose(zeta(Uniform(0, 1), 0.5, 0.2), 0.1, rel_tol=1e-9)
@@ -739,8 +953,22 @@ class TestZeta:
 
     @pytest.mark.parametrize("dist,x,h", CASES)
     def test_equals_per_step_ball_mass(self, dist, x, h):
+        # ball_mass reaches h at zeta and not just below it; the exact mass
+        # there is h, within the Monte Carlo error in d = 2.
         point = np.array(x) if dist.dimension > 1 else x[0]
-        assert zeta(dist, point, h) == zeta_per_step(dist, point, h)
+        r = zeta(dist, point, h)
+        assert ball_mass(dist, point, r) >= h > ball_mass(dist, point, r * (1 - 1e-12))
+        if dist.dimension > 1:
+            assert_within_monte_carlo(h, disc_mass(dist, x, r))
+        else:
+            cdf = expected(dist, "cdf", [point - r, point + r])
+            assert cdf[1] - cdf[0] == pytest.approx(h, abs=1e-9)
+
+    def test_pareto_near_zero(self):
+        # The radius of mass 1e-12 at 0 is lomax's quantile, 1e-12 + 1e-24;
+        # the cancelling cdf put it 2.2e-5 low.
+        want = scipy_reference(Pareto(1.0, 1.0)).ppf(1e-12)
+        assert zeta(Pareto(1.0, 1.0), 0.0, 1e-12) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_draws_one_sample_in_two_dimensions(self, monkeypatch):
         draws = []
@@ -760,9 +988,10 @@ class TestBisectionPpf:
         # One call for every level, and one call per level.
         dist = LogPareto(1.0, 1.0, 2.0)
         us = [(i + 0.5) / 50 for i in range(50)] + [1e-12, 1.0 - 1e-12]
-        want = [ppf_bisection(dist, u) for u in us]
-        assert dist.ppf(np.array(us)).tolist() == want
-        assert [dist.ppf(u) for u in us] == want
+        want = dist.ppf(np.array(us))
+        assert [dist.ppf(u) for u in us] == want.tolist()
+        # The quantiles invert the closed-form cdf.
+        np.testing.assert_allclose(expected(dist, "cdf", want), us, rtol=0, atol=3e-13)
 
     def test_beyond_the_cap_names_the_first_level(self):
         # x = 2 (1 - u)^-20 passes 2^40 from u = 0.75 on.

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import frozen_theoretical_rate
 from transfer_knn.errors import ConfigError
 from transfer_knn.rates import (
     ACCELERATED,
@@ -286,12 +285,73 @@ class TestIdentities:
             assert not both
 
 
-def _outcome(rate, params, mode):
-    """The report's repr, or the raised error's type and message."""
-    try:
-        return repr(rate(params, mode=mode))
-    except (ValueError, OverflowError) as exc:
-        return type(exc), str(exc)
+TIE = "either driver"
+
+
+def reference_report(p: RateParams, mode: str):
+    """(configuration, regime, driver, source_exp, target_exp, rate) of a
+    report, from the module docstring, or the ConfigError's field.
+
+    In exponents_only mode the rate is lower_bound_rate's, a separate
+    transcription of the lower-bound statement; in full mode it is the
+    docstring's one-term formula with log(n m) = log n + log m.
+    """
+    rb = 2.0 * p.beta / (2.0 * p.beta + p.d)
+    sign = (p.gamma - rb) * (p.s - rb)
+    config = SUPERCRITICAL if sign < 0 else CRITICAL if sign == 0 else SUBCRITICAL
+    accelerated = False
+    if config == SUPERCRITICAL and p.n >= 1 and p.m >= 1:
+        edge = (p.gamma / p.s) * math.log(p.n)
+        edge = math.inf if edge > 700.0 else math.exp(edge)
+        accelerated = min(p.n, edge) <= p.m <= max(p.n, edge)
+    full = mode == "full"
+    if full:
+        if max(p.n, p.m) < 2:
+            return "n, m"
+        log_nm = math.log(max(p.n, 1.0)) + math.log(max(p.m, 1.0))
+
+    def term(size, e):
+        if size == 0:
+            return math.inf
+        return (log_nm / size) ** e if full else size**-e
+
+    if accelerated:
+        a = (rb - p.s) / (p.gamma - p.s)
+        src, tgt = p.gamma * a, p.s * (1.0 - a)
+        if not full:
+            return config, ACCELERATED, None, src, tgt, lower_bound_rate(p)
+        if p.transfer_p is None or p.transfer_q is None:
+            return "transfer_p, transfer_q"
+        coef = p.transfer_p**a * p.transfer_q ** (1.0 - a)
+        return config, ACCELERATED, None, src, tgt, coef * term(p.n, src) * term(p.m, tgt)
+    rs, rt = min(p.gamma, rb), min(p.s, rb)
+    wp, wq = (p.transfer_p, p.transfer_q) if full else (1.0, 1.0)
+    src = math.inf if wp is None else wp * term(p.n, rs)
+    tgt = math.inf if wq is None else wq * term(p.m, rt)
+    if src == tgt == math.inf:
+        # An empty sample has no term, so the error names the other's T.
+        if p.n == 0 or p.m == 0:
+            return "transfer_q" if p.n == 0 else "transfer_p"
+        return "transfer_p, transfer_q"
+    rate = min(src, tgt) if full else lower_bound_rate(p)
+    # Terms that tie to rounding may name either driver.
+    driver = TIE if math.isclose(src, tgt, rel_tol=1e-12) else SOURCE if src < tgt else TARGET
+    return config, WEDGE, driver, rs, rt, rate
+
+
+def assert_matches_reference(params, mode):
+    want = reference_report(params, mode)
+    if isinstance(want, str):
+        with pytest.raises(ConfigError, match=f"config field '{want}': "):
+            theoretical_rate(params, mode=mode)
+        return
+    rep = theoretical_rate(params, mode=mode)
+    config, regime, driver, src, tgt, rate = want
+    assert (rep.configuration, rep.regime) == (config, regime)
+    assert rep.driver == driver or (driver == TIE and rep.driver in (SOURCE, TARGET))
+    assert rep.source_exp == pytest.approx(src, rel=1e-12, abs=0)
+    assert rep.target_exp == pytest.approx(tgt, rel=1e-12, abs=0)
+    assert rep.rate_value == pytest.approx(rate, rel=1e-12, abs=0)
 
 
 SIZES = st.one_of(
@@ -303,7 +363,9 @@ T_VALUES = st.one_of(st.none(), st.floats(min_value=1e-6, max_value=1e6))
 
 
 class TestOneTermFormula:
-    """theoretical_rate against its frozen two-copy form, in both modes."""
+    """theoretical_rate against references that share none of its code, in
+    both modes: lower_bound_rate, the module docstring's formula and a
+    table derived by hand."""
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -317,15 +379,13 @@ class TestOneTermFormula:
         transfer_q=T_VALUES,
         mode=st.sampled_from(["exponents_only", "full"]),
     )
-    def test_matches_frozen_oracle(
+    def test_matches_the_references(
         self, gamma, s, beta, d, n, m, transfer_p, transfer_q, mode
     ):
         if n == 0 and m == 0:
             m = 1
         params = RateParams(gamma, s, beta, d, n, m, transfer_p, transfer_q)
-        assert _outcome(theoretical_rate, params, mode) == _outcome(
-            frozen_theoretical_rate, params, mode
-        )
+        assert_matches_reference(params, mode)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -339,7 +399,7 @@ class TestOneTermFormula:
         transfer_q=T_VALUES,
         mode=st.sampled_from(["exponents_only", "full"]),
     )
-    def test_matches_frozen_oracle_in_the_window(
+    def test_matches_the_references_in_the_window(
         self, beta, d, gamma_over, s_frac, n, u, transfer_p, transfer_q, mode
     ):
         # s < r_beta < gamma and m between n and n^(gamma/s), short of
@@ -348,9 +408,7 @@ class TestOneTermFormula:
         gamma, s = rb + gamma_over, s_frac * rb
         m = math.exp(min(math.log(n) * (1.0 + u * (gamma / s - 1.0)), 700.0))
         params = RateParams(gamma, s, beta, d, n, m, transfer_p, transfer_q)
-        assert _outcome(theoretical_rate, params, mode) == _outcome(
-            frozen_theoretical_rate, params, mode
-        )
+        assert_matches_reference(params, mode)
 
     def test_small_samples_and_missing_t(self):
         for mode, (n, m), transfer_p, transfer_q, (gamma, s) in itertools.product(
@@ -361,15 +419,55 @@ class TestOneTermFormula:
             ((1.0, 0.2), (0.2, 1.0), (0.5, 0.5)),
         ):
             params = RateParams(gamma, s, 1.0, 1, n, m, transfer_p, transfer_q)
-            assert _outcome(theoretical_rate, params, mode) == _outcome(
-                frozen_theoretical_rate, params, mode
-            )
+            assert_matches_reference(params, mode)
+
+    # (gamma, s, beta, d, n, m, T_p, T_q), mode, then the report's
+    # configuration, regime, driver, exponents and rate, worked by hand.
+    # At beta = 1, d = 1, r_beta = 2/3; at d = 2 it is 1/2.
+    TABLE = [
+        # window [1e3, 1e15]; a = (2/3 - 1/5) / (4/5) = 7/12
+        ((1.0, 0.2, 1.0, 1, 1e3, 1e4, None, None), "exponents_only",
+         (SUPERCRITICAL, ACCELERATED, None, 7 / 12, 1 / 12, 10 ** (-25 / 12))),
+        # window [1e4^(5/9), 1e4] = [166.8, 1e4] misses m = 100:
+        # min(1e4^-1/2, 1e2^-2/3) = 1e-2
+        ((0.5, 0.9, 1.0, 1, 1e4, 1e2, None, None), "exponents_only",
+         (SUPERCRITICAL, WEDGE, SOURCE, 0.5, 2 / 3, 1e-2)),
+        # m = 1e3 in it; a = (2/3 - 9/10) / (1/2 - 9/10) = 7/12
+        ((0.5, 0.9, 1.0, 1, 1e4, 1e3, None, None), "exponents_only",
+         (SUPERCRITICAL, ACCELERATED, None, 7 / 24, 3 / 8, 10 ** (-55 / 24))),
+        # both below 2/3: min(1e4^-0.3, 1e2^-0.4) = 10^-1.2
+        ((0.3, 0.4, 1.0, 1, 1e4, 1e2, None, None), "exponents_only",
+         (SUBCRITICAL, WEDGE, SOURCE, 0.3, 0.4, 10**-1.2)),
+        # both above 2/3: min(1e2^-2/3, 1e4^-2/3) = 10^(-8/3)
+        ((0.9, 1.5, 1.0, 1, 1e2, 1e4, None, None), "exponents_only",
+         (SUBCRITICAL, WEDGE, TARGET, 2 / 3, 2 / 3, 10 ** (-8 / 3))),
+        # r_beta = 1/2, window [100, 1e16]; a = (1/2 - 1/4) / (2 - 1/4) = 1/7
+        ((2.0, 0.25, 1.0, 2, 1e2, 1e3, None, None), "exponents_only",
+         (SUPERCRITICAL, ACCELERATED, None, 2 / 7, 3 / 14, 10 ** (-17 / 14))),
+        # the first row in full mode: 2^(7/12) 3^(5/12) (log 1e7 / 1e3)^(7/12)
+        # (log 1e7 / 1e4)^(1/12)
+        ((1.0, 0.2, 1.0, 1, 1e3, 1e4, 2.0, 3.0), "full",
+         (SUPERCRITICAL, ACCELERATED, None, 7 / 12, 1 / 12,
+          2 ** (7 / 12) * 3 ** (5 / 12) * (7 * math.log(10) / 1e3) ** (7 / 12)
+          * (7 * math.log(10) / 1e4) ** (1 / 12))),
+        # a wedge with T_q only: 3 (log 1e6 / 1e4)^(2/3)
+        ((0.3, 0.4, 1.0, 1, 1e2, 1e4, None, 3.0), "full",
+         (SUBCRITICAL, WEDGE, TARGET, 0.3, 0.4, 3 * (6 * math.log(10) / 1e4) ** 0.4)),
+    ]
+
+    @pytest.mark.parametrize("values, mode, want", TABLE)
+    def test_hand_derived_table(self, values, mode, want):
+        rep = theoretical_rate(RateParams(*values), mode=mode)
+        config, regime, driver, src, tgt, rate = want
+        assert (rep.configuration, rep.regime, rep.driver) == (config, regime, driver)
+        assert rep.source_exp == pytest.approx(src, rel=1e-12, abs=0)
+        assert rep.target_exp == pytest.approx(tgt, rel=1e-12, abs=0)
+        assert rep.rate_value == pytest.approx(rate, rel=1e-12, abs=0)
 
     def test_unknown_mode(self):
         params = RateParams(1.0, 0.2, 1.0, 1, 10, 10)
-        assert _outcome(theoretical_rate, params, "log") == _outcome(
-            frozen_theoretical_rate, params, "log"
-        )
+        with pytest.raises(ValueError, match="^unknown mode 'log'$"):
+            theoretical_rate(params, mode="log")
 
 
 class TestPhaseGrid:
