@@ -31,7 +31,8 @@ from .errors import (
 from .estimator import fit
 from .harness import experiment_from_spec, generate_data, problem_from_spec, sweep
 from .rates import RateParams, phase_grid, theoretical_rate
-from .transfer import transfer_value
+# transfer_value stays a name of this module: bench/layers.py wraps it here.
+from .transfer import estimate_index, transfer_value
 
 
 def _fmt(value) -> str:
@@ -92,8 +93,15 @@ def _float_arg(text: str, field: str) -> float:
     return value
 
 
+# The most points a grid, and the most cells a phase table, may hold.
+MAX_GRID_POINTS = 100_000
+
+
 def parse_grid(text: str, field: str):
-    """Parse start:end:step (end included when on-step within 1e-12)."""
+    """Parse start:end:step (end included when on-step within 1e-12).
+
+    A grid of more than MAX_GRID_POINTS points is refused before it is built.
+    """
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise ConfigError(field, f"expected start:end[:step], got '{text}'")
@@ -108,6 +116,8 @@ def parse_grid(text: str, field: str):
     if not math.isfinite(steps):
         raise ConfigError(field, f"(end - start) / step = {steps!r} is not a finite count")
     count = int(math.floor(steps + 1e-12)) + 1
+    if count > MAX_GRID_POINTS:
+        raise ConfigError(field, f"{count} points exceed the limit of {MAX_GRID_POINTS}")
     return [start + i * step for i in range(count)]
 
 
@@ -169,7 +179,7 @@ def _cmd_transfer(args, stager: OutputStager) -> None:
     grid = parse_grid(args.gamma_grid, "--gamma-grid")
     if grid[0] < 0.0:
         raise ConfigError("--gamma-grid", f"gamma must be nonnegative, got {grid[0]}")
-    evals = [transfer_value(P, Q, g) for g in grid]
+    evals = estimate_index(P, Q, grid).evaluations
     header = ["gamma", "value", "method", "error_estimate", "converged"]
     rows = [
         (e.gamma, e.value, e.method, e.error_estimate, e.converged) for e in evals
@@ -226,14 +236,19 @@ def _cmd_phase(args, stager: OutputStager) -> None:
         axis1 = _log_grid(args.log_n, "--log-n")
         axis2 = _log_grid(args.log_m, "--log-m")
         flags.update(n="--log-n", m="--log-m")
+        axis_flags = "--log-n, --log-m"
     elif keys == {"n", "m"}:
         if args.gamma_axis is None or args.s_axis is None:
             raise ConfigError("--gamma-axis", "required when fixing n and m")
         axis1 = parse_grid(args.gamma_axis, "--gamma-axis")
         axis2 = parse_grid(args.s_axis, "--s-axis")
         flags.update(gamma="--gamma-axis", s="--s-axis")
+        axis_flags = "--gamma-axis, --s-axis"
     else:
         raise ConfigError("--fix", "must fix exactly gamma,s or n,m")
+    cells = len(axis1) * len(axis2)
+    if cells > MAX_GRID_POINTS:
+        raise ConfigError(axis_flags, f"{cells} cells exceed the limit of {MAX_GRID_POINTS}")
     try:
         grid = phase_grid(args.beta, args.d, fixed, axis1, axis2)
     except ConfigError as exc:

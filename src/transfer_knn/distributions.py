@@ -238,7 +238,9 @@ class Uniform(DistributionFamily):
         return np.where(np.isnan(xs), math.nan, 1.0 / (self.b - self.a))
 
     def _log_pdf(self, x):
-        return math.log(self._pdf(x))
+        # -log(b - a) stays a float where the density 1 / (b - a) passes the
+        # largest float, for a width below 1 / 1.8e308.
+        return math.nan if math.isnan(x) else -math.log(self.b - self.a)
 
     def _cdf(self, xs):
         return (xs - self.a) / (self.b - self.a)
@@ -475,9 +477,13 @@ def ball_mass(dist: DistributionFamily, x, r):
 
 def zeta(dist: DistributionFamily, x, h: float) -> float:
     """Smallest radius whose ball around x carries mass at least h: the
-    settled _bisect_levels of the _mass_at function that ball_mass reads."""
+    settled _bisect_levels of the _mass_at function that ball_mass reads.
+    A non-finite centre x has no such radius and raises ValueError."""
     if not 0.0 < h <= 1.0:
         raise ValueError("h must lie in (0, 1]")
+    centre = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(centre)):
+        raise ValueError(f"zeta centre {centre.tolist()} is not finite")
     mass, level = _mass_at(dist, x), np.array(float(h))
     beyond = f"no radius <= {ZETA_BRACKET_CAP:g} reaches mass {h}"
     return float(_bisect_levels(mass, level, 0.0, 1.0, lambda u: beyond, settle=True))

@@ -7,6 +7,11 @@ integrability index gamma* = sup{gamma >= 0 : T < oo} is reported as a
 bracket (largest confirmed-finite grid point, smallest diverging one),
 never as a point estimate: divergence of an integral is invisible to
 finite numerics, so any point claim would overreach.
+
+The domain {gamma >= 0 : T < oo} is an interval that starts at 0: for
+gamma < gamma', p^-gamma <= 1 where p >= 1 and p^-gamma <= p^-gamma'
+where p < 1, so T(gamma) <= 1 + T(gamma').  So estimate_index evaluates
+a grid only up to its first divergent point.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -209,17 +214,28 @@ def transfer_value(
 def estimate_index(
     P: DistributionFamily, Q: DistributionFamily, gamma_grid
 ) -> IndexEstimate:
-    """Bracket gamma* by evaluating the transfer function on a grid."""
+    """Bracket gamma* by evaluating the transfer function on a sorted grid.
+
+    T is infinite above any gamma where it is infinite: p^-gamma <=
+    1 + p^-gamma' for gamma < gamma', so T(gamma) <= 1 + T(gamma').  So
+    transfer_value runs only up to the first divergent grid point, and
+    each larger gamma gets that evaluation with its own gamma.
+    """
     grid = [float(g) for g in gamma_grid]
     if not grid:
         raise ValueError("gamma grid must be nonempty")
     if any(g < 0 for g in grid) or sorted(grid) != grid:
         raise ValueError("gamma grid must be nonnegative and increasing")
-    evals = tuple(transfer_value(P, Q, g) for g in grid)
+    evals = []
+    for g in grid:
+        if evals and not evals[-1].converged:
+            evals.append(replace(evals[-1], gamma=g))
+        else:
+            evals.append(transfer_value(P, Q, g))
     diverged = [e.gamma for e in evals if not e.converged]
     upper = min(diverged) if diverged else math.inf
-    # A non-monotone grid (numeric noise) must not confirm a finite value
-    # above the first divergent one.
-    converged = [e.gamma for e in evals if e.converged and e.gamma < upper]
+    converged = [e.gamma for e in evals if e.converged]
     lower = max(converged) if converged else 0.0
-    return IndexEstimate(lower_confirmed=lower, upper_confirmed=upper, evaluations=evals)
+    return IndexEstimate(
+        lower_confirmed=lower, upper_confirmed=upper, evaluations=tuple(evals)
+    )

@@ -8,8 +8,9 @@ import warnings
 import pytest
 
 from conftest import read_labeled_csv
-from transfer_knn import harness
-from transfer_knn.cli import main, parse_grid, run
+from transfer_knn import harness, transfer
+from transfer_knn.cli import MAX_GRID_POINTS, main, parse_grid, run
+from transfer_knn.distributions import family_from_spec
 from transfer_knn.errors import MAX_DIMENSION, ConfigError
 from transfer_knn.rates import RateParams, theoretical_rate
 
@@ -82,6 +83,13 @@ class TestGridParsing:
             parse_grid("1:2:0", "g")
         with pytest.raises(ConfigError):
             parse_grid("abc", "g")
+
+    def test_point_limit(self):
+        # The count is checked before the list is built.
+        assert len(parse_grid(f"1:{MAX_GRID_POINTS}", "g")) == MAX_GRID_POINTS
+        too_many = f"'g': {MAX_GRID_POINTS + 1} points exceed the limit of {MAX_GRID_POINTS}"
+        with pytest.raises(ConfigError, match=too_many):
+            parse_grid(f"0:{MAX_GRID_POINTS}", "g")
 
 
 class TestTransferCommand:
@@ -165,6 +173,69 @@ class TestTransferCommand:
         assert "numeric failure: T at gamma=1.05 is finite" in err
         assert "Traceback" not in err
         assert not list(out.glob("*"))
+
+
+LOG_PARETO_PAIR = {
+    "source": {"family": "log_pareto", "a": 1.0, "b": 1.0, "c": 0.0},
+    "target": {"family": "log_pareto", "a": 1.0, "b": 1.0, "c": 2.0},
+}
+
+
+class TestTransferGrid:
+    """transfer evaluates its grid only up to the first divergent gamma, and
+    writes what evaluating every gamma from an empty memo writes."""
+
+    def test_stops_at_the_first_divergence(self, tmp_path, monkeypatch):
+        calls = []
+        evaluate = transfer.transfer_value
+
+        def counted(P, Q, gamma):
+            calls.append(gamma)
+            return evaluate(P, Q, gamma)
+
+        monkeypatch.setattr(transfer, "transfer_value", counted)
+        cfg = write_json(tmp_path / "pair.json", LOG_PARETO_PAIR)
+        argv = ["transfer", "--config", cfg, "--gamma-grid", "0:1:0.01"]
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 0
+        # 52 calls: T is finite up to gamma 0.5 and read divergent from 0.51 on.
+        assert calls == [i * 0.01 for i in range(52)]
+
+    @pytest.mark.parametrize(
+        "pair, grid, gammas",
+        [
+            (LOG_PARETO_PAIR, "0:1:0.01", [i * 0.01 for i in range(101)]),
+            (
+                {
+                    "source": {"family": "exponential", "lambda": 2.0},
+                    "target": {"family": "exponential", "lambda": 1.0},
+                },
+                "0:1:0.05",
+                [i * 0.05 for i in range(21)],
+            ),
+            (
+                {
+                    "source": {"family": "uniform", "a": 0.0, "b": 1.0},
+                    "target": {"family": "uniform", "a": 0.0, "b": 2.0},
+                },
+                "0:1:0.25",
+                [i * 0.25 for i in range(5)],
+            ),
+        ],
+        ids=["log_pareto", "exponential_closed_form", "uncovered_uniform"],
+    )
+    def test_bytes_equal_a_cold_loop(self, tmp_path, pair, grid, gammas):
+        cfg = write_json(tmp_path / "pair.json", pair)
+        out = tmp_path / "out"
+        assert run(["transfer", "--config", cfg, "--gamma-grid", grid, "--out", str(out)]) == 0
+        P, Q = (family_from_spec(pair[side], side) for side in ("source", "target"))
+        lines = ["gamma,value,method,error_estimate,converged"]
+        for g in gammas:
+            transfer._pair_memo.cache_clear()
+            e = transfer.transfer_value(P, Q, g)
+            flag = "true" if e.converged else "false"
+            lines.append(f"{e.gamma!r},{e.value!r},{e.method},{e.error_estimate!r},{flag}")
+        assert lines[-1].endswith(",false")
+        assert (out / "transfer.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 class TestRatesCommand:
@@ -277,6 +348,25 @@ class TestPhaseCommand:
         assert code == 0
         body = (out / "phase.csv").read_text().splitlines()
         assert body[0].startswith("gamma,s,")
+
+    @pytest.mark.parametrize(
+        "axes, flags",
+        [
+            (["--fix", "n=1e4,m=1e5", "--gamma-axis", "0.001:1:0.001",
+              "--s-axis", "0.001:1:0.001"], "--gamma-axis, --s-axis"),
+            (["--fix", "gamma=1,s=0.2", "--log-n", "0:3:0.001",
+              "--log-m", "0:3:0.01"], "--log-n, --log-m"),
+        ],
+    )
+    def test_table_past_the_cell_limit_exits_one(self, tmp_path, capsys, axes, flags):
+        # Each axis is within the point limit; their product is not.
+        out = tmp_path / "out"
+        assert run(["phase", *axes, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"config field '{flags}': " in err
+        assert f"cells exceed the limit of {MAX_GRID_POINTS}" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*"))
 
     def test_bad_fix_keys(self, tmp_path):
         out = tmp_path / "out"
@@ -1034,6 +1124,9 @@ class TestFlags:
             # a point count that overflows a float
             ("--gamma-grid", "0:1e300:1e-300"),
             ("--log-m", "0:1e300:1e-300"),
+            # a point count past the limit, refused before the grid is built
+            ("--gamma-grid", "0:1:1e-12"),
+            ("--log-n", "0:1:1e-12"),
         ],
     )
     def test_phase_names_the_flag(self, tmp_path, capsys, flag, value):

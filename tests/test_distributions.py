@@ -208,9 +208,7 @@ def expected(dist, name, xs):
     The support rule is written out: outside the support a density is 0
     and a log density -inf, and a cdf is 0 below it and 1 from its upper
     end on; a NaN point stays NaN.  Inside, the value is scipy.stats' or
-    LogPareto's closed form.  Where the true density passes the largest
-    float the log density expected is inf, the log of the density a float
-    holds (see test_log_density_past_the_largest_float).
+    LogPareto's closed form.
     """
     lo, hi = dist.support
     xs = np.asarray(xs, dtype=np.float64).reshape(-1)
@@ -226,10 +224,7 @@ def expected(dist, name, xs):
             out[inside] = log_pareto_reference(dist, name, xs[inside])
         else:
             ref = scipy_reference(dist)
-            vals = getattr(ref, name)(xs[inside])
-            if name == "logpdf":
-                vals[ref.pdf(xs[inside]) == math.inf] = math.inf
-            out[inside] = vals
+            out[inside] = getattr(ref, name)(xs[inside])
     return out
 
 
@@ -334,11 +329,6 @@ class TestOneSupportRule:
             for form in (x, np.float64(x), np.array(x)):
                 assert_close(silently(dist.log_density, form), w, **tolerance(dist, "logpdf"))
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 17: Uniform's log density is the log of its float "
-        "density, which overflows for a width below 1 / 1.8e308",
-    )
     def test_log_density_past_the_largest_float(self):
         # The density of Uniform(0, 5e-324) is 2.02e323, past the largest
         # float; its log is -log(5e-324) = 744.44.
@@ -405,6 +395,9 @@ class TestOneSupportRule:
             for h in (0.05, 0.5, 0.99, 1.0):
                 with np.errstate(all="ignore"):
                     got = outcome(zeta, dist, c, h)
+                if math.isinf(c):  # no radius, refused before any search
+                    assert got == (ValueError, f"zeta centre {c} is not finite")
+                    continue
                 if isinstance(got, tuple):
                     text = f"no radius <= 1.09951e+12 reaches mass {h}"
                     assert got == (RadiusSearchError, text)
@@ -618,18 +611,22 @@ class TestOneBisection:
     @pytest.mark.parametrize(
         "dist", ONE_D_VARIANTS + [ProductPareto(1.0, 1.0, 2)], ids=str
     )
-    def test_nan_centre(self, dist):
-        # A NaN centre has no mass at any radius.  In 1-D every comparison
-        # of its NaN mass with h is False, so the search returns its first
-        # bracket end, 1.0, not NaN (ROADMAP item 17); in d = 2 no draw
-        # lies within any radius, so no radius reaches h.
-        for h in (0.05, 0.5, 1.0):
-            if dist.dimension == 1:
-                assert silently(zeta, dist, math.nan, h) == 1.0
-            else:
-                text = f"no radius <= 1.09951e+12 reaches mass {h}"
-                got = silently(zeta, dist, np.array([math.nan, 1.0]), h)
-                assert got == (RadiusSearchError, text)
+    def test_nan_centre(self, dist, monkeypatch):
+        # A NaN or infinite centre has no radius.  It is refused, naming the
+        # centre, before any draw or bisection: neither may be called.
+        monkeypatch.setattr(distributions, "_mass_at", None)
+        monkeypatch.setattr(distributions, "_bisect_levels", None)
+        if dist.dimension == 1:
+            cases = [(math.nan, "nan"), (-math.inf, "-inf")]
+        else:
+            cases = [
+                (np.array([math.nan, 1.0]), "[nan, 1.0]"),
+                (np.array([1.0, math.inf]), "[1.0, inf]"),
+            ]
+        for centre, text in cases:
+            for h in (0.05, 0.5, 1.0):
+                got = silently(zeta, dist, centre, h)
+                assert got == (ValueError, f"zeta centre {text} is not finite")
 
     def test_one_search_per_call(self, monkeypatch):
         searches = []

@@ -458,6 +458,26 @@ class TestTransferProperties:
             ) / (g3 - g1)
             assert math.log(vals[g2]) <= interp + 1e-8
 
+    def test_closed_form_domain_is_an_interval(self):
+        # Where T has an exact value, it is infinite at every gamma above one
+        # where it is infinite: the lemma estimate_index stops on.
+        rng = np.random.default_rng(27)
+        grid = [i * 0.05 for i in range(1, 101)]
+        crossings = 0
+        for _ in range(200):
+            a_p, a_q = (float(v) for v in 10.0 ** rng.uniform(-1, 1, size=2))
+            sigma = float(10.0 ** rng.uniform(-3, 3))
+            for P, Q in (
+                (Exponential(a_p), Exponential(a_q)),
+                (Pareto(a_p, sigma), Pareto(a_q, sigma)),
+            ):
+                values = [transfer._closed_form(P, Q, g) for g in grid]
+                if math.inf in values:
+                    first = values.index(math.inf)
+                    assert values[first:] == [math.inf] * (len(grid) - first), (P, Q)
+                    crossings += first > 0
+        assert crossings > 200
+
 
 class TestEstimateIndex:
     GRID = np.round(np.arange(0.0, 1.0001, 0.05), 10)
@@ -486,17 +506,23 @@ class TestEstimateIndex:
         assert est.lower_confirmed == 2.0
 
     def test_lower_never_above_upper(self, monkeypatch):
-        # A non-monotone grid: finite again above the first divergence.
+        # A stub that reads finite again above its first divergence is not
+        # asked past it: T is infinite there, and each row says so.
         finite = {0.1: True, 0.2: False, 0.3: True, 0.4: False}
+        calls = []
 
         def stub(P, Q, gamma):
+            calls.append(gamma)
             value = 1.0 if finite[gamma] else math.inf
             return TransferEvaluation(gamma, value, "quadrature", 0.0, finite[gamma])
 
         monkeypatch.setattr(transfer, "transfer_value", stub)
         est = estimate_index(PAR, PAR, [0.1, 0.2, 0.3, 0.4])
+        assert calls == [0.1, 0.2]
         assert (est.lower_confirmed, est.upper_confirmed) == (0.1, 0.2)
-        assert len(est.evaluations) == 4
+        assert est.evaluations[1:] == tuple(
+            TransferEvaluation(g, math.inf, "quadrature", 0.0, False) for g in (0.2, 0.3, 0.4)
+        )
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
