@@ -4,21 +4,32 @@ The head [x0, x0 + 8] of the integral is computed by ordinary adaptive
 quadrature in x.  The tail is summed over windows [t, t + log 2] after
 the substitution t = log x, which keeps every window resolvable in
 floating point arbitrarily far out; its integrand is e^t f(e^t), a
-function of t, so a caller can key its work on t.  Divergence is
-declared when the running total exceeds VALUE_CUTOFF or when the
-doubling sequence fails to stabilize (relative change per doubling >=
-STABLE_REL at the cap).
+function of an array of t, so a caller can compute a whole chunk of
+nodes at once.  Divergence is declared when the running total exceeds
+VALUE_CUTOFF or when the doubling sequence fails to stabilize (relative
+change per doubling >= STABLE_REL at the cap).
 
-Every window is one scipy quad call in full-output mode, which returns
-QUADPACK's failure message instead of issuing an IntegrationWarning, so
-no call touches the process-wide warning filters.
+The tail windows are integrated a chunk at a time.  One vectorised pass
+reproduces, bit for bit, the first 21-point Gauss-Kronrod step (dqk21)
+of QUADPACK's dqagse on every window of the chunk, and dqagse's test of
+whether it stops there.  A window that passes has exactly the (value,
+error) scipy's quad returns for it; only a window QUADPACK would bisect
+goes to quad.  numpy is exact for +, -, *, /, abs, min, max and the
+comparisons, but its exp, log, log1p and power differ from libm's in the
+last bit on some inputs, so those go through `libm`.
+
+Every quad call runs in full-output mode, which returns QUADPACK's
+failure message instead of issuing an IntegrationWarning, so no call
+touches the process-wide warning filters.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.integrate import quad
 
 VALUE_CUTOFF = 1.0e6
@@ -29,7 +40,51 @@ _EXIT_REL = 1.0e-13
 _T_MAX = 690.0
 # Width of the head [x0, x0 + _HEAD_WIDTH] integrated before the windows.
 _HEAD_WIDTH = 8.0
-_QUAD_KW = dict(epsabs=1e-13, epsrel=1e-11, limit=200, full_output=1)
+_EPSABS, _EPSREL = 1e-13, 1e-11
+_QUAD_KW = dict(epsabs=_EPSABS, epsrel=_EPSREL, limit=200, full_output=1)
+# Tail windows per batched pass: the first chunk holds _CHUNK_FIRST, each
+# later one as many as all before it, up to _CHUNK_CAP.  So at most about
+# twice the windows a one-at-a-time loop integrates are evaluated.
+_CHUNK_FIRST, _CHUNK_CAP = 8, 256
+
+# dqk21's constants: the Kronrod abscissae above the centre, descending;
+# their weights, with the centre's last; and the 10-point Gauss weights
+# of the abscissae _XGK[1], _XGK[3], ..., _XGK[9].
+_XGK = np.array([
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+# The order in which dqk21 adds the abscissa pairs into resk and resabs.
+_KRONROD_ORDER = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
+_EPMACH, _UFLOW = sys.float_info.epsilon, sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -37,6 +92,17 @@ class TailIntegral:
     value: float
     error: float
     converged: bool
+
+
+def libm(fn, xs) -> np.ndarray:
+    """fn, a function of one float such as math.exp, at each element of xs.
+
+    The elements reach fn as Python floats through a memoryview, with no
+    list of them built.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    flat = memoryview(xs.ravel())
+    return np.fromiter(map(fn, flat), np.float64, xs.size).reshape(xs.shape)
 
 
 def exp_clamped(log_value: float) -> float:
@@ -53,33 +119,97 @@ def bounded_quad(f, lo: float, hi: float) -> tuple[float, float]:
     return quad(f, lo, hi, **_QUAD_KW)[:2]
 
 
+def _added_in_order(first: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """first + terms[:, 0] + terms[:, 1] + ... per row, added left to right
+    as dqk21's loops add: np.cumsum accumulates in order, where np.sum
+    adds pairwise."""
+    return np.cumsum(np.column_stack([first, terms]), axis=1)[:, -1]
+
+
+def first_pass(f, a: np.ndarray, b: np.ndarray):
+    """dqagse's first step on each window [a_i, b_i], with f evaluated once.
+
+    f takes an array of nodes and returns the integrand at each.  Returns
+    (result, abserr, kept): dqk21's estimate and error bound of every
+    window, in its exact operation order, and whether dqagse returns them
+    without bisecting, which is when quad(f, a_i, b_i) returns exactly
+    them.  Its min and max are C's fmin and fmax, which drop a NaN
+    operand, as in the C translation of QUADPACK scipy ships; so a window
+    with an inf or NaN node is kept exactly when quad stops after it too.
+    """
+    centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+    absc = hlgth[:, None] * _XGK
+    fv = f(np.column_stack([centr, centr[:, None] - absc, centr[:, None] + absc]))
+    fc, fv1, fv2 = fv[:, 0], fv[:, 1:11], fv[:, 11:]
+    with np.errstate(all="ignore"):
+        fsum, wgk = fv1 + fv2, _WGK[:10]
+        resg = _added_in_order(np.zeros(len(a)), _WG * fsum[:, 1::2])
+        resk = _added_in_order(_WGK[10] * fc, (wgk * fsum)[:, _KRONROD_ORDER])
+        terms = wgk * (np.abs(fv1) + np.abs(fv2))
+        resabs = _added_in_order(np.abs(_WGK[10] * fc), terms[:, _KRONROD_ORDER])
+        reskh = resk * 0.5
+        terms = wgk * (np.abs(fv1 - reskh[:, None]) + np.abs(fv2 - reskh[:, None]))
+        resasc = _added_in_order(_WGK[10] * np.abs(fc - reskh), terms)
+        result = resk * hlgth
+        resabs = resabs * np.abs(hlgth)
+        resasc = resasc * np.abs(hlgth)
+        abserr = np.abs((resk - resg) * hlgth)
+        scaled = (resasc != 0.0) & (abserr != 0.0)
+        ratio = 200.0 * abserr[scaled] / resasc[scaled]
+        # min(1, ratio^1.5) is 1 from ratio 1 on, where pow could overflow.
+        small = ratio < 1.0
+        ratio[small] = libm(lambda r: math.pow(r, 1.5), ratio[small])
+        abserr[scaled] = resasc[scaled] * np.fmin(1.0, ratio)
+        floor = resabs > _UFLOW / (50.0 * _EPMACH)
+        abserr[floor] = np.fmax((_EPMACH * 50.0) * resabs[floor], abserr[floor])
+        errbnd = np.fmax(_EPSABS, _EPSREL * np.abs(result))
+        kept = (
+            ((abserr <= 100.0 * _EPMACH * resabs) & (abserr > errbnd))
+            | ((abserr <= errbnd) & (abserr != resasc))
+            | (abserr == 0.0)
+        )
+    return result, abserr, kept
+
+
 def improper_quad(head, tail, x0: float) -> TailIntegral:
     """Integrate f over [x0, oo) with divergence detection.
 
-    head(x) is f(x) on the head [x0, x0 + 8]; tail(t) is e^t f(e^t),
-    the integrand in t = log x beyond it.
+    head(x) is f(x) on the head [x0, x0 + 8]; tail(ts) is e^t f(e^t) at
+    each t of an array, the integrand in t = log x beyond it.
     """
     x1 = x0 + _HEAD_WIDTH
     total, err = bounded_quad(head, x0, x1)
     if not math.isfinite(total) or total > VALUE_CUTOFF:
         return TailIntegral(math.inf, math.inf, False)
-    t = math.log(x1)
-    last_rel = math.inf
+    t, step = math.log(x1), math.log(2.0)
+    last_rel, size, done = math.inf, _CHUNK_FIRST, 0
     while t < _T_MAX:
         # Full log-2 windows throughout: a truncated final window would
         # understate the last relative change and fake stabilization.
-        t_next = t + math.log(2.0)
-        piece, piece_err = bounded_quad(tail, t, t_next)
-        if not math.isfinite(piece):
-            return TailIntegral(math.inf, math.inf, False)
-        total += piece
-        err += piece_err
-        if total > VALUE_CUTOFF:
-            return TailIntegral(math.inf, math.inf, False)
-        last_rel = piece / total if total > 0 else 0.0
-        if last_rel < _EXIT_REL:
-            return TailIntegral(total, err + piece, True)
-        t = t_next
+        starts = []
+        while t < _T_MAX and len(starts) < size:
+            starts.append(t)
+            t += step
+        a = np.array(starts)
+        values, errors, kept = first_pass(tail, a, a + step)
+        windows = zip(starts, values.tolist(), errors.tolist(), kept.tolist())
+        for lo, piece, piece_err, ok in windows:
+            if not ok:
+                # QUADPACK bisects this window: quad redoes it, one node a call.
+                piece, piece_err = bounded_quad(
+                    lambda s: float(tail(np.array([s]))[0]), lo, lo + step
+                )
+            if not math.isfinite(piece):
+                return TailIntegral(math.inf, math.inf, False)
+            total += piece
+            err += piece_err
+            if total > VALUE_CUTOFF:
+                return TailIntegral(math.inf, math.inf, False)
+            last_rel = piece / total if total > 0 else 0.0
+            if last_rel < _EXIT_REL:
+                return TailIntegral(total, err + piece, True)
+        done += len(starts)
+        size = min(done, _CHUNK_CAP)
     # Reached the cap: stabilized sequences count as converged, with the
     # last window kept as a truncation-error proxy.
     if last_rel < STABLE_REL:

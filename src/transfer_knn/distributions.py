@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._integrate import exp_clamped, improper_quad
+from ._integrate import exp_clamped, improper_quad, libm
 from .errors import (
     ConfigError,
     NoClosedFormError,
@@ -80,7 +80,11 @@ class DistributionFamily:
     log density, cdf and ppf.  A 1-D family gives only formulas: `_pdf`,
     `_cdf` and, if its quantile has a closed form, `_ppf` (the base one
     bisects the cdf) on a float64 array, evaluated everywhere with numpy's
-    warnings silenced, as every sampler draws; and `_log_pdf` at a float.
+    warnings silenced, as every sampler draws; and `_log_pdf` on the 1-D
+    array of the points inside the support (NaN included), with libm's
+    log and log1p through `libm` (numpy's differ from them in the last
+    bit on some inputs), so each element equals the scalar formula's
+    value bit for bit.
     Outside the support a density is 0 and a log density -inf; a cdf is 0
     below it and 1 from its upper end on; a scalar point or level gets a
     float.  A NaN point fails both support tests, so it reaches the
@@ -98,13 +102,14 @@ class DistributionFamily:
             val = self._pdf(xs)
         return _maybe_scalar(np.where((xs < lo) | (xs > hi), 0.0, val), x)
 
-    def log_density(self, x) -> float:
-        """log of the density at a single point (-inf outside support)."""
-        x = float(x)
+    def log_density(self, x):
         lo, hi = self.support
-        if x < lo or x > hi:
-            return -math.inf
-        return self._log_pdf(x)
+        xs = np.asarray(x, dtype=np.float64)
+        inside = ~((xs < lo) | (xs > hi))
+        out = np.full(xs.shape, -math.inf)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            out[inside] = self._log_pdf(xs[inside])
+        return _maybe_scalar(out, x)
 
     # -- 1-D distribution functions ------------------------------------
     def cdf(self, x):
@@ -165,9 +170,9 @@ class Pareto(DistributionFamily):
             1.0 + xs / self.sigma, -(self.alpha + 1.0)
         )
 
-    def _log_pdf(self, x):
-        return math.log(self.alpha / self.sigma) - (self.alpha + 1.0) * math.log1p(
-            x / self.sigma
+    def _log_pdf(self, xs):
+        return math.log(self.alpha / self.sigma) - (self.alpha + 1.0) * libm(
+            math.log1p, xs / self.sigma
         )
 
     def _cdf(self, xs):
@@ -199,8 +204,8 @@ class Exponential(DistributionFamily):
     def _pdf(self, xs):
         return self.lam * np.exp(-self.lam * xs)
 
-    def _log_pdf(self, x):
-        return math.log(self.lam) - self.lam * x
+    def _log_pdf(self, xs):
+        return math.log(self.lam) - self.lam * xs
 
     def _cdf(self, xs):
         # np.maximum turns x = -0.0 into 0.0, so the cdf there is 0.0, not -0.0.
@@ -237,10 +242,10 @@ class Uniform(DistributionFamily):
     def _pdf(self, xs):
         return np.where(np.isnan(xs), math.nan, 1.0 / (self.b - self.a))
 
-    def _log_pdf(self, x):
+    def _log_pdf(self, xs):
         # -log(b - a) stays a float where the density 1 / (b - a) passes the
         # largest float, for a width below 1 / 1.8e308.
-        return math.nan if math.isnan(x) else -math.log(self.b - self.a)
+        return np.where(np.isnan(xs), math.nan, -math.log(self.b - self.a))
 
     def _cdf(self, xs):
         return (xs - self.a) / (self.b - self.a)
@@ -290,21 +295,14 @@ class ProductPareto(DistributionFamily):
     def log_density(self, x):
         """log density at each point of x, with points read as density reads them.
 
-        Pareto's _log_pdf formula on every coordinate in one pass, with
-        libm's log1p (numpy's SIMD log1p can differ in the last ulp), then
-        the coordinates added left to right from 0: each row is bit for bit
-        the sum of the scalar factor log densities in that order.
+        The Pareto factor's log density at every coordinate in one call,
+        then the coordinates added left to right from 0: each row is bit
+        for bit the sum of the scalar factor log densities in that order.
         """
         xs = np.asarray(x, dtype=np.float64)
         pts = xs.reshape(-1, self.d)
-        f = self._factor
-        scaled = (np.maximum(pts, 0.0) / f.sigma).ravel()
-        log1p = np.fromiter(map(math.log1p, scaled), np.float64, len(scaled))
-        log1p = log1p.reshape(pts.shape)
-        coords = math.log(f.alpha / f.sigma) - (f.alpha + 1.0) * log1p
-        coords[pts < 0.0] = -math.inf
         out = np.zeros(len(pts))
-        for column in coords.T:
+        for column in self._factor.log_density(pts).T:
             out += column
         return float(out[0]) if len(pts) == 1 and xs.ndim <= 1 else out
 
@@ -342,16 +340,16 @@ class LogPareto(DistributionFamily):
         if self.c < 0:
             raise ValueError("LogPareto requires c >= 0")
 
-    def _log_raw(self, x: float) -> float:
-        lx = math.log(x)
+    def _log_raw(self, xs: np.ndarray) -> np.ndarray:
+        lx = libm(math.log, xs)
         # With c = 0 the log term is absent: 0 * log(log(inf)) would be NaN.
-        return -(self.b + 1.0) * lx - (self.c * math.log(lx) if self.c else 0.0)
+        return -(self.b + 1.0) * lx - (self.c * libm(math.log, lx) if self.c else 0.0)
 
     @cached_property
     def _norm(self) -> float:
         res = improper_quad(
-            lambda x: exp_clamped(self._log_raw(x)),
-            lambda t: exp_clamped(self._log_raw(math.exp(t)) + t),
+            lambda x: exp_clamped(self._log_raw(np.array([x]))[0]),
+            lambda ts: libm(exp_clamped, self._log_raw(libm(math.exp, ts)) + ts),
             self._LEFT,
         )
         if not res.converged:
@@ -370,8 +368,8 @@ class LogPareto(DistributionFamily):
     def _pdf(self, xs):
         return np.power(xs, -(self.b + 1.0)) * np.power(np.log(xs), -self.c) / self._norm
 
-    def _log_pdf(self, x):
-        return self._log_raw(x) - self._log_norm
+    def _log_pdf(self, xs):
+        return self._log_raw(xs) - self._log_norm
 
     def _raw_cdf_integral(self, xs: np.ndarray) -> np.ndarray:
         """Integral of the raw density from 2 to each finite x, NaN at NaN.

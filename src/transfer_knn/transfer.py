@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._integrate import bounded_quad, exp_clamped, improper_quad
+from ._integrate import bounded_quad, exp_clamped, improper_quad, libm
 from .distributions import DistributionFamily, Exponential, Pareto, Uniform
 from .errors import NumericError
 
@@ -91,22 +91,35 @@ def _closed_form(P, Q, gamma: float) -> float | None:
 class _PairMemo:
     """What every gamma of one (P, Q) pair shares.
 
-    nodes maps a head node x of the quadrature to (log q(x), log p(x)),
-    and tail_nodes maps a tail node t = log x to the same pair at
-    x = exp(t), so a tail integrand reads its node by the t quad asks
-    for and forms no x for a node it has seen.
-    mc_log_p is log p at the _MC_DRAWS fixed-seed Monte Carlo draws
-    from Q, read-only.  Threads that race on a missing entry each store
-    the same values.
+    nodes maps a head node x of the quadrature to (log q(x), log p(x)).
+    tail_nodes maps an array of tail nodes t = log x, by its shape and
+    bytes, to the read-only arrays log q and log p at x = exp(t): every
+    gamma integrates the same tail windows in the same chunks, so each
+    chunk's log densities are computed once, in one log_density call per
+    side.  mc_log_p is log p at the _MC_DRAWS fixed-seed Monte Carlo
+    draws from Q, read-only.  Threads that race on a missing entry each
+    store the same values.
     """
 
     def __init__(self, P, Q):
         self.P, self.Q = P, Q
         self.nodes, self.tail_nodes = {}, {}
 
-    def node(self, table: dict, key: float, x: float) -> tuple[float, float]:
-        """(log q(x), log p(x)), stored in table under key."""
-        table[key] = pair = (self.Q.log_density(x), self.P.log_density(x))
+    def node(self, x: float) -> tuple[float, float]:
+        """(log q(x), log p(x)), stored in nodes under x."""
+        self.nodes[x] = pair = (self.Q.log_density(x), self.P.log_density(x))
+        return pair
+
+    def tail_logs(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(log q, log p) at x = exp(t) for each t of ts, stored in tail_nodes."""
+        key = (ts.shape, ts.tobytes())
+        pair = self.tail_nodes.get(key)
+        if pair is None:
+            xs = libm(math.exp, ts)
+            pair = (self.Q.log_density(xs), self.P.log_density(xs))
+            for side in pair:
+                side.setflags(write=False)
+            self.tail_nodes[key] = pair
         return pair
 
     @functools.cached_property
@@ -144,20 +157,18 @@ def _quadrature(P, Q, gamma: float) -> tuple[float, float, bool]:
     if _uncovered(P, Q):
         return math.inf, math.inf, False
     memo = _pair_memo(P, Q)
-    nodes, tail_nodes, node = memo.nodes, memo.tail_nodes, memo.node
+    nodes, node = memo.nodes, memo.node
 
     def log_g(x: float) -> float:
-        lq, lp = nodes.get(x) or node(nodes, x, x)
+        lq, lp = nodes.get(x) or node(x)
         return lq - gamma * lp
 
     lo, hi = Q.support
     if math.isinf(hi):
 
-        def tail(t: float) -> float:
-            # exp_clamped(log_g(e^t) + t), inlined: one frame per node.
-            lq, lp = tail_nodes.get(t) or node(tail_nodes, t, math.exp(t))
-            v = lq - gamma * lp + t
-            return math.inf if v > 700.0 else math.exp(v)
+        def tail(ts: np.ndarray) -> np.ndarray:
+            lq, lp = memo.tail_logs(ts)
+            return libm(exp_clamped, lq - gamma * lp + ts)
 
         res = improper_quad(lambda x: exp_clamped(log_g(x)), tail, lo)
         return res.value, res.error, res.converged
@@ -187,7 +198,10 @@ def transfer_value(
 
     The pair fixes the route: a closed form where one exists, otherwise
     quadrature for a 1-D pair and fixed-seed Monte Carlo in d >= 2.
+    A NaN or infinite gamma raises ValueError before any route runs.
     """
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     if gamma == 0.0:
@@ -224,6 +238,8 @@ def estimate_index(
     grid = [float(g) for g in gamma_grid]
     if not grid:
         raise ValueError("gamma grid must be nonempty")
+    if bad := [g for g in grid if not math.isfinite(g)]:
+        raise ValueError(f"gamma grid must be finite, got gamma {bad[0]}")
     if any(g < 0 for g in grid) or sorted(grid) != grid:
         raise ValueError("gamma grid must be nonnegative and increasing")
     evals = []

@@ -1,21 +1,61 @@
-"""The windowed quadrature against closed forms.
+"""The windowed quadrature against closed forms and against scipy's quad.
 
 A window where QUADPACK stops short (ier != 0) returns its best estimate,
 within its error estimate of the exact value, without issuing a warning.
 The warning policy in pyproject.toml makes a warning from a quad call,
 or from numpy, an error.
+
+The batched first pass is checked window by window against quad itself:
+a window it keeps has quad's (value, error) bit for bit, and quad takes
+more than its first 21 nodes on every window it hands on.
 """
 
 import math
+import struct
 import warnings
 
+import numpy as np
 import pytest
 from scipy import special
 from scipy.integrate import IntegrationWarning, quad
 
 from conftest import log_pareto_tail
-from transfer_knn._integrate import bounded_quad, exp_clamped, improper_quad
-from transfer_knn.distributions import LogPareto
+from transfer_knn import _integrate, distributions, transfer
+from transfer_knn._integrate import (
+    TailIntegral,
+    bounded_quad,
+    exp_clamped,
+    first_pass,
+    improper_quad,
+    libm,
+)
+from transfer_knn.distributions import (
+    Exponential,
+    LogPareto,
+    Pareto,
+    ProductPareto,
+    Uniform,
+)
+
+# The library's tolerances, written out.
+QUAD_KW = dict(epsabs=1e-13, epsrel=1e-11, limit=200, full_output=1)
+# dqk21's ten Kronrod abscissae above the centre of [-1, 1], descending.
+_XGK = [
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+]
+
+
+def bits(*values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
 
 
 def sin_inverse(x):
@@ -57,7 +97,7 @@ def test_failed_head_window_warns_nothing():
         warnings.simplefilter("error")
         res = improper_quad(
             lambda x: exp_clamped(log_wiggle(x)),
-            lambda t: exp_clamped(log_wiggle(math.exp(t)) + t),
+            lambda ts: libm(exp_clamped, libm(log_wiggle, libm(math.exp, ts)) + ts),
             2.0,
         )
     # e^-2 (1 + int_0^oo e^-y sin^2(1/y) dy), where the integral of
@@ -76,3 +116,323 @@ def test_failed_head_window_warns_nothing():
 def test_warning_policy_raises(category):
     with pytest.raises(category):
         warnings.warn("probe", category)
+
+
+def tail_windows(x0: float):
+    """(a, b) of every tail window improper_quad makes past x0 + 8."""
+    t, starts = math.log(x0 + 8.0), []
+    while t < 690.0:
+        starts.append(t)
+        t += math.log(2.0)
+    a = np.array(starts)
+    return a, a + math.log(2.0)
+
+
+def check_against_quad(tail, a, b) -> np.ndarray:
+    """first_pass's kept mask on the windows [a_i, b_i], checked against
+    quad on each window of the tail at one node a call."""
+    result, abserr, kept = first_pass(tail, a, b)
+
+    def at(s):
+        return float(tail(np.array([s]))[0])
+
+    for i in range(len(a)):
+        out = quad(at, float(a[i]), float(b[i]), **QUAD_KW)
+        if kept[i]:
+            assert bits(*out[:2]) == bits(result[i], abserr[i]), (a[i], out[:2])
+        else:
+            assert out[2]["neval"] > 21, (a[i], out[:2])
+    return kept
+
+
+def pair_tail(monkeypatch, P, Q, gamma):
+    """The tail integrand, and x0, that _quadrature hands improper_quad."""
+    seen = []
+
+    def record(head, tail, x0):
+        seen.append((tail, x0))
+        return TailIntegral(0.0, 0.0, True)
+
+    monkeypatch.setattr(transfer, "improper_quad", record)
+    transfer._quadrature(P, Q, gamma)
+    return seen[0]
+
+
+class TestTailContract:
+    """A tail integrand at an array of t equals, element by element and bit
+    for bit, e^t f(e^t) formed one t at a time from libm's scalar exp and
+    log and the scalar log densities."""
+
+    def nodes(self, x0):
+        a, b = tail_windows(x0)
+        rng = np.random.default_rng(3)
+        return np.concatenate([a, 0.5 * (a + b), rng.uniform(a[0], 700.0, 2000)])
+
+    @pytest.mark.parametrize(
+        "P, Q",
+        [
+            (LogPareto(1, 1, 0), LogPareto(1, 1, 2)),
+            (Pareto(1.0, 1.0), Exponential(1.0)),
+            (Pareto(2.0, 0.5), Pareto(3.0, 0.5)),
+        ],
+        ids=str,
+    )
+    @pytest.mark.parametrize("gamma", [0.1, 0.6])
+    def test_pair_tail(self, monkeypatch, P, Q, gamma):
+        tail, x0 = pair_tail(monkeypatch, P, Q, gamma)
+        ts = self.nodes(x0)
+        want = [
+            exp_clamped(Q.log_density(math.exp(t)) - gamma * P.log_density(math.exp(t)) + t)
+            for t in ts.tolist()
+        ]
+        assert bits(*tail(ts)) == bits(*want)
+
+    @pytest.mark.parametrize("c", [0.0, 2.0])
+    def test_log_pareto_normaliser_tail(self, monkeypatch, c):
+        seen = []
+
+        def record(head, tail, x0):
+            seen.append(tail)
+            return TailIntegral(1.0, 0.0, True)
+
+        monkeypatch.setattr(distributions, "improper_quad", record)
+        LogPareto(1.0, 1.5, c)._norm
+        ts = self.nodes(2.0)
+
+        def scalar(t):
+            lx = math.log(math.exp(t))
+            return exp_clamped(-2.5 * lx - (c * math.log(lx) if c else 0.0) + t)
+
+        assert bits(*seen[0](ts)) == bits(*map(scalar, ts.tolist()))
+
+
+class TestFirstPass:
+    """first_pass is QUADPACK's first dqk21 step and dqagse's test of it."""
+
+    @pytest.mark.parametrize("gamma", [0.01, 0.25, 0.5, 0.51])
+    def test_log_pareto_pair(self, monkeypatch, gamma):
+        tail, x0 = pair_tail(monkeypatch, LogPareto(1, 1, 0), LogPareto(1, 1, 2), gamma)
+        # Every window of this tail resolves on quad's first pass.
+        assert check_against_quad(tail, *tail_windows(x0)).all()
+
+    def test_exp_minus_t(self):
+        check_against_quad(lambda ts: libm(math.exp, -ts), *tail_windows(2.0))
+
+    def test_zero_integrand(self):
+        # resk = resg = 0: abserr == 0 ends dqagse at once.
+        a, b = tail_windows(0.0)
+        assert check_against_quad(np.zeros_like, a, b).all()
+        assert not first_pass(np.zeros_like, a, b)[0].any()
+
+    def test_one_node_past_the_clamp(self):
+        # The window's top node alone lies past 700, where the tail is inf.
+        a = np.array([700.0 + 1e-3 - 0.5 * math.log(2.0) * (1.0 + _XGK[0])])
+        b = a + math.log(2.0)
+        nodes = []
+
+        def tail(ts):
+            nodes.append(ts)
+            return libm(exp_clamped, ts)
+
+        assert first_pass(tail, a, b)[0][0] == math.inf
+        assert np.count_nonzero(nodes[0] > 700.0) == 1
+        assert check_against_quad(tail, a, b).all()
+
+    def test_window_quadpack_bisects(self):
+        # A kink inside each window: the first pass cannot resolve it.
+        a = np.array([0.0, 1.0, 5.0])
+
+        def tail(ts):
+            return libm(math.sqrt, np.abs(ts - 0.3 - a.min()))
+
+        kept = check_against_quad(tail, a, a + 1.0)
+        assert not kept[0] and kept[1:].all()
+
+    def test_roundoff_exit(self):
+        # dqagse's ier = 2 exit: an error bound at rounding level above
+        # the requested one, which quad reports without bisecting.
+        A = np.linspace(0.5, 3.0, 40)
+        assert len(quad(lambda t: 1e4 * t, -1.0, 1.0, **QUAD_KW)) == 4
+        assert check_against_quad(lambda ts: 1e4 * ts, -A, A).all()
+
+    def test_non_finite_and_extreme_nodes(self):
+        # Node values of inf, -inf, NaN, the largest and smallest floats:
+        # QUADPACK's fmin and fmax drop a NaN, and the first pass keeps
+        # exactly the windows quad stops after.
+        rng = np.random.default_rng(7)
+        specials = [math.inf, -math.inf, math.nan, 1e308, -1e308, 0.0, 5e-324]
+        nodes = [0.5] + [0.5 + s * 0.5 * x for s in (-1, 1) for x in _XGK]
+        kept_count = 0
+        for trial in range(300):
+            values = rng.normal(size=21) * 10.0 ** float(rng.integers(-300, 300))
+            hit = rng.choice(21, int(rng.integers(0, 4)), replace=False)
+            values[hit] = rng.choice(specials, len(hit))
+            if trial % 5 == 0:
+                values[:] = specials[trial // 5 % len(specials)]
+            table = dict(zip(nodes, values.tolist()))
+
+            def tail(ts, table=table):
+                # Any node off the first pass's 21 reads 1.
+                return np.vectorize(lambda s: table.get(s, 1.0), otypes=[float])(ts)
+
+            kept_count += int(check_against_quad(tail, np.array([0.0]), np.array([1.0]))[0])
+        assert 0 < kept_count < 300
+
+
+def log_pareto_normaliser_like(x):
+    return exp_clamped(-2.0 * math.log(x) - 2.0 * math.log(math.log(x)))
+
+
+# (head, tail, x0) of a convergent integral, one past VALUE_CUTOFF, and
+# two that reach the cap, one stable (1/t^2 in t) and one not (1/t).
+INTEGRANDS = {
+    "converges": (
+        log_pareto_normaliser_like,
+        lambda ts: libm(exp_clamped, -ts - 2.0 * libm(math.log, ts)),
+        2.0,
+    ),
+    "past_the_cutoff": (lambda x: 1e4 / x, lambda ts: np.full(ts.shape, 1e4), 1.0),
+    "stable_at_the_cap": (
+        lambda x: 1.0 / (x * math.log(x) ** 2),
+        lambda ts: 1.0 / (ts * ts),
+        2.0,
+    ),
+    "unstable_at_the_cap": (
+        lambda x: 1.0 / (x * math.log(x)),
+        lambda ts: 1.0 / ts,
+        2.0,
+    ),
+}
+
+
+class TestImproperQuad:
+    @pytest.mark.parametrize("name", INTEGRANDS)
+    def test_chunk_size_does_not_matter(self, monkeypatch, name):
+        head, tail, x0 = INTEGRANDS[name]
+        batched = improper_quad(head, tail, x0)
+        monkeypatch.setattr(_integrate, "_CHUNK_FIRST", 1)
+        monkeypatch.setattr(_integrate, "_CHUNK_CAP", 1)
+        assert improper_quad(head, tail, x0) == batched
+        want = {
+            "converges": True,
+            "past_the_cutoff": False,
+            "stable_at_the_cap": True,
+            "unstable_at_the_cap": False,
+        }
+        assert batched.converged == want[name]
+
+    @pytest.mark.parametrize("gamma", [0.01, 0.3, 0.5, 0.51])
+    def test_equals_quad_on_every_window(self, monkeypatch, gamma):
+        # A first pass that keeps no window sends every one to quad.
+        P, Q = LogPareto(1, 1, 0), LogPareto(1, 1, 2)
+        batched = transfer._quadrature(P, Q, gamma)
+        keep_none = first_pass
+
+        def no_window_kept(f, a, b):
+            result, abserr, kept = keep_none(f, a, b)
+            return result, abserr, np.zeros_like(kept)
+
+        monkeypatch.setattr(_integrate, "first_pass", no_window_kept)
+        windows = []
+        monkeypatch.setattr(_integrate, "quad", lambda *a, **k: windows.append(a) or quad(*a, **k))
+        assert bits(*transfer._quadrature(P, Q, gamma)[:2]) == bits(*batched[:2])
+        assert len(windows) > 1
+
+    def log_pareto_grid(self, monkeypatch):
+        """(quad windows, first-pass windows) of a cold LogPareto grid."""
+        quads, passes = [], []
+        monkeypatch.setattr(_integrate, "quad", lambda *a, **k: quads.append(a) or quad(*a, **k))
+
+        def counted(f, a, b):
+            passes.append(len(a))
+            return first_pass(f, a, b)
+
+        monkeypatch.setattr(_integrate, "first_pass", counted)
+        transfer._pair_memo.cache_clear()
+        P, Q = LogPareto(1, 1, 0), LogPareto(1, 1, 2)
+        est = transfer.estimate_index(P, Q, [i / 100 for i in range(101)])
+        assert sum(e.method == "quadrature" for e in est.evaluations) == 100
+        return len(quads), sum(passes)
+
+    def test_quad_runs_only_on_the_heads(self, monkeypatch):
+        # Every tail window resolves on the first pass, so quad runs on
+        # the heads alone: the two normalisers' and the 51 quadratures'
+        # up to the first divergence at gamma 0.51.
+        assert self.log_pareto_grid(monkeypatch)[0] == 53
+
+    def test_chunks_evaluate_at_most_twice_the_windows_used(self, monkeypatch):
+        _, batched = self.log_pareto_grid(monkeypatch)
+        monkeypatch.setattr(_integrate, "_CHUNK_FIRST", 1)
+        monkeypatch.setattr(_integrate, "_CHUNK_CAP", 1)
+        _, used = self.log_pareto_grid(monkeypatch)
+        assert used < batched <= 2 * used
+
+
+def scalar_log_pdf(dist, x: float) -> float:
+    """Each 1-D family's log density at one point inside its support, in
+    libm's scalar functions."""
+    if isinstance(dist, Pareto):
+        return math.log(dist.alpha / dist.sigma) - (dist.alpha + 1.0) * math.log1p(
+            x / dist.sigma
+        )
+    if isinstance(dist, Exponential):
+        return math.log(dist.lam) - dist.lam * x
+    if isinstance(dist, Uniform):
+        return -math.log(dist.b - dist.a)
+    lx = math.log(x)
+    raw = -(dist.b + 1.0) * lx - (dist.c * math.log(lx) if dist.c else 0.0)
+    return raw - math.log(dist._norm)
+
+
+ONE_D = [
+    Pareto(1.0, 1.0),
+    Pareto(3.0, 2.0),
+    Pareto(2.0, 1e-300),
+    Exponential(2.0),
+    Exponential(1e300),
+    Uniform(-1.0, 3.0),
+    Uniform(0.0, 5e-324),
+    LogPareto(1.0, 1.0, 2.0),
+    LogPareto(1.0, 0.7, 0.0),
+]
+
+
+class TestArrayLogDensity:
+    """An array log density equals the scalar one at each point, bit for bit."""
+
+    def points(self, dist):
+        lo, hi = dist.support
+        rng = np.random.default_rng(5)
+        inside = lo + (min(hi, lo + 1e3) - lo) * rng.random(500) ** 3
+        ends = [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
+        outside = [lo - 1.0, -1e300, 1e300, -math.inf, math.inf, math.nan]
+        return inside, np.concatenate([inside, ends, outside])
+
+    @pytest.mark.parametrize("dist", ONE_D, ids=str)
+    def test_one_d(self, dist):
+        inside, xs = self.points(dist)
+        got = dist.log_density(xs)
+        one_by_one = [dist.log_density(x) for x in xs.tolist()]
+        assert all(isinstance(v, float) for v in one_by_one)
+        assert bits(*got) == bits(*one_by_one)
+        assert bits(*got[: len(inside)]) == bits(*(scalar_log_pdf(dist, x) for x in inside))
+        lo, hi = dist.support
+        outside = (xs < lo) | (xs > hi)
+        assert np.all(got[outside] == -math.inf)
+        assert np.array_equal(np.isnan(got), np.isnan(xs))
+        grid = xs[:40].reshape(5, 8)
+        assert bits(*dist.log_density(grid).ravel()) == bits(*got[:40])
+
+    def test_product_pareto(self):
+        P = ProductPareto(1.5, 0.7, 3)
+        factor = Pareto(1.5, 0.7)
+        _, coords = self.points(factor)
+        rng = np.random.default_rng(6)
+        X = rng.choice(coords, size=(400, 3))
+        got = P.log_density(X)
+        for row, value in zip(X.tolist(), got.tolist()):
+            # The scalar factor log densities added left to right from 0.
+            want = 0.0
+            for x in row:
+                want += factor.log_density(x)
+            assert bits(value) == bits(want) == bits(P.log_density(row))

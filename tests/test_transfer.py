@@ -73,6 +73,24 @@ class TestTransferValue:
         with pytest.raises(ValueError):
             transfer_value(PAR, PAR, -0.1)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "P, Q",
+        [(PAR, PAR), (PAR, EXP1), (LogPareto(1, 1, 0), LogPareto(1, 1, 2)),
+         (ProductPareto(1, 1, 2), ProductPareto(2, 1, 2))],
+        ids=["closed_form", "quadrature", "log_pareto", "monte_carlo"],
+    )
+    def test_non_finite_gamma_refused(self, monkeypatch, P, Q, gamma):
+        # Refused before any route runs: NaN read as a divergent
+        # quadrature row, or as a NaN closed-form value.
+        def no_route(*args):
+            raise AssertionError("a route ran")
+
+        for name in ("_closed_form", "_quadrature", "_pair_memo"):
+            monkeypatch.setattr(transfer, name, no_route)
+        with pytest.raises(ValueError, match=f"gamma must be finite, got {gamma}"):
+            transfer_value(P, Q, gamma)
+
     @pytest.mark.parametrize(
         "P,Q,gamma_star",
         [
@@ -414,19 +432,25 @@ class TestPairMemo:
             sys.setswitchinterval(interval)
 
     def test_log_pareto_grid_log_density_calls(self, monkeypatch):
+        points = {LOG_SOURCE: [], LOG_TARGET: []}
         calls = []
         log_density = LogPareto.log_density
 
         def counted(self, x):
             calls.append(x)
+            points[self].extend(np.ravel(x).tolist())
             return log_density(self, x)
 
         monkeypatch.setattr(LogPareto, "log_density", counted)
         for g in LOG_GRID:
             transfer_value(LOG_SOURCE, LOG_TARGET, g)
-        # 570,192 without the node table: 21,000 distinct nodes, each
-        # side's value asked for 13.6 times on average.
-        assert len(calls) <= 50_000
+        # 570,192 values without the node table: 21,000 distinct nodes,
+        # each side's value asked for 13.6 times on average.  With it each
+        # side computes each node once: one call a head node and one a
+        # chunk of tail nodes.
+        for side in points.values():
+            assert len(side) == len(set(side)) == 21_000
+        assert len(calls) <= 400
 
     def test_cached_log_p_is_read_only(self):
         transfer_value(PRODUCT_SOURCE, PRODUCT_TARGET, 0.3)
@@ -529,6 +553,18 @@ class TestEstimateIndex:
             estimate_index(PAR, PAR, [])
         with pytest.raises(ValueError):
             estimate_index(PAR, PAR, [0.2, 0.1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_grid_refused(self, monkeypatch, bad):
+        # Refused before the first gamma is evaluated; [0.1, nan] read
+        # upper_confirmed = nan.
+        def no_evaluation(*args):
+            raise AssertionError("a gamma was evaluated")
+
+        monkeypatch.setattr(transfer, "transfer_value", no_evaluation)
+        for grid in ([0.1, bad], [bad], [0.0, 0.2, bad, 0.3]):
+            with pytest.raises(ValueError, match=f"finite, got gamma {bad}"):
+                estimate_index(PAR, PAR, grid)
 
 
 class TestKnownWrongValues:
