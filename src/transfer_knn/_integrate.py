@@ -18,6 +18,14 @@ goes to quad.  numpy is exact for +, -, *, /, abs, min, max and the
 comparisons, but its exp, log, log1p and power differ from libm's in the
 last bit on some inputs, so those go through `libm`.
 
+The first chunk holds 64 windows, each later one as many as all before
+it, up to 256.  A first_pass call costs about 70 us before any window
+and about 2.5 us a window on a transfer tail (2-core x86 VM, numpy 2.4),
+so its fixed cost is the work of some 28 windows, and a tail that stops
+within a few windows loses little to a first chunk of 64.  A chunk never
+holds more windows than the ones before it, which the sums used, so an
+integral that uses `used` windows evaluates at most max(64, 2 * used).
+
 Every quad call runs in full-output mode, which returns QUADPACK's
 failure message instead of issuing an IntegrationWarning, so no call
 touches the process-wide warning filters.
@@ -43,9 +51,9 @@ _HEAD_WIDTH = 8.0
 _EPSABS, _EPSREL = 1e-13, 1e-11
 _QUAD_KW = dict(epsabs=_EPSABS, epsrel=_EPSREL, limit=200, full_output=1)
 # Tail windows per batched pass: the first chunk holds _CHUNK_FIRST, each
-# later one as many as all before it, up to _CHUNK_CAP.  So at most about
-# twice the windows a one-at-a-time loop integrates are evaluated.
-_CHUNK_FIRST, _CHUNK_CAP = 8, 256
+# later one as many as all before it, up to _CHUNK_CAP (see the module
+# docstring for why 64).
+_CHUNK_FIRST, _CHUNK_CAP = 64, 256
 
 # dqk21's constants: the Kronrod abscissae above the centre, descending;
 # their weights, with the centre's last; and the 10-point Gauss weights

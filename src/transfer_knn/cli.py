@@ -93,7 +93,8 @@ def _float_arg(text: str, field: str) -> float:
     return value
 
 
-# The most points a grid, and the most cells a phase table, may hold.
+# The most points a grid, the most cells a phase table, and the most (x, r)
+# pairs a regularity check may hold.
 MAX_GRID_POINTS = 100_000
 
 
@@ -358,6 +359,12 @@ def _cmd_check_regularity(args, stager: OutputStager) -> None:
         raise ConfigError("theta", f"must be positive, got {theta}")
     nx = config_integer(cfg.get("x_points", 50), "x_points", least=1)
     nr = config_integer(cfg.get("r_points", 20), "r_points", least=1)
+    # local_mass_check holds every (x, r) mass of the grid at once.
+    if nx * nr > MAX_GRID_POINTS:
+        raise ConfigError(
+            "x_points, r_points",
+            f"{nx} x {nr} = {nx * nr} grid points exceed the limit of {MAX_GRID_POINTS}",
+        )
     try:
         x_grid = dist.ppf((np.arange(nx) + 0.5) / nx)
     except RadiusSearchError as exc:

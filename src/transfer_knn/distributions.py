@@ -13,6 +13,7 @@ threads; samplers draw from a caller-owned numpy Generator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -86,10 +87,12 @@ class DistributionFamily:
     bit on some inputs), so each element equals the scalar formula's
     value bit for bit.
     Outside the support a density is 0 and a log density -inf; a cdf is 0
-    below it and 1 from its upper end on; a scalar point or level gets a
-    float.  A NaN point fails both support tests, so it reaches the
-    formula, which must carry it: density, log_density and cdf return NaN
-    there rather than a probability.
+    below it and 1 from its upper end on; a closed-form quantile is NaN at
+    a level outside [0, 1], as in scipy.stats, where the bisection raises
+    ValueError; a scalar point or level gets a float.  A NaN point fails
+    both support tests, so it reaches the formula, which must carry it:
+    density, log_density and cdf return NaN there rather than a
+    probability.
     """
 
     dimension: int = 1
@@ -120,8 +123,11 @@ class DistributionFamily:
         return _maybe_scalar(np.where(xs < lo, 0.0, np.where(xs >= hi, 1.0, val)), x)
 
     def ppf(self, u):
+        """The quantile at each level, NaN outside [0, 1] as in scipy.stats."""
+        us = np.asarray(u, dtype=np.float64)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            return _maybe_scalar(self._ppf(np.asarray(u, dtype=np.float64)), u)
+            val = self._ppf(us)
+        return _maybe_scalar(np.where((us >= 0.0) & (us <= 1.0), val, math.nan), u)
 
     def _ppf(self, us):
         """Numeric quantile at levels in (0, 1): _bisect_levels of the cdf."""
@@ -135,8 +141,12 @@ class DistributionFamily:
 
     # -- sampling --------------------------------------------------------
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n inverse-CDF draws as an (n, 1) array."""
-        return self.ppf(rng.random(n)).reshape(n, 1)
+        """n inverse-CDF draws as an (n, 1) array.
+
+        The levels lie in [0, 1), so they skip ppf's range test.
+        """
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            return self._ppf(rng.random(n)).reshape(n, 1)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -307,7 +317,8 @@ class ProductPareto(DistributionFamily):
         return float(out[0]) if len(pts) == 1 and xs.ndim <= 1 else out
 
     def sample_array(self, rng, n):
-        return self._factor.ppf(rng.random((n, self.d)))
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            return self._factor._ppf(rng.random((n, self.d)))
 
     @property
     def support(self):
@@ -437,27 +448,47 @@ _BALL_MC_DRAWS = 100_000
 _BALL_MC_SEED = 0x5EED_BA11
 
 
-def _sample_distances(dist: DistributionFamily, x) -> np.ndarray:
-    """Distances from x to _BALL_MC_DRAWS fixed-seed points of dist."""
+@functools.lru_cache(maxsize=1)
+def _ball_draws(dist: DistributionFamily) -> np.ndarray:
+    """The _BALL_MC_DRAWS fixed-seed points of the most recent family, read-only.
+
+    The families are frozen and hashable, so equal families share the draw.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(_BALL_MC_SEED))
     pts = dist.sample_array(rng, _BALL_MC_DRAWS)
-    center = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return np.linalg.norm(pts - center[None, :], axis=1)
+    pts.setflags(write=False)
+    return pts
+
+
+def _centre(dist: DistributionFamily, x) -> np.ndarray:
+    """x as an array of dist.dimension coordinates; ValueError for another length."""
+    c = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if c.shape != (dist.dimension,):
+        d = dist.dimension
+        raise ValueError(f"{d}-D distribution expects a {d}-D point")
+    return c
+
+
+def _sample_distances(dist: DistributionFamily, x) -> np.ndarray:
+    """Distances from x to _BALL_MC_DRAWS fixed-seed points of dist, drawn
+    once per family (_ball_draws)."""
+    center = _centre(dist, x)
+    return np.linalg.norm(_ball_draws(dist) - center[None, :], axis=1)
 
 
 def _mass_at(dist: DistributionFamily, x):
     """The ball mass around x, r -> P{B(x, r)}, at a radius or an array of them.
 
     Exact in 1-D, from two cdf calls.  Otherwise fixed-seed Monte Carlo:
-    the distances from x are drawn and sorted once, and the mass at r is
-    the count of them <= r, found by binary search, over the draw count.
+    the points are drawn once per family, the distances from x are formed
+    and sorted once, and the mass at r is the count of them <= r, found by
+    binary search, over the draw count.  A centre whose length is not the
+    dimension raises ValueError before any draw.
     """
+    c = _centre(dist, x)
     if dist.dimension == 1:
-        c = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if c.shape != (1,):
-            raise ValueError("1-D distribution expects a 1-D point")
         return lambda r: dist.cdf(c[0] + r) - dist.cdf(c[0] - r)
-    dists = np.sort(_sample_distances(dist, x))
+    dists = np.sort(_sample_distances(dist, c))
     return lambda r: np.searchsorted(dists, r, side="right") / len(dists)
 
 
@@ -465,10 +496,11 @@ def ball_mass(dist: DistributionFamily, x, r):
     """P{B(x, r)} at a radius or an array of radii, 0 at r = 0.
 
     One _mass_at call covers all the radii: two cdf calls in 1-D, one
-    fixed-seed draw otherwise.
+    sort of the family's fixed-seed draw otherwise.  A negative or NaN
+    radius raises ValueError.
     """
     rs = np.asarray(r, dtype=np.float64)
-    if np.any(rs < 0):
+    if not np.all(rs >= 0):
         raise ValueError("radius must be nonnegative")
     return _maybe_scalar(np.where(rs > 0.0, _mass_at(dist, x)(rs), 0.0), r)
 
@@ -504,37 +536,44 @@ def local_mass_check(
 ) -> LocalMassReport:
     """Check both local-mass inequalities at every (x, r) grid pair.
 
-    One ball_mass call per x covers every radius.
+    In 1-D every mass of the grid comes from one cdf call per side;
+    otherwise one ball_mass call per x covers every radius.  A grid point
+    of another dimension, or one where the density is not positive (NaN
+    included), raises ValueError before any mass is computed.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
     rs = np.asarray(r_grid, dtype=np.float64)
     if not np.all((0.0 < rs) & (rs <= 1.0)):
         raise ValueError("radii must lie in (0, 1]")
+    d = dist.dimension
+    points = np.asarray(x_grid, dtype=np.float64)
+    if not len(points):
+        raise ValueError("x grid must be nonempty")
+    centres = np.array([_centre(dist, x) for x in points])
+    px = dist.density(centres).reshape(-1)
+    if len(outside := np.flatnonzero(~(px > 0.0))):
+        raise ValueError(f"grid point {points[outside[0]]} is outside the support")
     # r^d by Python's float power; numpy's rs**d differs from it in the
     # last bit on some radii for d = 2 and 3.
-    volumes = np.array([r**dist.dimension for r in rs.tolist()])
-    ratios = []
-    failures = []
-    for x in np.asarray(x_grid, dtype=np.float64):
-        px = float(dist.density(x))
-        if px <= 0.0:
-            raise ValueError(f"grid point {x} is outside the support")
-        row = ball_mass(dist, x, rs) / (px * volumes)
-        ratios.append(row)
-        bad = ~((1.0 / theta <= row) & (row <= theta))
-        failures += [
-            (x.tolist(), r, ratio)
-            for r, ratio in zip(rs[bad].tolist(), row[bad].tolist())
-        ]
-    ratios = np.concatenate(ratios)
+    volumes = np.array([r**d for r in rs.tolist()])
+    if d == 1:
+        masses = dist.cdf(centres + rs) - dist.cdf(centres - rs)
+    else:
+        masses = np.array([ball_mass(dist, c, rs) for c in centres])
+    ratios = masses / (px[:, None] * volumes)
+    bad = ~((1.0 / theta <= ratios) & (ratios <= theta))
+    failures = tuple(
+        (points[i].tolist(), float(rs[j]), float(ratios[i, j]))
+        for i, j in zip(*np.nonzero(bad))
+    )
     return LocalMassReport(
         theta=theta,
         passed=not failures,
         min_ratio=float(ratios.min()),
         max_ratio=float(ratios.max()),
-        n_checked=len(ratios),
-        failures=tuple(failures),
+        n_checked=ratios.size,
+        failures=failures,
     )
 
 

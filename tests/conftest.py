@@ -4,10 +4,19 @@ import csv
 import math
 
 import numpy as np
+import pytest
 from scipy import special
 
-from transfer_knn import transfer
+from transfer_knn import distributions, transfer
 from transfer_knn.distributions import _BALL_MC_DRAWS, _sample_distances
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    """Equal pairs share the transfer memo and equal families the ball-mass
+    draw, so every test starts without either, whatever ran before it."""
+    transfer._pair_memo.cache_clear()
+    distributions._ball_draws.cache_clear()
 
 
 def brute_force_knn(points: np.ndarray, x, k: int):

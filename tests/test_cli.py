@@ -781,6 +781,13 @@ class TestCheckRegularityCommand:
                 {"n_checked": "1000"},
                 id="readme-exponential",
             ),
+            # The largest grid check-regularity takes.
+            pytest.param(
+                {"distribution": {"family": "pareto", "alpha": 1.0, "sigma": 1.0},
+                 "x_points": 1000, "r_points": MAX_GRID_POINTS // 1000},
+                {"n_checked": str(MAX_GRID_POINTS)},
+                id="pareto-at-the-cap",
+            ),
         ],
     )
     def test_pass_report(self, tmp_path, body, want):
@@ -810,6 +817,14 @@ class TestCheckRegularityCommand:
             pytest.param({"x_points": "abc"}, "x_points", id="x_points=abc"),
             pytest.param({"x_points": 0}, "x_points", id="x_points=0"),
             pytest.param({"r_points": 0}, "r_points", id="r_points=0"),
+            # the (x, r) grid is capped at MAX_GRID_POINTS before any quantile
+            pytest.param(
+                {"x_points": 10**15}, "x_points, r_points", id="x_points-over-the-cap"
+            ),
+            pytest.param(
+                {"x_points": 3000, "r_points": 3000}, "x_points, r_points",
+                id="grid-over-the-cap",
+            ),
             pytest.param({"theta": "x"}, "theta", id="theta=x"),
             pytest.param({"theta": -1}, "theta", id="theta=-1"),
             # every quantile of Pareto(1e-300, 1) overflows to inf
@@ -895,12 +910,6 @@ class TestTooLargeToAllocate:
             pytest.param(
                 "sweep", dict(EXPERIMENT, n_test=HUGE),
                 "cell (n=0, m=32), rep 0: ", id="sweep-n_test",
-            ),
-            pytest.param(
-                "check-regularity",
-                {"distribution": {"family": "pareto", "alpha": 1.0, "sigma": 1.0},
-                 "x_points": HUGE},
-                "numeric failure: out of memory: ", id="check-regularity-x_points",
             ),
         ],
     )

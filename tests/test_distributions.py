@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -13,6 +14,7 @@ from conftest import ball_mass_with_error, local_mass_check_loop, log_pareto_tai
 from transfer_knn import distributions
 from transfer_knn.distributions import (
     _FAMILIES,
+    DistributionFamily,
     Exponential,
     HolderFunction,
     LogPareto,
@@ -306,6 +308,19 @@ def assert_within_monte_carlo(got: float, exact: float):
     assert abs(got - exact) <= 4.0 * stderr + 1e-15, (got, exact)
 
 
+def count_draws(monkeypatch) -> list:
+    """The size of every ProductPareto draw from here on, in order."""
+    draws = []
+    original = ProductPareto.sample_array
+
+    def counting(self, rng, n):
+        draws.append(n)
+        return original(self, rng, n)
+
+    monkeypatch.setattr(ProductPareto, "sample_array", counting)
+    return draws
+
+
 class TestOneSupportRule:
     """density, log_density, cdf, ball_mass, zeta and HolderFunction calls
     against references that share no code with the library: scipy.stats
@@ -521,9 +536,11 @@ class TestOneQuantileRule:
         got = silently(dist.ppf, levels[ill])
         finite = np.isfinite(got)
         np.testing.assert_allclose(ref.cdf(got[finite]), levels[ill][finite], rtol=0, atol=1e-15)
-        # Levels outside [0, 1] are not quantiles; they still give a float.
-        for u in OUTSIDE_LEVELS:
-            assert type(silently(dist.ppf, u)) is float
+        # Levels outside [0, 1] are not quantiles: NaN, as scipy's.
+        want = ref.ppf(OUTSIDE_LEVELS)
+        assert np.isnan(want).all()
+        for u, w in point_cases(np.array(OUTSIDE_LEVELS), want):
+            assert_close(silently(dist.ppf, u), w)
 
     @pytest.mark.xfail(
         strict=True,
@@ -887,6 +904,13 @@ class TestBallMass:
         want = [ball_mass_with_error(pp, x, r)[0] for r in radii]
         assert ball_mass(pp, x, np.array(radii)).tolist() == want
 
+    @pytest.mark.parametrize(
+        "dist,x", [(Pareto(1.0, 1.0), 1.0), (ProductPareto(1.0, 1.0, 2), [1.0, 2.0])], ids=str
+    )
+    def test_nan_radius_rejected_as_negative(self, dist, x):
+        for r in (math.nan, [0.5, math.nan]):
+            assert outcome(ball_mass, dist, x, r) == (ValueError, "radius must be nonnegative")
+
     def test_product_pareto_monte_carlo(self):
         pp = ProductPareto(1.0, 1.0, 2)
         m, se = ball_mass_with_error(pp, np.array([0.0, 0.0]), 1.0)
@@ -968,16 +992,49 @@ class TestZeta:
         assert zeta(Pareto(1.0, 1.0), 0.0, 1e-12) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_draws_one_sample_in_two_dimensions(self, monkeypatch):
-        draws = []
-        original = ProductPareto.sample_array
+        # The family's draw is memoised: after the memo is cleared, any
+        # number of zeta calls on it, equal families included, draw once
+        # and return what a cold memo returns.
+        points = [np.array([0.5, 0.5]), np.array([1.0, 2.0]), [3.0, 0.25], (5.0, 5.0)]
+        cold = []
+        for x in points:
+            distributions._ball_draws.cache_clear()
+            cold.append(zeta(ProductPareto(1.0, 1.0, 2), x, 0.01))
+        distributions._ball_draws.cache_clear()
+        draws = count_draws(monkeypatch)
+        for _ in range(2):
+            assert [zeta(ProductPareto(1.0, 1.0, 2), x, 0.01) for x in points] == cold
+        assert draws == [distributions._BALL_MC_DRAWS]
 
-        def counting(self, rng, n):
-            draws.append(n)
-            return original(self, rng, n)
+    def test_threads_racing_on_the_draw(self):
+        # Two families on four threads evict the one-family memo back and
+        # forth; every radius still equals the cold one.
+        from concurrent.futures import ThreadPoolExecutor
 
-        monkeypatch.setattr(ProductPareto, "sample_array", counting)
-        zeta(ProductPareto(1.0, 1.0, 2), np.array([1.0, 2.0]), 0.01)
-        assert len(draws) == 1
+        families = [ProductPareto(1.0, 1.0, 2), ProductPareto(2.0, 1.0, 2)]
+        points = [(0.5, 0.5), (1.0, 2.0)]
+        cases = [(dist, x) for dist in families for x in points]
+        want = {}
+        for dist, x in cases:
+            distributions._ball_draws.cache_clear()
+            want[dist, x] = zeta(dist, x, 0.01)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [(case, pool.submit(zeta, *case, 0.01)) for case in cases * 3]
+                for case, future in futures:
+                    assert future.result(timeout=120) == want[case], case
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("fn", [zeta, ball_mass], ids=["zeta", "ball_mass"])
+    def test_centre_of_another_dimension_draws_nothing(self, monkeypatch, fn):
+        draws = count_draws(monkeypatch)
+        for x in ([1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]]):
+            got = outcome(fn, ProductPareto(1.0, 1.0, 2), x, 0.5)
+            assert got == (ValueError, "2-D distribution expects a 2-D point")
+        assert draws == []
 
 
 class TestBisectionPpf:
@@ -1047,21 +1104,54 @@ class TestLocalMass:
         got = (report.passed, report.min_ratio, report.max_ratio, report.n_checked)
         assert got + (report.failures,) == local_mass_check_loop(pp, theta, self.XS_2D, rs)
 
-    def test_draws_once_per_x_in_two_dimensions(self, monkeypatch):
-        draws = []
-        original = ProductPareto.sample_array
+    def test_draws_once_per_family_in_two_dimensions(self, monkeypatch):
+        # After the memo is cleared, local_mass_check and zeta calls on one
+        # family draw once, and report what a cold memo reports.
+        pp, rs = ProductPareto(1.0, 1.0, 2), [0.25, 0.5, 1.0]
+        cold = local_mass_check(pp, 100.0, self.XS_2D, rs)
+        distributions._ball_draws.cache_clear()
+        cold_zeta = zeta(pp, self.XS_2D[0], 0.01)
+        distributions._ball_draws.cache_clear()
+        draws = count_draws(monkeypatch)
+        for _ in range(2):
+            assert local_mass_check(pp, 100.0, self.XS_2D, rs) == cold
+            assert zeta(ProductPareto(1.0, 1.0, 2), self.XS_2D[0], 0.01) == cold_zeta
+        assert draws == [distributions._BALL_MC_DRAWS]
 
-        def counting(self, rng, n):
-            draws.append(n)
-            return original(self, rng, n)
+    def test_one_cdf_call_per_side_in_one_dimension(self, monkeypatch):
+        # check-regularity's default 50 x 20 grid on its benchmark family.
+        dist = LogPareto(1.0, 1.0, 2.0)
+        xs, rs = self.grids(dist)
+        calls = []
+        cdf = DistributionFamily.cdf
 
-        monkeypatch.setattr(ProductPareto, "sample_array", counting)
-        local_mass_check(ProductPareto(1.0, 1.0, 2), 100.0, self.XS_2D, [0.25, 0.5, 1.0])
-        assert len(draws) == len(self.XS_2D)
+        def counted(self, x):
+            calls.append(np.shape(x))
+            return cdf(self, x)
+
+        monkeypatch.setattr(DistributionFamily, "cdf", counted)
+        local_mass_check(dist, 10.0, xs, rs)
+        assert calls == [(50, 20), (50, 20)]
 
     def test_grid_outside_support_rejected(self):
         with pytest.raises(ValueError):
             local_mass_check(Uniform(0, 1), 2.0, [-0.5], [0.1])
+
+    @pytest.mark.parametrize(
+        "dist,grid",
+        [(Pareto(1.0, 1.0), [0.5, math.nan]), (ProductPareto(1.0, 1.0, 2), [[0.5, math.nan]])],
+        ids=["pareto", "product_pareto"],
+    )
+    def test_nan_grid_point_rejected_as_outside(self, dist, grid):
+        text = "grid point " + str(np.array(grid[-1])) + " is outside the support"
+        assert outcome(local_mass_check, dist, 2.0, grid, [0.5]) == (ValueError, text)
+
+    @pytest.mark.parametrize("grid", [[[1.0, 2.0, 3.0]], [1.0, 2.0]], ids=["3-D", "flat"])
+    def test_grid_of_another_dimension_draws_nothing(self, monkeypatch, grid):
+        draws = count_draws(monkeypatch)
+        got = outcome(local_mass_check, ProductPareto(1.0, 1.0, 2), 2.0, grid, [0.5])
+        assert got[0] is ValueError
+        assert draws == []
 
 
 class TestClosedFormIndices:

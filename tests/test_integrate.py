@@ -338,21 +338,28 @@ class TestImproperQuad:
         assert bits(*transfer._quadrature(P, Q, gamma)[:2]) == bits(*batched[:2])
         assert len(windows) > 1
 
-    def log_pareto_grid(self, monkeypatch):
-        """(quad windows, first-pass windows) of a cold LogPareto grid."""
-        quads, passes = [], []
-        monkeypatch.setattr(_integrate, "quad", lambda *a, **k: quads.append(a) or quad(*a, **k))
+    @staticmethod
+    def count_passes(monkeypatch) -> list:
+        """The window count of every first_pass call from here on, in order."""
+        passes = []
 
         def counted(f, a, b):
             passes.append(len(a))
             return first_pass(f, a, b)
 
         monkeypatch.setattr(_integrate, "first_pass", counted)
+        return passes
+
+    def log_pareto_grid(self, monkeypatch):
+        """(quad windows, first_pass window counts) of a cold LogPareto grid."""
+        quads = []
+        monkeypatch.setattr(_integrate, "quad", lambda *a, **k: quads.append(a) or quad(*a, **k))
+        passes = self.count_passes(monkeypatch)
         transfer._pair_memo.cache_clear()
         P, Q = LogPareto(1, 1, 0), LogPareto(1, 1, 2)
         est = transfer.estimate_index(P, Q, [i / 100 for i in range(101)])
         assert sum(e.method == "quadrature" for e in est.evaluations) == 100
-        return len(quads), sum(passes)
+        return len(quads), passes
 
     def test_quad_runs_only_on_the_heads(self, monkeypatch):
         # Every tail window resolves on the first pass, so quad runs on
@@ -361,11 +368,26 @@ class TestImproperQuad:
         assert self.log_pareto_grid(monkeypatch)[0] == 53
 
     def test_chunks_evaluate_at_most_twice_the_windows_used(self, monkeypatch):
-        _, batched = self.log_pareto_grid(monkeypatch)
+        batched = sum(self.log_pareto_grid(monkeypatch)[1])
         monkeypatch.setattr(_integrate, "_CHUNK_FIRST", 1)
         monkeypatch.setattr(_integrate, "_CHUNK_CAP", 1)
-        _, used = self.log_pareto_grid(monkeypatch)
+        used = sum(self.log_pareto_grid(monkeypatch)[1])
         assert used < batched <= 2 * used
+
+    def test_few_first_pass_calls_on_the_log_pareto_grid(self, monkeypatch):
+        # A call costs about the work of 28 windows before its first one,
+        # so the first chunk holds 64: the 53 integrals' tails take at most
+        # 110 calls for their 10,211 windows (265 with a first chunk of 8).
+        passes = self.log_pareto_grid(monkeypatch)[1]
+        assert len(passes) <= 110 and sum(passes) == 10_211
+
+    def test_short_tail_evaluates_one_first_chunk(self, monkeypatch):
+        # The exponential target's tail stops within a few windows, yet
+        # its one call evaluates the whole first chunk of 64.
+        passes = self.count_passes(monkeypatch)
+        value, _, converged = transfer._quadrature(Pareto(1, 1), Exponential(1), 0.5)
+        assert converged and math.isfinite(value)
+        assert passes == [64]
 
 
 def scalar_log_pdf(dist, x: float) -> float:

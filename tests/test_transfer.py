@@ -27,12 +27,6 @@ EXP1 = Exponential(1.0)
 EXP2 = Exponential(2.0)
 
 
-@pytest.fixture(autouse=True)
-def fresh_memo():
-    """Equal pairs share the per-pair memo, so each test starts without one."""
-    transfer._pair_memo.cache_clear()
-
-
 def exp_pair_value(lam_p, lam_q, gamma):
     """Analytic T for exponential pairs: close the proof's integral.
 
@@ -394,7 +388,6 @@ class TestPairMemo:
             return sample(self, rng, n)
 
         monkeypatch.setattr(ProductPareto, "sample_array", counted)
-        transfer._pair_memo.cache_clear()
         for g in PRODUCT_GRID[1:4]:
             ev = transfer_value(PRODUCT_SOURCE, PRODUCT_TARGET, g)
             assert ev.method == "monte_carlo"
