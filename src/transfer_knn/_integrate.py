@@ -13,15 +13,21 @@ The tail windows are integrated a chunk at a time.  One vectorised pass
 reproduces, bit for bit, the first 21-point Gauss-Kronrod step (dqk21)
 of QUADPACK's dqagse on every window of the chunk, and dqagse's test of
 whether it stops there.  A window that passes has exactly the (value,
-error) scipy's quad returns for it; only a window QUADPACK would bisect
-goes to quad.  numpy is exact for +, -, *, /, abs, min, max and the
-comparisons, but its exp, log, log1p and power differ from libm's in the
-last bit on some inputs, so those go through `libm`.
+error) scipy's quad returns for it; only a window QUADPACK would bisect,
+and that the running sums reach, goes to quad.  The sums add each run of
+windows between two such ones with one np.cumsum, which adds in order.
+
+numpy is exact for +, -, *, /, abs, min, max and the comparisons, but
+its exp, log, log1p and power differ from libm's in the last bit on some
+inputs, so those go through `libm`: math's function mapped over the
+elements of an array, with no Python frame per element.  `libm` takes
+further argument iterables, as map does, and exp_clamped_array does its
+clamp in one numpy pass, so neither needs a lambda.
 
 The first chunk holds 64 windows, each later one as many as all before
-it, up to 256.  A first_pass call costs about 70 us before any window
-and about 2.5 us a window on a transfer tail (2-core x86 VM, numpy 2.4),
-so its fixed cost is the work of some 28 windows, and a tail that stops
+it, up to 256.  A first_pass call costs about 80 us before any window
+and about 1.9 us a window on a transfer tail (2-core x86 VM, numpy 2.4),
+so its fixed cost is the work of some 40 windows, and a tail that stops
 within a few windows loses little to a first chunk of 64.  A chunk never
 holds more windows than the ones before it, which the sums used, so an
 integral that uses `used` windows evaluates at most max(64, 2 * used).
@@ -33,6 +39,7 @@ touches the process-wide warning filters.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -102,20 +109,36 @@ class TailIntegral:
     converged: bool
 
 
-def libm(fn, xs) -> np.ndarray:
-    """fn, a function of one float such as math.exp, at each element of xs.
+_DIVERGED = TailIntegral(math.inf, math.inf, False)
+
+
+def libm(fn, xs, *more) -> np.ndarray:
+    """fn, a function of floats such as math.exp, at each element of xs.
 
     The elements reach fn as Python floats through a memoryview, with no
-    list of them built.
+    list of them built; each further iterable in more gives fn its next
+    argument, element by element, as map's do.
     """
     xs = np.asarray(xs, dtype=np.float64)
     flat = memoryview(xs.ravel())
-    return np.fromiter(map(fn, flat), np.float64, xs.size).reshape(xs.shape)
+    return np.fromiter(map(fn, flat, *more), np.float64, xs.size).reshape(xs.shape)
 
 
 def exp_clamped(log_value: float) -> float:
     """exp(log_value), with inf above 700 instead of an OverflowError."""
     return math.inf if log_value > 700.0 else math.exp(log_value)
+
+
+def exp_clamped_array(log_values: np.ndarray) -> np.ndarray:
+    """exp_clamped at each element: libm's exp, inf above 700.
+
+    The clamp is one numpy pass, so math.exp runs through map with no
+    Python frame per element.
+    """
+    log_values = np.asarray(log_values, dtype=np.float64)
+    out = libm(math.exp, np.minimum(log_values, 700.0))
+    out[log_values > 700.0] = math.inf
+    return out
 
 
 def bounded_quad(f, lo: float, hi: float) -> tuple[float, float]:
@@ -166,7 +189,7 @@ def first_pass(f, a: np.ndarray, b: np.ndarray):
         ratio = 200.0 * abserr[scaled] / resasc[scaled]
         # min(1, ratio^1.5) is 1 from ratio 1 on, where pow could overflow.
         small = ratio < 1.0
-        ratio[small] = libm(lambda r: math.pow(r, 1.5), ratio[small])
+        ratio[small] = libm(math.pow, ratio[small], itertools.repeat(1.5))
         abserr[scaled] = resasc[scaled] * np.fmin(1.0, ratio)
         floor = resabs > _UFLOW / (50.0 * _EPMACH)
         abserr[floor] = np.fmax((_EPMACH * 50.0) * resabs[floor], abserr[floor])
@@ -179,47 +202,72 @@ def first_pass(f, a: np.ndarray, b: np.ndarray):
     return result, abserr, kept
 
 
+def _window_starts(x1: float) -> np.ndarray:
+    """log x1, then each start plus log 2, while below _T_MAX.
+
+    np.cumsum adds in order, so every start is bit for bit the one a
+    running `t += log 2` reaches.
+    """
+    t0, step = math.log(x1), math.log(2.0)
+    count = max(0, math.ceil((_T_MAX - t0) / step)) + 2
+    starts = np.cumsum(np.concatenate([[t0], np.full(count, step)]))
+    return starts[starts < _T_MAX]
+
+
 def improper_quad(head, tail, x0: float) -> TailIntegral:
     """Integrate f over [x0, oo) with divergence detection.
 
     head(x) is f(x) on the head [x0, x0 + 8]; tail(ts) is e^t f(e^t) at
     each t of an array, the integrand in t = log x beyond it.
+
+    The windows are added to the head's (value, error) in order, each run
+    of them between two windows QUADPACK bisects by one np.cumsum, which
+    adds as `total += piece` does.  The sums stop at the first window that
+    is not finite, takes the total past VALUE_CUTOFF or adds less than
+    _EXIT_REL of it; quad redoes a bisected window only once the sums
+    reach it.
     """
     x1 = x0 + _HEAD_WIDTH
     total, err = bounded_quad(head, x0, x1)
     if not math.isfinite(total) or total > VALUE_CUTOFF:
-        return TailIntegral(math.inf, math.inf, False)
-    t, step = math.log(x1), math.log(2.0)
+        return _DIVERGED
+    # Full log-2 windows throughout: a truncated final window would
+    # understate the last relative change and fake stabilization.
+    starts, step = _window_starts(x1), math.log(2.0)
     last_rel, size, done = math.inf, _CHUNK_FIRST, 0
-    while t < _T_MAX:
-        # Full log-2 windows throughout: a truncated final window would
-        # understate the last relative change and fake stabilization.
-        starts = []
-        while t < _T_MAX and len(starts) < size:
-            starts.append(t)
-            t += step
-        a = np.array(starts)
+    while done < len(starts):
+        a = starts[done : done + size]
         values, errors, kept = first_pass(tail, a, a + step)
-        windows = zip(starts, values.tolist(), errors.tolist(), kept.tolist())
-        for lo, piece, piece_err, ok in windows:
-            if not ok:
-                # QUADPACK bisects this window: quad redoes it, one node a call.
-                piece, piece_err = bounded_quad(
-                    lambda s: float(tail(np.array([s]))[0]), lo, lo + step
-                )
-            if not math.isfinite(piece):
-                return TailIntegral(math.inf, math.inf, False)
-            total += piece
-            err += piece_err
-            if total > VALUE_CUTOFF:
-                return TailIntegral(math.inf, math.inf, False)
-            last_rel = piece / total if total > 0 else 0.0
-            if last_rel < _EXIT_REL:
-                return TailIntegral(total, err + piece, True)
-        done += len(starts)
+        pos = 0
+        for bisected in np.flatnonzero(~kept).tolist() + [len(a)]:
+            # Windows pos..bisected-1: kept, or at pos redone by quad below.
+            pieces = values[pos:bisected]
+            run = np.empty((2, len(pieces) + 1))
+            run[:, 0] = total, err
+            run[0, 1:], run[1, 1:] = pieces, errors[pos:bisected]
+            totals, errs = np.cumsum(run, axis=1)[:, 1:]
+            with np.errstate(all="ignore"):
+                rels = np.where(totals > 0.0, pieces / totals, 0.0)
+                stops = ~np.isfinite(pieces) | (totals > VALUE_CUTOFF) | (rels < _EXIT_REL)
+            if stops.any():
+                j = int(stops.argmax())
+                if not math.isfinite(pieces[j]) or totals[j] > VALUE_CUTOFF:
+                    return _DIVERGED
+                return TailIntegral(float(totals[j]), float(errs[j] + pieces[j]), True)
+            if len(pieces):
+                total, err, last_rel = float(totals[-1]), float(errs[-1]), float(rels[-1])
+            if bisected == len(a):
+                break
+            # QUADPACK bisects this window: quad redoes it, one node a call.
+            lo = float(a[bisected])
+            values[bisected], errors[bisected] = bounded_quad(
+                lambda s: float(tail(np.array([s]))[0]), lo, lo + step
+            )
+            pos = bisected
+        done += len(a)
         size = min(done, _CHUNK_CAP)
     # Reached the cap: stabilized sequences count as converged, with the
     # last window kept as a truncation-error proxy.
     if last_rel < STABLE_REL:
         return TailIntegral(total, err + last_rel * total, True)
-    return TailIntegral(math.inf, math.inf, False)
+    return _DIVERGED

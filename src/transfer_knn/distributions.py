@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._integrate import exp_clamped, improper_quad, libm
+from ._integrate import exp_clamped, exp_clamped_array, improper_quad, libm
 from .errors import (
     ConfigError,
     NoClosedFormError,
@@ -325,15 +325,45 @@ class ProductPareto(DistributionFamily):
         return (0.0, math.inf)
 
 
+def _log_pareto_raw(b: float, c: float, xs: np.ndarray) -> np.ndarray:
+    """log of the raw LogPareto density x^-(b+1) log(x)^-c at each x."""
+    lx = libm(math.log, xs)
+    # With c = 0 the log term is absent: 0 * log(log(inf)) would be NaN.
+    return -(b + 1.0) * lx - (c * libm(math.log, lx) if c else 0.0)
+
+
+@functools.lru_cache(maxsize=16)
+def _log_pareto_norm(b: float, c: float) -> float:
+    """The LogPareto normaliser, shared by every family with this b and c.
+
+    The density never reads a, so equal (b, c) share one quadrature.  A
+    normaliser that is not finite or not resolved raises ValueError, which
+    lru_cache does not store, so each call with it raises again.
+    """
+    res = improper_quad(
+        lambda x: exp_clamped(_log_pareto_raw(b, c, np.array([x]))[0]),
+        lambda ts: exp_clamped_array(_log_pareto_raw(b, c, libm(math.exp, ts)) + ts),
+        LogPareto._LEFT,
+    )
+    if not res.converged:
+        raise ValueError("LogPareto density is not normalisable")
+    if not res.error < res.value:
+        raise ValueError(
+            f"LogPareto normaliser {res.value:.3g} is not resolved by quadrature"
+            f" (error estimate {res.error:.3g})"
+        )
+    return res.value
+
+
 @dataclass(frozen=True)
 class LogPareto(DistributionFamily):
     """Density proportional to 1/(x^(b+1) log(x)^c) on [2, oo).
 
-    The normalising constant is computed once by adaptive quadrature and
-    cached.  The field `a` records the exponent of the companion
-    power-law source density (proportional to x^-(a+1) on [2, oo)),
-    which is the c = 0 member of the same family; it does not enter this
-    distribution's own density.
+    The normalising constant is computed by adaptive quadrature once per
+    (b, c) in a process (_log_pareto_norm).  The field `a` records the
+    exponent of the companion power-law source density (proportional to
+    x^-(a+1) on [2, oo)), which is the c = 0 member of the same family;
+    it does not enter this distribution's own density.
     """
 
     a: float
@@ -344,6 +374,9 @@ class LogPareto(DistributionFamily):
     # Largest count of quadrature nodes in one temporary of the CDF
     # (8 MiB); one point at x = 1e300 takes 2,761 panels of 7 nodes.
     _NODE_BLOCK = 1 << 20
+    # Most padding nodes in one block of the CDF: computing 4,096 wasted
+    # nodes costs about what the numpy calls of one more block cost.
+    _PAD_FREE = 1 << 12
 
     def __post_init__(self):
         if self.a <= 0 or self.b <= 0:
@@ -351,26 +384,9 @@ class LogPareto(DistributionFamily):
         if self.c < 0:
             raise ValueError("LogPareto requires c >= 0")
 
-    def _log_raw(self, xs: np.ndarray) -> np.ndarray:
-        lx = libm(math.log, xs)
-        # With c = 0 the log term is absent: 0 * log(log(inf)) would be NaN.
-        return -(self.b + 1.0) * lx - (self.c * libm(math.log, lx) if self.c else 0.0)
-
     @cached_property
     def _norm(self) -> float:
-        res = improper_quad(
-            lambda x: exp_clamped(self._log_raw(np.array([x]))[0]),
-            lambda ts: libm(exp_clamped, self._log_raw(libm(math.exp, ts)) + ts),
-            self._LEFT,
-        )
-        if not res.converged:
-            raise ValueError("LogPareto density is not normalisable")
-        if not res.error < res.value:
-            raise ValueError(
-                f"LogPareto normaliser {res.value:.3g} is not resolved by quadrature"
-                f" (error estimate {res.error:.3g})"
-            )
-        return res.value
+        return _log_pareto_norm(self.b, self.c)
 
     @cached_property
     def _log_norm(self) -> float:
@@ -380,7 +396,7 @@ class LogPareto(DistributionFamily):
         return np.power(xs, -(self.b + 1.0)) * np.power(np.log(xs), -self.c) / self._norm
 
     def _log_pdf(self, xs):
-        return self._log_raw(xs) - self._log_norm
+        return _log_pareto_raw(self.b, self.c, xs) - self._log_norm
 
     def _raw_cdf_integral(self, xs: np.ndarray) -> np.ndarray:
         """Integral of the raw density from 2 to each finite x, NaN at NaN.
@@ -389,28 +405,44 @@ class LogPareto(DistributionFamily):
         which stays accurate however far into the tail x reaches.  Each x
         gets its own ceil((log x - log 2) / 0.25) panels from log 2, so
         its value does not depend on the other points of the call.
-        Points with the same panel count are integrated together, at most
-        _NODE_BLOCK nodes at a time; the edges are np.linspace's and each
-        row's sum is np.sum's pairwise one, bit for bit.
+        The points, sorted by panel count, are integrated in blocks of at
+        most _NODE_BLOCK nodes, each row padded to the block's largest
+        count, and a block ends before its padding passes _PAD_FREE nodes;
+        the edges are np.linspace's, and each row's sum is np.sum's
+        pairwise one over its own panels, bit for bit, taken once per
+        panel count.
         """
         t0 = math.log(self._LEFT)
         ts = np.log(np.maximum(xs, self._LEFT))
         todo = np.flatnonzero((ts > t0) & (ts < math.inf))
         panels = np.maximum(1, np.ceil((ts[todo] - t0) / 0.25)).astype(np.int64)
+        order = np.argsort(panels, kind="stable")
+        todo, panels = todo[order], panels[order]
         out = np.where(np.isnan(ts), math.nan, 0.0)
-        for p in np.unique(panels).tolist():
-            group = todo[panels == p]
-            step = max(1, self._NODE_BLOCK // (p * len(_GL_NODES)))
-            for block in np.split(group, range(step, len(group), step)):
-                t1 = ts[block]
-                edges = np.arange(p + 1) * ((t1 - t0) / p)[:, None] + t0
-                edges[:, -1] = t1
-                mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-                half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-                lx = mid[:, :, None] + half[:, :, None] * _GL_NODES
-                vals = np.exp(-(self.b + 1.0) * lx - self.c * np.log(lx) + lx)
-                terms = vals * _GL_WEIGHTS * half[:, :, None]
-                out[block] = terms.reshape(len(block), -1).sum(axis=1)
+        start, nodes = 0, len(_GL_NODES)
+        while start < len(todo):
+            # The longest run of rows from start whose padded nodes fit a
+            # block, with at most _PAD_FREE of them padding.
+            p = panels[start : start + self._NODE_BLOCK // (nodes * panels[start]) + 1]
+            padded = np.arange(1, len(p) + 1) * p * nodes
+            fits = (padded <= self._NODE_BLOCK) & (
+                padded - nodes * np.cumsum(p) <= self._PAD_FREE
+            )
+            stop = start + (len(p) if fits.all() else max(1, int(fits.argmin())))
+            rows, p = todo[start:stop], panels[start:stop]
+            t1, width = ts[rows], int(p[-1])
+            edges = np.arange(width + 1) * ((t1 - t0) / p)[:, None] + t0
+            edges[np.arange(len(rows)), p] = t1
+            mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+            half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+            lx = mid[:, :, None] + half[:, :, None] * _GL_NODES
+            vals = np.exp(-(self.b + 1.0) * lx - self.c * np.log(lx) + lx)
+            terms = vals * _GL_WEIGHTS * half[:, :, None]
+            bounds = np.flatnonzero(np.diff(p)) + 1
+            for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), len(rows)]):
+                count = int(p[lo])
+                out[rows[lo:hi]] = terms[lo:hi, :count].reshape(hi - lo, -1).sum(axis=1)
+            start = stop
         return out
 
     def _cdf(self, xs):
@@ -471,9 +503,19 @@ def _centre(dist: DistributionFamily, x) -> np.ndarray:
 
 def _sample_distances(dist: DistributionFamily, x) -> np.ndarray:
     """Distances from x to _BALL_MC_DRAWS fixed-seed points of dist, drawn
-    once per family (_ball_draws)."""
+    once per family (_ball_draws).
+
+    The squared coordinate differences are added column by column, left
+    to right, then one sqrt: for d <= 7 this is np.linalg.norm(axis=1)'s
+    order bit for bit, as numpy adds fewer than 8 terms in order.
+    """
     center = _centre(dist, x)
-    return np.linalg.norm(_ball_draws(dist) - center[None, :], axis=1)
+    draws = _ball_draws(dist)
+    squares = np.zeros(len(draws))
+    for j, c in enumerate(center.tolist()):
+        diff = draws[:, j] - c
+        squares += diff * diff
+    return np.sqrt(squares)
 
 
 def _mass_at(dist: DistributionFamily, x):

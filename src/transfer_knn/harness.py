@@ -146,18 +146,28 @@ def mc_excess_risk(
     return risk
 
 
+def _rep_rng(seed: int, cell_idx: int, rep: int, child: int) -> np.random.Generator:
+    """The generator of stream child (0 source, 1 target, 2 test) of a rep:
+    SeedSequence(seed, spawn_key=(cell_idx, rep)).spawn(3)[child], built alone."""
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(cell_idx, rep, child))
+    )
+
+
 def _run_rep(config: ExperimentConfig, cell_idx: int, n: int, m: int, rep: int):
     ss = np.random.SeedSequence(config.seed, spawn_key=(cell_idx, rep))
     seed_id = int(ss.generate_state(1, dtype=np.uint64)[0])
-    rng_src, rng_tgt, rng_test = (np.random.default_rng(c) for c in ss.spawn(3))
     try:
         source = None
         if n > 0:
-            source = generate_data(config.source, config.f_star, config.noise, n, rng_src)
+            rng = _rep_rng(config.seed, cell_idx, rep, 0)
+            source = generate_data(config.source, config.f_star, config.noise, n, rng)
         target = None
         if m > 0:
-            target = generate_data(config.target, config.f_star, config.noise, m, rng_tgt)
+            rng = _rep_rng(config.seed, cell_idx, rep, 1)
+            target = generate_data(config.target, config.f_star, config.noise, m, rng)
         est = fit(source, target, config.estimator)
+        rng_test = _rep_rng(config.seed, cell_idx, rep, 2)
         risk = mc_excess_risk(est, config.f_star, config.target, config.n_test, rng_test)
     except Exception as exc:
         raise NumericError(

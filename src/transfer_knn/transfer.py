@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._integrate import bounded_quad, exp_clamped, improper_quad, libm
+from ._integrate import bounded_quad, exp_clamped_array, improper_quad, libm
 from .distributions import DistributionFamily, Exponential, Pareto, Uniform
 from .errors import NumericError
 
@@ -158,25 +158,26 @@ def _quadrature(P, Q, gamma: float) -> tuple[float, float, bool]:
         return math.inf, math.inf, False
     memo = _pair_memo(P, Q)
     nodes, node = memo.nodes, memo.node
-
-    def log_g(x: float) -> float:
-        lq, lp = nodes.get(x) or node(x)
-        return lq - gamma * lp
-
     lo, hi = Q.support
     if math.isinf(hi):
 
+        def head(x: float) -> float:
+            lq, lp = nodes.get(x) or node(x)
+            v = lq - gamma * lp
+            return math.inf if v > 700.0 else math.exp(v)
+
         def tail(ts: np.ndarray) -> np.ndarray:
             lq, lp = memo.tail_logs(ts)
-            return libm(exp_clamped, lq - gamma * lp + ts)
+            return exp_clamped_array(lq - gamma * lp + ts)
 
-        res = improper_quad(lambda x: exp_clamped(log_g(x)), tail, lo)
+        res = improper_quad(head, tail, lo)
         return res.value, res.error, res.converged
     # The integral of g / 2^k, k = 0 first, raised until no node passes exp's 700 clamp.
     k, peaks = 0, [0.0]
 
     def g(x: float) -> float:
-        v = log_g(x) - k * math.log(2.0)
+        lq, lp = nodes.get(x) or node(x)
+        v = lq - gamma * lp - k * math.log(2.0)
         if v > 700.0:
             peaks.append(v)
         return math.exp(min(v, 700.0))

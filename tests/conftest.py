@@ -13,10 +13,12 @@ from transfer_knn.distributions import _BALL_MC_DRAWS, _sample_distances
 
 @pytest.fixture(autouse=True)
 def fresh_memos():
-    """Equal pairs share the transfer memo and equal families the ball-mass
-    draw, so every test starts without either, whatever ran before it."""
+    """Equal pairs share the transfer memo, equal families the ball-mass
+    draw and LogPareto families with equal (b, c) the normaliser, so every
+    test starts without any of them, whatever ran before it."""
     transfer._pair_memo.cache_clear()
     distributions._ball_draws.cache_clear()
+    distributions._log_pareto_norm.cache_clear()
 
 
 def brute_force_knn(points: np.ndarray, x, k: int):

@@ -147,11 +147,34 @@ class TestLogParetoNormaliser:
         assert math.isclose(got, 2.0**-38 / 38.0, rel_tol=1e-9)
 
     @pytest.mark.parametrize("b", [40.0, 1100.0])
-    def test_unresolved_refused(self, b):
+    def test_unresolved_refused(self, monkeypatch, b):
+        calls = count_improper_quad(monkeypatch)
         with pytest.raises(ValueError, match="not resolved by quadrature"):
             LogPareto(1.0, b, 0.0)._norm
-        with pytest.raises(ConfigError, match="'distribution'"):
-            family_from_spec({"family": "log_pareto", "a": 1, "b": b, "c": 0})
+        # No refusal is remembered: each family recomputes it and refuses again.
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="'distribution'"):
+                family_from_spec({"family": "log_pareto", "a": 1, "b": b, "c": 0})
+        assert len(calls) == 3
+
+    def test_equal_b_and_c_share_one_quadrature(self, monkeypatch):
+        calls = count_improper_quad(monkeypatch)
+        first = LogPareto(1.0, 1.0, 2.0)._norm
+        # a does not enter the density, so a family with another a reuses it.
+        assert LogPareto(3.0, 1.0, 2.0)._norm == first
+        assert LogPareto(1, 1, 2)._norm == first
+        assert len(calls) == 1
+        assert LogPareto(1.0, 1.0, 0.0)._norm != first
+        assert len(calls) == 2
+
+
+def count_improper_quad(monkeypatch) -> list:
+    """The arguments of every improper_quad call the distributions make from here on."""
+    calls, real = [], distributions.improper_quad
+    monkeypatch.setattr(
+        distributions, "improper_quad", lambda *args: calls.append(args) or real(*args)
+    )
+    return calls
 
 
 # Points where a support, NaN or scalar rule can go wrong: signed zeros,
@@ -855,6 +878,28 @@ class TestCdf:
         got = dist.cdf(np.array(xs))
         assert got.tolist() == [dist.cdf(x) for x in xs]
 
+    def test_log_pareto_blocks_of_mixed_panel_counts(self, monkeypatch):
+        # Panel counts 1 to 2,761, shuffled, in one call, with the default
+        # blocks and split into blocks of at most 64 padded panels: each
+        # point as its own call gives it.
+        dist = LogPareto(1.0, 1.0, 2.0)
+        rng = np.random.default_rng(29)
+        xs = rng.permutation(
+            np.concatenate(
+                [
+                    with_neighbours(PANEL_EDGES[[0, 1, 2, 7, 100, 1000, -1]]),
+                    np.exp(rng.uniform(math.log(2.0), math.log(1e300), 200)),
+                    [2.0, 2.1, 1e300, math.nan, math.inf],
+                ]
+            )
+        )
+        one_by_one = [dist.cdf(x) for x in xs.tolist()]
+        assert np.array_equal(dist.cdf(xs), one_by_one, equal_nan=True)
+        monkeypatch.setattr(LogPareto, "_NODE_BLOCK", 7 * 64)
+        assert np.array_equal(dist.cdf(xs), one_by_one, equal_nan=True)
+        panels = np.ceil((np.log(xs[xs > 2.0]) - math.log(2.0)) / 0.25)
+        assert panels.min() == 1 and panels[np.isfinite(panels)].max() == 2761
+
     def test_log_pareto_far_tail_memory_is_bounded(self):
         # 500 points at 1e300 take 2,761 panels of 7 nodes each: 9.7M nodes.
         dist = LogPareto(1.0, 1.0, 2.0)
@@ -935,6 +980,16 @@ class TestBallMass:
         #       [c - r, c, c + r]))"
         got = ball_mass(ProductPareto(1.0, 1.0, 2), np.array([0.5, 0.5]), 1e-3)
         assert got == pytest.approx(6.20561925528079811e-7, rel=1e-3, abs=0)
+
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_distances_equal_numpy_norm(self, d):
+        # The column-by-column sum of squares is np.linalg.norm's, bit for bit.
+        dist = ProductPareto(1.5, 0.5, d)
+        centre = np.random.default_rng(d).uniform(0.0, 3.0, d)
+        want = np.linalg.norm(distributions._ball_draws(dist) - centre, axis=1)
+        got = distributions._sample_distances(dist, centre)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestZeta:

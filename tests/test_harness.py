@@ -188,6 +188,35 @@ class TestSweep:
         result = sweep(cfg)
         assert [e.n for e in result.estimates] == [32, 64]
 
+    def test_rep_streams_are_the_spawned_children(self, monkeypatch):
+        # The source, target and test draws of rep r in cell c start where
+        # children 0, 1 and 2 of SeedSequence(seed, spawn_key=(c, r)) start,
+        # though each rep builds only the generators it draws from.
+        states = []
+        real_generate, real_risk = harness.generate_data, harness.mc_excess_risk
+
+        def generate(family, f_star, noise, n, rng):
+            states.append(("source" if n == 32 else "target", rng.bit_generator.state))
+            return real_generate(family, f_star, noise, n, rng)
+
+        def risk(est, f_star, target, n_test, rng):
+            states.append(("test", rng.bit_generator.state))
+            return real_risk(est, f_star, target, n_test, rng)
+
+        monkeypatch.setattr(harness, "generate_data", generate)
+        monkeypatch.setattr(harness, "mc_excess_risk", risk)
+        cfg = small_config(source=Exponential(2.0), n_grid=(0, 32), m_grid=(16,), reps=2)
+        sweep(cfg)
+        want = []
+        for cell, (n, m) in enumerate(cfg.cells()):
+            for rep in range(2):
+                key = np.random.SeedSequence(cfg.seed, spawn_key=(cell, rep))
+                children = [np.random.default_rng(c).bit_generator.state for c in key.spawn(3)]
+                want += [("source", children[0])] * (n > 0) + [("target", children[1])] * (m > 0)
+                want.append(("test", children[2]))
+        assert len(want) == 10  # a target-only cell and a two-sample one, 2 reps each
+        assert states == want
+
 
 class TestFitSlope:
     def test_exact_power_law(self):

@@ -10,6 +10,7 @@ a window it keeps has quad's (value, error) bit for bit, and quad takes
 more than its first 21 nodes on every window it hands on.
 """
 
+import itertools
 import math
 import struct
 import warnings
@@ -25,6 +26,7 @@ from transfer_knn._integrate import (
     TailIntegral,
     bounded_quad,
     exp_clamped,
+    exp_clamped_array,
     first_pass,
     improper_quad,
     libm,
@@ -116,6 +118,28 @@ def test_failed_head_window_warns_nothing():
 def test_warning_policy_raises(category):
     with pytest.raises(category):
         warnings.warn("probe", category)
+
+
+class TestArrayLibm:
+    EXPONENTS = [
+        -math.inf, -745.2, -1e-300, 0.0, 700.0, math.nextafter(700.0, math.inf),
+        709.78, 710.0, math.nan,
+    ]
+
+    def test_exp_clamped_array(self):
+        xs = np.array(self.EXPONENTS)
+        want = [math.exp(x) if not x > 700.0 else math.inf for x in self.EXPONENTS]
+        got = exp_clamped_array(xs)
+        assert bits(*got) == bits(*want) == bits(*map(exp_clamped, self.EXPONENTS))
+        assert got[-4:-1].tolist() == [math.inf] * 3 and math.isnan(got[-1])
+        grid = exp_clamped_array(xs[:8].reshape(2, 4))
+        assert grid.shape == (2, 4) and bits(*grid.ravel()) == bits(*want[:8])
+
+    def test_extra_argument_iterables(self):
+        xs = np.linspace(0.0, 3.0, 13).reshape(1, 13)
+        got = libm(math.pow, xs, itertools.repeat(1.5))
+        assert got.shape == (1, 13)
+        assert bits(*got[0]) == bits(*(math.pow(x, 1.5) for x in xs[0].tolist()))
 
 
 def tail_windows(x0: float):
@@ -305,7 +329,98 @@ INTEGRANDS = {
 }
 
 
+def window_by_window(head, tail, x0: float) -> TailIntegral:
+    """improper_quad's result as a Python loop that adds quad's (value,
+    error) of each tail window in order, with the same exits."""
+    diverged = TailIntegral(math.inf, math.inf, False)
+    total, err = quad(head, x0, x0 + 8.0, **QUAD_KW)[:2]
+    if not math.isfinite(total) or total > 1e6:
+        return diverged
+    last_rel = math.inf
+    for lo, hi in zip(*(ends.tolist() for ends in tail_windows(x0))):
+        piece, piece_err = quad(lambda s: float(tail(np.array([s]))[0]), lo, hi, **QUAD_KW)[:2]
+        if not math.isfinite(piece):
+            return diverged
+        total += piece
+        err += piece_err
+        if total > 1e6:
+            return diverged
+        last_rel = piece / total if total > 0 else 0.0
+        if last_rel < 1e-13:
+            return TailIntegral(total, err + piece, True)
+    if last_rel < 1e-4:
+        return TailIntegral(total, err + last_rel * total, True)
+    return diverged
+
+
+def kinked_exp(kinks):
+    """(head, tail) of e^-t (1 + sum of |t - k| over the kinks k) in t = log
+    x, a tail QUADPACK bisects on each window that holds a kink."""
+
+    def tail(ts):
+        return libm(math.exp, -ts) * (1.0 + sum(np.abs(ts - k) for k in kinks))
+
+    return (lambda x: float(tail(np.array([math.log(x)]))[0]) / x), tail
+
+
+def cut_after(window: int, fill: float):
+    """(head, tail, x0) of kinked_exp([]) past x0 = 2, with the tail fill
+    from the middle of the given window on."""
+    a, b = tail_windows(2.0)
+    edge = 0.5 * (a[window] + b[window])
+    head, tail = kinked_exp([])
+    return head, (lambda ts: np.where(ts < edge, tail(ts), fill)), 2.0
+
+
 class TestImproperQuad:
+    def counted_quad(self, monkeypatch) -> list:
+        """The (lo, hi) of every quad call improper_quad makes from here on."""
+        calls = []
+
+        def counted(f, lo, hi, **kw):
+            calls.append((lo, hi))
+            return quad(f, lo, hi, **kw)
+
+        monkeypatch.setattr(_integrate, "quad", counted)
+        return calls
+
+    def test_bisected_window_in_a_chunk(self, monkeypatch):
+        # QUADPACK bisects window 5 of the first chunk of 64, at a kink,
+        # and window 60, at a tent of height 1e-4 that is 0 elsewhere; the
+        # sums exit on _EXIT_REL at window 43, so quad redoes window 5 only.
+        a, b = tail_windows(2.0)
+        _, kinked = kinked_exp([a[5] + 0.3 * (b[5] - a[5])])
+        peak = a[60] + 0.3 * (b[60] - a[60])
+
+        def tail(ts):
+            return kinked(ts) + 1e-3 * np.maximum(0.0, 0.1 - np.abs(ts - peak))
+
+        def head(x):
+            return float(tail(np.array([math.log(x)]))[0]) / x
+
+        kept = first_pass(tail, a[:64], b[:64])[2]
+        assert np.flatnonzero(~kept).tolist() == [5, 60]
+        want = window_by_window(head, tail, 2.0)
+        calls = self.counted_quad(monkeypatch)
+        got = improper_quad(head, tail, 2.0)
+        assert bits(got.value, got.error) == bits(want.value, want.error)
+        assert got.converged and want.converged
+        assert calls == [(2.0, 10.0), (float(a[5]), float(a[5]) + math.log(2.0))]
+
+    @pytest.mark.parametrize("case", [*INTEGRANDS, "inf_piece", "nan_piece"])
+    def test_equals_window_by_window(self, case):
+        # Each exit inside a chunk: _EXIT_REL at window 32 of the first
+        # chunk (windows 0-63), VALUE_CUTOFF at window 141 of the third
+        # (128-255), a non-finite piece at window 13 of the first; and both
+        # ends at the cap.
+        head, tail, x0 = {
+            "inf_piece": lambda: cut_after(13, math.inf),
+            "nan_piece": lambda: cut_after(13, math.nan),
+        }.get(case, lambda: INTEGRANDS[case])()
+        got, want = improper_quad(head, tail, x0), window_by_window(head, tail, x0)
+        assert bits(got.value, got.error) == bits(want.value, want.error)
+        assert got.converged == want.converged == (case in ("converges", "stable_at_the_cap"))
+
     @pytest.mark.parametrize("name", INTEGRANDS)
     def test_chunk_size_does_not_matter(self, monkeypatch, name):
         head, tail, x0 = INTEGRANDS[name]
@@ -375,7 +490,7 @@ class TestImproperQuad:
         assert used < batched <= 2 * used
 
     def test_few_first_pass_calls_on_the_log_pareto_grid(self, monkeypatch):
-        # A call costs about the work of 28 windows before its first one,
+        # A call costs about the work of 40 windows before its first one,
         # so the first chunk holds 64: the 53 integrals' tails take at most
         # 110 calls for their 10,211 windows (265 with a first chunk of 8).
         passes = self.log_pareto_grid(monkeypatch)[1]
