@@ -96,6 +96,8 @@ def _float_arg(text: str, field: str) -> float:
 # The most points a grid, the most cells a phase table, and the most (x, r)
 # pairs a regularity check may hold.
 MAX_GRID_POINTS = 100_000
+# The most threads a sweep may run its reps on.
+MAX_THREADS = 256
 
 
 def parse_grid(text: str, field: str):
@@ -327,6 +329,8 @@ def _cmd_simulate(args, stager: OutputStager) -> None:
 def _cmd_sweep(args, stager: OutputStager) -> None:
     config = experiment_from_spec(_seeded_config(args))
     threads = config_integer(args.threads, "--threads", least=1)
+    if threads > MAX_THREADS:
+        raise ConfigError("--threads", f"{threads} exceeds the limit of {MAX_THREADS}")
     result = sweep(config, threads=threads)
     rep_header = ["n", "m", "rep", "risk", "seed"]
     rep_rows = [(r.n, r.m, r.rep, r.risk, r.seed) for r in result.records]
@@ -425,7 +429,10 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--seed", type=int, default=None, help="seed override")
     p.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1, help="threads the reps run on"
+        "--threads",
+        type=int,
+        default=min(os.cpu_count() or 1, MAX_THREADS),
+        help="threads the reps run on",
     )
 
     p = sub.add_parser("check-regularity", help="verify the local mass property")

@@ -83,8 +83,7 @@ def neighbor_counts(
 class _TreeSample:
     """One nonempty labeled sample, answered by exact k-NN queries (any d).
 
-    The k-d tree of its NeighborIndex is built on the first query, so a
-    1-D sample that never needs the exact path never builds one.
+    The k-d tree of its NeighborIndex is built on the first query.
     """
 
     def __init__(self, X: np.ndarray, labels: np.ndarray):
@@ -95,15 +94,15 @@ class _TreeSample:
         self.labels.setflags(write=False)
         self.index = NeighborIndex(X)
 
-    def positions(self, X):
-        """State of one batch that radii and label_sums share, as pos; none here."""
+    def anchor(self, X, w: int):
+        """State of one batch that radii and label_sums share; none here."""
         return None
 
-    def radii(self, X, ell: int, pos) -> np.ndarray:
+    def radii(self, X, ell: int, anchor) -> np.ndarray:
         """R_ell(x), the distance to the ell-th nearest point, per row of X."""
         return self.index.kth_distance(X, ell)
 
-    def label_sums(self, X, k: np.ndarray, pos) -> np.ndarray:
+    def label_sums(self, X, k: np.ndarray, anchor) -> np.ndarray:
         """Sum of the labels of each row's first k_i neighbours (k_i >= 1).
 
         Rows are grouped by ceil(16 log2 k), sixteen groups per doubling
@@ -129,64 +128,122 @@ class _TreeSample:
         return out
 
 
-class _SortedSample1D(_TreeSample):
-    """A 1-D sample answered from its sorted coordinates in O(log k).
+class _SortedSample1D:
+    """A 1-D sample answered from its sorted coordinates.
 
     In one dimension the k nearest neighbours of x occupy a contiguous
-    window of the sorted coordinates a.  With pos the insertion point of
-    x, the window start lies in [max(pos - k, 0), min(pos, n - k)], and
-    the "shift right" predicate x - a[i] > a[i+k] - x holds on a prefix
-    of that range; the start is the length of that prefix past its low
-    end.  window_starts finds it for every query at once with one fixed
-    descending power-of-two step per round, about log2 k rounds, each a
-    few array operations and no per-row bookkeeping.  positions runs one
-    searchsorted on the queries in sorted order, and its result is
-    shared by the ell-distance and label-sum steps of a batch.
+    window of the sorted coordinates a, padded with n copies of +inf.
+    The window starts at the first i where the "shift right" predicate
+    x - a[i] > a[i+k] - x fails.  Both sides are monotone in i, so the
+    predicate holds on a prefix of the indices.
+
+    anchor finds each row's window for one size w shared by every row
+    (ell, or the floor count): one searchsorted of 2x, in sorted query
+    order, over the pair sums a[i] + a[i+w].  The exact predicate at
+    s - 1 and s certifies the result.  A row it rejects (a rounding
+    near-tie, or a pair sum or 2x past the float range) is searched
+    again over [0, n - w].  k_starts then brackets each row's own k
+    window by its w window, to a range |k - w| wide, so window_starts
+    needs about log2 |k - w| rounds there.
 
     The sample is sorted once per fit by the default argsort, whose
     order is the unique one when all coordinates differ; a sample with
     an equal adjacent pair is re-sorted stably, so tied points keep
-    ascending-index order.  Label sums come from a prefix-sum array.  A
+    ascending-index order.  coords and labels hold the sample in that
+    order, and label sums come from their prefix-sum array.  A
     window whose boundary distance is exactly tied with the next point
     outside is ambiguous under the original-index tie rule and is
-    resolved through the exact tree path instead.
+    resolved through the exact tree path instead.  That path's sample
+    is rebuilt in original order from the sorted copies on the first
+    such row, so most fits never build it.
     """
 
     def __init__(self, X: np.ndarray, labels: np.ndarray):
-        super().__init__(X, labels)
+        n = self.n = len(labels)
         x = X[:, 0]
         order = np.argsort(x)
-        coords = x[order]
-        if np.any(coords[1:] == coords[:-1]):
+        padded = np.empty(2 * n)
+        # mode="clip" takes straight into out; argsort indices are in range.
+        np.take(x, order, out=padded[:n], mode="clip")
+        if np.any(padded[1:n] == padded[: n - 1]):
             order = np.argsort(x, kind="stable")
-            coords = x[order]
-        self.padded = np.concatenate([coords, np.full(self.n, np.inf)])
-        self.padded.setflags(write=False)
-        self.coords = self.padded[: self.n]
-        self.prefix = np.concatenate([[0.0], np.cumsum(self.labels[order])])
-        self.prefix.setflags(write=False)
+            np.take(x, order, out=padded[:n], mode="clip")
+        padded[n:] = np.inf
+        self.order = order
+        self.labels = np.take(labels, order)
+        self.prefix = np.empty(n + 1)
+        self.prefix[0] = 0.0
+        np.cumsum(self.labels, out=self.prefix[1:])
+        for arr in (padded, order, self.labels, self.prefix):
+            arr.setflags(write=False)
+        self.padded = padded
+        self.coords = padded[:n]
+        self._tree = None
 
-    def positions(self, X) -> np.ndarray:
-        """searchsorted(coords, x), searched in ascending order of x."""
+    def _tree_sample(self) -> _TreeSample:
+        # Built on the first tie row.  No lock: as in NeighborIndex._kdtree,
+        # threads racing here may each build an identical sample.
+        if self._tree is None:
+            points = np.empty((self.n, 1))
+            points[self.order, 0] = self.coords
+            labels = np.empty(self.n)
+            labels[self.order] = self.labels
+            self._tree = _TreeSample(points, labels)
+        return self._tree
+
+    def anchor(self, X, w: int):
+        """(w, start, radius) of each row's w-nearest window, for one w in [1, n]."""
         x = X[:, 0]
+        a, n = self.padded, self.n
         order = np.argsort(x)
-        pos = np.empty(len(x), dtype=np.intp)
-        pos[order] = np.searchsorted(self.coords, x[order])
-        return pos
+        starts = np.empty(len(x), dtype=np.intp)
+        # pair_sums[n - w] is +inf, so no start passes n - w.
+        pair_sums = a[: n - w + 1] + a[w : n + 1]
+        starts[order] = np.searchsorted(pair_sums, 2.0 * x[order])
+        # The window's end distances double as the predicate's at s - 1 and s.
+        first = x - a[starts]
+        last = a[starts + w - 1] - x
+        ok = ~(first > a[starts + w] - x) & (
+            (starts == 0) | (x - a[np.maximum(starts - 1, 0)] > last)
+        )
+        radii = np.maximum(np.maximum(first, last), 0.0)
+        if not np.all(ok):
+            redo = np.flatnonzero(~ok)
+            lo = np.zeros(len(redo), dtype=np.intp)
+            starts[redo] = self.window_starts(x[redo], w, lo, n - w)
+            radii[redo] = self.window_radius(x[redo], w, starts[redo])
+        return w, starts, radii
 
-    def window_starts(self, x: np.ndarray, k, pos: np.ndarray) -> np.ndarray:
-        # From pos on a[i] >= x, and from n - k on a[i+k] is padding +inf,
-        # so the predicate is false from min(pos, n - k) on and no step is
-        # clamped; as span <= min(k, n - k), no probe reads past n + n // 2 - 1.
-        a = self.padded
-        s = np.maximum(pos - k, 0)
-        span = int((np.minimum(pos, self.n - k) - s).max(initial=0))
+    def window_starts(self, x: np.ndarray, k, lo: np.ndarray, hi) -> np.ndarray:
+        """Each row's k window start, known to lie in [lo, hi].
+
+        One fixed descending power-of-two step per round, from the largest
+        not above the widest range of the batch: about log2(hi - lo)
+        rounds of a few array operations and no per-row bookkeeping.  The
+        predicate is false from a row's start on, so no step is clamped;
+        a range is at most n - 1 wide and a window start at most n - k,
+        so no probe reads past the padding.
+        """
+        s = lo.copy()
+        span = int(np.max(hi - lo, initial=0))
         step = 1 << (span.bit_length() - 1) if span else 0
         while step:
-            left = s + (step - 1)
-            s += (x - a[left] > a[left + k] - x) * step
+            ahead = self.padded[step - 1 :]  # ahead[i] is a[i + step - 1]
+            s += (x - ahead[s] > ahead[s + k] - x) * step
             step >>= 1
         return s
+
+    def k_starts(self, x, k: np.ndarray, anchor) -> np.ndarray:
+        """Each row's k_i window start, bracketed by its w window.
+
+        For k >= w the k window holds the w window, so its start lies in
+        [max(s_w + w - k, 0), min(s_w, n - k)]; for k < w it lies inside
+        the w window, in [s_w, s_w + w - k].
+        """
+        w, s_w, _ = anchor
+        lo = np.maximum(s_w + np.minimum(w - k, 0), 0)
+        hi = np.minimum(s_w + np.maximum(w - k, 0), self.n - k)
+        return self.window_starts(x, k, lo, hi)
 
     def window_radius(self, x, k, starts) -> np.ndarray:
         left = x - self.coords[starts]
@@ -198,20 +255,19 @@ class _SortedSample1D(_TreeSample):
         tie_left = (starts > 0) & (x - self.coords[np.maximum(starts - 1, 0)] == r)
         return tie_left | (self.padded[starts + k] - x == r)
 
-    def radii(self, X, ell: int, pos) -> np.ndarray:
-        x = X[:, 0]
-        return self.window_radius(x, ell, self.window_starts(x, ell, pos))
+    def radii(self, X, ell: int, anchor) -> np.ndarray:
+        return anchor[2]
 
-    def label_sums(self, X, k: np.ndarray, pos) -> np.ndarray:
+    def label_sums(self, X, k: np.ndarray, anchor) -> np.ndarray:
         x = X[:, 0]
-        starts = self.window_starts(x, k, pos)
+        starts = self.k_starts(x, k, anchor)
         tied = self.boundary_ties(x, k, starts)
         sums = np.where(tied, 0.0, self.prefix[starts + k] - self.prefix[starts])
         if np.any(tied):
             # Added onto the whole batch, as 0.0 where no tie is: every
             # -0.0 sum of a batch with a tie row reads 0.0.
             exact = np.zeros(len(x))
-            exact[tied] = super().label_sums(X[tied], k[tied], None)
+            exact[tied] = self._tree_sample().label_sums(X[tied], k[tied], None)
             sums += exact
         return sums
 
@@ -258,17 +314,20 @@ class TrainedEstimator:
         q = len(X)
         if sample is None:
             return np.zeros(q, dtype=np.int64), np.full(q, math.inf), np.zeros(q)
-        pos = sample.positions(X)
-        if 1 <= self.ell <= sample.n:
-            r = sample.radii(X, self.ell, pos)
-            with np.errstate(divide="ignore"):
+        # A coordinate past about 9e307 can take a distance, a pair sum or
+        # n R_ell^d to inf, which every comparison then reads as inf.
+        with np.errstate(over="ignore", divide="ignore"):
+            if 1 <= self.ell <= sample.n:
+                anchor = sample.anchor(X, self.ell)
+                r = sample.radii(X, self.ell, anchor)
                 p_hat = np.where(r > 0.0, self.ell / (sample.n * r**cfg.d), math.inf)
-            k = neighbor_counts(p_hat, sample.n, self.joint_log, cfg, kappa)
-        else:
-            floor = max(int(math.ceil(self.joint_log)), _MIN_K)
-            k = np.full(q, min(sample.n, floor), dtype=np.int64)
-            p_hat = np.full(q, math.inf)
-        return k, p_hat, sample.label_sums(X, k, pos)
+                k = neighbor_counts(p_hat, sample.n, self.joint_log, cfg, kappa)
+            else:
+                floor = min(sample.n, max(int(math.ceil(self.joint_log)), _MIN_K))
+                k = np.full(q, floor, dtype=np.int64)
+                p_hat = np.full(q, math.inf)
+                anchor = sample.anchor(X, floor)
+            return k, p_hat, sample.label_sums(X, k, anchor)
 
     def predict_batch(self, X):
         """Vectorised predictions; returns (values, k_p, k_q, p_hat, q_hat)."""

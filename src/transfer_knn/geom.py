@@ -54,10 +54,9 @@ class NeighborIndex:
         self._tree = None
 
     def _kdtree(self) -> cKDTree:
-        # Built on first use: the 1-D estimator path holds an index per
-        # sample but rarely queries it.  No lock: threads racing here may
-        # each build an identical tree, and whichever assignment lands
-        # last is as good as the other, so the duplicate build is benign.
+        # Built on first use.  No lock: threads racing here may each build
+        # an identical tree, and whichever assignment lands last is as
+        # good as the other, so the duplicate build is benign.
         if self._tree is None:
             self._tree = cKDTree(self.points)
         return self._tree

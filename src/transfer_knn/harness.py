@@ -200,7 +200,8 @@ def sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
             range(len(tasks)), key=lambda i: -(tasks[i][1] + tasks[i][2])
         )
         futures = [None] * len(tasks)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        # The pool starts a thread per task handed to it while none is idle.
+        with ThreadPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             for i in largest_first:
                 futures[i] = pool.submit(_run_rep, config, *tasks[i])
             records = tuple(f.result() for f in futures)

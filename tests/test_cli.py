@@ -9,7 +9,7 @@ import pytest
 
 from conftest import read_labeled_csv
 from transfer_knn import harness, transfer
-from transfer_knn.cli import MAX_GRID_POINTS, main, parse_grid, run
+from transfer_knn.cli import MAX_GRID_POINTS, MAX_THREADS, main, parse_grid, run
 from transfer_knn.distributions import family_from_spec
 from transfer_knn.errors import MAX_DIMENSION, ConfigError
 from transfer_knn.rates import RateParams, theoretical_rate
@@ -431,6 +431,40 @@ class TestSweepCommand:
         assert (out1 / "sweep_aggregate.csv").read_bytes() == (
             out2 / "sweep_aggregate.csv"
         ).read_bytes()
+
+    def test_pool_sized_by_the_reps(self, tmp_path, monkeypatch):
+        # Four threads on two reps: a pool of two, and the one-thread bytes.
+        sizes = []
+        pool = harness.ThreadPoolExecutor
+
+        def recording(max_workers):
+            sizes.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", recording)
+        cfg = write_json(tmp_path / "e.json", dict(EXPERIMENT, m_grid=[32]))
+        out1, out4 = tmp_path / "a", tmp_path / "b"
+        assert run(["sweep", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
+        assert run(["sweep", "--config", cfg, "--out", str(out4), "--threads", "4"]) == 0
+        assert sizes == [2]
+        for name in ("sweep_reps.csv", "sweep_aggregate.csv"):
+            assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
+
+    @pytest.mark.parametrize("value", [MAX_THREADS + 1, 100000])
+    def test_threads_above_limit_rejected(self, tmp_path, capsys, monkeypatch, value):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        cfg = write_json(tmp_path / "e.json", EXPERIMENT)
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", cfg, "--out", str(out), "--threads", str(value)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "config field '--threads'" in err
+        assert f"{value} exceeds the limit of {MAX_THREADS}" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*"))
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_json(tmp_path / "e.json", EXPERIMENT)

@@ -433,6 +433,35 @@ class TestFastPathConsistency:
         assert np.array_equal(va[1], vb[1]) and np.array_equal(va[2], vb[2])
         np.testing.assert_allclose(va[0], vb[0], rtol=0, atol=1e-12)
 
+    def test_lazy_tie_index_ignores_caller_edits(self):
+        # The tie rows' exact sample is built on their first query, after
+        # the caller has overwritten the arrays it was fitted on.
+        rng = np.random.default_rng(47)
+        X = rng.integers(0, 12, size=(60, 1)).astype(float)
+        y = rng.standard_normal(60)
+        queries = rng.integers(0, 12, size=(80, 1)) + 0.5
+        fast = fit((X, y), None, CFG)
+        slow = fit((X, y), None, CFG)
+        slow._source = _TreeSample(X, y)
+        assert fast._source._tree is None
+        X[:] = rng.permutation(X) + 100.0
+        y[:] = rng.standard_normal(60)
+        va = fast.predict_batch(queries)
+        assert fast._source._tree is not None
+        vb = slow.predict_batch(queries)
+        x = queries[:, 0]
+        anchor = fast._source.anchor(queries, fast.ell)
+        starts = fast._source.k_starts(x, va[1], anchor)
+        tied = fast._source.boundary_ties(x, va[1], starts)
+        assert np.any(tied)
+        fresh = fit((X, y), None, CFG).predict_batch(queries)
+        assert not np.array_equal(fresh[0][tied], va[0][tied])
+        assert np.array_equal(va[1], vb[1])
+        np.testing.assert_allclose(va[0], vb[0], rtol=0, atol=1e-12)
+        # The tree path's own sums agree with the sorted path's tie rows
+        # bit for bit: both read the same neighbours in the same order.
+        assert np.array_equal(va[0][tied], vb[0][tied])
+
     def test_matches_index_path_continuous(self):
         rng = np.random.default_rng(43)
         X = rng.standard_normal((300, 1))
@@ -458,7 +487,27 @@ class TestSortedWindow1D:
 
     @staticmethod
     def starts(s, x, k):
-        return s.window_starts(x, k, s.positions(x[:, None]))
+        """Each row's k window start, bracketed by its w window for w = 1,
+        n // 2 and n; the three must agree."""
+        got = [
+            s.k_starts(x, k, s.anchor(x[:, None], w))
+            for w in sorted({1, max(s.n // 2, 1), s.n})
+        ]
+        assert all(np.array_equal(g, got[0]) for g in got)
+        return got[0]
+
+    @staticmethod
+    def spy_redo(s, monkeypatch):
+        """The rows of each window_starts call of s, as a list."""
+        rows = []
+        original = s.window_starts
+
+        def recording(x, k, lo, hi):
+            rows.append(len(x))
+            return original(x, k, lo, hi)
+
+        monkeypatch.setattr(s, "window_starts", recording)
+        return rows
 
     @staticmethod
     def queries(a, rng):
@@ -488,6 +537,69 @@ class TestSortedWindow1D:
         for kk in (1, 2, 17, n - 1, n):
             want = window_starts_bisection(s.coords, x, kk)
             assert np.array_equal(self.starts(s, x, kk), want)
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "duplicates"])
+    def test_anchor_matches_bisection(self, tied, monkeypatch):
+        # Midpoints of pairs w apart put 2x on a pair sum, where rounding
+        # can make the pair-sum search and the exact predicate disagree.
+        rng = np.random.default_rng(101)
+        n = 300
+        coords = rng.integers(0, 40, n) if tied else rng.standard_normal(n)
+        s = self.sample(coords)
+        a = s.coords
+        for w in (1, 7, n // 2, n):
+            x = self.queries(a, rng)
+            if w < n:
+                i = rng.integers(0, n - w, 200)
+                x = np.concatenate([x, (a[i] + a[i + w]) / 2])
+            redo = self.spy_redo(s, monkeypatch)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got_w, starts, radii = s.anchor(x[:, None], w)
+            assert got_w == w
+            assert np.array_equal(starts, window_starts_bisection(a, x, w))
+            assert np.array_equal(radii, s.window_radius(x, w, starts))
+            assert len(redo) <= 1
+            if not tied and w in (7, n // 2):
+                assert redo and 0 < redo[0] < len(x) // 4
+
+    def test_anchor_past_the_float_range(self, monkeypatch):
+        # Pair sums and 2x overflow to inf above about 9e307, where the
+        # exact predicate still compares finite distances.
+        rng = np.random.default_rng(103)
+        n = 200
+        coords = np.concatenate(
+            [rng.uniform(0.5, 1.0, n - 4) * 1.7e308, [1.0, 2e307, 4e307, 1.7e308]]
+        )
+        s = self.sample(coords)
+        a = s.coords
+        x = np.concatenate(
+            [a, a[:-1] / 2 + a[1:] / 2, rng.uniform(0.5, 1.0, 100) * 1.7e308, [0.0, 1e308]]
+        )
+        for w in (1, 2, n // 2, n - 1, n):
+            redo = self.spy_redo(s, monkeypatch)
+            with np.errstate(over="ignore"):
+                got_w, starts, _ = s.anchor(x[:, None], w)
+                want = window_starts_bisection(a, x, w)
+            assert np.array_equal(starts, want)
+            if w <= n // 2:
+                assert redo and redo[0] > 0
+        # Off the midpoints no window boundary ties, so the tree (whose
+        # squared distances overflow here) is never built.  Integer labels
+        # make the prefix sums exact.
+        y = rng.integers(-8, 9, n).astype(float)
+        est = fit((coords[:, None], y), None, NeighborFunctionConfig(beta=1.0, d=1))
+        q = np.concatenate([a, rng.uniform(0.5, 1.0, 100) * 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, k, _, p_hat, _ = est.predict_batch(q[:, None])
+        assert est._source._tree is None
+        for i, xi in enumerate(q):
+            dist = np.abs(xi - coords)
+            near = np.lexsort((np.arange(n), dist))
+            r = float(dist[near[est.ell - 1]])
+            assert p_hat[i] == (est.ell / (n * r) if r > 0 else math.inf)
+            assert values[i] == y[near[: k[i]]].sum() / k[i]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-20, 20), min_size=1, max_size=40), st.data())
@@ -546,7 +658,7 @@ class TestSortedWindow1D:
         want = self.ties_brute_force(s.coords, x, k, starts)
         assert np.array_equal(s.boundary_ties(x, k, starts), want)
 
-    @pytest.mark.parametrize("name", ["padded", "coords", "prefix", "labels"])
+    @pytest.mark.parametrize("name", ["padded", "coords", "prefix", "labels", "order"])
     def test_fitted_arrays_are_read_only(self, name):
         s = self.sample([2.0, 0.0, 1.0])
         with pytest.raises(ValueError):
@@ -568,6 +680,7 @@ class TestSortedWindow1D:
         order = np.argsort(coords, kind="stable")
         assert np.array_equal(np.diff(s.prefix), order.astype(float))
         assert np.array_equal(s.coords, coords[order])
+        assert np.array_equal(s.order, order)
 
     def test_tied_sample_predict_batch_matches_oracle(self):
         # Integer labels make every summation order exact, so the
