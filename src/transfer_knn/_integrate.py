@@ -1,21 +1,26 @@
-"""Adaptive quadrature for heavy-tailed integrals on [x0, oo).
+"""Adaptive quadrature of positive integrands given by their logs.
 
-The head [x0, x0 + 8] of the integral is computed by ordinary adaptive
-quadrature in x.  The tail is summed over windows [t, t + log 2] after
-the substitution t = log x, which keeps every window resolvable in
-floating point arbitrarily far out; its integrand is e^t f(e^t), a
-function of an array of t, so a caller can compute a whole chunk of
-nodes at once.  Divergence is declared when the running total exceeds
+Every integrand reaches this module as log f, and only here does it
+become a float: log_quad integrates f on a finite interval, rescaled by
+a power of two where it passes exp's clamp, and improper_quad over
+[x0, oo).  The head [x0, x0 + 8] of the latter is one log_quad.  The
+tail is summed over windows [t, t + log 2] after the substitution
+t = log x, which keeps every window resolvable in floating point
+arbitrarily far out; its log integrand is t + log f(e^t), a function of
+an array of t, so a caller can compute a whole chunk of nodes at once.
+Divergence is declared when the running total exceeds
 VALUE_CUTOFF or when the doubling sequence fails to stabilize (relative
 change per doubling >= STABLE_REL at the cap).
 
 The tail windows are integrated a chunk at a time.  One vectorised pass
+takes the chunk's logs through exp_clamped_array (inf above 700) and
 reproduces, bit for bit, the first 21-point Gauss-Kronrod step (dqk21)
-of QUADPACK's dqagse on every window of the chunk, and dqagse's test of
-whether it stops there.  A window that passes has exactly the (value,
-error) scipy's quad returns for it; only a window QUADPACK would bisect,
-and that the running sums reach, goes to quad.  The sums add each run of
-windows between two such ones with one np.cumsum, which adds in order.
+of QUADPACK's dqagse on every window, and dqagse's test of whether it
+stops there.  A window that passes has exactly the (value, error)
+scipy's quad returns for it; only a window QUADPACK would bisect, and
+that the running sums reach, goes to log_quad.  The sums add each run
+of windows between two such ones with one np.cumsum, which adds in
+order.
 
 numpy is exact for +, -, *, /, abs, min, max and the comparisons, but
 its exp, log, log1p and power differ from libm's in the last bit on some
@@ -100,6 +105,7 @@ _WG = np.array([
 # The order in which dqk21 adds the abscissa pairs into resk and resabs.
 _KRONROD_ORDER = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
 _EPMACH, _UFLOW = sys.float_info.epsilon, sys.float_info.min
+_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -124,13 +130,8 @@ def libm(fn, xs, *more) -> np.ndarray:
     return np.fromiter(map(fn, flat, *more), np.float64, xs.size).reshape(xs.shape)
 
 
-def exp_clamped(log_value: float) -> float:
-    """exp(log_value), with inf above 700 instead of an OverflowError."""
-    return math.inf if log_value > 700.0 else math.exp(log_value)
-
-
 def exp_clamped_array(log_values: np.ndarray) -> np.ndarray:
-    """exp_clamped at each element: libm's exp, inf above 700.
+    """libm's exp at each element, inf above 700 instead of an OverflowError.
 
     The clamp is one numpy pass, so math.exp runs through map with no
     Python frame per element.
@@ -141,13 +142,36 @@ def exp_clamped_array(log_values: np.ndarray) -> np.ndarray:
     return out
 
 
-def bounded_quad(f, lo: float, hi: float) -> tuple[float, float]:
-    """(value, error) of plain adaptive quadrature on a finite interval.
+def log_quad(log_f, lo: float, hi: float) -> tuple[float, float]:
+    """(value, error) of plain adaptive quadrature of exp(log_f) on [lo, hi].
 
-    A QUADPACK failure (ier != 0) still returns its best estimate and
-    error bound; its message is dropped and no warning is issued.
+    log_f(x) is log f(x) at one point.  quad runs on exp(log_f - k log 2),
+    k = 0 first and raised until no node passes exp's 700 clamp, and the
+    result is scaled back by 2^k.  A result past the largest float, or a
+    log value of +inf, gives (inf, inf).  A QUADPACK failure (ier != 0)
+    still returns its best estimate and error bound, with no warning.
     """
-    return quad(f, lo, hi, **_QUAD_KW)[:2]
+    k, shift, peaks = 0, 0.0, [0.0]
+
+    def f(x: float) -> float:
+        v = log_f(x) - shift
+        if v > 700.0:
+            peaks.append(v)
+            v = 700.0
+        return math.exp(v)
+
+    while peaks:
+        peak = max(peaks)
+        if peak == math.inf:
+            return math.inf, math.inf
+        k += math.ceil(peak / _LOG2)
+        shift = k * _LOG2
+        peaks.clear()
+        value, error = quad(f, lo, hi, **_QUAD_KW)[:2]
+    try:
+        return math.ldexp(value, k), math.ldexp(error, k)
+    except OverflowError:
+        return math.inf, math.inf
 
 
 def _added_in_order(first: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -208,39 +232,44 @@ def _window_starts(x1: float) -> np.ndarray:
     np.cumsum adds in order, so every start is bit for bit the one a
     running `t += log 2` reaches.
     """
-    t0, step = math.log(x1), math.log(2.0)
+    t0, step = math.log(x1), _LOG2
     count = max(0, math.ceil((_T_MAX - t0) / step)) + 2
     starts = np.cumsum(np.concatenate([[t0], np.full(count, step)]))
     return starts[starts < _T_MAX]
 
 
-def improper_quad(head, tail, x0: float) -> TailIntegral:
+def improper_quad(log_head, log_tail, x0: float) -> TailIntegral:
     """Integrate f over [x0, oo) with divergence detection.
 
-    head(x) is f(x) on the head [x0, x0 + 8]; tail(ts) is e^t f(e^t) at
-    each t of an array, the integrand in t = log x beyond it.
+    log_head(x) is log f(x) on the head [x0, x0 + 8]; log_tail(ts) is
+    t + log f(e^t) at each t of an array, the log integrand in t = log x
+    beyond it.
 
     The windows are added to the head's (value, error) in order, each run
     of them between two windows QUADPACK bisects by one np.cumsum, which
     adds as `total += piece` does.  The sums stop at the first window that
     is not finite, takes the total past VALUE_CUTOFF or adds less than
-    _EXIT_REL of it; quad redoes a bisected window only once the sums
+    _EXIT_REL of it; log_quad redoes a bisected window only once the sums
     reach it.
     """
     x1 = x0 + _HEAD_WIDTH
-    total, err = bounded_quad(head, x0, x1)
+    total, err = log_quad(log_head, x0, x1)
     if not math.isfinite(total) or total > VALUE_CUTOFF:
         return _DIVERGED
     # Full log-2 windows throughout: a truncated final window would
     # understate the last relative change and fake stabilization.
-    starts, step = _window_starts(x1), math.log(2.0)
+    starts, step = _window_starts(x1), _LOG2
     last_rel, size, done = math.inf, _CHUNK_FIRST, 0
+
+    def tail(ts: np.ndarray) -> np.ndarray:
+        return exp_clamped_array(log_tail(ts))
+
     while done < len(starts):
         a = starts[done : done + size]
         values, errors, kept = first_pass(tail, a, a + step)
         pos = 0
         for bisected in np.flatnonzero(~kept).tolist() + [len(a)]:
-            # Windows pos..bisected-1: kept, or at pos redone by quad below.
+            # Windows pos..bisected-1: kept, or at pos redone below.
             pieces = values[pos:bisected]
             run = np.empty((2, len(pieces) + 1))
             run[:, 0] = total, err
@@ -258,10 +287,10 @@ def improper_quad(head, tail, x0: float) -> TailIntegral:
                 total, err, last_rel = float(totals[-1]), float(errs[-1]), float(rels[-1])
             if bisected == len(a):
                 break
-            # QUADPACK bisects this window: quad redoes it, one node a call.
+            # QUADPACK bisects this window: log_quad redoes it, one node a call.
             lo = float(a[bisected])
-            values[bisected], errors[bisected] = bounded_quad(
-                lambda s: float(tail(np.array([s]))[0]), lo, lo + step
+            values[bisected], errors[bisected] = log_quad(
+                lambda s: float(log_tail(np.array([s]))[0]), lo, lo + step
             )
             pos = bisected
         done += len(a)

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._integrate import exp_clamped, exp_clamped_array, improper_quad, libm
+from ._integrate import improper_quad, libm
 from .errors import (
     ConfigError,
     NoClosedFormError,
@@ -341,8 +341,8 @@ def _log_pareto_norm(b: float, c: float) -> float:
     lru_cache does not store, so each call with it raises again.
     """
     res = improper_quad(
-        lambda x: exp_clamped(_log_pareto_raw(b, c, np.array([x]))[0]),
-        lambda ts: exp_clamped_array(_log_pareto_raw(b, c, libm(math.exp, ts)) + ts),
+        lambda x: _log_pareto_raw(b, c, np.array([x]))[0],
+        lambda ts: _log_pareto_raw(b, c, libm(math.exp, ts)) + ts,
         LogPareto._LEFT,
     )
     if not res.converged:

@@ -95,12 +95,10 @@ class _TreeSample:
         self.index = NeighborIndex(X)
 
     def anchor(self, X, w: int):
-        """State of one batch that radii and label_sums share; none here."""
-        return None
-
-    def radii(self, X, ell: int, anchor) -> np.ndarray:
-        """R_ell(x), the distance to the ell-th nearest point, per row of X."""
-        return self.index.kth_distance(X, ell)
+        """(w, None, radius): R_w(x), the distance to the w-th nearest
+        point, per row of X, from one tree query; label_sums reads none
+        of it."""
+        return w, None, self.index.kth_distance(X, w)
 
     def label_sums(self, X, k: np.ndarray, anchor) -> np.ndarray:
         """Sum of the labels of each row's first k_i neighbours (k_i >= 1).
@@ -255,9 +253,6 @@ class _SortedSample1D:
         tie_left = (starts > 0) & (x - self.coords[np.maximum(starts - 1, 0)] == r)
         return tie_left | (self.padded[starts + k] - x == r)
 
-    def radii(self, X, ell: int, anchor) -> np.ndarray:
-        return anchor[2]
-
     def label_sums(self, X, k: np.ndarray, anchor) -> np.ndarray:
         x = X[:, 0]
         starts = self.k_starts(x, k, anchor)
@@ -319,7 +314,7 @@ class TrainedEstimator:
         with np.errstate(over="ignore", divide="ignore"):
             if 1 <= self.ell <= sample.n:
                 anchor = sample.anchor(X, self.ell)
-                r = sample.radii(X, self.ell, anchor)
+                r = anchor[2]
                 p_hat = np.where(r > 0.0, self.ell / (sample.n * r**cfg.d), math.inf)
                 k = neighbor_counts(p_hat, sample.n, self.joint_log, cfg, kappa)
             else:

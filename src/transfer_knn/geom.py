@@ -4,6 +4,11 @@ Distances are Euclidean.  Ties in distance are broken by ascending
 original index so that results are reproducible across runs and
 platforms.  An index never changes what it answers; its k-d tree is
 built on the first query, and concurrent read-only queries are safe.
+
+The tree sums squared coordinate differences, which overflow once a
+query and a point differ by more than about 1.3e154; it then reads the
+distance as inf and can answer the missing-neighbour index n.  So a
+query whose answer holds an infinite distance raises ValueError.
 """
 
 from __future__ import annotations
@@ -27,6 +32,16 @@ def _blocks(rows, depth: int):
     """
     step = max(1, _REFETCH_CELLS // depth)
     return [rows[i : i + step] for i in range(0, len(rows), step)]
+
+
+def _finite(dist: np.ndarray) -> np.ndarray:
+    """dist, once no distance in it is infinite (squared distances overflowed)."""
+    if np.isinf(dist).any():
+        raise ValueError(
+            "squared distances overflow past the largest float: query and point"
+            " coordinates differ by more than about 1.3e154"
+        )
+    return dist
 
 
 class NeighborIndex:
@@ -91,7 +106,7 @@ class NeighborIndex:
         so this is one tree query that returns only that distance.
         """
         q = self._checked_queries(queries, k)
-        return self._kdtree().query(q, k=[k])[0].reshape(len(q))
+        return _finite(self._kdtree().query(q, k=[k])[0].reshape(len(q)))
 
     def query_batch(self, queries, k: int):
         """k nearest neighbours for each query row.
@@ -130,6 +145,7 @@ class NeighborIndex:
         """The tree's kq nearest points of each row, in (distance, index) order."""
         dist, idx = self._kdtree().query(q, k=kq)
         dist = dist.reshape(len(q), kq)
+        _finite(dist[:, -1])
         idx = idx.reshape(len(q), kq)
         # Rows come back sorted by distance; only a row holding an exactly
         # equal adjacent pair can be out of (distance, index) order.

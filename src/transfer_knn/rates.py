@@ -26,7 +26,7 @@ are the caller-supplied transfer-function values, coef = T_p^a T_q^(1-a).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -228,7 +228,7 @@ def lower_bound_rate(params: RateParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Phase diagrams and sample-size paths
+# Phase diagrams
 # ---------------------------------------------------------------------------
 
 
@@ -312,36 +312,3 @@ def phase_grid(
                 ),
             )
     return PhaseGrid(*varied, a1, a2, reports, lines)
-
-
-@dataclass(frozen=True)
-class PathPoint:
-    lam: float
-    n: float
-    m: float
-    rate: float
-    regime: str
-
-
-def path_rates(path: str, budget: float, lambda_grid, params: RateParams):
-    """Rates along a sample-size path, in exponents_only mode.
-
-    linear: (n, m) = (B^(1-lam), B^lam); fixed_budget: ((1-lam) B, lam B)
-    with each component clamped to at least 1.
-    """
-    if budget < 2:
-        raise ValueError("budget must be at least 2")
-    if path not in ("linear", "fixed_budget"):
-        raise ValueError(f"unknown path '{path}'")
-    out = []
-    for lam in lambda_grid:
-        lam = float(lam)
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError("lambda must lie in [0, 1]")
-        if path == "linear":
-            n, m = budget ** (1.0 - lam), budget**lam
-        else:
-            n, m = max((1.0 - lam) * budget, 1.0), max(lam * budget, 1.0)
-        rep = theoretical_rate(replace(params, n=n, m=m))
-        out.append(PathPoint(lam, n, m, rep.rate_value, rep.regime))
-    return out

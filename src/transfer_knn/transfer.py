@@ -16,14 +16,13 @@ a grid only up to its first divergent point.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._integrate import bounded_quad, exp_clamped_array, improper_quad, libm
+from ._integrate import improper_quad, libm, log_quad
 from .distributions import DistributionFamily, Exponential, Pareto, Uniform
 from .errors import NumericError
 
@@ -145,7 +144,9 @@ def _uncovered(P, Q) -> bool:
 def _quadrature(P, Q, gamma: float) -> tuple[float, float, bool]:
     """int q p^-gamma over Q's support as (value, error, converged).
 
-    Where q > 0 = p the integrand is infinite, so a Q whose support
+    The integrand goes to _integrate as its log, log q - gamma log p;
+    on the tail windows of an unbounded support, in t = log x, it is that
+    at x = e^t plus t.  Where q > 0 = p the integrand is infinite, so a Q whose support
     reaches outside P's diverges at once, with no node evaluated.  On a
     bounded support only that can make the integral diverge: the
     families' densities are bounded away from 0 on compact parts of
@@ -158,37 +159,22 @@ def _quadrature(P, Q, gamma: float) -> tuple[float, float, bool]:
         return math.inf, math.inf, False
     memo = _pair_memo(P, Q)
     nodes, node = memo.nodes, memo.node
+
+    def log_f(x: float) -> float:
+        lq, lp = nodes.get(x) or node(x)
+        return lq - gamma * lp
+
+    def log_tail(ts: np.ndarray) -> np.ndarray:
+        lq, lp = memo.tail_logs(ts)
+        return lq - gamma * lp + ts
+
     lo, hi = Q.support
     if math.isinf(hi):
-
-        def head(x: float) -> float:
-            lq, lp = nodes.get(x) or node(x)
-            v = lq - gamma * lp
-            return math.inf if v > 700.0 else math.exp(v)
-
-        def tail(ts: np.ndarray) -> np.ndarray:
-            lq, lp = memo.tail_logs(ts)
-            return exp_clamped_array(lq - gamma * lp + ts)
-
-        res = improper_quad(head, tail, lo)
+        res = improper_quad(log_f, log_tail, lo)
         return res.value, res.error, res.converged
-    # The integral of g / 2^k, k = 0 first, raised until no node passes exp's 700 clamp.
-    k, peaks = 0, [0.0]
-
-    def g(x: float) -> float:
-        lq, lp = nodes.get(x) or node(x)
-        v = lq - gamma * lp - k * math.log(2.0)
-        if v > 700.0:
-            peaks.append(v)
-        return math.exp(min(v, 700.0))
-
-    while peaks:
-        k += math.ceil(max(peaks) / math.log(2.0))
-        peaks.clear()
-        value, err = bounded_quad(g, lo, hi)
-    with contextlib.suppress(OverflowError):  # ldexp's, past the largest float
-        if math.isfinite(value):
-            return math.ldexp(value, k), math.ldexp(err, k), True
+    value, err = log_quad(log_f, lo, hi)
+    if math.isfinite(value):
+        return value, err, True
     raise NumericError(f"T at gamma={gamma} is finite but exceeds the largest float")
 
 

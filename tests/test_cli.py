@@ -50,6 +50,19 @@ SWEEP_2D = {
 }
 
 
+# A heavy-tailed d = 2 pair whose draws lie far enough apart that their
+# squared distances overflow.
+HEAVY_2D = {
+    "source": {"family": "product_pareto", "alpha": 0.015, "sigma": 1.0, "d": 2},
+    "target": {"family": "product_pareto", "alpha": 0.015, "sigma": 1.0, "d": 2},
+    "f_star": {"name": "constant", "value": 0.25, "d": 2},
+    "noise": {"type": "gaussian", "sigma_e": 0.5},
+    "estimator": {"beta": 1.0, "d": 2},
+    "n_test": 50,
+    "seed": 1,
+}
+
+
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
@@ -626,6 +639,23 @@ class TestSweepCommand:
             outs.append(out)
         for name in ("sweep_reps.csv", "sweep_aggregate.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, sizes",
+    [
+        ("simulate", {"n": 200, "m": 200}),
+        ("sweep", {"n_grid": [200], "m_grid": [200], "reps": 1}),
+    ],
+)
+def test_distance_overflow_exits_two(tmp_path, capsys, command, sizes):
+    cfg = write_json(tmp_path / "heavy.json", dict(HEAVY_2D, **sizes))
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "numeric failure:" in err and "squared distances overflow" in err
+    assert "Traceback" not in err
+    assert not list(out.glob("*"))
 
 
 class TestSimulateCommand:

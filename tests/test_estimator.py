@@ -861,7 +861,7 @@ class TestDuplicateGrid:
         monkeypatch.setattr(sample.index, "_kdtree", CountingTree)
         queries = rng.integers(0, 10, (2000, 2)).astype(float)
         ell = math.ceil(math.log(self.N * 1024))
-        assert np.all(sample.radii(queries, ell, None) == 0.0)
+        assert np.all(sample.anchor(queries, ell)[2] == 0.0)
         assert depths == [[ell]]
 
     def test_label_sums_fetched_in_blocks(self, monkeypatch):

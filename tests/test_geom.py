@@ -160,6 +160,17 @@ class TestKthDistance:
                     method(queries, k)
 
 
+class TestDistanceOverflow:
+    def test_both_query_methods_raise(self):
+        # Points 1e159 apart: every squared distance between two of them
+        # overflows, and the tree would answer the missing index n.
+        pts = np.random.default_rng(0).uniform(0.0, 1.0, (50, 2)) * 1e160
+        idx = NeighborIndex(pts)
+        for method, k in ((idx.query_batch, 1), (idx.kth_distance, 2)):
+            with pytest.raises(ValueError, match="squared distances overflow"):
+                method(pts, k)
+
+
 class TestInvariants:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_index_equals_brute_force(self, d):

@@ -24,12 +24,11 @@ from conftest import log_pareto_tail
 from transfer_knn import _integrate, distributions, transfer
 from transfer_knn._integrate import (
     TailIntegral,
-    bounded_quad,
-    exp_clamped,
     exp_clamped_array,
     first_pass,
     improper_quad,
     libm,
+    log_quad,
 )
 from transfer_knn.distributions import (
     Exponential,
@@ -60,20 +59,39 @@ def bits(*values) -> bytes:
     return struct.pack(f"<{len(values)}d", *values)
 
 
-def sin_inverse(x):
-    """Oscillates without bound at 0, which QUADPACK cannot resolve."""
-    return math.sin(1.0 / x)
-
-
 def log_wiggle(x):
     """log of e^-x (1 + sin^2(1/(x - 2))), oscillating without bound at 2."""
     return math.log1p(math.sin(1.0 / (x - 2.0)) ** 2) - x
+
+
+def wiggle(x):
+    return math.exp(log_wiggle(x))
 
 
 def quadpack_fails(f, lo, hi) -> bool:
     """Whether plain quad at the library's tolerances ends with ier != 0."""
     out = quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200, full_output=1)
     return len(out) == 4
+
+
+def counted_quad(monkeypatch) -> list:
+    """The (lo, hi) of every quad call _integrate makes from here on."""
+    calls = []
+
+    def counted(f, lo, hi, **kw):
+        calls.append((lo, hi))
+        return quad(f, lo, hi, **kw)
+
+    monkeypatch.setattr(_integrate, "quad", counted)
+    return calls
+
+
+def wiggle_integral() -> float:
+    """int_2^oo of e^-x (1 + sin^2(1/(x - 2))) dx: e^-2 (1 + int_0^oo e^-y
+    sin^2(1/y) dy), where the integral of e^-y cos(2/y) is Re 2 sqrt(-2i)
+    K_1(2 sqrt(-2i)), sqrt(-2i) = 1 - i."""
+    bessel = 2.0 * (1.0 - 1.0j) * special.kv(1, 2.0 - 2.0j)
+    return math.exp(-2.0) * (3.0 - bessel.real) / 2.0
 
 
 @pytest.mark.parametrize("c", [0.0, 2.0])
@@ -85,29 +103,57 @@ def test_log_pareto_normaliser_unchanged(b, c):
 
 
 def test_failed_window_warns_nothing():
-    assert quadpack_fails(sin_inverse, 0.0, 1.0)
+    assert quadpack_fails(wiggle, 2.0, 10.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value, error = bounded_quad(sin_inverse, 0.0, 1.0)
-    # With u = 1/x: int_1^oo sin(u) / u^2 du = sin 1 - Ci 1.
-    assert abs(value - (math.sin(1.0) - special.sici(1.0)[1])) <= error
+        value, error = log_quad(log_wiggle, 2.0, 10.0)
+    # The integrand is smooth past 10, where quad resolves it.
+    beyond = quad(wiggle, 10.0, math.inf, **QUAD_KW)[0]
+    assert abs(value - (wiggle_integral() - beyond)) <= error
 
 
 def test_failed_head_window_warns_nothing():
-    assert quadpack_fails(lambda x: math.exp(log_wiggle(x)), 2.0, 10.0)
+    assert quadpack_fails(wiggle, 2.0, 10.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = improper_quad(
-            lambda x: exp_clamped(log_wiggle(x)),
-            lambda ts: libm(exp_clamped, libm(log_wiggle, libm(math.exp, ts)) + ts),
-            2.0,
+            log_wiggle, lambda ts: libm(log_wiggle, libm(math.exp, ts)) + ts, 2.0
         )
-    # e^-2 (1 + int_0^oo e^-y sin^2(1/y) dy), where the integral of
-    # e^-y cos(2/y) is Re 2 sqrt(-2i) K_1(2 sqrt(-2i)), sqrt(-2i) = 1 - i.
-    bessel = 2.0 * (1.0 - 1.0j) * special.kv(1, 2.0 - 2.0j)
-    want = math.exp(-2.0) * (3.0 - bessel.real) / 2.0
     assert res.converged
-    assert abs(res.value - want) <= res.error
+    assert abs(res.value - wiggle_integral()) <= res.error
+
+
+class TestLogQuad:
+    @pytest.mark.parametrize(
+        "log_f, lo, hi",
+        [
+            (log_wiggle, 2.0, 10.0),
+            (lambda x: -x, 0.0, 5.0),
+            (lambda x: 700.0 - x * x, -3.0, 3.0),
+            (lambda x: -math.log1p(x * x), -1e3, 1e3),
+            (lambda x: -math.inf if x < 0.5 else math.log(x), 0.0, 1.0),
+        ],
+        ids=["wiggle", "exp", "peak_at_700", "cauchy", "minus_inf"],
+    )
+    def test_equals_quad_below_the_clamp(self, log_f, lo, hi):
+        got = log_quad(log_f, lo, hi)
+        want = quad(lambda x: math.exp(log_f(x)), lo, hi, **QUAD_KW)[:2]
+        assert bits(*got) == bits(*want)
+
+    def test_rescales_past_the_clamp(self, monkeypatch):
+        calls = counted_quad(monkeypatch)
+        value, error = log_quad(lambda x: 705.0 - x, 0.0, 1.0)
+        want = math.exp(705.0) * -math.expm1(-1.0)
+        assert value == pytest.approx(want, rel=1e-13) and error < 1e-11 * value
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "log_f",
+        [lambda x: 720.0 - x, lambda x: math.inf if x > 0.5 else 0.0],
+        ids=["past_the_largest_float", "plus_inf"],
+    )
+    def test_inf(self, log_f):
+        assert log_quad(log_f, 0.0, 1.0) == (math.inf, math.inf)
 
 
 @pytest.mark.parametrize(
@@ -130,7 +176,7 @@ class TestArrayLibm:
         xs = np.array(self.EXPONENTS)
         want = [math.exp(x) if not x > 700.0 else math.inf for x in self.EXPONENTS]
         got = exp_clamped_array(xs)
-        assert bits(*got) == bits(*want) == bits(*map(exp_clamped, self.EXPONENTS))
+        assert bits(*got) == bits(*want)
         assert got[-4:-1].tolist() == [math.inf] * 3 and math.isnan(got[-1])
         grid = exp_clamped_array(xs[:8].reshape(2, 4))
         assert grid.shape == (2, 4) and bits(*grid.ravel()) == bits(*want[:8])
@@ -170,11 +216,11 @@ def check_against_quad(tail, a, b) -> np.ndarray:
 
 
 def pair_tail(monkeypatch, P, Q, gamma):
-    """The tail integrand, and x0, that _quadrature hands improper_quad."""
+    """The log tail integrand, and x0, that _quadrature hands improper_quad."""
     seen = []
 
-    def record(head, tail, x0):
-        seen.append((tail, x0))
+    def record(log_head, log_tail, x0):
+        seen.append((log_tail, x0))
         return TailIntegral(0.0, 0.0, True)
 
     monkeypatch.setattr(transfer, "improper_quad", record)
@@ -183,9 +229,9 @@ def pair_tail(monkeypatch, P, Q, gamma):
 
 
 class TestTailContract:
-    """A tail integrand at an array of t equals, element by element and bit
-    for bit, e^t f(e^t) formed one t at a time from libm's scalar exp and
-    log and the scalar log densities."""
+    """A log tail integrand at an array of t equals, element by element and
+    bit for bit, t + log f(e^t) formed one t at a time from libm's scalar
+    exp and log and the scalar log densities."""
 
     def nodes(self, x0):
         a, b = tail_windows(x0)
@@ -203,20 +249,20 @@ class TestTailContract:
     )
     @pytest.mark.parametrize("gamma", [0.1, 0.6])
     def test_pair_tail(self, monkeypatch, P, Q, gamma):
-        tail, x0 = pair_tail(monkeypatch, P, Q, gamma)
+        log_tail, x0 = pair_tail(monkeypatch, P, Q, gamma)
         ts = self.nodes(x0)
         want = [
-            exp_clamped(Q.log_density(math.exp(t)) - gamma * P.log_density(math.exp(t)) + t)
+            Q.log_density(math.exp(t)) - gamma * P.log_density(math.exp(t)) + t
             for t in ts.tolist()
         ]
-        assert bits(*tail(ts)) == bits(*want)
+        assert bits(*log_tail(ts)) == bits(*want)
 
     @pytest.mark.parametrize("c", [0.0, 2.0])
     def test_log_pareto_normaliser_tail(self, monkeypatch, c):
         seen = []
 
-        def record(head, tail, x0):
-            seen.append(tail)
+        def record(log_head, log_tail, x0):
+            seen.append(log_tail)
             return TailIntegral(1.0, 0.0, True)
 
         monkeypatch.setattr(distributions, "improper_quad", record)
@@ -225,7 +271,7 @@ class TestTailContract:
 
         def scalar(t):
             lx = math.log(math.exp(t))
-            return exp_clamped(-2.5 * lx - (c * math.log(lx) if c else 0.0) + t)
+            return -2.5 * lx - (c * math.log(lx) if c else 0.0) + t
 
         assert bits(*seen[0](ts)) == bits(*map(scalar, ts.tolist()))
 
@@ -235,9 +281,12 @@ class TestFirstPass:
 
     @pytest.mark.parametrize("gamma", [0.01, 0.25, 0.5, 0.51])
     def test_log_pareto_pair(self, monkeypatch, gamma):
-        tail, x0 = pair_tail(monkeypatch, LogPareto(1, 1, 0), LogPareto(1, 1, 2), gamma)
+        log_tail, x0 = pair_tail(monkeypatch, LogPareto(1, 1, 0), LogPareto(1, 1, 2), gamma)
         # Every window of this tail resolves on quad's first pass.
-        assert check_against_quad(tail, *tail_windows(x0)).all()
+        kept = check_against_quad(
+            lambda ts: exp_clamped_array(log_tail(ts)), *tail_windows(x0)
+        )
+        assert kept.all()
 
     def test_exp_minus_t(self):
         check_against_quad(lambda ts: libm(math.exp, -ts), *tail_windows(2.0))
@@ -256,7 +305,7 @@ class TestFirstPass:
 
         def tail(ts):
             nodes.append(ts)
-            return libm(exp_clamped, ts)
+            return exp_clamped_array(ts)
 
         assert first_pass(tail, a, b)[0][0] == math.inf
         assert np.count_nonzero(nodes[0] > 700.0) == 1
@@ -304,41 +353,49 @@ class TestFirstPass:
 
 
 def log_pareto_normaliser_like(x):
-    return exp_clamped(-2.0 * math.log(x) - 2.0 * math.log(math.log(x)))
+    return -2.0 * math.log(x) - 2.0 * math.log(math.log(x))
 
 
-# (head, tail, x0) of a convergent integral, one past VALUE_CUTOFF, and
-# two that reach the cap, one stable (1/t^2 in t) and one not (1/t).
+# (log head, log tail, x0) of a convergent integral, one past
+# VALUE_CUTOFF, and two that reach the cap, one stable (1/t^2 in t) and
+# one not (1/t).
 INTEGRANDS = {
     "converges": (
         log_pareto_normaliser_like,
-        lambda ts: libm(exp_clamped, -ts - 2.0 * libm(math.log, ts)),
+        lambda ts: -ts - 2.0 * libm(math.log, ts),
         2.0,
     ),
-    "past_the_cutoff": (lambda x: 1e4 / x, lambda ts: np.full(ts.shape, 1e4), 1.0),
+    "past_the_cutoff": (
+        lambda x: math.log(1e4) - math.log(x),
+        lambda ts: np.full(ts.shape, math.log(1e4)),
+        1.0,
+    ),
     "stable_at_the_cap": (
-        lambda x: 1.0 / (x * math.log(x) ** 2),
-        lambda ts: 1.0 / (ts * ts),
+        lambda x: -math.log(x) - 2.0 * math.log(math.log(x)),
+        lambda ts: -2.0 * libm(math.log, ts),
         2.0,
     ),
     "unstable_at_the_cap": (
-        lambda x: 1.0 / (x * math.log(x)),
-        lambda ts: 1.0 / ts,
+        lambda x: -math.log(x) - math.log(math.log(x)),
+        lambda ts: -libm(math.log, ts),
         2.0,
     ),
 }
 
 
-def window_by_window(head, tail, x0: float) -> TailIntegral:
+def window_by_window(log_head, log_tail, x0: float) -> TailIntegral:
     """improper_quad's result as a Python loop that adds quad's (value,
-    error) of each tail window in order, with the same exits."""
+    error) of the head and of each tail window in order, with the same
+    exits."""
     diverged = TailIntegral(math.inf, math.inf, False)
-    total, err = quad(head, x0, x0 + 8.0, **QUAD_KW)[:2]
+    total, err = quad(lambda x: math.exp(log_head(x)), x0, x0 + 8.0, **QUAD_KW)[:2]
     if not math.isfinite(total) or total > 1e6:
         return diverged
     last_rel = math.inf
     for lo, hi in zip(*(ends.tolist() for ends in tail_windows(x0))):
-        piece, piece_err = quad(lambda s: float(tail(np.array([s]))[0]), lo, hi, **QUAD_KW)[:2]
+        piece, piece_err = quad(
+            lambda s: math.exp(log_tail(np.array([s]))[0]), lo, hi, **QUAD_KW
+        )[:2]
         if not math.isfinite(piece):
             return diverged
         total += piece
@@ -353,59 +410,70 @@ def window_by_window(head, tail, x0: float) -> TailIntegral:
     return diverged
 
 
+def log_head_of(log_tail):
+    """The log head of a log tail integrand: log f(x) = log_tail(log x) - log x."""
+    return lambda x: float(log_tail(np.array([math.log(x)]))[0]) - math.log(x)
+
+
 def kinked_exp(kinks):
-    """(head, tail) of e^-t (1 + sum of |t - k| over the kinks k) in t = log
-    x, a tail QUADPACK bisects on each window that holds a kink."""
+    """(log head, log tail) of e^-t (1 + sum of |t - k| over the kinks k)
+    in t = log x, a tail QUADPACK bisects on each window that holds a kink."""
 
-    def tail(ts):
-        return libm(math.exp, -ts) * (1.0 + sum(np.abs(ts - k) for k in kinks))
+    def log_tail(ts):
+        return libm(math.log1p, sum((np.abs(ts - k) for k in kinks), np.zeros_like(ts))) - ts
 
-    return (lambda x: float(tail(np.array([math.log(x)]))[0]) / x), tail
+    return log_head_of(log_tail), log_tail
 
 
 def cut_after(window: int, fill: float):
-    """(head, tail, x0) of kinked_exp([]) past x0 = 2, with the tail fill
-    from the middle of the given window on."""
+    """(log head, log tail, x0) of kinked_exp([]) past x0 = 2, with the log
+    tail fill from the middle of the given window on."""
     a, b = tail_windows(2.0)
     edge = 0.5 * (a[window] + b[window])
-    head, tail = kinked_exp([])
-    return head, (lambda ts: np.where(ts < edge, tail(ts), fill)), 2.0
+    log_head, log_tail = kinked_exp([])
+    return log_head, (lambda ts: np.where(ts < edge, log_tail(ts), fill)), 2.0
 
 
 class TestImproperQuad:
-    def counted_quad(self, monkeypatch) -> list:
-        """The (lo, hi) of every quad call improper_quad makes from here on."""
-        calls = []
-
-        def counted(f, lo, hi, **kw):
-            calls.append((lo, hi))
-            return quad(f, lo, hi, **kw)
-
-        monkeypatch.setattr(_integrate, "quad", counted)
-        return calls
-
     def test_bisected_window_in_a_chunk(self, monkeypatch):
         # QUADPACK bisects window 5 of the first chunk of 64, at a kink,
         # and window 60, at a tent of height 1e-4 that is 0 elsewhere; the
         # sums exit on _EXIT_REL at window 43, so quad redoes window 5 only.
         a, b = tail_windows(2.0)
-        _, kinked = kinked_exp([a[5] + 0.3 * (b[5] - a[5])])
+        _, log_kinked = kinked_exp([a[5] + 0.3 * (b[5] - a[5])])
         peak = a[60] + 0.3 * (b[60] - a[60])
 
-        def tail(ts):
-            return kinked(ts) + 1e-3 * np.maximum(0.0, 0.1 - np.abs(ts - peak))
+        def log_tail(ts):
+            tent = 1e-3 * np.maximum(0.0, 0.1 - np.abs(ts - peak))
+            return libm(math.log, libm(math.exp, log_kinked(ts)) + tent)
 
-        def head(x):
-            return float(tail(np.array([math.log(x)]))[0]) / x
-
-        kept = first_pass(tail, a[:64], b[:64])[2]
+        log_head = log_head_of(log_tail)
+        kept = first_pass(lambda ts: exp_clamped_array(log_tail(ts)), a[:64], b[:64])[2]
         assert np.flatnonzero(~kept).tolist() == [5, 60]
-        want = window_by_window(head, tail, 2.0)
-        calls = self.counted_quad(monkeypatch)
-        got = improper_quad(head, tail, 2.0)
+        want = window_by_window(log_head, log_tail, 2.0)
+        calls = counted_quad(monkeypatch)
+        got = improper_quad(log_head, log_tail, 2.0)
         assert bits(got.value, got.error) == bits(want.value, want.error)
         assert got.converged and want.converged
         assert calls == [(2.0, 10.0), (float(a[5]), float(a[5]) + math.log(2.0))]
+
+    @pytest.mark.parametrize(
+        "log_head, passes",
+        [
+            (lambda x: 701.0 - x, 2),
+            (lambda x: 800.0 - x, 2),
+            (lambda x: math.inf if x > 5.0 else -x, 1),
+        ],
+        ids=["rescaled", "past_the_largest_float", "plus_inf"],
+    )
+    def test_head_past_the_clamp_diverges(self, monkeypatch, log_head, passes):
+        # A head node past exp's 700 clamp is rescaled, not read as inf;
+        # the head total is still past VALUE_CUTOFF or past the largest
+        # float, and a log value of +inf ends the head after one pass.
+        calls = counted_quad(monkeypatch)
+        res = improper_quad(log_head, lambda ts: -ts, 0.0)
+        assert res == TailIntegral(math.inf, math.inf, False)
+        assert calls == [(0.0, 8.0)] * passes
 
     @pytest.mark.parametrize("case", [*INTEGRANDS, "inf_piece", "nan_piece"])
     def test_equals_window_by_window(self, case):
@@ -413,21 +481,22 @@ class TestImproperQuad:
         # chunk (windows 0-63), VALUE_CUTOFF at window 141 of the third
         # (128-255), a non-finite piece at window 13 of the first; and both
         # ends at the cap.
-        head, tail, x0 = {
+        log_head, log_tail, x0 = {
             "inf_piece": lambda: cut_after(13, math.inf),
             "nan_piece": lambda: cut_after(13, math.nan),
         }.get(case, lambda: INTEGRANDS[case])()
-        got, want = improper_quad(head, tail, x0), window_by_window(head, tail, x0)
+        got = improper_quad(log_head, log_tail, x0)
+        want = window_by_window(log_head, log_tail, x0)
         assert bits(got.value, got.error) == bits(want.value, want.error)
         assert got.converged == want.converged == (case in ("converges", "stable_at_the_cap"))
 
     @pytest.mark.parametrize("name", INTEGRANDS)
     def test_chunk_size_does_not_matter(self, monkeypatch, name):
-        head, tail, x0 = INTEGRANDS[name]
-        batched = improper_quad(head, tail, x0)
+        log_head, log_tail, x0 = INTEGRANDS[name]
+        batched = improper_quad(log_head, log_tail, x0)
         monkeypatch.setattr(_integrate, "_CHUNK_FIRST", 1)
         monkeypatch.setattr(_integrate, "_CHUNK_CAP", 1)
-        assert improper_quad(head, tail, x0) == batched
+        assert improper_quad(log_head, log_tail, x0) == batched
         want = {
             "converges": True,
             "past_the_cutoff": False,

@@ -19,7 +19,6 @@ from transfer_knn.rates import (
     acceleration_window,
     classify_configuration,
     lower_bound_rate,
-    path_rates,
     phase_grid,
     r_beta,
     theoretical_rate,
@@ -507,18 +506,23 @@ class TestPhaseGrid:
 
 
 class TestPathRates:
-    PARAMS = RateParams(1.0, 0.2, 1.0, 1, 10, 10)
+    """Rates along the linear sample-size path (n, m) = (B^(1-lam), B^lam)."""
+
+    @staticmethod
+    def along_path(lam: float, budget: float = 1e6):
+        n, m = budget ** (1.0 - lam), budget**lam
+        return n, m, theoretical_rate(RateParams(1.0, 0.2, 1.0, 1, n, m))
 
     def test_lambda_zero_is_pure_source_wedge(self):
-        pt = path_rates("linear", 1e6, [0.0], self.PARAMS)[0]
-        assert pt.n == 1e6 and pt.m == 1.0
-        assert pt.regime == WEDGE
-        assert math.isclose(pt.rate, (1e6) ** -(2.0 / 3.0), rel_tol=1e-12)
+        n, m, rep = self.along_path(0.0)
+        assert n == 1e6 and m == 1.0
+        assert rep.regime == WEDGE
+        assert math.isclose(rep.rate_value, (1e6) ** -(2.0 / 3.0), rel_tol=1e-12)
 
     def test_window_start_boundary_value(self):
-        pt = path_rates("linear", 1e6, [0.5], self.PARAMS)[0]
-        assert pt.regime == ACCELERATED
-        assert math.isclose(pt.rate, 1000.0 ** -(2.0 / 3.0), rel_tol=1e-12)
+        _, _, rep = self.along_path(0.5)
+        assert rep.regime == ACCELERATED
+        assert math.isclose(rep.rate_value, 1000.0 ** -(2.0 / 3.0), rel_tol=1e-12)
 
     def test_u_parametrisation_identity(self):
         gamma, s, beta, d = 1.0, 0.2, 1.0, 1
@@ -531,19 +535,9 @@ class TestPathRates:
         assert abs(rep.rate_value - want) <= 1e-10 * want
 
     def test_accelerated_never_above_wedge_along_path(self):
-        pts = path_rates("linear", 1e6, np.linspace(0, 1, 41), self.PARAMS)
         rb = 2.0 / 3.0
-        for pt in pts:
-            src = pt.n ** -min(1.0, rb) if pt.n > 0 else math.inf
-            tgt = pt.m ** -min(0.2, rb) if pt.m > 0 else math.inf
-            assert pt.rate <= min(src, tgt) * (1 + 1e-12)
-
-    def test_fixed_budget_clamps_to_one(self):
-        pts = path_rates("fixed_budget", 1000, [0.0, 1.0], self.PARAMS)
-        assert pts[0].m == 1.0 and pts[1].n == 1.0
-
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            path_rates("linear", 1, [0.5], self.PARAMS)
-        with pytest.raises(ValueError):
-            path_rates("spiral", 10, [0.5], self.PARAMS)
+        for lam in np.linspace(0, 1, 41).tolist():
+            n, m, rep = self.along_path(lam)
+            src = n ** -min(1.0, rb) if n > 0 else math.inf
+            tgt = m ** -min(0.2, rb) if m > 0 else math.inf
+            assert rep.rate_value <= min(src, tgt) * (1 + 1e-12)
