@@ -18,9 +18,10 @@ reproduces, bit for bit, the first 21-point Gauss-Kronrod step (dqk21)
 of QUADPACK's dqagse on every window, and dqagse's test of whether it
 stops there.  A window that passes has exactly the (value, error)
 scipy's quad returns for it; only a window QUADPACK would bisect, and
-that the running sums reach, goes to log_quad.  The sums add each run
-of windows between two such ones with one np.cumsum, which adds in
-order.
+that the running sums reach, goes to log_quad.  A chunk ends just
+before its next such window, which opens the next chunk, so log_quad
+only ever redoes a chunk's first window, and the sums add each chunk
+with one np.cumsum, which adds in order.
 
 numpy is exact for +, -, *, /, abs, min, max and the comparisons, but
 its exp, log, log1p and power differ from libm's in the last bit on some
@@ -35,7 +36,8 @@ and about 1.9 us a window on a transfer tail (2-core x86 VM, numpy 2.4),
 so its fixed cost is the work of some 40 windows, and a tail that stops
 within a few windows loses little to a first chunk of 64.  A chunk never
 holds more windows than the ones before it, which the sums used, so an
-integral that uses `used` windows evaluates at most max(64, 2 * used).
+integral that uses `used` windows evaluates at most max(64, 2 * used),
+plus one chunk per bisected window the sums reach, whose chunk it cuts.
 
 Every quad call runs in full-output mode, which returns QUADPACK's
 failure message instead of issuing an IntegrationWarning, so no call
@@ -245,12 +247,13 @@ def improper_quad(log_head, log_tail, x0: float) -> TailIntegral:
     t + log f(e^t) at each t of an array, the log integrand in t = log x
     beyond it.
 
-    The windows are added to the head's (value, error) in order, each run
-    of them between two windows QUADPACK bisects by one np.cumsum, which
-    adds as `total += piece` does.  The sums stop at the first window that
-    is not finite, takes the total past VALUE_CUTOFF or adds less than
-    _EXIT_REL of it; log_quad redoes a bisected window only once the sums
-    reach it.
+    The windows are added to the head's (value, error) in order, a chunk
+    at a time by one np.cumsum, which adds as `total += piece` does.  A
+    chunk ends just before its next window QUADPACK bisects, which opens
+    the next chunk; log_quad redoes a bisected window only once it opens
+    a chunk, when the sums have reached it.  The sums stop at the first
+    window that is not finite, takes the total past VALUE_CUTOFF or adds
+    less than _EXIT_REL of it.
     """
     x1 = x0 + _HEAD_WIDTH
     total, err = log_quad(log_head, x0, x1)
@@ -267,33 +270,29 @@ def improper_quad(log_head, log_tail, x0: float) -> TailIntegral:
     while done < len(starts):
         a = starts[done : done + size]
         values, errors, kept = first_pass(tail, a, a + step)
-        pos = 0
-        for bisected in np.flatnonzero(~kept).tolist() + [len(a)]:
-            # Windows pos..bisected-1: kept, or at pos redone below.
-            pieces = values[pos:bisected]
-            run = np.empty((2, len(pieces) + 1))
-            run[:, 0] = total, err
-            run[0, 1:], run[1, 1:] = pieces, errors[pos:bisected]
-            totals, errs = np.cumsum(run, axis=1)[:, 1:]
-            with np.errstate(all="ignore"):
-                rels = np.where(totals > 0.0, pieces / totals, 0.0)
-                stops = ~np.isfinite(pieces) | (totals > VALUE_CUTOFF) | (rels < _EXIT_REL)
-            if stops.any():
-                j = int(stops.argmax())
-                if not math.isfinite(pieces[j]) or totals[j] > VALUE_CUTOFF:
-                    return _DIVERGED
-                return TailIntegral(float(totals[j]), float(errs[j] + pieces[j]), True)
-            if len(pieces):
-                total, err, last_rel = float(totals[-1]), float(errs[-1]), float(rels[-1])
-            if bisected == len(a):
-                break
-            # QUADPACK bisects this window: log_quad redoes it, one node a call.
-            lo = float(a[bisected])
-            values[bisected], errors[bisected] = log_quad(
+        # The chunk ends just before its next window QUADPACK bisects,
+        # which opens the next chunk.
+        bisected = np.flatnonzero(~kept[1:])
+        cut = int(bisected[0]) + 1 if len(bisected) else len(a)
+        if not kept[0]:
+            # The sums reach this bisected window: log_quad redoes it.
+            lo = float(a[0])
+            values[0], errors[0] = log_quad(
                 lambda s: float(log_tail(np.array([s]))[0]), lo, lo + step
             )
-            pos = bisected
-        done += len(a)
+        pieces = values[:cut]
+        run = np.hstack([[[total], [err]], [pieces, errors[:cut]]])
+        totals, errs = np.cumsum(run, axis=1)[:, 1:]
+        with np.errstate(all="ignore"):
+            rels = np.where(totals > 0.0, pieces / totals, 0.0)
+            stops = ~np.isfinite(pieces) | (totals > VALUE_CUTOFF) | (rels < _EXIT_REL)
+        if stops.any():
+            j = int(stops.argmax())
+            if not math.isfinite(pieces[j]) or totals[j] > VALUE_CUTOFF:
+                return _DIVERGED
+            return TailIntegral(float(totals[j]), float(errs[j] + pieces[j]), True)
+        total, err, last_rel = float(totals[-1]), float(errs[-1]), float(rels[-1])
+        done += cut
         size = min(done, _CHUNK_CAP)
     # Reached the cap: stabilized sequences count as converged, with the
     # last window kept as a truncation-error proxy.

@@ -93,8 +93,8 @@ def _float_arg(text: str, field: str) -> float:
     return value
 
 
-# The most points a grid, the most cells a phase table, and the most (x, r)
-# pairs a regularity check may hold.
+# The most points a grid, the most cells a phase table, the most (x, r)
+# pairs a regularity check and the most (cell, rep) tasks a sweep may hold.
 MAX_GRID_POINTS = 100_000
 # The most threads a sweep may run its reps on.
 MAX_THREADS = 256
@@ -331,6 +331,10 @@ def _cmd_sweep(args, stager: OutputStager) -> None:
     threads = config_integer(args.threads, "--threads", least=1)
     if threads > MAX_THREADS:
         raise ConfigError("--threads", f"{threads} exceeds the limit of {MAX_THREADS}")
+    # sweep lists every (cell, rep) task before the first rep runs.
+    tasks = len(config.n_grid) * len(config.m_grid) * config.reps
+    if tasks > MAX_GRID_POINTS:
+        raise ConfigError("reps", f"{tasks} cells x reps exceed the limit of {MAX_GRID_POINTS}")
     result = sweep(config, threads=threads)
     rep_header = ["n", "m", "rep", "risk", "seed"]
     rep_rows = [(r.n, r.m, r.rep, r.risk, r.seed) for r in result.records]

@@ -363,7 +363,8 @@ class LogPareto(DistributionFamily):
     (b, c) in a process (_log_pareto_norm).  The field `a` records the
     exponent of the companion power-law source density (proportional to
     x^-(a+1) on [2, oo)), which is the c = 0 member of the same family;
-    it does not enter this distribution's own density.
+    it does not enter this distribution's own density.  The CDF sums each
+    point's own panels, unpadded, so batching changes no bit of it.
     """
 
     a: float
@@ -374,9 +375,6 @@ class LogPareto(DistributionFamily):
     # Largest count of quadrature nodes in one temporary of the CDF
     # (8 MiB); one point at x = 1e300 takes 2,761 panels of 7 nodes.
     _NODE_BLOCK = 1 << 20
-    # Most padding nodes in one block of the CDF: computing 4,096 wasted
-    # nodes costs about what the numpy calls of one more block cost.
-    _PAD_FREE = 1 << 12
 
     def __post_init__(self):
         if self.a <= 0 or self.b <= 0:
@@ -405,12 +403,12 @@ class LogPareto(DistributionFamily):
         which stays accurate however far into the tail x reaches.  Each x
         gets its own ceil((log x - log 2) / 0.25) panels from log 2, so
         its value does not depend on the other points of the call.
-        The points, sorted by panel count, are integrated in blocks of at
-        most _NODE_BLOCK nodes, each row padded to the block's largest
-        count, and a block ends before its padding passes _PAD_FREE nodes;
-        the edges are np.linspace's, and each row's sum is np.sum's
-        pairwise one over its own panels, bit for bit, taken once per
-        panel count.
+        The points, sorted by panel count, lay their panels end to end,
+        unpadded, in blocks of at most _NODE_BLOCK nodes or one point.
+        Panel j of a point at t1 spans j h + log 2 to (j + 1) h + log 2,
+        h = (t1 - log 2) / panels, or to t1 for its last panel; each row's
+        sum is np.sum's pairwise one over its own panels, bit for bit,
+        taken once per panel count.
         """
         t0 = math.log(self._LEFT)
         ts = np.log(np.maximum(xs, self._LEFT))
@@ -419,29 +417,26 @@ class LogPareto(DistributionFamily):
         order = np.argsort(panels, kind="stable")
         todo, panels = todo[order], panels[order]
         out = np.where(np.isnan(ts), math.nan, 0.0)
-        start, nodes = 0, len(_GL_NODES)
+        # Row i's panels end at ends[i] in the run of all rows' panels.
+        ends, nodes = np.cumsum(panels), len(_GL_NODES)
+        start = 0
         while start < len(todo):
-            # The longest run of rows from start whose padded nodes fit a
-            # block, with at most _PAD_FREE of them padding.
-            p = panels[start : start + self._NODE_BLOCK // (nodes * panels[start]) + 1]
-            padded = np.arange(1, len(p) + 1) * p * nodes
-            fits = (padded <= self._NODE_BLOCK) & (
-                padded - nodes * np.cumsum(p) <= self._PAD_FREE
-            )
-            stop = start + (len(p) if fits.all() else max(1, int(fits.argmin())))
-            rows, p = todo[start:stop], panels[start:stop]
-            t1, width = ts[rows], int(p[-1])
-            edges = np.arange(width + 1) * ((t1 - t0) / p)[:, None] + t0
-            edges[np.arange(len(rows)), p] = t1
-            mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-            half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-            lx = mid[:, :, None] + half[:, :, None] * _GL_NODES
+            first = int(ends[start] - panels[start])
+            fit = np.searchsorted(ends, first + self._NODE_BLOCK // nodes, "right")
+            stop = max(start + 1, int(fit))
+            rows, p, last = todo[start:stop], panels[start:stop], ends[start:stop] - first
+            h = np.repeat((ts[rows] - t0) / p, p)
+            j = np.arange(len(h)) - np.repeat(last - p, p)
+            left, right = j * h + t0, (j + 1) * h + t0
+            right[last - 1] = ts[rows]
+            mid, half = 0.5 * (left + right), 0.5 * (right - left)
+            lx = mid[:, None] + half[:, None] * _GL_NODES
             vals = np.exp(-(self.b + 1.0) * lx - self.c * np.log(lx) + lx)
-            terms = vals * _GL_WEIGHTS * half[:, :, None]
+            terms = vals * _GL_WEIGHTS * half[:, None]
             bounds = np.flatnonzero(np.diff(p)) + 1
             for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), len(rows)]):
-                count = int(p[lo])
-                out[rows[lo:hi]] = terms[lo:hi, :count].reshape(hi - lo, -1).sum(axis=1)
+                group = terms[last[lo] - p[lo] : last[hi - 1]]
+                out[rows[lo:hi]] = group.reshape(hi - lo, -1).sum(axis=1)
             start = stop
         return out
 
@@ -580,11 +575,12 @@ def local_mass_check(
 
     In 1-D every mass of the grid comes from one cdf call per side;
     otherwise one ball_mass call per x covers every radius.  A grid point
-    of another dimension, or one where the density is not positive (NaN
-    included), raises ValueError before any mass is computed.
+    of another dimension, one where the density is not positive (NaN
+    included), or a theta outside (0, inf) raises ValueError before any
+    mass is computed.
     """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    if not 0.0 < theta < math.inf:
+        raise ValueError("theta must be positive and finite")
     rs = np.asarray(r_grid, dtype=np.float64)
     if not np.all((0.0 < rs) & (rs <= 1.0)):
         raise ValueError("radii must lie in (0, 1]")

@@ -207,25 +207,19 @@ def sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
             records = tuple(f.result() for f in futures)
     else:
         records = tuple(_run_rep(config, *t) for t in tasks)
-    estimates = []
     reps = config.reps
-    for ci, (n, m) in enumerate(cells):
-        risks = np.array([r.risk for r in records[ci * reps : (ci + 1) * reps]])
-        stderr = (
-            float(np.std(risks, ddof=1) / math.sqrt(len(risks)))
-            if len(risks) > 1
-            else 0.0
+    risks = np.array([r.risk for r in records]).reshape(len(cells), reps)
+    means = np.mean(risks, axis=1)
+    stderrs = np.zeros(len(cells))
+    if reps > 1:
+        stderrs = np.std(risks, axis=1, ddof=1) / math.sqrt(reps)
+    q50s, q90s = np.quantile(risks, [0.5, 0.9], axis=1)
+    estimates = [
+        RiskEstimate(mean=mean, stderr=stderr, n=n, m=m, q50=q50, q90=q90)
+        for (n, m), mean, stderr, q50, q90 in zip(
+            cells, means.tolist(), stderrs.tolist(), q50s.tolist(), q90s.tolist()
         )
-        estimates.append(
-            RiskEstimate(
-                mean=float(np.mean(risks)),
-                stderr=stderr,
-                n=n,
-                m=m,
-                q50=float(np.quantile(risks, 0.5)),
-                q90=float(np.quantile(risks, 0.9)),
-            )
-        )
+    ]
     return SweepResult(estimates=tuple(estimates), records=records)
 
 

@@ -479,6 +479,22 @@ class TestSweepCommand:
         assert "Traceback" not in err
         assert not list(out.glob("*"))
 
+    @pytest.mark.parametrize("reps", [50_001, 1e5])
+    def test_reps_above_limit_rejected(self, tmp_path, capsys, monkeypatch, reps):
+        # Two cells of that many reps: refused before any task is listed or run.
+        def no_rep(*args, **kwargs):
+            raise AssertionError("a rep was run")
+
+        monkeypatch.setattr(harness, "_run_rep", no_rep)
+        cfg = write_json(tmp_path / "e.json", {**EXPERIMENT, "reps": reps})
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", cfg, "--out", str(out), "--threads", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "config field 'reps'" in err
+        assert f"{2 * int(reps)} cells x reps exceed the limit of {MAX_GRID_POINTS}" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*"))
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_json(tmp_path / "e.json", EXPERIMENT)
         out1, out2 = tmp_path / "a", tmp_path / "b"

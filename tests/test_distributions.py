@@ -1188,6 +1188,16 @@ class TestLocalMass:
         local_mass_check(dist, 10.0, xs, rs)
         assert calls == [(50, 20), (50, 20)]
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0, -1.0])
+    def test_theta_outside_zero_to_inf_rejected(self, monkeypatch, theta):
+        # A NaN theta would fail every pair and an infinite one pass every
+        # pair, whatever the masses.
+        calls = []
+        monkeypatch.setattr(DistributionFamily, "cdf", lambda self, x: calls.append(x))
+        with pytest.raises(ValueError, match="theta must be positive"):
+            local_mass_check(Uniform(0, 1), theta, [0.5], [0.1, 0.2])
+        assert calls == []
+
     def test_grid_outside_support_rejected(self):
         with pytest.raises(ValueError):
             local_mass_check(Uniform(0, 1), 2.0, [-0.5], [0.1])

@@ -181,6 +181,29 @@ class TestSweep:
         with pytest.raises(NumericError, match=want):
             sweep(small_config(m_grid=(32, 64, 128)), threads=2)
 
+    @pytest.mark.parametrize("reps", [2, 5, 37])
+    def test_estimates_are_each_cells_own_reduction(self, monkeypatch, reps):
+        # Risks spread over many magnitudes, so that a sum in another
+        # order or grouping than each cell's own would show in the bits.
+        def synthetic(config, ci, n, m, rep):
+            rng = np.random.default_rng((ci, rep))
+            return harness.RepRecord(n, m, rep, float(rng.lognormal(0.0, 4.0)), rep)
+
+        monkeypatch.setattr(harness, "_run_rep", synthetic)
+        result = sweep(small_config(m_grid=(16, 32, 64, 128), reps=reps))
+        assert len(result.estimates) == 4
+        for ci, est in enumerate(result.estimates):
+            risks = np.array([r.risk for r in result.records[ci * reps : (ci + 1) * reps]])
+            want = (
+                float(np.mean(risks)),
+                float(np.std(risks, ddof=1) / math.sqrt(reps)),
+                float(np.quantile(risks, 0.5)),
+                float(np.quantile(risks, 0.9)),
+            )
+            got = (est.mean, est.stderr, est.q50, est.q90)
+            assert all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
     def test_source_cells_use_source_family(self):
         cfg = small_config(
             source=Exponential(2.0), n_grid=(32, 64), m_grid=(0,), reps=2

@@ -457,6 +457,52 @@ class TestImproperQuad:
         assert got.converged and want.converged
         assert calls == [(2.0, 10.0), (float(a[5]), float(a[5]) + math.log(2.0))]
 
+    def test_chunks_end_at_bisected_windows(self, monkeypatch):
+        # QUADPACK bisects windows 5 and 6, an adjacent pair, and 20, at
+        # kinks, and window 50, at a tent of height 1e-4 that is 0
+        # elsewhere; the sums exit on _EXIT_REL before window 50, so quad
+        # redoes windows 5, 6 and 20 only, in order, each once.
+        a, b = tail_windows(2.0)
+        bisected = [5, 6, 20, 50]
+        _, log_kinked = kinked_exp([a[w] + 0.3 * (b[w] - a[w]) for w in bisected[:3]])
+        peak = a[50] + 0.3 * (b[50] - a[50])
+
+        def log_tail(ts):
+            tent = 1e-3 * np.maximum(0.0, 0.1 - np.abs(ts - peak))
+            return libm(math.log, libm(math.exp, log_kinked(ts)) + tent)
+
+        log_head = log_head_of(log_tail)
+        kept = first_pass(lambda ts: exp_clamped_array(log_tail(ts)), a[:64], b[:64])[2]
+        assert np.flatnonzero(~kept).tolist() == bisected
+        want = window_by_window(log_head, log_tail, 2.0)
+        calls = counted_quad(monkeypatch)
+        got = improper_quad(log_head, log_tail, 2.0)
+        assert bits(got.value, got.error) == bits(want.value, want.error)
+        assert got.converged and want.converged
+        step = math.log(2.0)
+        assert calls == [(2.0, 10.0)] + [(float(a[w]), float(a[w]) + step) for w in bisected[:3]]
+
+    def test_pareto_exponential_bisects_only_past_the_exits(self, monkeypatch):
+        # Each of the 12 quadrature tails holds 3 windows QUADPACK bisects,
+        # all past the window where the sums exit, so quad runs on the
+        # heads alone.
+        calls = counted_quad(monkeypatch)
+        bisected = []
+
+        def counted(f, a, b):
+            result, abserr, kept = first_pass(f, a, b)
+            bisected.append(int(np.count_nonzero(~kept)))
+            return result, abserr, kept
+
+        monkeypatch.setattr(_integrate, "first_pass", counted)
+        transfer._pair_memo.cache_clear()
+        grid = [i * 0.25 for i in range(13)]
+        est = transfer.estimate_index(Pareto(1, 1), Exponential(1), grid)
+        assert [e.method for e in est.evaluations] == ["closed_form"] + ["quadrature"] * 12
+        assert all(e.converged for e in est.evaluations)
+        assert calls == [(0.0, 8.0)] * 12
+        assert sum(bisected) == 36
+
     @pytest.mark.parametrize(
         "log_head, passes",
         [
