@@ -94,10 +94,18 @@ def _float_arg(text: str, field: str) -> float:
 
 
 # The most points a grid, the most cells a phase table, the most (x, r)
-# pairs a regularity check and the most (cell, rep) tasks a sweep may hold.
+# pairs a regularity check and the most (cell, rep) pairs a sweep may hold.
 MAX_GRID_POINTS = 100_000
 # The most threads a sweep may run its reps on.
 MAX_THREADS = 256
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or the host's count where the
+    platform cannot tell."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def parse_grid(text: str, field: str):
@@ -331,10 +339,10 @@ def _cmd_sweep(args, stager: OutputStager) -> None:
     threads = config_integer(args.threads, "--threads", least=1)
     if threads > MAX_THREADS:
         raise ConfigError("--threads", f"{threads} exceeds the limit of {MAX_THREADS}")
-    # sweep lists every (cell, rep) task before the first rep runs.
-    tasks = len(config.n_grid) * len(config.m_grid) * config.reps
-    if tasks > MAX_GRID_POINTS:
-        raise ConfigError("reps", f"{tasks} cells x reps exceed the limit of {MAX_GRID_POINTS}")
+    # sweep lists its blocks of reps before the first rep runs.
+    pairs = len(config.n_grid) * len(config.m_grid) * config.reps
+    if pairs > MAX_GRID_POINTS:
+        raise ConfigError("reps", f"{pairs} cells x reps exceed the limit of {MAX_GRID_POINTS}")
     result = sweep(config, threads=threads)
     rep_header = ["n", "m", "rep", "risk", "seed"]
     rep_rows = [(r.n, r.m, r.rep, r.risk, r.seed) for r in result.records]
@@ -435,7 +443,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--threads",
         type=int,
-        default=min(os.cpu_count() or 1, MAX_THREADS),
+        default=min(_usable_cpus(), MAX_THREADS),
         help="threads the reps run on",
     )
 

@@ -70,14 +70,22 @@ def neighbor_counts(
     """
     p_hat = np.asarray(p_hat, dtype=np.float64)
     lower = max(int(math.ceil(joint_log)), _MIN_K)
+    # One array, updated in place: a batch keeps few temporaries alive.
+    k = n_own * p_hat
     with np.errstate(invalid="ignore"):
-        core = (
-            kappa
-            * joint_log**config.log_exponent
-            * (n_own * p_hat) ** config.density_exponent
-        )
-    k = np.minimum(n_own, np.maximum(np.ceil(core), lower))
-    return np.where(np.isinf(p_hat), n_own, k).astype(np.int64)
+        k **= config.density_exponent
+        k *= kappa * joint_log**config.log_exponent
+    np.ceil(k, out=k)
+    np.maximum(k, lower, out=k)
+    np.minimum(k, n_own, out=k)
+    k[np.isinf(p_hat)] = n_own
+    return k.astype(np.int64)
+
+
+def _distances(x, a, idx, right=False):
+    """x - a[idx], or a[idx] - x when right, in the gathered array."""
+    out = a[idx]
+    return np.subtract(out, x, out=out) if right else np.subtract(x, out, out=out)
 
 
 class _TreeSample:
@@ -127,107 +135,144 @@ class _TreeSample:
 
 
 class _SortedSample1D:
-    """A 1-D sample answered from its sorted coordinates.
+    """A stack of R equal-size 1-D samples, answered from their sorted
+    coordinates.  A single fit is a stack of one.
 
     In one dimension the k nearest neighbours of x occupy a contiguous
-    window of the sorted coordinates a, padded with n copies of +inf.
-    The window starts at the first i where the "shift right" predicate
-    x - a[i] > a[i+k] - x fails.  Both sides are monotone in i, so the
-    predicate holds on a prefix of the indices.
+    window of a sample's sorted coordinates a, padded with n copies of
+    +inf.  The window starts at the first i where the "shift right"
+    predicate x - a[i] > a[i+k] - x fails.  Both sides are monotone in
+    i, so the predicate holds on a prefix of the indices.
+
+    The stack lives in two flat arrays: padded, whose block r of 2n
+    cells holds sample r's sorted coordinates and their padding, and
+    prefix, whose block r of n + 1 cells holds its label prefix sums
+    (the sum of the first j labels at cell j).  Query rows split evenly
+    over the stack in order, and each row carries the flat offset r 2n
+    of its own sample.  Every window start is a flat index into padded,
+    so window_starts runs over the flat array unchanged: no probe
+    leaves its own sample's block.  label_sums moves a start to its
+    sample's block of prefix.
 
     anchor finds each row's window for one size w shared by every row
-    (ell, or the floor count): one searchsorted of 2x, in sorted query
-    order, over the pair sums a[i] + a[i+w].  The exact predicate at
-    s - 1 and s certifies the result.  A row it rejects (a rounding
-    near-tie, or a pair sum or 2x past the float range) is searched
-    again over [0, n - w].  k_starts then brackets each row's own k
-    window by its w window, to a range |k - w| wide, so window_starts
-    needs about log2 |k - w| rounds there.
+    (ell, or the floor count): one searchsorted of 2x per sample, in
+    sorted query order, over the pair sums a[i] + a[i+w].  The exact
+    predicate at s - 1 and s certifies the result.  A row it rejects (a
+    rounding near-tie, or a pair sum or 2x past the float range) is
+    searched again over [0, n - w].  k_starts then brackets each row's
+    own k window by its w window, to a range |k - w| wide, so
+    window_starts needs about log2 |k - w| rounds there.
 
-    The sample is sorted once per fit by the default argsort, whose
-    order is the unique one when all coordinates differ; a sample with
-    an equal adjacent pair is re-sorted stably, so tied points keep
-    ascending-index order.  coords and labels hold the sample in that
-    order, and label sums come from their prefix-sum array.  A
-    window whose boundary distance is exactly tied with the next point
-    outside is ambiguous under the original-index tie rule and is
-    resolved through the exact tree path instead.  That path's sample
-    is rebuilt in original order from the sorted copies on the first
-    such row, so most fits never build it.
+    The stack is sorted once per fit by one row-wise default argsort,
+    whose order is the unique one when all coordinates differ; a sample
+    with an equal adjacent pair is re-sorted stably, so tied points keep
+    ascending-index order.  A window whose boundary distance is exactly
+    tied with the next point outside is ambiguous under the
+    original-index tie rule and is resolved through the exact tree path
+    instead.  That path's sample is rebuilt in original order from the
+    sorted copies on a sample's first such row, so most fits never
+    build it.
     """
 
     def __init__(self, X: np.ndarray, labels: np.ndarray):
-        n = self.n = len(labels)
-        x = X[:, 0]
-        order = np.argsort(x)
-        padded = np.empty(2 * n)
-        # mode="clip" takes straight into out; argsort indices are in range.
-        np.take(x, order, out=padded[:n], mode="clip")
-        if np.any(padded[1:n] == padded[: n - 1]):
-            order = np.argsort(x, kind="stable")
-            np.take(x, order, out=padded[:n], mode="clip")
-        padded[n:] = np.inf
-        self.order = order
-        self.labels = np.take(labels, order)
-        self.prefix = np.empty(n + 1)
-        self.prefix[0] = 0.0
-        np.cumsum(self.labels, out=self.prefix[1:])
-        for arr in (padded, order, self.labels, self.prefix):
+        y = np.atleast_2d(labels)
+        reps, n = y.shape
+        self.reps, self.n = reps, n
+        x = np.reshape(X, (reps, n))
+        # Each sample's sort order as flat indices into the stack, so
+        # sample r's are offset by r n.
+        order = np.argsort(x, axis=1)
+        order += np.arange(0, reps * n, n)[:, None]
+        padded = np.empty((reps, 2 * n))
+        # mode="clip" takes straight into out; the indices are in range.
+        np.take(x, order, out=padded[:, :n], mode="clip")
+        equal = padded[:, 1:n] == padded[:, : n - 1]
+        if np.any(equal):
+            tied = np.flatnonzero(np.any(equal, axis=1))
+            order[tied] = np.argsort(x[tied], axis=1, kind="stable") + tied[:, None] * n
+            padded[tied, :n] = np.take(x, order[tied])
+        del equal
+        padded[:, n:] = np.inf
+        labels = np.take(y, order)
+        prefix = np.empty((reps, n + 1))
+        prefix[:, 0] = 0.0
+        np.cumsum(labels, axis=1, out=prefix[:, 1:])
+        for arr in (padded, prefix, order, labels):
             arr.setflags(write=False)
-        self.padded = padded
-        self.coords = padded[:n]
-        self._tree = None
+        # Views of read-only arrays are read-only.
+        self.padded, self.prefix = padded.reshape(-1), prefix.reshape(-1)
+        self.coords, self.order, self.labels = padded[:, :n], order, labels
+        self._trees = [None] * reps
 
-    def _tree_sample(self) -> _TreeSample:
-        # Built on the first tie row.  No lock: as in NeighborIndex._kdtree,
-        # threads racing here may each build an identical sample.
-        if self._tree is None:
+    def _tree_sample(self, rep: int) -> _TreeSample:
+        # Built on the sample's first tie row.  No lock: as in
+        # NeighborIndex._kdtree, threads racing here may each build an
+        # identical sample.
+        if self._trees[rep] is None:
+            order = self.order[rep] - rep * self.n
             points = np.empty((self.n, 1))
-            points[self.order, 0] = self.coords
+            points[order, 0] = self.coords[rep]
             labels = np.empty(self.n)
-            labels[self.order] = self.labels
-            self._tree = _TreeSample(points, labels)
-        return self._tree
+            labels[order] = self.labels[rep]
+            self._trees[rep] = _TreeSample(points, labels)
+        return self._trees[rep]
 
     def anchor(self, X, w: int):
-        """(w, start, radius) of each row's w-nearest window, for one w in [1, n]."""
+        """(w, start, radius, offset) of each row's w-nearest window, for
+        one w in [1, n]; offset is the flat start of the row's sample."""
         x = X[:, 0]
-        a, n = self.padded, self.n
-        order = np.argsort(x)
+        a, n, reps = self.padded, self.n, self.reps
+        off = np.repeat(np.arange(0, len(a), 2 * n), len(x) // reps)
+        # Row r holds sample r's pair sums; the last, a[n - w] + a[n], is
+        # +inf, so no start passes n - w.
+        blocks = a.reshape(reps, 2 * n)
+        pair_sums = blocks[:, : n - w + 1] + blocks[:, w : n + 1]
+        q = len(x) // reps
+        # Each sample's queries in sorted order, as flat row indices.
+        rows = np.argsort(x.reshape(reps, q), axis=1)
+        rows += np.arange(0, len(x), q)[:, None]
+        twice = 2.0 * x[rows]
         starts = np.empty(len(x), dtype=np.intp)
-        # pair_sums[n - w] is +inf, so no start passes n - w.
-        pair_sums = a[: n - w + 1] + a[w : n + 1]
-        starts[order] = np.searchsorted(pair_sums, 2.0 * x[order])
-        # The window's end distances double as the predicate's at s - 1 and s.
-        first = x - a[starts]
-        last = a[starts + w - 1] - x
-        ok = ~(first > a[starts + w] - x) & (
-            (starts == 0) | (x - a[np.maximum(starts - 1, 0)] > last)
-        )
-        radii = np.maximum(np.maximum(first, last), 0.0)
+        for r in range(reps):
+            starts[rows[r]] = np.searchsorted(pair_sums[r], twice[r])
+        del rows, twice, pair_sums
+        starts += off
+        # The window's end distances double as the predicate's at s - 1
+        # and s.  At a sample's first point a[s - 1] is +inf padding (the
+        # previous sample's, or a[-1], the last one's).  No distance is
+        # NaN, so first <= right is "not first > right".
+        first = _distances(x, a, starts)
+        last = _distances(x, a[w - 1 :], starts, right=True)
+        ok = first <= _distances(x, a[w:], starts, right=True)
+        ok &= (starts == off) | (_distances(x, a, starts - 1) > last)
+        radii = np.maximum(first, last, out=first)
+        np.maximum(radii, 0.0, out=radii)
+        del last
         if not np.all(ok):
             redo = np.flatnonzero(~ok)
-            lo = np.zeros(len(redo), dtype=np.intp)
-            starts[redo] = self.window_starts(x[redo], w, lo, n - w)
+            starts[redo] = self.window_starts(x[redo], w, off[redo], off[redo] + n - w)
             radii[redo] = self.window_radius(x[redo], w, starts[redo])
-        return w, starts, radii
+        return w, starts, radii, off
 
     def window_starts(self, x: np.ndarray, k, lo: np.ndarray, hi) -> np.ndarray:
-        """Each row's k window start, known to lie in [lo, hi].
+        """Each row's k window start, known to lie in [lo, hi]; lo is
+        advanced in place into the result.
 
         One fixed descending power-of-two step per round, from the largest
         not above the widest range of the batch: about log2(hi - lo)
         rounds of a few array operations and no per-row bookkeeping.  The
         predicate is false from a row's start on, so no step is clamped;
-        a range is at most n - 1 wide and a window start at most n - k,
-        so no probe reads past the padding.
+        a range is at most n - 1 wide and a window start at most n - k
+        past its sample's offset, so no probe leaves the sample's block.
         """
-        s = lo.copy()
+        s = lo
         span = int(np.max(hi - lo, initial=0))
+        del hi
         step = 1 << (span.bit_length() - 1) if span else 0
         while step:
             ahead = self.padded[step - 1 :]  # ahead[i] is a[i + step - 1]
-            s += (x - ahead[s] > ahead[s + k] - x) * step
+            left = _distances(x, ahead, s)
+            s += (left > _distances(x, ahead, s + k, right=True)) * step
             step >>= 1
         return s
 
@@ -236,56 +281,84 @@ class _SortedSample1D:
 
         For k >= w the k window holds the w window, so its start lies in
         [max(s_w + w - k, 0), min(s_w, n - k)]; for k < w it lies inside
-        the w window, in [s_w, s_w + w - k].
+        the w window, in [s_w, s_w + w - k] (both offset by the row's
+        sample).
         """
-        w, s_w, _ = anchor
-        lo = np.maximum(s_w + np.minimum(w - k, 0), 0)
-        hi = np.minimum(s_w + np.maximum(w - k, 0), self.n - k)
-        return self.window_starts(x, k, lo, hi)
+        w, s_w, _, off = anchor
+        lo = np.minimum(w - k, 0)
+        lo += s_w
+        np.maximum(lo, off, out=lo)
+        # hi is passed on unnamed, so window_starts frees it after one read.
+        return self.window_starts(
+            x, k, lo, np.minimum(np.maximum(w - k, 0) + s_w, off + (self.n - k))
+        )
 
     def window_radius(self, x, k, starts) -> np.ndarray:
-        left = x - self.coords[starts]
-        right = self.coords[starts + k - 1] - x
-        return np.maximum(np.maximum(left, right), 0.0)
+        left = _distances(x, self.padded, starts)
+        right = _distances(x, self.padded, starts + (k - 1), right=True)
+        np.maximum(left, right, out=left)
+        return np.maximum(left, 0.0, out=left)
 
     def boundary_ties(self, x, k, starts) -> np.ndarray:
+        # Left of a sample's first point lies +inf padding (the previous
+        # sample's, or a[-1], the last one's), which ties no radius.
         r = self.window_radius(x, k, starts)
-        tie_left = (starts > 0) & (x - self.coords[np.maximum(starts - 1, 0)] == r)
-        return tie_left | (self.padded[starts + k] - x == r)
+        tied = _distances(x, self.padded, starts - 1) == r
+        tied |= _distances(x, self.padded, starts + k, right=True) == r
+        return tied
 
     def label_sums(self, X, k: np.ndarray, anchor) -> np.ndarray:
         x = X[:, 0]
         starts = self.k_starts(x, k, anchor)
         tied = self.boundary_ties(x, k, starts)
-        sums = np.where(tied, 0.0, self.prefix[starts + k] - self.prefix[starts])
+        # Sample r's prefix sums start at r (n + 1), its coordinates at r 2n.
+        starts -= anchor[3] // (2 * self.n) * (self.n - 1)
+        sums = self.prefix[starts + k]
+        sums -= self.prefix[starts]
+        sums[tied] = 0.0
         if np.any(tied):
-            # Added onto the whole batch, as 0.0 where no tie is: every
-            # -0.0 sum of a batch with a tie row reads 0.0.
-            exact = np.zeros(len(x))
-            exact[tied] = self._tree_sample().label_sums(X[tied], k[tied], None)
-            sums += exact
+            # Added onto all the rows of each sample with a tie row, as 0.0
+            # where no tie is: every -0.0 sum of such a sample reads 0.0.
+            q = len(x) // self.reps
+            for rep in np.unique(anchor[3][tied]) // (2 * self.n):
+                rows = slice(rep * q, (rep + 1) * q)
+                exact = np.zeros(q)
+                t = tied[rows]
+                exact[t] = self._tree_sample(rep).label_sums(X[rows][t], k[rows][t], None)
+                sums[rows] += exact
         return sums
 
 
 def _sample(X: np.ndarray, labels: np.ndarray):
-    """The neighbour backend of one sample; None when it is empty."""
-    if not len(labels):
+    """The neighbour backend of one stack of samples; None when they are empty."""
+    if not labels.shape[1]:
         return None
-    return (_SortedSample1D if X.shape[1] == 1 else _TreeSample)(X, labels)
+    if X.shape[2] == 1:
+        return _SortedSample1D(X, labels)
+    return _TreeSample(X[0], labels[0])
 
 
 class TrainedEstimator:
-    """Immutable fitted state: one neighbour backend per nonempty sample."""
+    """Immutable fitted state: one neighbour backend per nonempty sample.
+
+    In 1-D it may hold a stack of `reps` fits of equal-size samples (see
+    fit); n and m are the sizes of each one's samples.
+    """
 
     def __init__(self, source, target, config: NeighborFunctionConfig):
         sx, sy, s_size = _coerce_labeled(source, config.d, "source")
         tx, ty, t_size = _coerce_labeled(target, config.d, "target")
-        if not math.isfinite(s_size + t_size):
-            raise ValueError("source and target labels must have a finite sum of |y|")
-        self.n = len(sy)
-        self.m = len(ty)
+        self.n = sy.shape[1]
+        self.m = ty.shape[1]
         if self.n + self.m < 1:
             raise ValueError("at least one of the two samples must be nonempty")
+        if self.n and self.m and len(sy) != len(ty):
+            raise ValueError("source and target stacks must hold equally many samples")
+        self.reps = max(len(sy), len(ty))
+        with np.errstate(over="ignore"):
+            joint = s_size + t_size
+        if not np.all(np.isfinite(joint)):
+            raise ValueError("source and target labels must have a finite sum of |y|")
         self.config = config
         self.joint_log = math.log(max(self.n, 1) * max(self.m, 1))
         # Past both samples every ell takes side_terms' floor branch, inf included.
@@ -302,6 +375,8 @@ class TrainedEstimator:
         if side not in ("p", "q"):
             raise ValueError(f"side must be 'p' or 'q', got {side!r}")
         X = _coerce_points(X, self.config.d, "query")
+        if len(X) % self.reps:
+            raise ValueError(f"{len(X)} query rows do not split evenly over {self.reps} fits")
         cfg = self.config
         sample, kappa = (
             (self._source, cfg.kappa_p) if side == "p" else (self._target, cfg.kappa_q)
@@ -314,8 +389,12 @@ class TrainedEstimator:
         with np.errstate(over="ignore", divide="ignore"):
             if 1 <= self.ell <= sample.n:
                 anchor = sample.anchor(X, self.ell)
-                r = anchor[2]
-                p_hat = np.where(r > 0.0, self.ell / (sample.n * r**cfg.d), math.inf)
+                # R_ell becomes p_hat in place; ell / (n * 0.0) is +inf,
+                # so R_ell = 0 reads an infinite density.
+                p_hat = anchor[2]
+                p_hat **= cfg.d
+                p_hat *= sample.n
+                np.divide(self.ell, p_hat, out=p_hat)
                 k = neighbor_counts(p_hat, sample.n, self.joint_log, cfg, kappa)
             else:
                 floor = min(sample.n, max(int(math.ceil(self.joint_log)), _MIN_K))
@@ -325,10 +404,15 @@ class TrainedEstimator:
             return k, p_hat, sample.label_sums(X, k, anchor)
 
     def predict_batch(self, X):
-        """Vectorised predictions; returns (values, k_p, k_q, p_hat, q_hat)."""
+        """Vectorised predictions; returns (values, k_p, k_q, p_hat, q_hat).
+
+        A stack of R fits splits the rows of X into R equal runs, in
+        order, and answers run r from fit r.
+        """
         k_p, p_hat, sum_p = self.side_terms(X, "p")
         k_q, q_hat, sum_q = self.side_terms(X, "q")
-        values = (sum_p + sum_q) / (k_p + k_q)
+        values = sum_p + sum_q
+        values /= k_p + k_q
         return values, k_p, k_q, p_hat, q_hat
 
 
@@ -346,22 +430,38 @@ def _coerce_points(X, d: int, name: str) -> np.ndarray:
 
 
 def _coerce_labeled(data, d: int, name: str):
+    """A sample as a stack (X, y, size): X of shape (R, n, d), y of shape
+    (R, n) and size each sample's sum of |y|.  None, like any empty
+    sample, is one empty sample."""
+    empty = np.empty((1, 0, d)), np.empty((1, 0)), np.zeros(1)
     if data is None:
-        return np.empty((0, d)), np.empty(0), 0.0
+        return empty
     X, y = data
-    X = _coerce_points(X, d, name)
+    X = np.asarray(X, dtype=np.float64)
+    stack = X.shape[:2] if X.ndim == 3 and X.shape[2] == d == 1 else None
+    X = _coerce_points(X if stack is None else X.reshape(-1, 1), d, name)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if len(y) != len(X):
         raise ValueError(f"{name} labels and points must have equal length")
+    if not len(y):
+        return empty
+    stack = stack or (1, len(y))
     with np.errstate(over="ignore"):
-        size = float(np.abs(y).sum())  # bounds every label sum formed from y
-    if not math.isfinite(size):
+        # bounds every label sum formed from a sample's y
+        size = np.abs(y).reshape(stack).sum(axis=1)
+    if not np.all(np.isfinite(size)):
         raise ValueError(f"{name} labels must be finite, with a finite sum of |y|")
-    return X, y, size
+    return X.reshape(*stack, d), y.reshape(stack), size
 
 
 def fit(source, target, config: NeighborFunctionConfig) -> TrainedEstimator:
-    """Fit on a source sample and a target sample; either may be empty."""
+    """Fit on a source sample and a target sample; either may be empty.
+
+    A sample is (X, y), X of shape (n, d) with n labels.  In 1-D it may
+    also be a stack of R equal-size samples, X of shape (R, n, 1) and y
+    of shape (R, n): the R fits then answer as one (see predict_batch).
+    Both stacks must hold equally many samples unless one is empty.
+    """
     return TrainedEstimator(source, target, config)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -136,14 +137,21 @@ def mc_excess_risk(
     """
     if n_test < 1:
         raise ValueError("n_test must be at least 1")
-    Xq = Q.sample_array(rng, n_test)
+    return float(_risks(fitted, f_star, Q.sample_array(rng, n_test))[0])
+
+
+def _risks(fitted: TrainedEstimator, f_star: HolderFunction, Xq) -> np.ndarray:
+    """Each stacked fit's mean squared prediction error over its run of
+    Xq's rows; ValueError names the first one that is not finite."""
     preds = fitted.predict_batch(Xq)[0]
     # Finite labels can still give an error whose square overflows.
     with np.errstate(over="ignore", invalid="ignore"):
-        risk = float(np.mean((preds - f_star(Xq)) ** 2))
-    if not math.isfinite(risk):
-        raise ValueError(f"the mean squared prediction error is {risk!r}, not finite")
-    return risk
+        errors = (preds - f_star(Xq)) ** 2
+    risks = np.mean(errors.reshape(fitted.reps, -1), axis=1)
+    bad = risks[~np.isfinite(risks)]
+    if len(bad):
+        raise ValueError(f"the mean squared prediction error is {float(bad[0])!r}, not finite")
+    return risks
 
 
 def _rep_rng(seed: int, cell_idx: int, rep: int, child: int) -> np.random.Generator:
@@ -154,48 +162,109 @@ def _rep_rng(seed: int, cell_idx: int, rep: int, child: int) -> np.random.Genera
     )
 
 
-def _run_rep(config: ExperimentConfig, cell_idx: int, n: int, m: int, rep: int):
-    ss = np.random.SeedSequence(config.seed, spawn_key=(cell_idx, rep))
-    seed_id = int(ss.generate_state(1, dtype=np.uint64)[0])
-    try:
-        source = None
+# Budgets of one 1-D rep block: test rows, and padded sample cells (2 per
+# sample point; see _SortedSample1D).  They keep each of a block's arrays
+# at 128 KiB or less, in cache and off fresh mmap pages; larger blocks ran
+# slower per rep.
+_BLOCK_ROWS = 1 << 13
+_BLOCK_CELLS = 1 << 14
+
+
+def _block_size(config: ExperimentConfig, n: int, m: int) -> int:
+    """Reps per task of cell (n, m): as many as both budgets allow in
+    1-D, where the fits stack, and one in d >= 2."""
+    if config.estimator.d > 1:
+        return 1
+    return max(1, min(_BLOCK_ROWS // config.n_test, _BLOCK_CELLS // (2 * (n + m))))
+
+
+def _stack(samples: list):
+    """None, a lone (X, y) sample, or the (R, n, 1), (R, n) stack of R."""
+    if len(samples) < 2:
+        return samples[0] if samples else None
+    return np.stack([X for X, _ in samples]), np.stack([y for _, y in samples])
+
+
+def _draw_block(config: ExperimentConfig, cell_idx: int, n: int, m: int, reps: range):
+    """The source and target stacks and the test rows of a block of reps,
+    each rep drawn from its own generators, rep after rep."""
+    sources, targets = [], []
+    n_test = config.n_test
+    Xq = np.empty((len(reps) * n_test, config.target.dimension))
+    for i, rep in enumerate(reps):
+        rng = partial(_rep_rng, config.seed, cell_idx, rep)
         if n > 0:
-            rng = _rep_rng(config.seed, cell_idx, rep, 0)
-            source = generate_data(config.source, config.f_star, config.noise, n, rng)
-        target = None
+            sources.append(generate_data(config.source, config.f_star, config.noise, n, rng(0)))
         if m > 0:
-            rng = _rep_rng(config.seed, cell_idx, rep, 1)
-            target = generate_data(config.target, config.f_star, config.noise, m, rng)
+            targets.append(generate_data(config.target, config.f_star, config.noise, m, rng(1)))
+        Xq[i * n_test : (i + 1) * n_test] = config.target.sample_array(rng(2), n_test)
+    return _stack(sources), _stack(targets), Xq
+
+
+def _run_rep(config: ExperimentConfig, cell_idx: int, n: int, m: int, reps: range):
+    """The records of a block of one cell's reps.
+
+    Each rep draws from its own generators; the block is fitted as one
+    stack and scored in one pass.  A block that fails runs again rep by
+    rep, so the error names its first failing rep, in rep order, as a
+    one-rep block does.
+    """
+    try:
+        source, target, Xq = _draw_block(config, cell_idx, n, m, reps)
         est = fit(source, target, config.estimator)
-        rng_test = _rep_rng(config.seed, cell_idx, rep, 2)
-        risk = mc_excess_risk(est, config.f_star, config.target, config.n_test, rng_test)
+        # The fit keeps its own sorted copies.
+        source = target = None
+        risks = _risks(est, config.f_star, Xq)
     except Exception as exc:
+        if len(reps) > 1:
+            return [
+                record
+                for rep in reps
+                for record in _run_rep(config, cell_idx, n, m, range(rep, rep + 1))
+            ]
         raise NumericError(
-            f"sweep failed at cell (n={n}, m={m}), rep {rep}: {exc}"
+            f"sweep failed at cell (n={n}, m={m}), rep {reps[0]}: {exc}"
         ) from exc
-    return RepRecord(n=n, m=m, rep=rep, risk=risk, seed=seed_id)
+    return [
+        RepRecord(n=n, m=m, rep=rep, risk=risk, seed=_seed_id(config.seed, cell_idx, rep))
+        for rep, risk in zip(reps, risks.tolist())
+    ]
+
+
+def _seed_id(seed: int, cell_idx: int, rep: int) -> int:
+    """A rep's recorded seed: the first word of its SeedSequence's state."""
+    ss = np.random.SeedSequence(seed, spawn_key=(cell_idx, rep))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     """Run reps x cells independent train/evaluate cycles.
 
+    A task is a block of one cell's reps.  In 1-D a block holds as many
+    reps as two budgets allow, test rows and padded sample cells, and is
+    fitted as one stack; in d >= 2 it holds one rep.  Every rep draws
+    from its own generators, so a block's records equal a rep-by-rep
+    run's bit for bit.
+
     Results are reduced in (cell, rep) order regardless of completion
     order, so the output is identical for any thread count, and a
-    failing sweep names its first failing rep in that order.  This rep
-    pool is the package's one parallel layer; one thread runs the reps
+    failing sweep names its first failing rep in that order.  This task
+    pool is the package's one parallel layer; one thread runs the tasks
     in a plain loop, which is faster than a one-worker pool.  The pool
-    starts the reps of the largest cells (by n + m) first, so that no
-    large rep is left to run alone at the end while the other threads
+    starts the blocks of the largest cells (by n + m) first, so that no
+    large task is left to run alone at the end while the other threads
     wait.
     """
     cells = config.cells()
-    tasks = [
-        (ci, n, m, rep)
-        for ci, (n, m) in enumerate(cells)
-        for rep in range(config.reps)
-    ]
+    tasks = []
+    for ci, (n, m) in enumerate(cells):
+        size = _block_size(config, n, m)
+        tasks += [
+            (ci, n, m, range(first, min(first + size, config.reps)))
+            for first in range(0, config.reps, size)
+        ]
     if threads > 1:
-        # A stable sort: reps of equal size keep (cell, rep) order.
+        # A stable sort: tasks of equal size keep (cell, rep) order.
         largest_first = sorted(
             range(len(tasks)), key=lambda i: -(tasks[i][1] + tasks[i][2])
         )
@@ -204,9 +273,10 @@ def sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
         with ThreadPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             for i in largest_first:
                 futures[i] = pool.submit(_run_rep, config, *tasks[i])
-            records = tuple(f.result() for f in futures)
+            blocks = [f.result() for f in futures]
     else:
-        records = tuple(_run_rep(config, *t) for t in tasks)
+        blocks = [_run_rep(config, *t) for t in tasks]
+    records = tuple(record for block in blocks for record in block)
     reps = config.reps
     risks = np.array([r.risk for r in records]).reshape(len(cells), reps)
     means = np.mean(risks, axis=1)
@@ -234,6 +304,8 @@ def fit_slope(sizes, risks) -> SlopeFit:
     lx, ly = np.log(x), np.log(y)
     xc = lx - lx.mean()
     sxx = float(np.sum(xc**2))
+    if sxx == 0.0:
+        raise ValueError(f"sizes must not all be equal, got {x.tolist()}")
     slope = float(np.sum(xc * ly) / sxx)
     intercept = float(ly.mean() - slope * lx.mean())
     resid = ly - (intercept + slope * lx)

@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 from conftest import read_labeled_csv
-from transfer_knn import harness, transfer
+from transfer_knn import cli, harness, transfer
 from transfer_knn.cli import MAX_GRID_POINTS, MAX_THREADS, main, parse_grid, run
 from transfer_knn.distributions import family_from_spec
 from transfer_knn.errors import MAX_DIMENSION, ConfigError
@@ -446,7 +446,8 @@ class TestSweepCommand:
         ).read_bytes()
 
     def test_pool_sized_by_the_reps(self, tmp_path, monkeypatch):
-        # Four threads on two reps: a pool of two, and the one-thread bytes.
+        # Four threads on two tasks, one block of two reps per cell: a
+        # pool of two, and the one-thread bytes.
         sizes = []
         pool = harness.ThreadPoolExecutor
 
@@ -455,13 +456,38 @@ class TestSweepCommand:
             return pool(max_workers=max_workers)
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", recording)
-        cfg = write_json(tmp_path / "e.json", dict(EXPERIMENT, m_grid=[32]))
+        cfg = write_json(tmp_path / "e.json", EXPERIMENT)
         out1, out4 = tmp_path / "a", tmp_path / "b"
         assert run(["sweep", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
         assert run(["sweep", "--config", cfg, "--out", str(out4), "--threads", "4"]) == 0
         assert sizes == [2]
         for name in ("sweep_reps.csv", "sweep_aggregate.csv"):
             assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "cpus, want",
+        [({1}, 1), ({0, 3, 5}, 3), (set(range(MAX_THREADS + 44)), MAX_THREADS), (None, 64)],
+        ids=["one", "three", "capped", "no-affinity"],
+    )
+    def test_default_threads_are_the_usable_cpus(self, tmp_path, monkeypatch, cpus, want):
+        # The CPUs this process may run on, not the host's 64; the host's
+        # count only where the platform has no affinity call.
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        if cpus is None:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        seen = []
+        real = cli.sweep
+
+        def recording(config, threads):
+            seen.append(threads)
+            return real(config, threads=1)
+
+        monkeypatch.setattr(cli, "sweep", recording)
+        cfg = write_json(tmp_path / "e.json", dict(EXPERIMENT, m_grid=[32], reps=1))
+        assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert seen == [want]
 
     @pytest.mark.parametrize("value", [MAX_THREADS + 1, 100000])
     def test_threads_above_limit_rejected(self, tmp_path, capsys, monkeypatch, value):

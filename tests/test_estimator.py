@@ -219,6 +219,60 @@ class TestFit:
         assert np.array_equal(est.predict_batch(queries)[0], before)
 
 
+class TestStackedFit:
+    """In 1-D a stack of R samples fits as R separate fits, bit for bit."""
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "ties"])
+    @pytest.mark.parametrize("sides", ["source", "target", "both"])
+    def test_matches_separate_fits(self, tied, sides):
+        # Integer coordinates and half-integer queries tie window
+        # boundaries, so some samples answer rows through the tree path.
+        rng = np.random.default_rng(53)
+        reps, q = 5, 30
+
+        def draw(size):
+            if tied:
+                X = rng.integers(0, 12, (reps, size, 1)).astype(float)
+            else:
+                X = rng.standard_normal((reps, size, 1))
+            return X, rng.standard_normal((reps, size))
+
+        source = draw(40) if sides != "target" else None
+        target = draw(25) if sides != "source" else None
+        if tied:
+            queries = rng.integers(0, 24, (reps * q, 1)) / 2.0
+        else:
+            queries = rng.standard_normal((reps * q, 1))
+        est = fit(source, target, CFG)
+        got = est.predict_batch(queries)
+        assert est.reps == reps and all(len(g) == reps * q for g in got)
+        for r in range(reps):
+            one = [None if s is None else (s[0][r], s[1][r]) for s in (source, target)]
+            want = fit(*one, CFG).predict_batch(queries[r * q : (r + 1) * q])
+            for g, w in zip(got, want):
+                assert g[r * q : (r + 1) * q].tobytes() == w.tobytes()
+        backends = [b for b in (est._source, est._target) if b is not None]
+        assert any(t is not None for b in backends for t in b._trees) == tied
+
+    def test_stack_validation(self):
+        rng = np.random.default_rng(59)
+        stack = (rng.random((3, 10, 1)), rng.random((3, 10)))
+        est = fit(stack, None, CFG)
+        assert (est.reps, est.n, est.m) == (3, 10, 0)
+        with pytest.raises(ValueError, match="^4 query rows do not split evenly over 3 fits$"):
+            est.predict_batch(rng.random((4, 1)))
+        with pytest.raises(ValueError, match="equally many samples"):
+            fit(stack, (rng.random((2, 10, 1)), rng.random((2, 10))), CFG)
+        with pytest.raises(ValueError, match="must have shape"):
+            fit((rng.random((3, 10, 2)), rng.random((3, 10))), None,
+                NeighborFunctionConfig(beta=1.0, d=2))
+        # Each sample's labels pass the check on their own.
+        y = rng.random((3, 10))
+        y[1, :2] = 1e308
+        with pytest.raises(ValueError, match="^source labels must be finite"):
+            fit((stack[0], y), None, CFG)
+
+
 class TestPredict:
     def test_constant_labels(self):
         rng = np.random.default_rng(3)
@@ -443,11 +497,11 @@ class TestFastPathConsistency:
         fast = fit((X, y), None, CFG)
         slow = fit((X, y), None, CFG)
         slow._source = _TreeSample(X, y)
-        assert fast._source._tree is None
+        assert fast._source._trees[0] is None
         X[:] = rng.permutation(X) + 100.0
         y[:] = rng.standard_normal(60)
         va = fast.predict_batch(queries)
-        assert fast._source._tree is not None
+        assert fast._source._trees[0] is not None
         vb = slow.predict_batch(queries)
         x = queries[:, 0]
         anchor = fast._source.anchor(queries, fast.ell)
@@ -528,14 +582,14 @@ class TestSortedWindow1D:
         n = 300
         coords = rng.integers(0, 40, n) if tied else rng.standard_normal(n)
         s = self.sample(coords)
-        assert (len(np.unique(s.coords)) < n) == tied
-        x = self.queries(s.coords, rng)
+        assert (len(np.unique(s.coords[0])) < n) == tied
+        x = self.queries(s.coords[0], rng)
         k = rng.integers(1, n + 1, len(x))
         k[::5], k[1::5] = 1, n
-        want = window_starts_bisection(s.coords, x, k)
+        want = window_starts_bisection(s.coords[0], x, k)
         assert np.array_equal(self.starts(s, x, k), want)
         for kk in (1, 2, 17, n - 1, n):
-            want = window_starts_bisection(s.coords, x, kk)
+            want = window_starts_bisection(s.coords[0], x, kk)
             assert np.array_equal(self.starts(s, x, kk), want)
 
     @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "duplicates"])
@@ -546,7 +600,7 @@ class TestSortedWindow1D:
         n = 300
         coords = rng.integers(0, 40, n) if tied else rng.standard_normal(n)
         s = self.sample(coords)
-        a = s.coords
+        a = s.coords[0]
         for w in (1, 7, n // 2, n):
             x = self.queries(a, rng)
             if w < n:
@@ -555,7 +609,7 @@ class TestSortedWindow1D:
             redo = self.spy_redo(s, monkeypatch)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got_w, starts, radii = s.anchor(x[:, None], w)
+                got_w, starts, radii, _ = s.anchor(x[:, None], w)
             assert got_w == w
             assert np.array_equal(starts, window_starts_bisection(a, x, w))
             assert np.array_equal(radii, s.window_radius(x, w, starts))
@@ -572,14 +626,14 @@ class TestSortedWindow1D:
             [rng.uniform(0.5, 1.0, n - 4) * 1.7e308, [1.0, 2e307, 4e307, 1.7e308]]
         )
         s = self.sample(coords)
-        a = s.coords
+        a = s.coords[0]
         x = np.concatenate(
             [a, a[:-1] / 2 + a[1:] / 2, rng.uniform(0.5, 1.0, 100) * 1.7e308, [0.0, 1e308]]
         )
         for w in (1, 2, n // 2, n - 1, n):
             redo = self.spy_redo(s, monkeypatch)
             with np.errstate(over="ignore"):
-                got_w, starts, _ = s.anchor(x[:, None], w)
+                got_w, starts, _, _ = s.anchor(x[:, None], w)
                 want = window_starts_bisection(a, x, w)
             assert np.array_equal(starts, want)
             if w <= n // 2:
@@ -593,7 +647,7 @@ class TestSortedWindow1D:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values, k, _, p_hat, _ = est.predict_batch(q[:, None])
-        assert est._source._tree is None
+        assert est._source._trees[0] is None
         for i, xi in enumerate(q):
             dist = np.abs(xi - coords)
             near = np.lexsort((np.arange(n), dist))
@@ -611,7 +665,7 @@ class TestSortedWindow1D:
         k = np.array(
             data.draw(st.lists(st.integers(1, n), min_size=len(x), max_size=len(x)))
         )
-        want = window_starts_bisection(s.coords, x, k)
+        want = window_starts_bisection(s.coords[0], x, k)
         assert np.array_equal(self.starts(s, x, k), want)
 
     @staticmethod
@@ -643,19 +697,19 @@ class TestSortedWindow1D:
         else:
             coords = rng.choice(3 * n, n, replace=False)
         s = self.sample(coords.astype(float))
-        assert (len(np.unique(s.coords)) < n) == (tied and n > 1)
-        x = self.edge_queries(s.coords)
+        assert (len(np.unique(s.coords[0])) < n) == (tied and n > 1)
+        x = self.edge_queries(s.coords[0])
         for kk in range(1, n + 1):
             got = self.starts(s, x, kk)
-            assert np.array_equal(got, window_starts_bisection(s.coords, x, kk))
+            assert np.array_equal(got, window_starts_bisection(s.coords[0], x, kk))
         # Every (query, k) pair in one batch, so each row's probes are
         # sized by the widest range of the batch, not its own.
         x = np.repeat(x, n)
         k = np.tile(np.arange(1, n + 1), len(x) // n)
         starts = self.starts(s, x, k)
-        assert np.array_equal(starts, window_starts_bisection(s.coords, x, k))
+        assert np.array_equal(starts, window_starts_bisection(s.coords[0], x, k))
         assert np.any(starts + k == n)
-        want = self.ties_brute_force(s.coords, x, k, starts)
+        want = self.ties_brute_force(s.coords[0], x, k, starts)
         assert np.array_equal(s.boundary_ties(x, k, starts), want)
 
     @pytest.mark.parametrize("name", ["padded", "coords", "prefix", "labels", "order"])
@@ -678,9 +732,9 @@ class TestSortedWindow1D:
         # out the order (integer sums below 2^53 are exact)
         s = self.sample(coords)
         order = np.argsort(coords, kind="stable")
-        assert np.array_equal(np.diff(s.prefix), order.astype(float))
-        assert np.array_equal(s.coords, coords[order])
-        assert np.array_equal(s.order, order)
+        assert np.array_equal(np.diff(s.prefix[: s.n + 1]), order.astype(float))
+        assert np.array_equal(s.coords[0], coords[order])
+        assert np.array_equal(s.order[0], order)
 
     def test_tied_sample_predict_batch_matches_oracle(self):
         # Integer labels make every summation order exact, so the

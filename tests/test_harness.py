@@ -1,5 +1,6 @@
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from transfer_knn import harness
 from transfer_knn.distributions import (
     Exponential,
+    HolderFunction,
     NoiseSpec,
     ProductPareto,
     Uniform,
@@ -14,7 +16,7 @@ from transfer_knn.distributions import (
     holder_parabola,
 )
 from transfer_knn.errors import ConfigError, NumericError
-from transfer_knn.estimator import NeighborFunctionConfig, fit
+from transfer_knn.estimator import NeighborFunctionConfig, _SortedSample1D, fit
 from transfer_knn.harness import (
     ExperimentConfig,
     experiment_from_spec,
@@ -28,6 +30,9 @@ from transfer_knn.harness import (
 
 CFG = NeighborFunctionConfig(beta=1.0, d=1)
 UNI = Uniform(0.0, 1.0)
+# Floats 1 apart at 2^52, so every draw is one of 65 integers: tied
+# coordinates and tied boundary distances.
+TIED = Uniform(2.0**52, 2.0**52 + 64.0)
 
 
 def small_config(**overrides):
@@ -144,35 +149,40 @@ class TestSweep:
         assert sweep(cfg, threads=threads) == sweep(cfg, threads=1)
 
     def test_largest_cell_reps_start_first(self, monkeypatch):
-        cfg = small_config(m_grid=(32, 64, 128))
+        # A test batch of half the row budget gives blocks of two reps:
+        # cell m = 128 runs as blocks [0, 1] and [2].
+        cfg = small_config(m_grid=(32, 64, 128), n_test=harness._BLOCK_ROWS // 2)
+        assert harness._block_size(cfg, 0, 128) == 2
         want = sweep(cfg)
         started = []
         lock = threading.Lock()
-        # The first two reps each wait until both have started, so the
+        # The first two blocks each wait until both have started, so the
         # two that start first are the two that the pool dequeued first.
         both = threading.Barrier(2, timeout=30)
         original = harness._run_rep
 
-        def recording(config, ci, n, m, rep):
+        def recording(config, ci, n, m, reps):
             with lock:
-                started.append((n, m, rep))
+                started.append((n, m, tuple(reps)))
                 first = len(started) <= 2
             if first:
                 both.wait()
-            return original(config, ci, n, m, rep)
+            return original(config, ci, n, m, reps)
 
         monkeypatch.setattr(harness, "_run_rep", recording)
         assert sweep(cfg, threads=2) == want
-        assert sorted(started[:2]) == [(0, 128, 0), (0, 128, 1)]
-        assert sorted(started) == sorted((0, m, rep) for m in (32, 64, 128) for rep in range(3))
+        assert sorted(started[:2]) == [(0, 128, (0, 1)), (0, 128, (2,))]
+        assert sorted(started) == sorted(
+            (0, m, reps) for m in (32, 64, 128) for reps in ((0, 1), (2,))
+        )
 
     def test_failure_names_first_failing_rep_in_cell_order(self, monkeypatch):
-        # The large cell's reps start, and fail, first; the error still
+        # The large cell's block starts, and fails, first; the error still
         # names the small cell's first rep.
         original = harness.fit
 
         def failing_fit(source, target, config):
-            if len(target[1]) in (32, 128):
+            if np.shape(target[1])[-1] in (32, 128):
                 raise FloatingPointError("overflow in the density step")
             return original(source, target, config)
 
@@ -181,13 +191,57 @@ class TestSweep:
         with pytest.raises(NumericError, match=want):
             sweep(small_config(m_grid=(32, 64, 128)), threads=2)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failure_inside_a_block_names_that_rep(self, monkeypatch, threads):
+        # Reps 5 and 6 of cell m = 32 fail as they draw, and so does rep 0
+        # of the larger cell m = 64, which starts first on two threads.
+        # Each cell is one block of 8 reps; the error names rep 5.
+        cfg = small_config(m_grid=(16, 32, 64), reps=8)
+        assert harness._block_size(cfg, 0, 64) >= 8
+        bad = {
+            harness._rep_rng(cfg.seed, ci, rep, 1).bit_generator.state["state"]["state"]
+            for ci, rep in ((1, 5), (1, 6), (2, 0))
+        }
+        original = harness.generate_data
+
+        def generate(family, f_star, noise, n, rng):
+            if rng.bit_generator.state["state"]["state"] in bad:
+                raise FloatingPointError("overflow in the draw")
+            return original(family, f_star, noise, n, rng)
+
+        monkeypatch.setattr(harness, "generate_data", generate)
+        want = r"cell \(n=0, m=32\), rep 5: overflow in the draw$"
+        with pytest.raises(NumericError, match=want):
+            sweep(cfg, threads=threads)
+
+    def test_non_finite_risk_inside_a_block_names_that_rep(self):
+        # f_star is NaN at rep 3's first test point only, so only the
+        # block's risk reduction sees the failure.
+        cfg = small_config(m_grid=(64,), reps=6)
+        point = UNI.sample_array(harness._rep_rng(cfg.seed, 0, 3, 2), cfg.n_test)[0, 0]
+        assert harness._block_size(cfg, 0, 64) >= 6
+
+        def parabola_with_a_hole(X):
+            u = np.clip(X[:, 0], 0.0, 1.0)
+            return np.where(X[:, 0] == point, np.nan, u * (1.0 - u))
+
+        f_star = HolderFunction(fn=parabola_with_a_hole)
+        want = r"cell \(n=0, m=64\), rep 3: the mean squared prediction error is nan, not finite$"
+        with pytest.raises(NumericError, match=want):
+            sweep(small_config(m_grid=(64,), reps=6, f_star=f_star))
+        # The same sweep with the plain parabola runs through.
+        assert len(sweep(cfg).records) == 6
+
     @pytest.mark.parametrize("reps", [2, 5, 37])
     def test_estimates_are_each_cells_own_reduction(self, monkeypatch, reps):
         # Risks spread over many magnitudes, so that a sum in another
         # order or grouping than each cell's own would show in the bits.
-        def synthetic(config, ci, n, m, rep):
-            rng = np.random.default_rng((ci, rep))
-            return harness.RepRecord(n, m, rep, float(rng.lognormal(0.0, 4.0)), rep)
+        def synthetic(config, ci, n, m, reps):
+            rngs = [np.random.default_rng((ci, rep)) for rep in reps]
+            return [
+                harness.RepRecord(n, m, rep, float(rng.lognormal(0.0, 4.0)), rep)
+                for rep, rng in zip(reps, rngs)
+            ]
 
         monkeypatch.setattr(harness, "_run_rep", synthetic)
         result = sweep(small_config(m_grid=(16, 32, 64, 128), reps=reps))
@@ -214,21 +268,23 @@ class TestSweep:
     def test_rep_streams_are_the_spawned_children(self, monkeypatch):
         # The source, target and test draws of rep r in cell c start where
         # children 0, 1 and 2 of SeedSequence(seed, spawn_key=(c, r)) start,
-        # though each rep builds only the generators it draws from.
+        # though each rep builds only the generators it draws from.  A
+        # block draws its reps one after another.
         states = []
-        real_generate, real_risk = harness.generate_data, harness.mc_excess_risk
+        real_generate, real_sample = harness.generate_data, Uniform.sample_array
+        cfg = small_config(source=Exponential(2.0), n_grid=(0, 32), m_grid=(16,), reps=2)
 
         def generate(family, f_star, noise, n, rng):
             states.append(("source" if n == 32 else "target", rng.bit_generator.state))
             return real_generate(family, f_star, noise, n, rng)
 
-        def risk(est, f_star, target, n_test, rng):
-            states.append(("test", rng.bit_generator.state))
-            return real_risk(est, f_star, target, n_test, rng)
+        def sample(self, rng, n):
+            if n == cfg.n_test:
+                states.append(("test", rng.bit_generator.state))
+            return real_sample(self, rng, n)
 
         monkeypatch.setattr(harness, "generate_data", generate)
-        monkeypatch.setattr(harness, "mc_excess_risk", risk)
-        cfg = small_config(source=Exponential(2.0), n_grid=(0, 32), m_grid=(16,), reps=2)
+        monkeypatch.setattr(Uniform, "sample_array", sample)
         sweep(cfg)
         want = []
         for cell, (n, m) in enumerate(cfg.cells()):
@@ -239,6 +295,91 @@ class TestSweep:
                 want.append(("test", children[2]))
         assert len(want) == 10  # a target-only cell and a two-sample one, 2 reps each
         assert states == want
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param(dict(m_grid=(64, 256), reps=37, n_test=2000), id="target-only-37"),
+            pytest.param(
+                dict(
+                    source=Exponential(2.0),
+                    target=Exponential(1.0),
+                    n_grid=(128, 512),
+                    m_grid=(0,),
+                    reps=5,
+                ),
+                id="source-only",
+            ),
+            pytest.param(
+                dict(source=Exponential(2.0), n_grid=(64,), m_grid=(32, 128), reps=6),
+                id="two-sample",
+            ),
+            # The tree fallback runs inside a block.
+            pytest.param(dict(target=TIED, m_grid=(40, 80), reps=7), id="ties"),
+            pytest.param(
+                dict(
+                    source=ProductPareto(1.0, 1.0, 2),
+                    target=ProductPareto(2.0, 1.0, 2),
+                    f_star=holder_constant(0.25, 2),
+                    estimator=NeighborFunctionConfig(beta=1.0, d=2),
+                    n_grid=(64,),
+                    m_grid=(32,),
+                    reps=3,
+                    n_test=50,
+                ),
+                id="d2",
+            ),
+            pytest.param(dict(m_grid=(64,), reps=1), id="one-rep"),
+            pytest.param(
+                dict(m_grid=(32,), reps=2, n_test=harness._BLOCK_ROWS), id="one-rep-blocks"
+            ),
+        ],
+    )
+    def test_records_equal_a_rep_by_rep_loop(self, overrides, monkeypatch):
+        cfg = small_config(**overrides)
+        # Each block is fitted once, as one stack: a block that failed and
+        # ran again rep by rep would show as more, smaller fits.
+        stacks, trees = [], []
+        real_fit, real_tree = harness.fit, _SortedSample1D._tree_sample
+
+        def recording_fit(source, target, config):
+            est = real_fit(source, target, config)
+            stacks.append(est.reps)
+            return est
+
+        def recording_tree(sample, rep):
+            trees.append(sample.reps)
+            return real_tree(sample, rep)
+
+        monkeypatch.setattr(harness, "fit", recording_fit)
+        monkeypatch.setattr(_SortedSample1D, "_tree_sample", recording_tree)
+        got = sweep(cfg)
+        sizes = [harness._block_size(cfg, n, m) for n, m in cfg.cells()]
+        assert stacks == [
+            min(size, cfg.reps - first) for size in sizes for first in range(0, cfg.reps, size)
+        ]
+        # The tie rows' tree path ran inside a block of several reps.
+        assert any(reps > 1 for reps in trees) == (cfg.target is TIED)
+        want = []
+        for ci, (n, m) in enumerate(cfg.cells()):
+            for rep in range(cfg.reps):
+                key = np.random.SeedSequence(cfg.seed, spawn_key=(ci, rep))
+                rng_source, rng_target, rng_test = (np.random.default_rng(c) for c in key.spawn(3))
+                source = target = None
+                if n:
+                    source = generate_data(cfg.source, cfg.f_star, cfg.noise, n, rng_source)
+                if m:
+                    target = generate_data(cfg.target, cfg.f_star, cfg.noise, m, rng_target)
+                est = fit(source, target, cfg.estimator)
+                Xq = cfg.target.sample_array(rng_test, cfg.n_test)
+                risk = float(np.mean((est.predict_batch(Xq)[0] - cfg.f_star(Xq)) ** 2))
+                seed = int(key.generate_state(1, dtype=np.uint64)[0])
+                want.append(harness.RepRecord(n, m, rep, risk, seed))
+        assert got.records == tuple(want)
+        risks = np.array([r.risk for r in got.records])
+        assert risks.tobytes() == np.array([r.risk for r in want]).tobytes()
+        if cfg.estimator.d == 1 and cfg.reps > 1:
+            assert sweep(cfg, threads=2) == got
 
 
 class TestFitSlope:
@@ -266,6 +407,12 @@ class TestFitSlope:
             fit_slope([1, 2], [1.0, 0.5])
         with pytest.raises(ValueError):
             fit_slope([1, 2, 3], [0.5, -0.1, 0.2])
+        # No slope through one size: refused before any division warns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = r"^sizes must not all be equal, got \[10\.0, 10\.0, 10\.0\]$"
+            with pytest.raises(ValueError, match=want):
+                fit_slope([10, 10, 10], [1, 2, 3])
 
 
 class TestRegimeExperiment:
